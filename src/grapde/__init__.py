@@ -22,7 +22,6 @@ from .calculus import (
     gradient_form,
     grad_modulus,
     laplacian,
-    p_laplacian,
     polylap_apply,
     polylap_weak_form,
 )
@@ -65,14 +64,7 @@ from .solvers import (
     uniqueness_certificate,
 )
 from .continuation import branch_continuity_report, branch_to_csv, optimal_control, sweep
-from .scalar import (
-    ScalarInstance,
-    scalar_bounds,
-    scalar_nonexistence,
-    scalar_solve_min,
-    scalar_solve_mp,
-    scalar_sweep,
-)
+from .scalar import ScalarInstance, scalar_bounds
 from .spaces import (
     EmbeddingConstants,
     SpaceSpec,

@@ -175,21 +175,30 @@ def path_saddle(
 
 
 def polish_root(grad, x0, weights, tol=1e-8, max_iter=100_000) -> OptResult:
-    """Drive the gradient to zero: hybrid Powell first, least squares fallback."""
+    """Drive the gradient to zero: hybrid Powell first, least squares fallback.
+
+    The trial points of both methods may leave the region where the gradient
+    is finite, so they run with overflow and invalid-value warnings off.  A
+    hybr end point with a non-finite residual counts as residual inf, with a
+    named message, and loses to any finite least-squares result.
+    """
     x0 = np.asarray(x0, float)
     sw = np.sqrt(weights)
 
     def scaled(x):
         return sw * grad(x)
 
-    best = None
-    sol = optimize.root(scaled, x0, method="hybr", tol=1e-14)
-    res = weighted_norm(weights, grad(sol.x))
-    best = OptResult(sol.x, 0.0, res, int(sol.nfev), int(sol.nfev), res <= tol, sol.message)
-    if best.converged:
-        return best
-    ls = optimize.least_squares(scaled, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    res_ls = weighted_norm(weights, grad(ls.x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = optimize.root(scaled, x0, method="hybr", tol=1e-14)
+        res = weighted_norm(weights, grad(sol.x))
+        message = sol.message
+        if not math.isfinite(res):
+            res, message = math.inf, "hybr ended on a non-finite residual"
+        best = OptResult(sol.x, 0.0, res, int(sol.nfev), int(sol.nfev), res <= tol, message)
+        if best.converged:
+            return best
+        ls = optimize.least_squares(scaled, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        res_ls = weighted_norm(weights, grad(ls.x))
     if res_ls < best.residual:
         best = OptResult(ls.x, 0.0, res_ls, int(ls.nfev), int(ls.nfev), res_ls <= tol, "least squares")
     return best

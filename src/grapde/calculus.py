@@ -10,7 +10,6 @@ construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "laplacian",
     "gradient_form",
     "grad_modulus",
-    "p_laplacian",
     "polylap_weak_form",
     "polylap_apply",
 ]
@@ -90,6 +88,7 @@ def _power_coeff(t: np.ndarray, s: float) -> np.ndarray:
 
 
 def p_laplacian(graph: WeightedGraph, u, p: float) -> np.ndarray:
+    """Discrete p-Laplacian; the tests compare polylap_apply(m=1) against it."""
     if p < 2:
         raise ValueError("p must be >= 2")
     u = asvalues(graph, u)

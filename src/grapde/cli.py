@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .calculus import OperatorOrder
 from .continuation import branch_continuity_report, branch_to_csv, optimal_control, sweep
-from .energy import ProblemInstance, psi
+from .energy import ProblemInstance
 from .expressions import ParseError
-from .graph import GraphError, WeightedGraph, graph_from_dict, load_graph, path_graph, validate
+from .graph import GraphError, WeightedGraph, load_graph, path_graph, validate
 from .nonlinearity import (
     BUILTIN_NAMES,
     HypothesisSpec,
@@ -29,23 +29,12 @@ from .nonlinearity import (
     NonlinearityError,
     SamplingConfig,
     builtin,
-    check_hypotheses,
 )
-from .scalar import (
-    ScalarInstance,
-    scalar_bounds,
-    scalar_control,
-    scalar_negative_endpoint,
-    scalar_nonexistence,
-    scalar_solve_min,
-    scalar_solve_mp,
-    scalar_sweep,
-)
+from .scalar import ScalarInstance
 from .solvers import (
     CertificateError,
     SolverConfig,
     SolverError,
-    bound_certificate_mp,
     local_min_solve,
     mountain_pass_solve,
     negative_endpoint,
@@ -154,7 +143,6 @@ def _emit(args, command, result, exit_code):
             "seed": args.seed,
             "grid": getattr(args, "grid", None),
             "kind": getattr(args, "kind", None),
-            "workers": args.workers,
             "deterministic": args.deterministic,
         },
         "result": result,
@@ -192,29 +180,20 @@ def cmd_constants(args):
     inst, _ = load_problem(args.problem, graph) if args.problem else (None, None)
     if inst is None:
         raise InputError("constants needs --problem (for p, q and hypothesis constants)")
-    if isinstance(inst, ScalarInstance):
-        p = q = inst.p
-    else:
-        p, q = inst.p, inst.q
-    emb = embedding_constants(graph, p, q)
+    emb = embedding_constants(graph, inst.p, inst.q)
     result = {
         "n": graph.n,
         "volume": float(np.sum(graph.mu)),
-        "p": p,
-        "q": q,
+        "p": inst.p,
+        "q": inst.q,
         "b": emb.b,
         "d": emb.d,
         "K1": emb.K1,
         "K2": emb.K2,
     }
     try:
-        if isinstance(inst, ScalarInstance):
-            endpoint = scalar_negative_endpoint(inst, _config(args))
-            cert = scalar_bounds(inst, endpoint)
-        else:
-            endpoint = negative_endpoint(inst, _config(args))
-            cert = bound_certificate_mp(inst, endpoint)
-        result["bounds"] = cert.to_dict()
+        endpoint = negative_endpoint(inst, _config(args))
+        result["bounds"] = inst.bounds_mp(endpoint).to_dict()
     except (SolverError, CertificateError) as err:
         result["bounds"] = None
         result["bounds_error"] = str(err)
@@ -224,32 +203,18 @@ def cmd_constants(args):
 def cmd_check(args):
     graph = _get_graph(args)
     inst, _ = load_problem(args.problem, graph)
-    sampling = SamplingConfig(seed=args.seed)
-    if isinstance(inst, ScalarInstance):
-        report = check_hypotheses(
-            inst.nl, inst.spec, graph, inst.p, inst.p, sampling, ord1=inst.ord, ord2=inst.ord
-        )
-    else:
-        report = check_hypotheses(
-            inst.nl, inst.spec, graph, inst.p, inst.q, sampling,
-            ord1=inst.ord1, ord2=inst.ord2,
-        )
+    report = inst.check(SamplingConfig(seed=args.seed))
     failed = [n for n, c in report.conditions.items() if c.verdict == "fail"]
     return _emit(args, "check", report.to_dict(), 2 if failed else 0)
-
-
-def _solve_one(inst, kind, config):
-    if isinstance(inst, ScalarInstance):
-        return scalar_solve_mp(inst, config) if kind == "mp" else scalar_solve_min(inst, config)
-    return mountain_pass_solve(inst, config) if kind == "mp" else local_min_solve(inst, config)
 
 
 def cmd_solve(args):
     graph = _get_graph(args)
     inst, _ = load_problem(args.problem, graph)
     config = _config(args)
+    solve = mountain_pass_solve if args.kind == "mp" else local_min_solve
     try:
-        report = _solve_one(inst, args.kind, config)
+        report = solve(inst, config)
     except SolverError as err:
         return _emit(args, "solve", {"error": str(err)}, 2)
     cert = report.certificate
@@ -262,15 +227,11 @@ def cmd_sweep(args):
     inst, _ = load_problem(args.problem, graph)
     config = _config(args)
     try:
-        if isinstance(inst, ScalarInstance):
-            branch = scalar_sweep(inst, grid=args.grid, kind=args.kind, config=config)
-            result = branch.to_dict()
-        else:
-            branch = sweep(inst, grid=args.grid, kind=args.kind, config=config)
-            result = branch.to_dict()
-            result["continuity"] = branch_continuity_report(branch, inst, config).to_dict()
-            if args.csv:
-                branch_to_csv(branch, args.csv, inst)
+        branch = sweep(inst, grid=args.grid, kind=args.kind, config=config)
+        result = branch.to_dict()
+        result["continuity"] = branch_continuity_report(branch, inst, config).to_dict()
+        if args.csv:
+            branch_to_csv(branch, args.csv, inst)
     except SolverError as err:
         return _emit(args, "sweep", {"error": str(err)}, 2)
     all_ok = all(r is not None and r.converged for r in branch.reports)
@@ -284,21 +245,10 @@ def cmd_control(args):
         raise InputError("control needs an 'objective' block in the problem file")
     config = _config(args)
     try:
-        if isinstance(inst, ScalarInstance):
-            res = scalar_control(inst, objective, grid=args.grid, kind=args.kind, config=config)
-            result = {
-                "w_opt": res["w_opt"],
-                "psi_opt": res["psi_opt"],
-                "u": res["u"],
-                "table": [[float(w), float(v)] for w, v in res["table"]],
-            }
-        else:
-            res = optimal_control(inst, objective, grid=args.grid, kind=args.kind, config=config)
-            result = res.to_dict()
-            if args.csv:
-                branch_to_csv(
-                    res.branch, args.csv, inst, psi_values=dict(res.table)
-                )
+        res = optimal_control(inst, objective, grid=args.grid, kind=args.kind, config=config)
+        result = res.to_dict()
+        if args.csv:
+            branch_to_csv(res.branch, args.csv, inst, psi_values=dict(res.table))
     except SolverError as err:
         return _emit(args, "control", {"error": str(err)}, 2)
     return _emit(args, "control", result, 0)
@@ -309,16 +259,11 @@ def cmd_nonexist(args):
     inst, _ = load_problem(args.problem, graph)
     config = _config(args)
     sampling = SamplingConfig(seed=args.seed)
-    if isinstance(inst, ScalarInstance):
-        result = scalar_nonexistence(inst, sampling, config, multistart=args.multistart)
-        certified = result["certified"]
-    else:
-        report = nonexistence_check(inst, sampling, config, multistart=args.multistart)
-        result = report.to_dict()
-        certified = report.certified
-    if certified:
+    report = nonexistence_check(inst, sampling, config, multistart=args.multistart)
+    result = report.to_dict()
+    if report.certified:
         result["summary"] = "nonexistence certified (sampled)"
-    return _emit(args, "nonexist", result, 0 if certified else 2)
+    return _emit(args, "nonexist", result, 0 if report.certified else 2)
 
 
 def cmd_demo(args):
@@ -377,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", type=int, default=21, help="parameter grid points")
         sp.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
         sp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-        sp.add_argument("--workers", type=int, default=1, help="worker count")
         sp.add_argument(
             "--deterministic", action="store_true",
             help="omit timestamps so identical runs emit identical bytes",

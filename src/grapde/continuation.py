@@ -1,9 +1,9 @@
 """Parameter sweeps, branch continuity diagnostics, and grid optimal control.
 
-A sweep solves the system at every grid parameter left to right, warm-starting
-each solve from the previous solution (with a cold-start fallback), and shares
-one parameter-uniform endpoint so the certificate constants are identical
-across the whole branch.
+A sweep solves the problem (system or scalar) at every grid parameter left to
+right, warm-starting each solve from the previous solution (with a cold-start
+fallback), and shares one parameter-uniform endpoint so the certificate
+constants are identical across the whole branch.
 """
 
 from __future__ import annotations
@@ -15,27 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import bb_minimize, polish_root
-from .energy import ProblemInstance, psi
+from .energy import psi
 from .nonlinearity import Nonlinearity
 from .solvers import (
     SolverConfig,
     SolverError,
-    _as_state,
-    _ball_projection,
-    _flat_f,
-    _flat_grad,
-    _report,
-    _spike,
-    _split,
-    _weights,
-    ball_radius,
-    bound_certificate_min,
-    bound_certificate_mp,
+    ball_projection,
     local_min_solve,
     mountain_pass_solve,
     negative_endpoint,
-    state_norm,
+    solve_report,
+    spike_start,
 )
+from .spaces import w_norm
 
 __all__ = [
     "Branch",
@@ -69,53 +61,39 @@ class Branch:
         }
 
 
-def _flat(report) -> np.ndarray:
-    return np.concatenate([report.state.u.values, report.state.v.values])
-
-
 def _solve_point(inst, kind, config, endpoint, rho, warm_x):
     """One grid point: try the warm start, fall back to a cold solve."""
     if warm_x is not None:
-        weights = _weights(inst)
-        g = _flat_grad(inst)
+        weights = inst.weights
         if kind == "mp":
-            res = polish_root(g, warm_x, weights, tol=config.tol, max_iter=config.max_iter)
-            ok = res.converged
-            x = res.x
+            res = polish_root(
+                inst.gradient, warm_x, weights, tol=config.tol, max_iter=config.max_iter
+            )
         else:
             res = bb_minimize(
-                _flat_f(inst), g, warm_x, weights,
+                inst.energy, inst.gradient, warm_x, weights,
                 tol=config.tol, max_iter=config.max_iter,
-                armijo_c=config.armijo_c, project=_ball_projection(inst, rho),
+                armijo_c=config.armijo_c, project=ball_projection(inst, rho),
             )
-            ok = res.converged
-            x = res.x
-        if ok:
-            norm = state_norm(inst, *_split(inst, x))
-            if norm > 10.0 * config.tol:
-                if kind == "mp":
-                    cert = bound_certificate_mp(inst, endpoint)
-                else:
-                    spike = _spike(inst)
-                    t0 = 0.5 * min(
-                        inst.spec.delta if inst.spec.delta is not None else math.inf,
-                        rho / state_norm(inst, spike, spike),
-                    )
-                    cert = bound_certificate_min(inst, t0, rho)
-                report = _report(
-                    inst, x, "mountain-pass" if kind == "mp" else "local-min",
-                    res.iterations, res.fevals, config,
-                    certificate=cert, extra_flags=("warm start",),
-                )
-                if report.converged and "type-uncertain" not in report.flags:
-                    return report
+        if res.converged and inst.norm(res.x) > 10.0 * config.tol:
+            if kind == "mp":
+                cert = inst.bounds_mp(endpoint)
+            else:
+                cert = inst.bounds_min(spike_start(inst, rho), rho)
+            report = solve_report(
+                inst, res.x, "mountain-pass" if kind == "mp" else "local-min",
+                res.iterations, res.fevals, config,
+                certificate=cert, extra_flags=("warm start",),
+            )
+            if report.converged and "type-uncertain" not in report.flags:
+                return report
     if kind == "mp":
         return mountain_pass_solve(inst, config, endpoint=endpoint)
     return local_min_solve(inst, config)
 
 
 def sweep(
-    inst: ProblemInstance,
+    inst,
     grid=21,
     kind: str = "mp",
     config: SolverConfig = None,
@@ -137,7 +115,7 @@ def sweep(
             raise ValueError("grid leaves the parameter interval")
 
     endpoint = negative_endpoint(inst, config) if kind == "mp" else None
-    rho = ball_radius(inst, config) if kind == "min" else None
+    rho = inst.ball_radius(config) if kind == "min" else None
 
     reports = []
     warm_x = None
@@ -148,14 +126,15 @@ def sweep(
         except SolverError:
             report = None
         reports.append(report)
-        warm_x = _flat(report) if (report is not None and report.converged) else None
+        converged = report is not None and report.converged
+        warm_x = report.state.flat() if converged else None
 
     jumps = []
     for a, b in zip(reports, reports[1:]):
         if a is None or b is None:
             jumps.append(None)
         else:
-            jumps.append(state_norm(inst, *_split(inst, _flat(b) - _flat(a))))
+            jumps.append(inst.norm(b.state.flat() - a.state.flat()))
     return Branch(grid=grid, reports=reports, jumps=jumps, kind=kind)
 
 
@@ -185,7 +164,7 @@ class ContinuityReport:
 
 
 def branch_continuity_report(
-    branch: Branch, inst: ProblemInstance, config: SolverConfig = None, w0: float = None
+    branch: Branch, inst, config: SolverConfig = None, w0: float = None
 ) -> ContinuityReport:
     """Jump statistics, certificate-bound verification, and a limit re-solve."""
     config = config or SolverConfig()
@@ -225,13 +204,13 @@ def branch_continuity_report(
     if nearest is not None:
         point = inst.at(w0)
         res = polish_root(
-            _flat_grad(point), _flat(nearest[1]), _weights(point),
+            point.gradient, nearest[1].state.flat(), point.weights,
             tol=config.tol, max_iter=config.max_iter,
         )
         if res.converged:
             ref = next((r for w, r in branch.converged_points if abs(w - w0) < 1e-15), None)
             if ref is not None:
-                limit_distance = state_norm(point, *_split(point, res.x - _flat(ref)))
+                limit_distance = point.norm(res.x - ref.state.flat())
             else:
                 limit_distance = 0.0
                 notes.append("limit parameter off-grid: re-solve converged, no reference state")
@@ -253,7 +232,7 @@ def branch_continuity_report(
 @dataclass
 class ControlReport:
     w_opt: float
-    state: object  # StatePair at the optimum
+    state: object  # StatePair at the optimum (v None for a scalar problem)
     psi_opt: float
     table: list  # (w, psi) over converged points
     branch: Branch
@@ -262,15 +241,14 @@ class ControlReport:
         return {
             "w_opt": self.w_opt,
             "psi_opt": self.psi_opt,
-            "u": self.state.u.to_map(),
-            "v": self.state.v.to_map(),
+            **self.state.to_dict(),
             "table": [[float(w), float(val)] for w, val in self.table],
             "branch": self.branch.to_dict(),
         }
 
 
 def optimal_control(
-    inst: ProblemInstance,
+    inst,
     objective: Nonlinearity,
     grid=21,
     kind: str = "mp",
@@ -292,10 +270,11 @@ def optimal_control(
     )
 
 
-def branch_to_csv(branch: Branch, path, inst: ProblemInstance, psi_values: dict = None):
-    """Write the plotting table (w, norms, energy, residual, bounds, psi)."""
-    from .spaces import w_norm
+def branch_to_csv(branch: Branch, path, inst, psi_values: dict = None):
+    """Write the plotting table (w, norms, energy, residual, bounds, psi).
 
+    A scalar problem leaves the norm_v column empty.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["w", "norm_u", "norm_v", "energy", "residual", "C1", "C2", "psi"])
@@ -305,11 +284,14 @@ def branch_to_csv(branch: Branch, path, inst: ProblemInstance, psi_values: dict 
                 continue
             cert = report.certificate
             pv = (psi_values or {}).get(float(w), "")
+            norms = [
+                repr(w_norm(inst.graph, f, space))
+                for f, space in zip(report.state.blocks, inst.spaces)
+            ]
             writer.writerow(
-                [
-                    repr(float(w)),
-                    repr(w_norm(inst.graph, report.state.u, inst.space1)),
-                    repr(w_norm(inst.graph, report.state.v, inst.space2)),
+                [repr(float(w))]
+                + norms + [""] * (2 - len(norms))
+                + [
                     repr(report.energy),
                     repr(report.residual),
                     repr(cert.lower) if cert else "",

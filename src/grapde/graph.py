@@ -149,14 +149,27 @@ class VertexFunction:
 
 @dataclass(frozen=True)
 class StatePair:
-    """The unknown (u, v) of the coupled system; both live on one graph."""
+    """The unknown (u, v) of the coupled system, or u alone (v None) of the
+    scalar problem; all blocks live on one graph."""
 
     u: VertexFunction
-    v: VertexFunction
+    v: VertexFunction = None
 
     def __post_init__(self):
-        if self.u.graph is not self.v.graph and self.u.graph != self.v.graph:
+        if self.v is not None and self.u.graph is not self.v.graph and self.u.graph != self.v.graph:
             raise GraphError("state components live on different graphs")
+
+    @property
+    def blocks(self) -> tuple:
+        return (self.u,) if self.v is None else (self.u, self.v)
+
+    def flat(self) -> np.ndarray:
+        """The blocks end to end, as the solvers see a state."""
+        return np.concatenate([f.values for f in self.blocks])
+
+    def to_dict(self) -> dict:
+        """Vertex maps under "u" and "v"; a one-block state has no "v"."""
+        return {name: f.to_map() for name, f in zip("uv", self.blocks)}
 
 
 def asvalues(graph: WeightedGraph, f) -> np.ndarray:

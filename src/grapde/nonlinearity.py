@@ -139,6 +139,11 @@ class HypothesisSpec:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"parameter interval J={self.J} must be bounded and nonempty")
 
+    def w_grid(self, k: int) -> np.ndarray:
+        """k uniform parameters over J (the single point of a degenerate J)."""
+        lo, hi = self.J
+        return np.linspace(lo, hi, k) if hi > lo else np.array([lo])
+
 
 @dataclass
 class SamplingConfig:
@@ -189,11 +194,6 @@ class HypothesisReport:
         }
 
 
-def _w_grid(spec: HypothesisSpec, k: int) -> np.ndarray:
-    lo, hi = spec.J
-    return np.linspace(lo, hi, k) if hi > lo else np.array([lo])
-
-
 def _ring(radius: float, k: int):
     ang = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
     return radius * np.cos(ang), radius * np.sin(ang)
@@ -213,20 +213,10 @@ def check_hypotheses(
     """Screen (F1)-(F4), (H1)-(H5) and the nonexistence sign condition."""
     cfg = sampling or SamplingConfig()
     emb = embedding_constants(graph, p, q)
-    ws = _w_grid(spec, cfg.w_samples)
+    ws = spec.w_grid(cfg.w_samples)
     n = graph.n
     results = {}
     notes = []
-
-    def sample_eval(which, t, s, w):
-        # rows: vertices; columns: sample points (t, s may be arrays)
-        t = np.asarray(t, float)
-        s = np.asarray(s, float)
-        rows = [
-            np.broadcast_to(np.asarray(nl.eval(which, i, t, s, w), float), t.shape)
-            for i in range(n)
-        ]
-        return np.stack(rows)
 
     # (F1): value at the origin
     try:
@@ -254,7 +244,7 @@ def check_hypotheses(
             denom = np.abs(ts) ** p + np.abs(ss) ** q
             rung_max = -math.inf
             for w in ws:
-                vals = sample_eval("F", ts, ss, w) / denom
+                vals = nl.grid_values("F", ts, ss, w) / denom
                 i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
                 if vals[i, k] > rung_max:
                     rung_max = float(vals[i, k])
@@ -278,7 +268,7 @@ def check_hypotheses(
             denom = np.abs(ts) ** p + np.abs(ss) ** q
             rung_min = math.inf
             for w in ws:
-                vals = sample_eval("F", ts, ss, w) / denom
+                vals = nl.grid_values("F", ts, ss, w) / denom
                 rung_min = min(rung_min, float(np.min(vals)))
             mins.append(rung_min)
         growing = all(b > a for a, b in zip(mins, mins[1:]))
@@ -303,9 +293,9 @@ def check_hypotheses(
                 rung_min = math.inf
                 for w in ws:
                     num = (
-                        sample_eval("Fu", ts, ss, w) * ts
-                        + sample_eval("Fv", ts, ss, w) * ss
-                        - mx * sample_eval("F", ts, ss, w)
+                        nl.grid_values("Fu", ts, ss, w) * ts
+                        + nl.grid_values("Fv", ts, ss, w) * ss
+                        - mx * nl.grid_values("F", ts, ss, w)
                     )
                     rung_min = min(rung_min, float(np.min(num / denom)))
                 mins.append(rung_min)
@@ -339,8 +329,8 @@ def check_hypotheses(
         results["H1"] = ConditionResult("H1", "inconclusive", detail="theta not provided")
     else:
         def h1_check(ts, ss, w):
-            fvals = sample_eval("F", ts, ss, w)
-            radial = sample_eval("Fu", ts, ss, w) * ts + sample_eval("Fv", ts, ss, w) * ss
+            fvals = nl.grid_values("F", ts, ss, w)
+            radial = nl.grid_values("Fu", ts, ss, w) * ts + nl.grid_values("Fv", ts, ss, w) * ss
             tol = 1e-9 * (1.0 + np.abs(radial))
             if np.any(spec.theta * fvals > radial + tol):
                 return False, _witness(spec.theta * fvals - radial, ts, ss, w)
@@ -353,7 +343,7 @@ def check_hypotheses(
         results["H2"] = ConditionResult("H2", "inconclusive", detail="c1/c2/r1/r2 not provided")
     else:
         def h2_check(ts, ss, w):
-            radial = sample_eval("Fu", ts, ss, w) * ts + sample_eval("Fv", ts, ss, w) * ss
+            radial = nl.grid_values("Fu", ts, ss, w) * ts + nl.grid_values("Fv", ts, ss, w) * ss
             cap = spec.c1 * np.abs(ts) ** spec.r1 + spec.c2 * np.abs(ss) ** spec.r2
             tol = 1e-9 * (1.0 + cap)
             if np.any(radial > cap + tol):
@@ -374,7 +364,7 @@ def check_hypotheses(
             nonlocal floor_seen
             floor = spec.a_floor(float(np.hypot(ts[0], ss[0])))
             floor_seen = max(floor_seen, floor)
-            fvals = sample_eval("F", ts, ss, w)
+            fvals = nl.grid_values("F", ts, ss, w)
             lower = floor * np.asarray(spec.c_fn)[:, None]
             if np.any(fvals < lower - 1e-12 * (1.0 + np.abs(lower))):
                 return False, _witness(lower - fvals, ts, ss, w)
@@ -455,8 +445,8 @@ def check_hypotheses(
                 if math.hypot(t1, s1) > radius or math.hypot(t2, s2) > radius:
                     continue
                 for w in ws:
-                    du = np.abs(sample_eval("Fu", t2, s2, w) - sample_eval("Fu", t1, s1, w))
-                    dv = np.abs(sample_eval("Fv", t2, s2, w) - sample_eval("Fv", t1, s1, w))
+                    du = np.abs(nl.grid_values("Fu", t2, s2, w) - nl.grid_values("Fu", t1, s1, w))
+                    dv = np.abs(nl.grid_values("Fv", t2, s2, w) - nl.grid_values("Fv", t1, s1, w))
                     capu = spec.d1 * abs(t2 - t1) ** (p - 1) + 1e-12
                     capv = spec.d2 * abs(s2 - s1) ** (p - 1) + 1e-12
                     if np.any(du > capu) or np.any(dv > capv):
@@ -478,8 +468,8 @@ def check_hypotheses(
         verdict, witness = "pass (sampled)", None
         for w in ws:
             vals = (
-                sample_eval("Fu", flat_t, flat_s, w) * flat_t
-                + sample_eval("Fv", flat_t, flat_s, w) * flat_s
+                nl.grid_values("Fu", flat_t, flat_s, w) * flat_t
+                + nl.grid_values("Fv", flat_t, flat_s, w) * flat_s
             )
             if np.any(vals >= 0):
                 i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
@@ -544,7 +534,7 @@ def builtin(name: str, graph: WeightedGraph, gamma=None, z=None, e=None, x0=None
         nl = Nonlinearity.from_source(
             graph, "ecoef*(u^2+v^2)^2*(1+w^2)*abs(gamma)", {"gamma": gamma_tab, "ecoef": coeff}
         )
-        x0 = x0 or _spike_vertex(graph)
+        x0 = x0 or spike_vertex(graph)
         spec = HypothesisSpec(
             delta=1.0,
             L=np.full(graph.n, 4.0 * coeff * gmin),
@@ -559,7 +549,7 @@ def builtin(name: str, graph: WeightedGraph, gamma=None, z=None, e=None, x0=None
         nl = Nonlinearity.from_source(
             graph, "ecoef*(u^2+v^2)*(1+w^2)*abs(gamma)", {"gamma": gamma_tab, "ecoef": coeff}
         )
-        x0 = x0 or _spike_vertex(graph)
+        x0 = x0 or spike_vertex(graph)
         spec = HypothesisSpec(
             delta=1.0,
             L=np.full(graph.n, 4.0 * coeff * gmin),
@@ -590,7 +580,7 @@ def builtin(name: str, graph: WeightedGraph, gamma=None, z=None, e=None, x0=None
     return BuiltinProblem(name, nl, spec, OperatorOrder(1, p), OperatorOrder(1, q), p, q, spec.J)
 
 
-def _spike_vertex(graph: WeightedGraph, L=None) -> str:
+def spike_vertex(graph: WeightedGraph, L=None) -> str:
     """Vertex maximizing mu(x) L(x); ties break by stored order."""
     weights = graph.mu * (np.ones(graph.n) if L is None else np.asarray(L, float))
     return graph.vertices[int(np.argmax(weights))]

@@ -1,10 +1,14 @@
 """Single-unknown specialization: one equation, one norm, the primed bounds.
 
-The scalar problem uses the same operators and optimizers as the system; the
-coupling reduces to F(x, u, w) with derivative f = dF/du, and the certificate
-constants lose their min/max structure.  Only p >= 2 is supported: the bound
-machinery (the 2^{p-1} splitting inequalities and the monotonicity constant)
-needs it.
+The scalar problem is the system with one unknown block: ``ScalarInstance``
+exposes the same flat-vector surface as ``ProblemInstance`` (an n-vector
+here), so the solvers, sweeps, control and nonexistence screen of
+``solvers.py`` and ``continuation.py`` serve it unchanged.  What differs by
+block count lives here: the energy and gradient, which evaluate only F and
+F_u with one poly-Laplacian per gradient; the primed certificate constants,
+which lose their min/max structure; and the 1-D sign screen.  Only p >= 2 is
+supported: the bound machinery (the 2^{p-1} splitting inequalities and the
+monotonicity constant) needs it.
 """
 
 from __future__ import annotations
@@ -14,32 +18,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import bb_minimize, path_saddle, polish_root, weighted_norm
+from ._optim import path_saddle  # noqa: F401  bench/tracing.py requires this binding
 from .calculus import OperatorOrder, polylap_apply
-from .energy import _odd_power
-from .graph import VertexFunction, WeightedGraph, asvalues, integral, total_measure
-from .nonlinearity import HypothesisSpec, Nonlinearity, SamplingConfig, _spike_vertex
-from .solvers import BoundCertificate, CertificateError, SolverConfig, SolverError
+from .continuation import sweep
+from .energy import FlatProblem, _odd_power
+from .graph import WeightedGraph, asvalues, total_measure
+from .nonlinearity import HypothesisSpec, Nonlinearity
+from .solvers import (
+    BoundCertificate,
+    CertificateError,
+    SolverConfig,
+    SolverError,
+    mountain_pass_solve,
+)
 from .spaces import SpaceSpec, w_norm
 
 __all__ = [
     "ScalarInstance",
-    "ScalarReport",
     "scalar_phi",
     "scalar_grad",
     "scalar_residual",
+    "scalar_norm",
     "scalar_bounds",
-    "scalar_solve_mp",
-    "scalar_solve_min",
+    "scalar_bounds_min",
     "scalar_ball_radius",
-    "scalar_sweep",
-    "scalar_control",
-    "scalar_nonexistence",
 ]
 
 
 @dataclass(frozen=True)
-class ScalarInstance:
+class ScalarInstance(FlatProblem):
     """Scalar problem data; the coupling expression may use u and w only."""
 
     graph: WeightedGraph
@@ -48,6 +55,8 @@ class ScalarInstance:
     spec: HypothesisSpec
     potential: str = "h1"
     w: float = 0.0
+
+    kind_prefix = "scalar-"
 
     def __post_init__(self):
         if self.ord.s < 2:
@@ -60,9 +69,17 @@ class ScalarInstance:
     def p(self) -> float:
         return self.ord.s
 
+    # one exponent and one order fill both slots of the shared screens
+    q = p
+    ord1 = ord2 = property(lambda self: self.ord)
+
     @property
     def space(self) -> SpaceSpec:
         return SpaceSpec(self.ord, self.potential)
+
+    @property
+    def spaces(self) -> tuple:
+        return (self.space,)
 
     @property
     def h(self) -> np.ndarray:
@@ -71,43 +88,44 @@ class ScalarInstance:
     def at(self, w: float) -> "ScalarInstance":
         return ScalarInstance(self.graph, self.ord, self.nl, self.spec, self.potential, w)
 
+    def energy(self, u) -> float:
+        return scalar_phi(self, u)
 
-@dataclass
-class ScalarReport:
-    u: VertexFunction
-    energy: float
-    residual: float
-    kind: str
-    iterations: int
-    fevals: int
-    converged: bool
-    certificate: BoundCertificate = None
-    flags: tuple = ()
+    def gradient(self, u) -> np.ndarray:
+        return scalar_grad(self, u)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "u": self.u.to_map(),
-            "energy": self.energy,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "fevals": self.fevals,
-            "converged": self.converged,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-            "flags": list(self.flags),
-        }
+    def coupling_grad(self, u) -> np.ndarray:
+        return self.nl.values("Fu", u, np.zeros_like(u), self.w)
 
+    def sign_screen(self, sampling) -> tuple:
+        """Screen f(x, t, w) t < 0 for t != 0 on the sampling box axis."""
+        axis = np.linspace(-sampling.box_radius, sampling.box_radius, sampling.box_grid)
+        axis = axis[axis != 0]
+        for w in self.spec.w_grid(sampling.w_samples):
+            vals = self.nl.grid_values("Fu", axis, 0.0, w) * axis
+            bad = np.any(vals >= 0, axis=0)
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                vertex = self.graph.vertices[int(np.argmax(vals[:, k]))]
+                return "fail", (vertex, float(axis[k]), float(w))
+        return "pass (sampled)", None
 
-def _coupling(inst: ScalarInstance, which: str, u: np.ndarray) -> np.ndarray:
-    zero = np.zeros_like(u)
-    return inst.nl.values(which, u, zero, inst.w)
+    def bounds_mp(self, endpoint):
+        return scalar_bounds(self, *endpoint)
+
+    def bounds_min(self, t0, rho):
+        return scalar_bounds_min(self, t0, rho)
+
+    def ball_radius(self, config=None):
+        return scalar_ball_radius(self, config)
 
 
 def scalar_phi(inst: ScalarInstance, u) -> float:
     u = asvalues(inst.graph, u)
     p = inst.p
     norm_term = w_norm(inst.graph, u, inst.space) ** p / p
-    return norm_term - math.fsum(inst.graph.mu * _coupling(inst, "F", u))
+    coupling = inst.nl.values("F", u, np.zeros_like(u), inst.w)
+    return norm_term - math.fsum(inst.graph.mu * coupling)
 
 
 def scalar_grad(inst: ScalarInstance, u) -> np.ndarray:
@@ -115,29 +133,17 @@ def scalar_grad(inst: ScalarInstance, u) -> np.ndarray:
     return (
         polylap_apply(inst.graph, u, inst.ord)
         + inst.h * _odd_power(u, inst.p)
-        - _coupling(inst, "Fu", u)
+        - inst.coupling_grad(u)
     )
 
 
-def scalar_residual(inst: ScalarInstance, u) -> float:
-    g = scalar_grad(inst, u)
-    return math.sqrt(integral(inst.graph, g * g))
-
-
-def scalar_norm(inst: ScalarInstance, u) -> float:
-    return w_norm(inst.graph, u, inst.space)
-
-
-def _spike(inst: ScalarInstance) -> np.ndarray:
-    x0 = inst.spec.x0 or _spike_vertex(inst.graph, inst.spec.L)
-    s = np.zeros(inst.graph.n)
-    s[inst.graph.index[x0]] = 1.0
-    return s
-
-
-def _w_points(inst: ScalarInstance, k: int) -> np.ndarray:
-    lo, hi = inst.spec.J
-    return np.linspace(lo, hi, k) if hi > lo else np.array([lo])
+# bench/oracle.py re-checks scalar reports through these two names
+scalar_residual = ScalarInstance.residual
+scalar_norm = ScalarInstance.norm
+# criterion_09 (tests/test_acceptance.py) solves the scalar saddle by this name
+scalar_solve_mp = mountain_pass_solve
+# bench/tracing.py times the scalar sweep under this name
+scalar_sweep = sweep
 
 
 def _embedding(inst: ScalarInstance) -> tuple:
@@ -172,79 +178,6 @@ def scalar_bounds(inst: ScalarInstance, u0) -> BoundCertificate:
     )
 
 
-def _scalar_report(inst, u, kind, iterations, fevals, config, certificate=None, extra=()):
-    res = scalar_residual(inst, u)
-    energy = scalar_phi(inst, u)
-    norm = scalar_norm(inst, u)
-    flags = list(extra)
-    if norm < 10.0 * config.tol:
-        flags.append("trivial")
-    if kind == "scalar-mountain-pass" and energy <= 0:
-        flags.append("type-uncertain")
-    if kind == "scalar-local-min" and energy >= 0 and res <= config.tol:
-        flags.append("nonnegative energy at convergence")
-    if certificate is not None:
-        certificate.norm = norm
-        certificate.satisfied = bool(certificate.lower <= norm <= certificate.upper)
-    return ScalarReport(
-        u=VertexFunction(inst.graph, u),
-        energy=energy,
-        residual=res,
-        kind=kind,
-        iterations=iterations,
-        fevals=fevals,
-        converged=res <= config.tol,
-        certificate=certificate,
-        flags=tuple(flags),
-    )
-
-
-def scalar_negative_endpoint(inst: ScalarInstance, config: SolverConfig = None) -> np.ndarray:
-    config = config or SolverConfig()
-    direction = _spike(inst)
-    ws = _w_points(inst, config.w_grid)
-    t = 1.0
-    for _ in range(config.max_doublings):
-        u = t * direction
-        if all(scalar_phi(inst.at(w), u) < 0 for w in ws):
-            return u
-        t *= 2.0
-    raise SolverError(
-        "cannot certify superlinear growth numerically: no negative-energy endpoint"
-    )
-
-
-def scalar_solve_mp(
-    inst: ScalarInstance, config: SolverConfig = None, endpoint: np.ndarray = None
-) -> ScalarReport:
-    config = config or SolverConfig()
-    if endpoint is None:
-        endpoint = scalar_negative_endpoint(inst, config)
-    weights = inst.graph.mu
-    f = lambda u: scalar_phi(inst, u)
-    g = lambda u: scalar_grad(inst, u)
-    peak, outer, fevals, coarse_ok = path_saddle(
-        f, g, weights, endpoint,
-        n_nodes=config.path_nodes, coarse_tol=config.coarse_tol,
-        max_outer=min(config.max_iter, 500), armijo_c=config.armijo_c,
-    )
-    polish = polish_root(g, peak, weights, tol=config.tol, max_iter=config.max_iter)
-    try:
-        cert = scalar_bounds(inst, endpoint)
-    except CertificateError as err:
-        cert = None
-        extra = (f"certificate unavailable: {err}",)
-    else:
-        extra = ()
-    if not coarse_ok and not polish.converged:
-        extra = extra + ("path deformation did not reach coarse tolerance",)
-    return _scalar_report(
-        inst, polish.x, "scalar-mountain-pass",
-        outer + polish.iterations, fevals + polish.fevals, config,
-        certificate=cert, extra=extra,
-    )
-
-
 def scalar_ball_radius(
     inst: ScalarInstance,
     config: SolverConfig = None,
@@ -264,7 +197,7 @@ def scalar_ball_radius(
     b, K = _embedding(inst)
     vol = total_measure(inst.graph)
     D = 0.9 / (p * K**p)
-    ws = _w_points(inst, config.w_grid)
+    ws = inst.spec.w_grid(config.w_grid)
     axis = np.linspace(-1.0, 1.0, grid)
     for k in range(ladder_len):
         rho = ladder_max * 0.5**k
@@ -274,44 +207,6 @@ def scalar_ball_radius(
         if all(np.max(inst.nl.grid_values("F", t, 0.0, w) - cap) < budget for w in ws):
             return rho
     raise SolverError("small-amplitude growth margin not certifiable at any radius")
-
-
-def scalar_solve_min(inst: ScalarInstance, config: SolverConfig = None) -> ScalarReport:
-    config = config or SolverConfig()
-    rho = scalar_ball_radius(inst, config)
-    spike = _spike(inst)
-    spike_norm = scalar_norm(inst, spike)
-    delta = inst.spec.delta if inst.spec.delta is not None else math.inf
-    t0 = 0.5 * min(delta, rho / spike_norm)
-    weights = inst.graph.mu
-
-    def project(u):
-        norm = scalar_norm(inst, u)
-        return u * (rho / norm) if norm > rho else u
-
-    result = bb_minimize(
-        lambda u: scalar_phi(inst, u),
-        lambda u: scalar_grad(inst, u),
-        t0 * spike,
-        weights,
-        tol=config.tol, max_iter=config.max_iter,
-        armijo_c=config.armijo_c, project=project,
-    )
-    u = result.x
-    try:
-        cert = scalar_bounds_min(inst, t0, rho)
-    except CertificateError as err:
-        cert = None
-        extra = [f"certificate unavailable: {err}"]
-    else:
-        extra = []
-    if scalar_norm(inst, u) >= rho * (1.0 - 1e-9):
-        extra.append("boundary minimum - not certified critical")
-    return _scalar_report(
-        inst, u, "scalar-local-min",
-        result.iterations, result.fevals, config,
-        certificate=cert, extra=tuple(extra),
-    )
 
 
 def scalar_bounds_min(inst: ScalarInstance, t0: float, rho: float) -> BoundCertificate:
@@ -328,7 +223,7 @@ def scalar_bounds_min(inst: ScalarInstance, t0: float, rho: float) -> BoundCerti
     p = inst.p
     b, _ = _embedding(inst)
     vol = total_measure(inst.graph)
-    spike = _spike(inst)
+    spike = inst.spike()
     eta = -scalar_phi(inst, t0 * spike)
     if eta > 0:
         axis = np.linspace(-1.0, 1.0, 21)
@@ -367,163 +262,3 @@ def scalar_bounds_min(inst: ScalarInstance, t0: float, rho: float) -> BoundCerti
         constants={"C3": lower, "C4": upper, "t0": t0, "rho": rho},
         notes=notes,
     )
-
-
-# --- parameter sweep, control, nonexistence ------------------------------
-
-@dataclass
-class ScalarBranch:
-    grid: np.ndarray
-    reports: list
-    jumps: list
-    kind: str
-
-    @property
-    def converged_points(self):
-        return [
-            (w, r) for w, r in zip(self.grid, self.reports) if r is not None and r.converged
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "grid": [float(w) for w in self.grid],
-            "jumps": [None if j is None else float(j) for j in self.jumps],
-            "reports": [None if r is None else r.to_dict() for r in self.reports],
-        }
-
-
-def scalar_sweep(
-    inst: ScalarInstance,
-    grid=21,
-    kind: str = "mp",
-    config: SolverConfig = None,
-    warm: bool = True,
-) -> ScalarBranch:
-    config = config or SolverConfig()
-    if np.isscalar(grid):
-        lo, hi = inst.spec.J
-        grid = np.linspace(lo, hi, int(grid))
-    else:
-        grid = np.asarray(grid, float)
-    endpoint = scalar_negative_endpoint(inst, config) if kind == "mp" else None
-    rho = scalar_ball_radius(inst, config) if kind == "min" else None
-    reports = []
-    warm_u = None
-    for w in grid:
-        point = inst.at(float(w))
-        report = None
-        if warm and warm_u is not None:
-            res = polish_root(
-                lambda u: scalar_grad(point, u), warm_u, point.graph.mu,
-                tol=config.tol, max_iter=config.max_iter,
-            )
-            if res.converged and scalar_norm(point, res.x) > 10.0 * config.tol:
-                if kind == "mp":
-                    cert = scalar_bounds(point, endpoint)
-                else:
-                    spike = _spike(point)
-                    t0 = 0.5 * min(
-                        point.spec.delta if point.spec.delta is not None else math.inf,
-                        rho / scalar_norm(point, spike),
-                    )
-                    cert = scalar_bounds_min(point, t0, rho)
-                kind_name = "scalar-mountain-pass" if kind == "mp" else "scalar-local-min"
-                cand = _scalar_report(
-                    point, res.x, kind_name, res.iterations, res.fevals, config,
-                    certificate=cert, extra=("warm start",),
-                )
-                ok_energy = cand.energy > 0 if kind == "mp" else cand.energy < 0
-                if cand.converged and ok_energy:
-                    report = cand
-        if report is None:
-            try:
-                if kind == "mp":
-                    report = scalar_solve_mp(point, config, endpoint=endpoint)
-                else:
-                    report = scalar_solve_min(point, config)
-            except SolverError:
-                report = None
-        reports.append(report)
-        warm_u = report.u.values if (report is not None and report.converged) else None
-    jumps = []
-    for a, b_ in zip(reports, reports[1:]):
-        if a is None or b_ is None:
-            jumps.append(None)
-        else:
-            jumps.append(scalar_norm(inst, b_.u.values - a.u.values))
-    return ScalarBranch(grid=grid, reports=reports, jumps=jumps, kind=kind)
-
-
-def scalar_control(
-    inst: ScalarInstance,
-    objective: Nonlinearity,
-    grid=21,
-    kind: str = "mp",
-    config: SolverConfig = None,
-):
-    """Grid minimization of the integral objective over the solved branch."""
-    branch = scalar_sweep(inst, grid=grid, kind=kind, config=config)
-    best = None
-    table = []
-    for w, report in branch.converged_points:
-        u = report.u.values
-        zero = np.zeros_like(u)
-        value = math.fsum(inst.graph.mu * objective.values("F", u, zero, float(w)))
-        table.append((float(w), value))
-        if best is None or value < best[1]:
-            best = (float(w), value, report)
-    if best is None:
-        raise SolverError("optimal control failed: no converged grid points")
-    return {
-        "w_opt": best[0],
-        "psi_opt": best[1],
-        "u": best[2].u.to_map(),
-        "table": table,
-        "branch": branch,
-    }
-
-
-def scalar_nonexistence(
-    inst: ScalarInstance,
-    sampling: SamplingConfig = None,
-    config: SolverConfig = None,
-    multistart: int = 0,
-) -> dict:
-    """Screen f(x, t, w) t < 0 for t != 0; the scalar sign condition."""
-    config = config or SolverConfig()
-    sampling = sampling or SamplingConfig(seed=config.seed)
-    ws = _w_points(inst, sampling.w_samples)
-    axis = np.linspace(-sampling.box_radius, sampling.box_radius, sampling.box_grid)
-    verdict, witness = "pass (sampled)", None
-    for w in ws:
-        for t in axis:
-            if t == 0:
-                continue
-            vals = np.array(
-                [float(inst.nl.eval("Fu", i, t, 0.0, w)) * t for i in range(inst.graph.n)]
-            )
-            if np.any(vals >= 0):
-                verdict = "fail"
-                witness = (inst.graph.vertices[int(np.argmax(vals))], float(t), float(w))
-                break
-        if verdict == "fail":
-            break
-    max_norm = None
-    if multistart > 0:
-        rng = np.random.default_rng(sampling.seed)
-        max_norm = 0.0
-        for _ in range(multistart):
-            u0 = rng.uniform(-2.0, 2.0, size=inst.graph.n)
-            res = polish_root(
-                lambda u: scalar_grad(inst, u), u0, inst.graph.mu,
-                tol=config.tol, max_iter=config.max_iter,
-            )
-            if res.converged:
-                max_norm = max(max_norm, scalar_norm(inst, res.x))
-    return {
-        "certified": verdict == "pass (sampled)",
-        "sign_verdict": verdict,
-        "sign_witness": witness,
-        "multistart_max_norm": max_norm,
-    }

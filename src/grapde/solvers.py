@@ -6,6 +6,10 @@ characterization), and negative-energy local minimizers found by projected
 descent inside a certified ball.  Each converged state gets a certificate
 sandwiching its product norm between explicit constants built from the graph
 data and the hypothesis constants.
+
+The drivers see a problem only through its flat-vector surface (see
+``energy.FlatProblem``), so the same code serves the two-block system and the
+one-block scalar problem; the certificate functions below are the system's.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import bb_minimize, path_saddle, polish_root, weighted_norm
-from .energy import ProblemInstance, el_residual_norm, phi, phi_grad
+from ._optim import bb_minimize, path_saddle, polish_root
+from .energy import ProblemInstance, phi
 from .graph import StatePair, VertexFunction, integral, total_measure
-from .nonlinearity import SamplingConfig, _spike_vertex, check_hypotheses
+from .nonlinearity import SamplingConfig
 from .spaces import embedding_constants, w_norm
 
 __all__ = [
@@ -27,6 +31,9 @@ __all__ = [
     "SolverConfig",
     "BoundCertificate",
     "SolveReport",
+    "solve_report",
+    "spike_start",
+    "ball_projection",
     "negative_endpoint",
     "mountain_pass_solve",
     "bound_certificate_mp",
@@ -84,7 +91,7 @@ class BoundCertificate:
 
 @dataclass
 class SolveReport:
-    state: StatePair
+    state: StatePair  # one-block problems leave v None
     energy: float
     residual: float
     kind: str
@@ -94,11 +101,15 @@ class SolveReport:
     certificate: BoundCertificate = None
     flags: tuple = ()
 
+    @property
+    def u(self) -> VertexFunction:
+        """The first block; criterion_09 reads the scalar solution under this name."""
+        return self.state.u
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "u": self.state.u.to_map(),
-            "v": self.state.v.to_map(),
+            **self.state.to_dict(),
             "energy": self.energy,
             "residual": self.residual,
             "iterations": self.iterations,
@@ -109,58 +120,23 @@ class SolveReport:
         }
 
 
-# --- plumbing -----------------------------------------------------------
+# --- shared drivers -----------------------------------------------------
 
-def _weights(inst: ProblemInstance) -> np.ndarray:
-    return np.concatenate([inst.graph.mu, inst.graph.mu])
-
-
-def _split(inst: ProblemInstance, x: np.ndarray) -> tuple:
-    n = inst.graph.n
-    return x[:n], x[n:]
+def state_norm(inst, *blocks) -> float:
+    """Norm of a state given block by block: (u, v), or u alone for a scalar problem."""
+    return inst.norm(np.concatenate(blocks))
 
 
-def _flat_f(inst: ProblemInstance):
-    def f(x):
-        return phi(inst, _split(inst, x))
-
-    return f
+def _split(inst, x) -> tuple:
+    # tests/test_acceptance.py splits flat states through this name
+    return inst.split(x)
 
 
-def _flat_grad(inst: ProblemInstance):
-    def g(x):
-        gu, gv = phi_grad(inst, _split(inst, x))
-        return np.concatenate([gu, gv])
-
-    return g
-
-
-def state_norm(inst: ProblemInstance, u, v) -> float:
-    return w_norm(inst.graph, u, inst.space1) + w_norm(inst.graph, v, inst.space2)
-
-
-def _as_state(inst: ProblemInstance, u, v) -> StatePair:
-    g = inst.graph
-    return StatePair(VertexFunction(g, np.asarray(u, float)), VertexFunction(g, np.asarray(v, float)))
-
-
-def _spike(inst: ProblemInstance) -> np.ndarray:
-    x0 = inst.spec.x0 or _spike_vertex(inst.graph, inst.spec.L)
-    s = np.zeros(inst.graph.n)
-    s[inst.graph.index[x0]] = 1.0
-    return s
-
-
-def _w_grid(inst: ProblemInstance, k: int) -> np.ndarray:
-    lo, hi = inst.spec.J
-    return np.linspace(lo, hi, k) if hi > lo else np.array([lo])
-
-
-def _report(inst, x, kind, iterations, fevals, config, certificate=None, extra_flags=()):
-    u, v = _split(inst, x)
-    res = el_residual_norm(inst, (u, v))
-    energy = phi(inst, (u, v))
-    norm = state_norm(inst, u, v)
+def solve_report(inst, x, kind, iterations, fevals, config, certificate=None, extra_flags=()):
+    """Report of the flat state x; ``kind`` is "mountain-pass" or "local-min"."""
+    res = inst.residual(x)
+    energy = inst.energy(x)
+    norm = inst.norm(x)
     flags = list(extra_flags)
     if norm < 10.0 * config.tol:
         flags.append("trivial")
@@ -172,10 +148,10 @@ def _report(inst, x, kind, iterations, fevals, config, certificate=None, extra_f
         certificate.norm = norm
         certificate.satisfied = bool(certificate.lower <= norm <= certificate.upper)
     return SolveReport(
-        state=_as_state(inst, u, v),
+        state=inst.state(x),
         energy=energy,
         residual=res,
-        kind=kind,
+        kind=inst.kind_prefix + kind,
         iterations=iterations,
         fevals=fevals,
         converged=res <= config.tol,
@@ -186,21 +162,21 @@ def _report(inst, x, kind, iterations, fevals, config, certificate=None, extra_f
 
 # --- mountain pass ------------------------------------------------------
 
-def negative_endpoint(inst: ProblemInstance, config: SolverConfig = None) -> tuple:
-    """Scaled spike pair with negative energy uniformly across the w grid.
+def negative_endpoint(inst, config: SolverConfig = None) -> tuple:
+    """Scaled spike state with negative energy uniformly across the w grid.
 
     The scaling is doubled until the energy is negative at every grid
     parameter, so the resulting upper bound constant does not depend on w.
+    Returns the blocks: (u, v), or (u,) for a scalar problem.
     """
     config = config or SolverConfig()
-    direction = np.concatenate([_spike(inst), _spike(inst)])
-    ws = _w_grid(inst, config.w_grid)
+    direction = inst.spike()
+    ws = inst.spec.w_grid(config.w_grid)
     t = 1.0
     for _ in range(config.max_doublings):
         x = t * direction
-        if all(phi(inst.at(w), _split(inst, x)) < 0 for w in ws):
-            u, v = _split(inst, x)
-            return u.copy(), v.copy()
+        if all(inst.at(w).energy(x) < 0 for w in ws):
+            return tuple(b.copy() for b in inst.split(x))
         t *= 2.0
     raise SolverError(
         "cannot certify (F3) numerically: no negative-energy endpoint after "
@@ -208,29 +184,25 @@ def negative_endpoint(inst: ProblemInstance, config: SolverConfig = None) -> tup
     )
 
 
-def mountain_pass_solve(
-    inst: ProblemInstance, config: SolverConfig = None, endpoint: tuple = None
-) -> SolveReport:
+def mountain_pass_solve(inst, config: SolverConfig = None, endpoint: tuple = None) -> SolveReport:
     """Saddle search: path deformation to locate the peak, then residual polish."""
     config = config or SolverConfig()
     if endpoint is None:
         endpoint = negative_endpoint(inst, config)
-    u0, v0 = endpoint
-    weights = _weights(inst)
-    f, g = _flat_f(inst), _flat_grad(inst)
+    weights = inst.weights
     peak, outer, fevals, coarse_ok = path_saddle(
-        f,
-        g,
+        inst.energy,
+        inst.gradient,
         weights,
-        np.concatenate([u0, v0]),
+        np.concatenate(endpoint),
         n_nodes=config.path_nodes,
         coarse_tol=config.coarse_tol,
         max_outer=min(config.max_iter, 500),
         armijo_c=config.armijo_c,
     )
-    polish = polish_root(g, peak, weights, tol=config.tol, max_iter=config.max_iter)
+    polish = polish_root(inst.gradient, peak, weights, tol=config.tol, max_iter=config.max_iter)
     try:
-        cert = bound_certificate_mp(inst, endpoint)
+        cert = inst.bounds_mp(endpoint)
     except CertificateError as err:
         cert = None
         extra = (f"certificate unavailable: {err}",)
@@ -238,7 +210,7 @@ def mountain_pass_solve(
         extra = ()
     if not coarse_ok and not polish.converged:
         extra = extra + ("path deformation did not reach coarse tolerance",)
-    return _report(
+    return solve_report(
         inst,
         polish.x,
         "mountain-pass",
@@ -343,7 +315,7 @@ def ball_radius(
     emb = embedding_constants(inst.graph, p, q)
     vol = total_measure(inst.graph)
     D = 0.9 * min(1.0 / (p * emb.K1**p), 1.0 / (p * emb.K2**p))
-    ws = _w_grid(inst, config.w_grid)
+    ws = inst.spec.w_grid(config.w_grid)
     T, S = _unit_box(grid)
     for k in range(ladder_len):
         rho = ladder_max * 0.5**k
@@ -355,10 +327,10 @@ def ball_radius(
     raise SolverError("(F2) margin not certifiable: no ladder radius qualifies")
 
 
-def _ball_projection(inst: ProblemInstance, rho: float):
+def ball_projection(inst, rho: float):
+    """Radial projection of a flat state onto the ball of radius rho."""
     def project(x):
-        u, v = _split(inst, x)
-        norm = state_norm(inst, u, v)
+        norm = inst.norm(x)
         if norm > rho:
             x = x * (rho / norm)
         return x
@@ -366,46 +338,45 @@ def _ball_projection(inst: ProblemInstance, rho: float):
     return project
 
 
-def local_min_solve(inst: ProblemInstance, config: SolverConfig = None) -> SolveReport:
+def spike_start(inst, rho: float) -> float:
+    """Scale t0 of the local-min start t0 * spike: half of min{delta, rho / ||spike||}."""
+    delta = inst.spec.delta if inst.spec.delta is not None else math.inf
+    return 0.5 * min(delta, rho / inst.norm(inst.spike()))
+
+
+def local_min_solve(inst, config: SolverConfig = None) -> SolveReport:
     """Projected descent inside the certified ball from a scaled spike start."""
     config = config or SolverConfig()
     if inst.p != inst.q:
         raise SolverError("local minimum solver requires p == q")
-    rho = ball_radius(inst, config)
-    spike = _spike(inst)
-    pair_norm = state_norm(inst, spike, spike)
-    delta = inst.spec.delta if inst.spec.delta is not None else math.inf
-    t0 = 0.5 * min(delta, rho / pair_norm)
-    x0 = t0 * np.concatenate([spike, spike])
-    weights = _weights(inst)
-    f, g = _flat_f(inst), _flat_grad(inst)
-    project = _ball_projection(inst, rho)
+    rho = inst.ball_radius(config)
+    t0 = spike_start(inst, rho)
+    weights = inst.weights
     result = bb_minimize(
-        f,
-        g,
-        x0,
+        inst.energy,
+        inst.gradient,
+        t0 * inst.spike(),
         weights,
         tol=config.tol,
         max_iter=config.max_iter,
         armijo_c=config.armijo_c,
-        project=project,
+        project=ball_projection(inst, rho),
     )
     x = result.x
     if not result.converged:
-        polish = polish_root(g, x, weights, tol=config.tol, max_iter=config.max_iter)
-        if state_norm(inst, *_split(inst, polish.x)) <= rho and polish.residual < result.residual:
+        polish = polish_root(inst.gradient, x, weights, tol=config.tol, max_iter=config.max_iter)
+        if inst.norm(polish.x) <= rho and polish.residual < result.residual:
             x = polish.x
     try:
-        cert = bound_certificate_min(inst, t0, rho)
+        cert = inst.bounds_min(t0, rho)
     except CertificateError as err:
         cert = None
         extra = [f"certificate unavailable: {err}"]
     else:
         extra = []
-    norm = state_norm(inst, *_split(inst, x))
-    if norm >= rho * (1.0 - 1e-9):
+    if inst.norm(x) >= rho * (1.0 - 1e-9):
         extra.append("boundary minimum - not certified critical")
-    return _report(
+    return solve_report(
         inst,
         x,
         "local-min",
@@ -449,7 +420,7 @@ def bound_certificate_min(inst: ProblemInstance, t0: float, rho: float) -> Bound
     p, q = inst.p, inst.q
     if p != q:
         raise CertificateError("local-min certificate requires p == q")
-    spike = _spike(inst)
+    spike = inst.split(inst.spike())[0]
     eta = -phi(inst, (t0 * spike, t0 * spike))
     if eta > 0:
         lower = _energy_level_lower(inst, eta, rho)
@@ -562,57 +533,39 @@ def uniqueness_certificate(
     else:
         margin = cp / 2.0 ** (p - 1) - max(inst.spec.d1, inst.spec.d2) * vol
         try:
-            rho = ball_radius(inst, config)
-            spike = _spike(inst)
-            t0 = 0.5 * min(
-                inst.spec.delta if inst.spec.delta is not None else math.inf,
-                rho / state_norm(inst, spike, spike),
-            )
-            cert = bound_certificate_min(inst, t0, rho)
+            rho = inst.ball_radius(config)
+            cert = inst.bounds_min(spike_start(inst, rho), rho)
             h5_radius = cert.upper * min(1.0 / (p * emb.K1**p), 1.0 / (q * emb.K2**q))
         except (SolverError, CertificateError) as err:
             h5_radius = None
             notes.append(f"ball radius for Lipschitz screen unavailable: {err}")
-        report = check_hypotheses(
-            inst.nl,
-            inst.spec,
-            inst.graph,
-            p,
-            q,
-            SamplingConfig(seed=config.seed),
-            ord1=inst.ord1,
-            ord2=inst.ord2,
-            h5_ball_radius=h5_radius,
-        )
+        report = inst.check(SamplingConfig(seed=config.seed), h5_ball_radius=h5_radius)
         h5_verdict = report.verdict("H5")
 
     # multistart agreement: all interior converged minimizers must coincide
     spread = 0.0
     solutions = []
     try:
-        rho = ball_radius(inst, config)
+        rho = inst.ball_radius(config)
     except SolverError as err:
         notes.append(f"multistart skipped: {err}")
         rho = None
     if rho is not None:
-        weights = _weights(inst)
-        f, g = _flat_f(inst), _flat_grad(inst)
-        project = _ball_projection(inst, rho)
+        weights = inst.weights
+        project = ball_projection(inst, rho)
         rng = np.random.default_rng(config.seed)
         for _ in range(config.multistart):
-            x0 = project(rng.uniform(-rho, rho, size=2 * inst.graph.n))
+            x0 = project(rng.uniform(-rho, rho, size=weights.size))
             res = bb_minimize(
-                f, g, x0, weights,
+                inst.energy, inst.gradient, x0, weights,
                 tol=config.tol, max_iter=config.max_iter,
                 armijo_c=config.armijo_c, project=project,
             )
-            norm = state_norm(inst, *_split(inst, res.x))
-            if res.converged and norm < rho * (1.0 - 1e-9):
+            if res.converged and inst.norm(res.x) < rho * (1.0 - 1e-9):
                 solutions.append(res.x)
         for i in range(len(solutions)):
             for j in range(i + 1, len(solutions)):
-                d = solutions[i] - solutions[j]
-                spread = max(spread, state_norm(inst, *_split(inst, d)))
+                spread = max(spread, inst.norm(solutions[i] - solutions[j]))
 
     certified = (
         monotonicity_ok
@@ -657,39 +610,33 @@ class NonexistenceReport:
 
 
 def nonexistence_check(
-    inst: ProblemInstance,
+    inst,
     sampling: SamplingConfig = None,
     config: SolverConfig = None,
     multistart: int = 0,
 ) -> NonexistenceReport:
     """Screen the sign condition ruling out nontrivial critical points.
 
-    If the radial pairing F_u u + F_v v is negative off the origin, no state
-    can satisfy the critical-point identity, so only the trivial solution
-    exists.  Optionally confirms by driving the gradient to zero from random
-    starts and recording the largest norm reached.
+    If the radial pairing F_u u + F_v v (F_u u for a scalar problem) is
+    negative off the origin, no state can satisfy the critical-point
+    identity, so only the trivial solution exists.  Optionally confirms by
+    driving the gradient to zero from random starts and recording the
+    largest norm reached.
     """
     config = config or SolverConfig()
     sampling = sampling or SamplingConfig(seed=config.seed)
-    report = check_hypotheses(
-        inst.nl, inst.spec, inst.graph, inst.p, inst.q, sampling,
-        ord1=inst.ord1, ord2=inst.ord2,
-    )
-    cond = report.conditions["NONEXIST"]
+    verdict, witness = inst.sign_screen(sampling)
 
     # contradiction mechanism on random nontrivial states
     rng = np.random.default_rng(sampling.seed)
+    weights = inst.weights
     worst = -math.inf
     mechanism_ok = True
     for _ in range(100):
-        u = rng.standard_normal(inst.graph.n)
-        v = rng.standard_normal(inst.graph.n)
-        if np.all(u == 0) and np.all(v == 0):
+        x = rng.standard_normal(weights.size)
+        if not np.any(x):
             continue
-        pairing = integral(
-            inst.graph,
-            inst.nl.values("Fu", u, v, inst.w) * u + inst.nl.values("Fv", u, v, inst.w) * v,
-        )
+        pairing = integral(inst.graph, sum(inst.split(inst.coupling_grad(x) * x)))
         worst = max(worst, pairing)
         if pairing >= 0:
             mechanism_ok = False
@@ -697,21 +644,19 @@ def nonexistence_check(
     max_norm = None
     notes = []
     if multistart > 0:
-        weights = _weights(inst)
-        g = _flat_grad(inst)
         max_norm = 0.0
         for _ in range(multistart):
-            x0 = rng.uniform(-2.0, 2.0, size=2 * inst.graph.n)
-            res = polish_root(g, x0, weights, tol=config.tol, max_iter=config.max_iter)
+            x0 = rng.uniform(-2.0, 2.0, size=weights.size)
+            res = polish_root(inst.gradient, x0, weights, tol=config.tol, max_iter=config.max_iter)
             if res.converged:
-                max_norm = max(max_norm, state_norm(inst, *_split(inst, res.x)))
+                max_norm = max(max_norm, inst.norm(res.x))
             else:
                 notes.append("a multistart polish failed to converge")
-    certified = cond.verdict == "pass (sampled)" and mechanism_ok
+    certified = verdict == "pass (sampled)" and mechanism_ok
     return NonexistenceReport(
         certified=certified,
-        sign_verdict=cond.verdict,
-        sign_witness=cond.witness,
+        sign_verdict=verdict,
+        sign_witness=witness,
         mechanism_ok=mechanism_ok,
         worst_pairing=worst,
         multistart_max_norm=max_norm,

@@ -126,12 +126,19 @@ def test_scalar_sweep_with_csv(tmp_path):
         },
     )
     graph = _write(tmp_path, "g.json", graph_to_dict(path_graph(2, h1=2.0)))
+    csv_path = tmp_path / "branch.csv"
     code, report = _run(
         tmp_path,
-        ["sweep", "--graph", graph, "--problem", problem, "--grid", "3"],
+        ["sweep", "--graph", graph, "--problem", problem, "--grid", "3", "--csv", str(csv_path)],
     )
     assert code == 0
     assert len(report["result"]["reports"]) == 3
+    assert "v" not in report["result"]["reports"][0]
+    assert report["result"]["continuity"]["coverage"] == 1.0
+    assert csv_path.exists()
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "w,norm_u,norm_v,energy,residual,C1,C2,psi"
+    assert len(lines) == 4
 
 
 def test_control_needs_objective(tmp_path, capsys):

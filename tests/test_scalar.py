@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grapde.calculus import OperatorOrder, laplacian
+from grapde.continuation import optimal_control, sweep
 from grapde.energy import ProblemInstance, phi_grad
 from grapde.graph import path_graph
 from grapde.nonlinearity import HypothesisSpec, Nonlinearity
@@ -12,16 +13,17 @@ from grapde.scalar import (
     scalar_ball_radius,
     scalar_bounds,
     scalar_bounds_min,
-    scalar_control,
     scalar_grad,
-    scalar_nonexistence,
     scalar_phi,
-    scalar_residual,
-    scalar_solve_min,
-    scalar_solve_mp,
-    scalar_sweep,
 )
-from grapde.solvers import CertificateError, SolverConfig, SolverError
+from grapde.solvers import (
+    CertificateError,
+    SolverConfig,
+    SolverError,
+    local_min_solve,
+    mountain_pass_solve,
+    nonexistence_check,
+)
 
 
 def _instance(g, F, coeffs=None, p=2.0, m=1, spec=None, w=0.0):
@@ -74,13 +76,25 @@ def test_saddle_solve_quartic():
     g = path_graph(2, h1=2.0)
     spec = HypothesisSpec(theta=4.0, c1=1.0, r1=4.0)
     inst = _instance(g, "u^4", spec=spec)
-    report = scalar_solve_mp(inst)
+    report = mountain_pass_solve(inst)
     assert report.converged and report.residual <= 1e-8
     assert report.energy == pytest.approx(7.0 / 16.0, abs=1e-8)
     a, b = report.u.values
     assert a * b == pytest.approx(0.25, abs=1e-7)
     assert a * a + b * b == pytest.approx(0.75, abs=1e-7)
     assert report.certificate is not None
+
+
+def test_one_block_report_shape():
+    # the shared driver keeps the scalar state an n-vector and reports no v
+    g = path_graph(2, h1=2.0)
+    inst = _instance(g, "u^4", spec=HypothesisSpec(theta=4.0, c1=1.0, r1=4.0))
+    report = mountain_pass_solve(inst)
+    assert report.kind == "scalar-mountain-pass"
+    assert report.state.v is None and report.state.flat().shape == (g.n,)
+    out = report.to_dict()
+    assert "v" not in out and set(out["u"]) == set(g.vertices)
+    assert out["certificate"]["kind"] == "scalar-mountain-pass"
 
 
 def test_scalar_gradient_matches_system_u_component():
@@ -108,7 +122,7 @@ def test_min_solve_small_quadratic():
     g = path_graph(2)
     spec = HypothesisSpec(theta=4.0, c1=1.0, r1=4.0, delta=1.0)
     inst = _instance(g, "0.05*u^2", spec=spec)
-    report = scalar_solve_min(inst, SolverConfig(w_grid=5))
+    report = local_min_solve(inst, SolverConfig(w_grid=5))
     assert report.converged
     assert "trivial" in report.flags
 
@@ -120,7 +134,7 @@ def test_min_solve_negative_energy_certified():
     g = path_graph(2)
     inst = _instance(g, "0.05*u", spec=HypothesisSpec(delta=0.04, x0=g.vertices[0]))
     assert scalar_ball_radius(inst) == 1.0
-    report = scalar_solve_min(inst, SolverConfig(w_grid=5))
+    report = local_min_solve(inst, SolverConfig(w_grid=5))
     assert report.converged and report.energy == pytest.approx(-0.0025)
     assert np.allclose(report.u.values, 0.05)
     cert = report.certificate
@@ -142,13 +156,13 @@ def test_sweep_and_control():
     spec = HypothesisSpec(theta=4.0, c1=8.0, r1=4.0)
     inst = _instance(g, "u^4*(1+w^2)", spec=spec)
     cfg = SolverConfig(w_grid=5)
-    branch = scalar_sweep(inst, grid=3, kind="mp", config=cfg)
+    branch = sweep(inst, grid=3, kind="mp", config=cfg)
     assert all(r is not None and r.converged for r in branch.reports)
     assert all(j is not None and np.isfinite(j) for j in branch.jumps)
     obj = Nonlinearity.from_source(g, "w^2", {})
-    result = scalar_control(inst, obj, grid=3, kind="mp", config=cfg)
-    assert result["w_opt"] == 0.0
-    assert result["psi_opt"] == pytest.approx(0.0)
+    result = optimal_control(inst, obj, grid=3, kind="mp", config=cfg)
+    assert result.w_opt == 0.0
+    assert result.psi_opt == pytest.approx(0.0)
 
 
 def test_control_tie_breaks_to_smallest_parameter():
@@ -156,15 +170,15 @@ def test_control_tie_breaks_to_smallest_parameter():
     spec = HypothesisSpec(theta=4.0, c1=8.0, r1=4.0)
     inst = _instance(g, "u^4*(1+w^2)", spec=spec)
     obj = Nonlinearity.from_source(g, "1", {})
-    result = scalar_control(inst, obj, grid=3, kind="mp", config=SolverConfig(w_grid=5))
-    assert result["w_opt"] == -1.0
+    result = optimal_control(inst, obj, grid=3, kind="mp", config=SolverConfig(w_grid=5))
+    assert result.w_opt == -1.0
 
 
 def test_nonexistence_sign_condition():
     g = path_graph(3)
     inst = _instance(g, "-xsq*u^2", {"xsq": np.array([1.0, 2.0, 3.0])})
-    result = scalar_nonexistence(inst, multistart=5)
-    assert result["certified"]
-    assert result["multistart_max_norm"] == pytest.approx(0.0, abs=1e-6)
+    result = nonexistence_check(inst, multistart=5)
+    assert result.certified
+    assert result.multistart_max_norm == pytest.approx(0.0, abs=1e-6)
     bad = _instance(g, "u^2")
-    assert not scalar_nonexistence(bad)["certified"]
+    assert not nonexistence_check(bad).certified

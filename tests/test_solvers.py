@@ -47,6 +47,16 @@ def test_negative_endpoint_uniform_over_grid():
         assert phi(inst.at(w), (u0, v0)) < 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_saddle_polish_overflow_is_not_a_warning():
+    # on the 16-path the hybr trial points of the saddle polish overflow F
+    g = path_graph(16)
+    prob = builtin("mp-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+    report = mountain_pass_solve(inst)
+    assert report.converged
+
+
 def test_negative_endpoint_impossible_for_zero_coupling():
     inst = _instance(path_graph(2), "0")
     with pytest.raises(SolverError, match="negative-energy endpoint"):
