@@ -294,8 +294,13 @@ def cmd_demo(args):
     elif args.name == "control-objective":
         base = builtin("mp-example", graph)
         base_inst = ProblemInstance(graph, base.ord1, base.ord2, base.nl, base.spec, 0.0)
-        res = optimal_control(base_inst, prob.nl, grid=args.grid, kind="mp", config=config)
-        result["control"] = res.to_dict()
+        try:
+            result["control"] = optimal_control(
+                base_inst, prob.nl, grid=args.grid, kind="mp", config=config
+            ).to_dict()
+        except SolverError as err:
+            result["control"] = {"error": str(err)}
+            code = 2
     else:  # nonexist-example
         report = nonexistence_check(
             inst, SamplingConfig(seed=args.seed), config, multistart=args.multistart

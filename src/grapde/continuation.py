@@ -21,6 +21,8 @@ from .solvers import (
     SolverConfig,
     SolverError,
     ball_projection,
+    ball_radius,
+    certify,
     local_min_solve,
     mountain_pass_solve,
     negative_endpoint,
@@ -77,13 +79,13 @@ def _solve_point(inst, kind, config, endpoint, rho, warm_x):
             )
         if res.converged and inst.norm(res.x) > 10.0 * config.tol:
             if kind == "mp":
-                cert = inst.bounds_mp(endpoint)
+                cert, flags = certify(inst.bounds_mp, endpoint)
             else:
-                cert = inst.bounds_min(spike_start(inst, rho), rho)
+                cert, flags = certify(inst.bounds_min, spike_start(inst, rho), rho)
             report = solve_report(
                 inst, res.x, "mountain-pass" if kind == "mp" else "local-min",
                 res.iterations, res.fevals, config,
-                certificate=cert, extra_flags=("warm start",),
+                certificate=cert, extra_flags=flags + ("warm start",),
             )
             if report.converged and "type-uncertain" not in report.flags:
                 return report
@@ -115,7 +117,7 @@ def sweep(
             raise ValueError("grid leaves the parameter interval")
 
     endpoint = negative_endpoint(inst, config) if kind == "mp" else None
-    rho = inst.ball_radius(config) if kind == "min" else None
+    rho = ball_radius(inst, config) if kind == "min" else None
 
     reports = []
     warm_x = None

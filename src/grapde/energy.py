@@ -9,14 +9,15 @@ tolerances carry the same meaning on graphs with very different measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .calculus import OperatorOrder, grad_modulus, polylap_apply
 from .graph import StatePair, VertexFunction, WeightedGraph, asvalues, integral
 from .nonlinearity import HypothesisSpec, Nonlinearity, check_hypotheses, spike_vertex
-from .spaces import SpaceSpec, w_norm
+from .spaces import SpaceSpec, embedding_constants, w_norm
 
 __all__ = ["FlatProblem", "ProblemInstance", "phi", "phi_grad", "el_residual_norm", "psi"]
 
@@ -32,23 +33,46 @@ def _odd_power(t: np.ndarray, p: float) -> np.ndarray:
 
 
 class FlatProblem:
-    """The flat-vector surface that every solver drives.
+    """The one problem type: unknown blocks over one flat vector.
 
     A state is one ndarray holding the unknown blocks end to end: (u, v) for
     the system, u alone for the scalar problem.  Subclasses are dataclasses
-    with ``graph``, ``nl``, ``spec`` and ``w``; they supply ``p``, ``q``,
-    ``ord1``, ``ord2``, ``spaces`` (one SpaceSpec per block), ``at(w)``,
-    ``energy``, ``gradient``, ``coupling_grad``, ``sign_screen``, the
-    certificate functions ``bounds_mp``, ``bounds_min`` and ``ball_radius``,
-    and the report-kind prefix.
+    with ``graph``, ``nl``, ``spec`` and ``w``; they supply ``spaces`` (one
+    SpaceSpec per block, carrying its order, exponent and potential), the
+    certificate functions ``bounds_mp`` and ``bounds_min``, and the
+    report-kind prefix.  Everything else is written once over the blocks.
     """
 
     kind_prefix = ""
+
+    def __post_init__(self):
+        lo, hi = self.spec.J
+        if not (lo - 1e-12 <= self.w <= hi + 1e-12):
+            raise ValueError(f"parameter w={self.w} outside interval J={self.spec.J}")
+
+    @property
+    def p(self) -> float:
+        return self.spaces[0].ord.s
+
+    @property
+    def q(self) -> float:
+        """Exponent of the last block (p itself for one block)."""
+        return self.spaces[-1].ord.s
+
+    def at(self, w: float):
+        return replace(self, w=w)
 
     @property
     def weights(self) -> np.ndarray:
         """Metric weights of the flat state: mu on every block."""
         return np.tile(self.graph.mu, len(self.spaces))
+
+    @cached_property
+    def embedding(self) -> tuple:
+        """Per-block (b, K): the sup-norm embedding factor and growth constant."""
+        emb = embedding_constants(self.graph, self.p, self.q)
+        pairs = {"h1": (emb.b, emb.K1), "h2": (emb.d, emb.K2)}
+        return tuple(pairs[space.potential] for space in self.spaces)
 
     def split(self, x) -> tuple:
         n = self.graph.n
@@ -57,6 +81,19 @@ class FlatProblem:
     def norm(self, x) -> float:
         """Sum of the block norms, each in its own space."""
         return sum(w_norm(self.graph, b, s) for b, s in zip(self.split(x), self.spaces))
+
+    def energy(self, x) -> float:
+        return phi(self, self.split(x))
+
+    def gradient(self, x) -> np.ndarray:
+        return np.concatenate(phi_grad(self, self.split(x)))
+
+    def coupling_grad(self, x) -> np.ndarray:
+        """Flat (F_u, F_v) at the state x; F_u alone for one block."""
+        u, v = _unpack(self, self.split(x))
+        return np.concatenate(
+            [self.nl.values(which, u, v, self.w) for which in _PARTIALS[: len(self.spaces)]]
+        )
 
     def residual(self, x) -> float:
         """sqrt of the mu-integral of the squared gradient; zero exactly at critical points."""
@@ -76,7 +113,7 @@ class FlatProblem:
         """Hypothesis screen with this problem's exponents and operator orders."""
         return check_hypotheses(
             self.nl, self.spec, self.graph, self.p, self.q, sampling,
-            ord1=self.ord1, ord2=self.ord2, h5_ball_radius=h5_ball_radius,
+            ord1=self.spaces[0].ord, ord2=self.spaces[-1].ord, h5_ball_radius=h5_ball_radius,
         )
 
 
@@ -91,51 +128,13 @@ class ProblemInstance(FlatProblem):
     spec: HypothesisSpec
     w: float = 0.0
 
-    def __post_init__(self):
-        lo, hi = self.spec.J
-        if not (lo - 1e-12 <= self.w <= hi + 1e-12):
-            raise ValueError(f"parameter w={self.w} outside interval J={self.spec.J}")
-
-    @property
-    def p(self) -> float:
-        return self.ord1.s
-
-    @property
-    def q(self) -> float:
-        return self.ord2.s
-
-    @property
-    def space1(self) -> SpaceSpec:
-        return SpaceSpec(self.ord1, "h1")
-
-    @property
-    def space2(self) -> SpaceSpec:
-        return SpaceSpec(self.ord2, "h2")
-
-    @property
+    @cached_property
     def spaces(self) -> tuple:
-        return (self.space1, self.space2)
+        return (SpaceSpec(self.ord1, "h1"), SpaceSpec(self.ord2, "h2"))
 
-    def at(self, w: float) -> "ProblemInstance":
-        return ProblemInstance(self.graph, self.ord1, self.ord2, self.nl, self.spec, w)
-
-    def energy(self, x) -> float:
-        return phi(self, self.split(x))
-
-    def gradient(self, x) -> np.ndarray:
-        return np.concatenate(phi_grad(self, self.split(x)))
-
-    def coupling_grad(self, x) -> np.ndarray:
-        """Flat (F_u, F_v) at the state x."""
-        u, v = self.split(x)
-        return np.concatenate(
-            [self.nl.values("Fu", u, v, self.w), self.nl.values("Fv", u, v, self.w)]
-        )
-
-    def sign_screen(self, sampling) -> tuple:
-        """Verdict and witness of the sampled sign condition F_u t + F_v s < 0."""
-        cond = self.check(sampling).conditions["NONEXIST"]
-        return cond.verdict, cond.witness
+    # bench/oracle.py reads the two factor spaces under these names
+    space1 = property(lambda self: self.spaces[0])
+    space2 = property(lambda self: self.spaces[1])
 
     # The two-block certificates live in solvers.py, which imports this module.
     def bounds_mp(self, endpoint):
@@ -148,57 +147,49 @@ class ProblemInstance(FlatProblem):
 
         return bound_certificate_min(self, t0, rho)
 
-    def ball_radius(self, config=None):
-        from .solvers import ball_radius
 
-        return ball_radius(self, config)
+_PARTIALS = ("Fu", "Fv")
 
 
-def _unpack(inst: ProblemInstance, state) -> tuple:
+def _unpack(inst: FlatProblem, state) -> tuple:
     """(u, v) as ndarrays; a one-block state has v = 0."""
     if isinstance(state, StatePair):
         state = (state.u, state.v)
-    u, v = state
+    u, v = (*state, None)[:2]
     u = asvalues(inst.graph, u)
     return u, np.zeros_like(u) if v is None else asvalues(inst.graph, v)
 
 
-def phi(inst: ProblemInstance, state) -> float:
-    """Energy (1/p)||u||^p + (1/q)||v||^q - integral of F."""
+def phi(inst: FlatProblem, state) -> float:
+    """Energy: the sum over blocks of (1/p)||u||^p, minus the integral of F."""
     g = inst.graph
     u, v = _unpack(inst, state)
-    p, q = inst.p, inst.q
-    gu = grad_modulus(g, u, inst.ord1.m)
-    gv = grad_modulus(g, v, inst.ord2.m)
-    term_u = math.fsum(g.mu * (gu**p + g.h1 * np.abs(u) ** p)) / p
-    term_v = math.fsum(g.mu * (gv**q + g.h2 * np.abs(v) ** q)) / q
-    coupling = math.fsum(g.mu * inst.nl.values("F", u, v, inst.w))
-    return term_u + term_v - coupling
+    norms = sum(
+        math.fsum(g.mu * (grad_modulus(g, b, s.ord.m) ** s.ord.s
+                          + getattr(g, s.potential) * np.abs(b) ** s.ord.s)) / s.ord.s
+        for b, s in zip((u, v), inst.spaces)
+    )
+    return norms - math.fsum(g.mu * inst.nl.values("F", u, v, inst.w))
 
 
-def phi_grad(inst: ProblemInstance, state) -> tuple:
-    """Measure-weighted gradient pair (g_u, g_v) as ndarrays."""
+def phi_grad(inst: FlatProblem, state) -> tuple:
+    """Measure-weighted gradient blocks (g_u, g_v), or (g_u,) for one block."""
     g = inst.graph
     u, v = _unpack(inst, state)
-    gu = (
-        polylap_apply(g, u, inst.ord1)
-        + g.h1 * _odd_power(u, inst.p)
-        - inst.nl.values("Fu", u, v, inst.w)
+    return tuple(
+        polylap_apply(g, b, s.ord)
+        + getattr(g, s.potential) * _odd_power(b, s.ord.s)
+        - inst.nl.values(which, u, v, inst.w)
+        for b, s, which in zip((u, v), inst.spaces, _PARTIALS)
     )
-    gv = (
-        polylap_apply(g, v, inst.ord2)
-        + g.h2 * _odd_power(v, inst.q)
-        - inst.nl.values("Fv", u, v, inst.w)
-    )
-    return gu, gv
 
 
-def el_residual_norm(inst: ProblemInstance, state) -> float:
+def el_residual_norm(inst: FlatProblem, state) -> float:
     """sqrt of the mu-integral of g_u^2 + g_v^2; zero exactly at critical points."""
     return inst.residual(np.concatenate(_unpack(inst, state)))
 
 
-def psi(inst: ProblemInstance, state, g: Nonlinearity) -> float:
+def psi(inst: FlatProblem, state, g: Nonlinearity) -> float:
     """Control objective: integral of g(x, u, v, w) over the graph."""
     u, v = _unpack(inst, state)
     return math.fsum(inst.graph.mu * g.values("F", u, v, inst.w))

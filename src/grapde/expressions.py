@@ -21,7 +21,6 @@ folding and 0/1 identities.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 

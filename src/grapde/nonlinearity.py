@@ -25,6 +25,7 @@ __all__ = [
     "ConditionResult",
     "HypothesisReport",
     "check_hypotheses",
+    "sign_screen",
     "builtin",
     "BUILTIN_NAMES",
 ]
@@ -223,10 +224,10 @@ def check_hypotheses(
         worst = 0.0
         witness = None
         for w in ws:
-            for i in range(n):
-                val = abs(float(nl.eval("F", i, 0.0, 0.0, w)))
-                if val > worst:
-                    worst, witness = val, (graph.vertices[i], w)
+            vals = np.abs(nl.grid_values("F", 0.0, 0.0, w))
+            i = int(np.argmax(vals))
+            if vals[i] > worst:
+                worst, witness = float(vals[i]), (graph.vertices[i], w)
         if worst <= 1e-14:
             results["F1"] = ConditionResult("F1", "pass", detail=f"max |F(x,0,0,w)| = {worst:.2e}")
         else:
@@ -406,21 +407,15 @@ def check_hypotheses(
                 verdict = "pass (sampled)"
                 witness = None
                 ts = spec.delta * (np.arange(1, cfg.delta_samples + 1) / (cfg.delta_samples + 1))
-                for w in ws:
-                    for t in ts:
-                        val = float(nl.eval("F", i0, t, t, w))
-                        if val < Lvals[i0] * t**p - 1e-12:
-                            verdict, witness = "fail", (spec.x0, t, w)
-                            break
-                results["H4"] = ConditionResult("H4", verdict, witness)
+                floor = Lvals[i0] * ts**p - 1e-12
                 # the scalar analogue quantifies over every vertex; report both
                 all_x_ok = True
-                for i in range(n):
-                    for w in ws:
-                        for t in ts:
-                            if float(nl.eval("F", i, t, t, w)) < Lvals[i0] * t**p - 1e-12:
-                                all_x_ok = False
-                                break
+                for w in ws:
+                    below = nl.grid_values("F", ts, ts, w) < floor
+                    if np.any(below[i0]):
+                        verdict, witness = "fail", (spec.x0, ts[int(np.argmax(below[i0]))], w)
+                    all_x_ok = all_x_ok and not np.any(below)
+                results["H4"] = ConditionResult("H4", verdict, witness)
                 if not all_x_ok:
                     notes.append(
                         "spike lower bound holds at x0 only; the all-vertices variant fails"
@@ -458,28 +453,41 @@ def check_hypotheses(
         except ex.EvalDomainError as err:
             results["H5"] = ConditionResult("H5", "inconclusive", detail=str(err))
 
-    # nonexistence sign condition: F_u t + F_v s < 0 off the origin
+    results["NONEXIST"] = sign_screen(nl, spec, graph, 2, cfg)
+    return HypothesisReport(conditions=results, notes=notes)
+
+
+def sign_screen(
+    nl: Nonlinearity,
+    spec: HypothesisSpec,
+    graph: WeightedGraph,
+    blocks: int,
+    sampling: SamplingConfig,
+) -> ConditionResult:
+    """Screen the nonexistence sign condition F_u t + F_v s < 0 off the origin.
+
+    The sample points are the nonzero points of the grid on the box
+    [-R, R]^blocks (R = ``sampling.box_radius``); one block screens F_u t
+    with v = 0.  At the first failing w the witness is the largest pairing:
+    (vertex, t, s, w), or (vertex, t, w) for one block.
+    """
+    axis = np.linspace(-sampling.box_radius, sampling.box_radius, sampling.box_grid)
+    coords = [c.ravel() for c in np.meshgrid(*(axis,) * blocks, indexing="ij")]
+    nontrivial = np.any([c != 0 for c in coords], axis=0)
+    coords = [c[nontrivial] for c in coords]
+    t, s = coords[0], coords[1] if blocks > 1 else 0.0
     try:
-        axis = np.linspace(-cfg.box_radius, cfg.box_radius, cfg.box_grid)
-        T, S = np.meshgrid(axis, axis, indexing="ij")
-        flat_t, flat_s = T.ravel(), S.ravel()
-        nontrivial = (flat_t != 0) | (flat_s != 0)
-        flat_t, flat_s = flat_t[nontrivial], flat_s[nontrivial]
-        verdict, witness = "pass (sampled)", None
-        for w in ws:
-            vals = (
-                nl.grid_values("Fu", flat_t, flat_s, w) * flat_t
-                + nl.grid_values("Fv", flat_t, flat_s, w) * flat_s
+        for w in spec.w_grid(sampling.w_samples):
+            vals = sum(
+                nl.grid_values(which, t, s, w) * c for which, c in zip(("Fu", "Fv"), coords)
             )
             if np.any(vals >= 0):
                 i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-                verdict, witness = "fail", (graph.vertices[i], flat_t[k], flat_s[k], w)
-                break
-        results["NONEXIST"] = ConditionResult("NONEXIST", verdict, witness)
+                witness = (graph.vertices[i], *(c[k] for c in coords), w)
+                return ConditionResult("NONEXIST", "fail", witness)
     except ex.EvalDomainError as err:
-        results["NONEXIST"] = ConditionResult("NONEXIST", "inconclusive", detail=str(err))
-
-    return HypothesisReport(conditions=results, notes=notes)
+        return ConditionResult("NONEXIST", "inconclusive", detail=str(err))
+    return ConditionResult("NONEXIST", "pass (sampled)")
 
 
 # --- builtin problems ---------------------------------------------------

@@ -1,47 +1,45 @@
 """Single-unknown specialization: one equation, one norm, the primed bounds.
 
 The scalar problem is the system with one unknown block: ``ScalarInstance``
-exposes the same flat-vector surface as ``ProblemInstance`` (an n-vector
-here), so the solvers, sweeps, control and nonexistence screen of
-``solvers.py`` and ``continuation.py`` serve it unchanged.  What differs by
-block count lives here: the energy and gradient, which evaluate only F and
-F_u with one poly-Laplacian per gradient; the primed certificate constants,
-which lose their min/max structure; and the 1-D sign screen.  Only p >= 2 is
-supported: the bound machinery (the 2^{p-1} splitting inequalities and the
-monotonicity constant) needs it.
+is a ``FlatProblem`` whose ``spaces`` hold one SpaceSpec, so the energy,
+gradient, embedding constants, ball radius, energy-level bounds, sign screen,
+solvers, sweeps, control and nonexistence screen of ``energy.py``,
+``solvers.py`` and ``continuation.py`` serve it unchanged (the coupling
+is evaluated with v = 0).  What is its own lives here: the primed
+certificate constants, which lose the min/max structure of the system's, and
+the ``scalar-`` report-kind prefix.  Only p >= 2 is supported: the bound
+machinery (the 2^{p-1} splitting inequalities and the monotonicity constant)
+needs it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._optim import path_saddle  # noqa: F401  bench/tracing.py requires this binding
-from .calculus import OperatorOrder, polylap_apply
+from .calculus import OperatorOrder, polylap_apply  # noqa: F401  polylap_apply: likewise
 from .continuation import sweep
-from .energy import FlatProblem, _odd_power
+from .energy import FlatProblem, phi_grad
 from .graph import WeightedGraph, asvalues, total_measure
 from .nonlinearity import HypothesisSpec, Nonlinearity
 from .solvers import (
     BoundCertificate,
     CertificateError,
-    SolverConfig,
-    SolverError,
+    energy_level_bounds,
     mountain_pass_solve,
 )
-from .spaces import SpaceSpec, w_norm
+from .spaces import SpaceSpec
 
 __all__ = [
     "ScalarInstance",
-    "scalar_phi",
     "scalar_grad",
     "scalar_residual",
     "scalar_norm",
     "scalar_bounds",
     "scalar_bounds_min",
-    "scalar_ball_radius",
 ]
 
 
@@ -61,54 +59,11 @@ class ScalarInstance(FlatProblem):
     def __post_init__(self):
         if self.ord.s < 2:
             raise ValueError("p must be >= 2")
-        lo, hi = self.spec.J
-        if not (lo - 1e-12 <= self.w <= hi + 1e-12):
-            raise ValueError(f"parameter w={self.w} outside interval J={self.spec.J}")
+        super().__post_init__()
 
-    @property
-    def p(self) -> float:
-        return self.ord.s
-
-    # one exponent and one order fill both slots of the shared screens
-    q = p
-    ord1 = ord2 = property(lambda self: self.ord)
-
-    @property
-    def space(self) -> SpaceSpec:
-        return SpaceSpec(self.ord, self.potential)
-
-    @property
+    @cached_property
     def spaces(self) -> tuple:
-        return (self.space,)
-
-    @property
-    def h(self) -> np.ndarray:
-        return self.graph.h1 if self.potential == "h1" else self.graph.h2
-
-    def at(self, w: float) -> "ScalarInstance":
-        return ScalarInstance(self.graph, self.ord, self.nl, self.spec, self.potential, w)
-
-    def energy(self, u) -> float:
-        return scalar_phi(self, u)
-
-    def gradient(self, u) -> np.ndarray:
-        return scalar_grad(self, u)
-
-    def coupling_grad(self, u) -> np.ndarray:
-        return self.nl.values("Fu", u, np.zeros_like(u), self.w)
-
-    def sign_screen(self, sampling) -> tuple:
-        """Screen f(x, t, w) t < 0 for t != 0 on the sampling box axis."""
-        axis = np.linspace(-sampling.box_radius, sampling.box_radius, sampling.box_grid)
-        axis = axis[axis != 0]
-        for w in self.spec.w_grid(sampling.w_samples):
-            vals = self.nl.grid_values("Fu", axis, 0.0, w) * axis
-            bad = np.any(vals >= 0, axis=0)
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                vertex = self.graph.vertices[int(np.argmax(vals[:, k]))]
-                return "fail", (vertex, float(axis[k]), float(w))
-        return "pass (sampled)", None
+        return (SpaceSpec(self.ord, self.potential),)
 
     def bounds_mp(self, endpoint):
         return scalar_bounds(self, *endpoint)
@@ -116,25 +71,11 @@ class ScalarInstance(FlatProblem):
     def bounds_min(self, t0, rho):
         return scalar_bounds_min(self, t0, rho)
 
-    def ball_radius(self, config=None):
-        return scalar_ball_radius(self, config)
 
-
-def scalar_phi(inst: ScalarInstance, u) -> float:
-    u = asvalues(inst.graph, u)
-    p = inst.p
-    norm_term = w_norm(inst.graph, u, inst.space) ** p / p
-    coupling = inst.nl.values("F", u, np.zeros_like(u), inst.w)
-    return norm_term - math.fsum(inst.graph.mu * coupling)
-
-
+# bench/tracing.py requires this binding; the solvers call ScalarInstance.gradient
 def scalar_grad(inst: ScalarInstance, u) -> np.ndarray:
-    u = asvalues(inst.graph, u)
-    return (
-        polylap_apply(inst.graph, u, inst.ord)
-        + inst.h * _odd_power(u, inst.p)
-        - inst.coupling_grad(u)
-    )
+    """Measure-weighted gradient of the scalar energy at u."""
+    return phi_grad(inst, (u,))[0]
 
 
 # bench/oracle.py re-checks scalar reports through these two names
@@ -144,14 +85,6 @@ scalar_norm = ScalarInstance.norm
 scalar_solve_mp = mountain_pass_solve
 # bench/tracing.py times the scalar sweep under this name
 scalar_sweep = sweep
-
-
-def _embedding(inst: ScalarInstance) -> tuple:
-    mu_min = float(np.min(inst.graph.mu))
-    h_min = float(np.min(inst.h))
-    b = (1.0 / (mu_min * h_min)) ** (1.0 / inst.p)
-    K = total_measure(inst.graph) ** (1.0 / inst.p) * b
-    return b, K
 
 
 def scalar_bounds(inst: ScalarInstance, u0) -> BoundCertificate:
@@ -164,7 +97,7 @@ def scalar_bounds(inst: ScalarInstance, u0) -> BoundCertificate:
         raise CertificateError("constraint violated: r1 - p must be positive")
     if spec.theta - p <= 0:
         raise CertificateError("constraint violated: theta - p must be positive")
-    b, _ = _embedding(inst)
+    (b, _), = inst.embedding
     vol = total_measure(inst.graph)
     lower = (1.0 / (2.0**p * vol * spec.c1 * b**spec.r1)) ** (1.0 / (spec.r1 - p))
     norm0 = scalar_norm(inst, asvalues(inst.graph, u0))
@@ -178,37 +111,6 @@ def scalar_bounds(inst: ScalarInstance, u0) -> BoundCertificate:
     )
 
 
-def scalar_ball_radius(
-    inst: ScalarInstance,
-    config: SolverConfig = None,
-    ladder_max: float = 1.0,
-    ladder_len: int = 40,
-    grid: int = 21,
-) -> float:
-    """Largest ladder radius on whose sphere the energy is certified positive.
-
-    With D = 0.9/(p K^p) and E(rho) the sampled maximum of (F - D|t|^p)_+
-    over the vertices, the w grid and |t| <= b rho, every u with
-    ||u|| = rho has Phi >= 0.1 rho^p / p - vol * E(rho); the first radius
-    rho = ladder_max 2^-k at which this bound is positive is returned.
-    """
-    config = config or SolverConfig()
-    p = inst.p
-    b, K = _embedding(inst)
-    vol = total_measure(inst.graph)
-    D = 0.9 / (p * K**p)
-    ws = inst.spec.w_grid(config.w_grid)
-    axis = np.linspace(-1.0, 1.0, grid)
-    for k in range(ladder_len):
-        rho = ladder_max * 0.5**k
-        t = b * rho * axis
-        cap = D * np.abs(t) ** p * (1.0 + 1e-9)
-        budget = 0.1 * rho**p / (p * vol)
-        if all(np.max(inst.nl.grid_values("F", t, 0.0, w) - cap) < budget for w in ws):
-            return rho
-    raise SolverError("small-amplitude growth margin not certifiable at any radius")
-
-
 def scalar_bounds_min(inst: ScalarInstance, t0: float, rho: float) -> BoundCertificate:
     """Norm bounds for the minimizer in the ball of radius rho.
 
@@ -219,36 +121,19 @@ def scalar_bounds_min(inst: ScalarInstance, t0: float, rho: float) -> BoundCerti
     constants apply: the lower bound from the growth cap (r1 > p) and the
     spike-scaled upper bound (theta > p).
     """
+    cert = energy_level_bounds(inst, t0, rho)
+    if cert is not None:
+        return cert
     spec = inst.spec
     p = inst.p
-    b, _ = _embedding(inst)
+    (b, _), = inst.embedding
     vol = total_measure(inst.graph)
-    spike = inst.spike()
-    eta = -scalar_phi(inst, t0 * spike)
-    if eta > 0:
-        axis = np.linspace(-1.0, 1.0, 21)
-        lower = 0.0
-        for k in range(40):
-            r = rho * 0.5**k
-            if vol * np.max(inst.nl.grid_values("F", b * r * axis, 0.0, inst.w)) < eta:
-                lower = r
-                break
-        notes = ("energy-level bounds: the start has negative energy",)
-        if lower == 0.0:
-            notes += ("vacuous lower bound: no ladder radius qualifies",)
-        return BoundCertificate(
-            kind="scalar-local-min",
-            lower=lower,
-            upper=rho,
-            constants={"start_energy": -eta, "t0": t0, "rho": rho},
-            notes=notes,
-        )
     if spec.c1 is None or spec.r1 is None or spec.theta is None:
         raise CertificateError("scalar certificate requires constants c1, r1, theta")
     if spec.r1 - p <= 0 or spec.theta - p <= 0:
         raise CertificateError("constraint violated: r1 and theta must exceed p")
     lower = (1.0 / (2.0**p * vol * spec.c1 * b**spec.r1)) ** (1.0 / (spec.r1 - p))
-    spike_norm = scalar_norm(inst, spike)
+    spike_norm = scalar_norm(inst, inst.spike())
     upper = (
         spec.theta * 2.0 ** (p - 1) * t0**p * spike_norm**p / (spec.theta - p)
     ) ** (1.0 / p)

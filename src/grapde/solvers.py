@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import bb_minimize, path_saddle, polish_root
-from .energy import ProblemInstance, phi
+from .energy import ProblemInstance, phi  # noqa: F401  phi: bench/tracing.py requires this binding
 from .graph import StatePair, VertexFunction, integral, total_measure
-from .nonlinearity import SamplingConfig
+from .nonlinearity import SamplingConfig, sign_screen
 from .spaces import embedding_constants, w_norm
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "BoundCertificate",
     "SolveReport",
     "solve_report",
+    "certify",
     "spike_start",
     "ball_projection",
     "negative_endpoint",
@@ -39,6 +40,7 @@ __all__ = [
     "bound_certificate_mp",
     "ball_radius",
     "local_min_solve",
+    "energy_level_bounds",
     "bound_certificate_min",
     "uniqueness_certificate",
     "nonexistence_check",
@@ -160,6 +162,14 @@ def solve_report(inst, x, kind, iterations, fevals, config, certificate=None, ex
     )
 
 
+def certify(bounds, *args) -> tuple:
+    """(certificate, flags): bounds(*args), or None and a "certificate unavailable" flag."""
+    try:
+        return bounds(*args), ()
+    except CertificateError as err:
+        return None, (f"certificate unavailable: {err}",)
+
+
 # --- mountain pass ------------------------------------------------------
 
 def negative_endpoint(inst, config: SolverConfig = None) -> tuple:
@@ -201,13 +211,7 @@ def mountain_pass_solve(inst, config: SolverConfig = None, endpoint: tuple = Non
         armijo_c=config.armijo_c,
     )
     polish = polish_root(inst.gradient, peak, weights, tol=config.tol, max_iter=config.max_iter)
-    try:
-        cert = inst.bounds_mp(endpoint)
-    except CertificateError as err:
-        cert = None
-        extra = (f"certificate unavailable: {err}",)
-    else:
-        extra = ()
+    cert, extra = certify(inst.bounds_mp, endpoint)
     if not coarse_ok and not polish.converged:
         extra = extra + ("path deformation did not reach coarse tolerance",)
     return solve_report(
@@ -281,13 +285,24 @@ def bound_certificate_mp(inst: ProblemInstance, endpoint: tuple) -> BoundCertifi
 
 # --- local minimum ------------------------------------------------------
 
-def _unit_box(grid: int) -> tuple:
+def _unit_box(blocks: int, grid: int) -> tuple:
+    """The cube [-1, 1]^blocks sampled on a grid, one coordinate array per block."""
     axis = np.linspace(-1.0, 1.0, grid)
-    return np.meshgrid(axis, axis, indexing="ij")
+    return tuple(np.meshgrid(*(axis,) * blocks, indexing="ij"))
+
+
+def _box_points(inst, radius: float, unit_box: tuple) -> list:
+    """The box |t| <= b r, |s| <= d r: the unit box scaled by each block's embedding factor."""
+    return [b * radius * unit for (b, _), unit in zip(inst.embedding, unit_box)]
+
+
+def _coupling_on(inst, points: list, w: float) -> np.ndarray:
+    """F at every vertex and sample point; v = 0 for one block."""
+    return inst.nl.grid_values("F", points[0], points[1] if len(points) > 1 else 0.0, w)
 
 
 def ball_radius(
-    inst: ProblemInstance,
+    inst,
     config: SolverConfig = None,
     ladder_max: float = 1.0,
     ladder_len: int = 40,
@@ -295,34 +310,34 @@ def ball_radius(
 ) -> float:
     """Largest ladder radius on whose sphere the energy is certified positive.
 
-    Let D = 0.9 min{1/(p K1^p), 1/(p K2^p)} and let E(rho) be the sampled
+    With k unknown blocks, let D = 0.9 min_i 1/(p K_i^p) and let E(rho) be the sampled
     maximum of (F - D(|t|^p + |s|^p))_+ over the vertices, the w grid and the
-    box |t| <= b rho, |s| <= d rho.  The capped part of F integrates to at
-    most 0.9 (||u||^p + ||v||^p)/p, and ||u||^p + ||v||^p >= 2^{1-p} rho^p
-    on the sphere ||u|| + ||v|| = rho, so there
+    box |t| <= b rho, |s| <= d rho (s absent for one block).  The capped part
+    of F integrates to at most 0.9 (||u||^p + ||v||^p)/p, and
+    ||u||^p + ||v||^p >= k^{1-p} rho^p on the sphere ||u|| + ||v|| = rho, so there
 
-        Phi >= 0.1 * 2^{1-p} rho^p / p - vol * E(rho).
+        Phi >= 0.1 * k^{1-p} rho^p / p - vol * E(rho).
 
-    The first radius rho = ladder_max 2^-k at which this bound is positive is
+    The first radius rho = ladder_max 2^-j at which this bound is positive is
     returned.  A start inside the ball with negative energy then has an
     interior minimizer with negative energy.  E is sampled, so the radius is
     an estimate, not exact.
     """
     config = config or SolverConfig()
-    p, q = inst.p, inst.q
-    if p != q:
+    p = inst.p
+    if p != inst.q:
         raise SolverError("ball radius requires p == q")
-    emb = embedding_constants(inst.graph, p, q)
+    blocks = len(inst.spaces)
     vol = total_measure(inst.graph)
-    D = 0.9 * min(1.0 / (p * emb.K1**p), 1.0 / (p * emb.K2**p))
+    D = 0.9 * min(1.0 / (p * K**p) for _, K in inst.embedding)
     ws = inst.spec.w_grid(config.w_grid)
-    T, S = _unit_box(grid)
-    for k in range(ladder_len):
-        rho = ladder_max * 0.5**k
-        t, s = emb.b * rho * T, emb.d * rho * S
-        cap = D * (np.abs(t) ** p + np.abs(s) ** p) * (1.0 + 1e-9)
-        budget = 0.1 * 2.0 ** (1.0 - p) * rho**p / (p * vol)
-        if all(np.max(inst.nl.grid_values("F", t, s, w) - cap) < budget for w in ws):
+    unit_box = _unit_box(blocks, grid)
+    for j in range(ladder_len):
+        rho = ladder_max * 0.5**j
+        points = _box_points(inst, rho, unit_box)
+        cap = D * sum(np.abs(t) ** p for t in points) * (1.0 + 1e-9)
+        budget = 0.1 * blocks ** (1.0 - p) * rho**p / (p * vol)
+        if all(np.max(_coupling_on(inst, points, w) - cap) < budget for w in ws):
             return rho
     raise SolverError("(F2) margin not certifiable: no ladder radius qualifies")
 
@@ -349,7 +364,7 @@ def local_min_solve(inst, config: SolverConfig = None) -> SolveReport:
     config = config or SolverConfig()
     if inst.p != inst.q:
         raise SolverError("local minimum solver requires p == q")
-    rho = inst.ball_radius(config)
+    rho = ball_radius(inst, config)
     t0 = spike_start(inst, rho)
     weights = inst.weights
     result = bb_minimize(
@@ -367,15 +382,9 @@ def local_min_solve(inst, config: SolverConfig = None) -> SolveReport:
         polish = polish_root(inst.gradient, x, weights, tol=config.tol, max_iter=config.max_iter)
         if inst.norm(polish.x) <= rho and polish.residual < result.residual:
             x = polish.x
-    try:
-        cert = inst.bounds_min(t0, rho)
-    except CertificateError as err:
-        cert = None
-        extra = [f"certificate unavailable: {err}"]
-    else:
-        extra = []
+    cert, extra = certify(inst.bounds_min, t0, rho)
     if inst.norm(x) >= rho * (1.0 - 1e-9):
-        extra.append("boundary minimum - not certified critical")
+        extra += ("boundary minimum - not certified critical",)
     return solve_report(
         inst,
         x,
@@ -384,35 +393,51 @@ def local_min_solve(inst, config: SolverConfig = None) -> SolveReport:
         result.fevals,
         config,
         certificate=cert,
-        extra_flags=tuple(extra),
+        extra_flags=extra,
     )
 
 
-def _energy_level_lower(
-    inst: ProblemInstance, eta: float, rho: float, ladder_len: int = 40, grid: int = 21
-) -> float:
-    """Largest radius r = rho 2^-k with vol * max F < eta on the box of radius r."""
-    emb = embedding_constants(inst.graph, inst.p, inst.q)
+def energy_level_bounds(
+    inst, t0: float, rho: float, ladder_len: int = 40, grid: int = 21
+) -> BoundCertificate | None:
+    """Norm bounds for the minimizer in the ball of radius rho from a negative-energy start.
+
+    If the start t0 * spike has energy -eta < 0, the bounds need no growth
+    constants: the minimizer z* lies in the ball, so ||z*|| <= rho; and
+    Phi(z*) <= -eta gives int F(z*) >= eta, so ||z*|| exceeds every radius r
+    with vol * max F < eta on the box |t| <= b r, |s| <= d r (sampled, down
+    the ladder rho 2^-k; 0 if none qualifies).  Returns None if the start
+    has nonnegative energy.
+    """
+    eta = -inst.energy(t0 * inst.spike())
+    if eta <= 0:
+        return None
     vol = total_measure(inst.graph)
-    T, S = _unit_box(grid)
+    unit_box = _unit_box(len(inst.spaces), grid)
+    lower = 0.0
     for k in range(ladder_len):
         r = rho * 0.5**k
-        if vol * np.max(inst.nl.grid_values("F", emb.b * r * T, emb.d * r * S, inst.w)) < eta:
-            return r
-    return 0.0
+        if vol * np.max(_coupling_on(inst, _box_points(inst, r, unit_box), inst.w)) < eta:
+            lower = r
+            break
+    notes = ("energy-level bounds: the start has negative energy",)
+    if lower == 0.0:
+        notes += ("vacuous lower bound: no ladder radius qualifies",)
+    return BoundCertificate(
+        kind=inst.kind_prefix + "local-min",
+        lower=lower,
+        upper=rho,
+        constants={"start_energy": -eta, "t0": t0, "rho": rho},
+        notes=notes,
+    )
 
 
 def bound_certificate_min(inst: ProblemInstance, t0: float, rho: float) -> BoundCertificate:
     """Norm bounds for the minimizer in the ball of radius rho (p = q).
 
-    The start is t0 (spike, spike).  If its energy -eta is negative, the
-    bounds need no growth constants: the minimizer z* lies in the ball, so
-    ||z*|| <= rho; and Phi(z*) <= -eta gives int F(z*) >= eta, so ||z*||
-    exceeds every radius r with vol * max F < eta on the box |t| <= b r,
-    |s| <= d r (sampled, down the ladder rho 2^-k; 0 if none qualifies).
-
-    A start with nonnegative energy falls back to C3 (from (H2), r1, r2 > p)
-    and C4 (from (H1), theta > p).  Neither fits a negative-energy minimizer:
+    The start is t0 (spike, spike).  If its energy is negative, the bounds
+    are ``energy_level_bounds``.  A start with nonnegative energy falls back
+    to C3 (from (H2), r1, r2 > p) and C4 (from (H1), theta > p).  Neither fits a negative-energy minimizer:
     (H1) forces Phi >= 0 at every critical point, and (H2) makes F = O(|t|^r)
     at the origin, against the spike floor F(x0, t, t) >= L t^p of (H4).
     """
@@ -420,20 +445,10 @@ def bound_certificate_min(inst: ProblemInstance, t0: float, rho: float) -> Bound
     p, q = inst.p, inst.q
     if p != q:
         raise CertificateError("local-min certificate requires p == q")
+    cert = energy_level_bounds(inst, t0, rho)
+    if cert is not None:
+        return cert
     spike = inst.split(inst.spike())[0]
-    eta = -phi(inst, (t0 * spike, t0 * spike))
-    if eta > 0:
-        lower = _energy_level_lower(inst, eta, rho)
-        notes = ("energy-level bounds: the start has negative energy",)
-        if lower == 0.0:
-            notes += ("vacuous lower bound: no ladder radius qualifies",)
-        return BoundCertificate(
-            kind="local-min",
-            lower=lower,
-            upper=rho,
-            constants={"start_energy": -eta, "t0": t0, "rho": rho},
-            notes=notes,
-        )
     _require(spec, ("c1", "c2", "r1", "r2"), "lower bound")
     _require(spec, ("theta",), "upper bound")
     th = spec.theta
@@ -524,7 +539,6 @@ def uniqueness_certificate(
     monotonicity_ok, monotonicity_slack = _check_monotonicity(p)
     notes = []
     vol = total_measure(inst.graph)
-    emb = embedding_constants(inst.graph, p, q)
 
     if inst.spec.d1 is None or inst.spec.d2 is None:
         margin = -math.inf
@@ -533,9 +547,9 @@ def uniqueness_certificate(
     else:
         margin = cp / 2.0 ** (p - 1) - max(inst.spec.d1, inst.spec.d2) * vol
         try:
-            rho = inst.ball_radius(config)
+            rho = ball_radius(inst, config)
             cert = inst.bounds_min(spike_start(inst, rho), rho)
-            h5_radius = cert.upper * min(1.0 / (p * emb.K1**p), 1.0 / (q * emb.K2**q))
+            h5_radius = cert.upper * min(1.0 / (p * K**p) for _, K in inst.embedding)
         except (SolverError, CertificateError) as err:
             h5_radius = None
             notes.append(f"ball radius for Lipschitz screen unavailable: {err}")
@@ -546,7 +560,7 @@ def uniqueness_certificate(
     spread = 0.0
     solutions = []
     try:
-        rho = inst.ball_radius(config)
+        rho = ball_radius(inst, config)
     except SolverError as err:
         notes.append(f"multistart skipped: {err}")
         rho = None
@@ -621,11 +635,12 @@ def nonexistence_check(
     negative off the origin, no state can satisfy the critical-point
     identity, so only the trivial solution exists.  Optionally confirms by
     driving the gradient to zero from random starts and recording the
-    largest norm reached.
+    largest norm reached (None, with a note, if no start converged).
     """
     config = config or SolverConfig()
     sampling = sampling or SamplingConfig(seed=config.seed)
-    verdict, witness = inst.sign_screen(sampling)
+    screen = sign_screen(inst.nl, inst.spec, inst.graph, len(inst.spaces), sampling)
+    verdict, witness = screen.verdict, screen.witness
 
     # contradiction mechanism on random nontrivial states
     rng = np.random.default_rng(sampling.seed)
@@ -641,17 +656,17 @@ def nonexistence_check(
         if pairing >= 0:
             mechanism_ok = False
 
-    max_norm = None
+    norms = []
     notes = []
-    if multistart > 0:
-        max_norm = 0.0
-        for _ in range(multistart):
-            x0 = rng.uniform(-2.0, 2.0, size=weights.size)
-            res = polish_root(inst.gradient, x0, weights, tol=config.tol, max_iter=config.max_iter)
-            if res.converged:
-                max_norm = max(max_norm, inst.norm(res.x))
-            else:
-                notes.append("a multistart polish failed to converge")
+    for _ in range(multistart):
+        x0 = rng.uniform(-2.0, 2.0, size=weights.size)
+        res = polish_root(inst.gradient, x0, weights, tol=config.tol, max_iter=config.max_iter)
+        if res.converged:
+            norms.append(inst.norm(res.x))
+        else:
+            notes.append("a multistart polish failed to converge")
+    if multistart > 0 and not norms:
+        notes.append("no multistart polish converged")
     certified = verdict == "pass (sampled)" and mechanism_ok
     return NonexistenceReport(
         certified=certified,
@@ -659,6 +674,6 @@ def nonexistence_check(
         sign_witness=witness,
         mechanism_ok=mechanism_ok,
         worst_pairing=worst,
-        multistart_max_norm=max_norm,
+        multistart_max_norm=max(norms, default=None),
         notes=tuple(notes),
     )

@@ -6,6 +6,7 @@ import pytest
 from grapde import load_schema
 from grapde.cli import main
 from grapde.graph import graph_to_dict, path_graph
+from grapde.solvers import SolverError
 
 REPORT_SCHEMA = load_schema("report")
 GRAPH_SCHEMA = load_schema("graph")
@@ -141,6 +142,17 @@ def test_scalar_sweep_with_csv(tmp_path):
     assert len(lines) == 4
 
 
+def test_sweep_without_certificate_constants_flags_every_point(tmp_path):
+    problem = _write(tmp_path, "p.json", {"F": "(u^2+v^2)^2*(1+w^2)", "p": 2})
+    code, report = _run(tmp_path, ["sweep", "--problem", problem, "--grid", "3"])
+    assert code == 0
+    reports = report["result"]["reports"]
+    assert len(reports) == 3 and all(r["converged"] for r in reports)
+    for r in reports:
+        assert r["certificate"] is None
+        assert r["flags"][0].startswith("certificate unavailable: mountain-pass certificate")
+
+
 def test_control_needs_objective(tmp_path, capsys):
     problem = _write(tmp_path, "p.json", {"builtin": "mp-example"})
     assert main(["control", "--problem", problem, "--grid", "3"]) == 1
@@ -179,3 +191,15 @@ def test_timestamp_present_without_deterministic(tmp_path):
     problem = _write(tmp_path, "p.json", {"builtin": "mp-example"})
     code, report = _run(tmp_path, ["constants", "--problem", problem])
     assert "timestamp" in report
+
+
+def test_demo_control_without_converged_points_is_a_report(tmp_path, monkeypatch):
+    def no_points(*args, **kwargs):
+        raise SolverError("optimal control failed: no converged grid points")
+
+    monkeypatch.setattr("grapde.cli.optimal_control", no_points)
+    code, report = _run(tmp_path, ["demo", "control-objective", "--grid", "3"])
+    assert code == 2
+    assert report["result"]["control"] == {
+        "error": "optimal control failed: no converged grid points"
+    }

@@ -3,23 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import random_graph
 from grapde.calculus import OperatorOrder, laplacian
 from grapde.continuation import optimal_control, sweep
 from grapde.energy import ProblemInstance, phi_grad
 from grapde.graph import path_graph
 from grapde.nonlinearity import HypothesisSpec, Nonlinearity
-from grapde.scalar import (
-    ScalarInstance,
-    scalar_ball_radius,
-    scalar_bounds,
-    scalar_bounds_min,
-    scalar_grad,
-    scalar_phi,
-)
+from grapde.scalar import ScalarInstance, scalar_bounds, scalar_bounds_min
 from grapde.solvers import (
     CertificateError,
     SolverConfig,
     SolverError,
+    ball_radius,
     local_min_solve,
     mountain_pass_solve,
     nonexistence_check,
@@ -35,8 +30,23 @@ def test_energy_and_gradient_linear_case():
     g = path_graph(2)
     inst = _instance(g, "0")
     u = np.array([1.0, 0.0])
-    assert scalar_phi(inst, u) == pytest.approx(1.0)  # ||u||^2 / 2 = 2/2
-    assert np.allclose(scalar_grad(inst, u), -laplacian(g, u) + u)
+    assert inst.energy(u) == pytest.approx(1.0)  # ||u||^2 / 2 = 2/2
+    assert np.allclose(inst.gradient(u), -laplacian(g, u) + u)
+
+
+def test_one_block_energy_is_two_block_energy_at_zero_v():
+    # the scalar problem is the system with v = 0, bit for bit
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        g = random_graph(rng)
+        order = OperatorOrder(int(rng.integers(1, 4)), float(rng.choice([2.0, 3.0])))
+        nl = Nonlinearity.from_source(g, "u^4*(1+w^2)", {})
+        one = ScalarInstance(g, order, nl, HypothesisSpec(), "h1", 0.5)
+        two = ProblemInstance(g, order, order, nl, HypothesisSpec(), 0.5)
+        u = rng.standard_normal(g.n)
+        x = np.concatenate([u, np.zeros(g.n)])
+        assert one.energy(u) == two.energy(x)
+        assert np.array_equal(one.gradient(u), two.gradient(x)[: g.n])
 
 
 def test_instance_validation():
@@ -107,15 +117,15 @@ def test_scalar_gradient_matches_system_u_component():
         g, OperatorOrder(1, 2.0), OperatorOrder(1, 2.0), nl, HypothesisSpec(), 0.0
     )
     gu, gv = phi_grad(p_inst, (u, np.zeros(2)))
-    assert np.allclose(scalar_grad(s_inst, u), gu)
+    assert np.allclose(s_inst.gradient(u), gu)
     assert np.allclose(gv, 0.0)
 
 
 def test_ball_radius_zero_and_supercritical():
     g = path_graph(2)
-    assert scalar_ball_radius(_instance(g, "0")) == 1.0
+    assert ball_radius(_instance(g, "0")) == 1.0
     with pytest.raises(SolverError, match="not certifiable"):
-        scalar_ball_radius(_instance(g, "u^2"))
+        ball_radius(_instance(g, "u^2"))
 
 
 def test_min_solve_small_quadratic():
@@ -133,7 +143,7 @@ def test_min_solve_negative_energy_certified():
     # are [2^-8, 1] (vol * max F = 0.1 r < 0.0006 first at r = 2^-8)
     g = path_graph(2)
     inst = _instance(g, "0.05*u", spec=HypothesisSpec(delta=0.04, x0=g.vertices[0]))
-    assert scalar_ball_radius(inst) == 1.0
+    assert ball_radius(inst) == 1.0
     report = local_min_solve(inst, SolverConfig(w_grid=5))
     assert report.converged and report.energy == pytest.approx(-0.0025)
     assert np.allclose(report.u.values, 0.05)
@@ -182,3 +192,12 @@ def test_nonexistence_sign_condition():
     assert result.multistart_max_norm == pytest.approx(0.0, abs=1e-6)
     bad = _instance(g, "u^2")
     assert not nonexistence_check(bad).certified
+
+
+def test_sign_screen_witness_is_largest_pairing():
+    # F_u t = xsq t on the box [-10, 10]: largest where xsq = 3, at t = 10
+    g = path_graph(3)
+    inst = _instance(g, "xsq*u", {"xsq": np.array([1.0, 2.0, 3.0])})
+    report = nonexistence_check(inst)
+    assert report.sign_verdict == "fail"
+    assert report.sign_witness == (g.vertices[2], 10.0, -1.0)

@@ -288,3 +288,12 @@ def test_nonexistence_rejects_saddle_example():
     inst = _saddle_instance()
     report = nonexistence_check(inst)
     assert not report.certified
+
+
+def test_nonexistence_multistart_without_convergence_reports_none():
+    # exp(t) > t, so integrating -Delta u + u = exp(u) over the graph gives a
+    # contradiction: there is no critical point, and no polish can converge
+    inst = _instance(path_graph(2), "exp(u)+exp(v)")
+    report = nonexistence_check(inst, multistart=2)
+    assert report.multistart_max_norm is None
+    assert "no multistart polish converged" in report.notes
