@@ -208,6 +208,12 @@ def cmd_check(args):
     return _emit(args, "check", report.to_dict(), 2 if failed else 0)
 
 
+def _certified(report) -> bool:
+    """Converged, with a certificate whose norm bounds hold."""
+    cert = report.certificate
+    return report.converged and cert is not None and bool(cert.satisfied)
+
+
 def cmd_solve(args):
     graph = _get_graph(args)
     inst, _ = load_problem(args.problem, graph)
@@ -217,9 +223,7 @@ def cmd_solve(args):
         report = solve(inst, config)
     except SolverError as err:
         return _emit(args, "solve", {"error": str(err)}, 2)
-    cert = report.certificate
-    certified = report.converged and cert is not None and cert.satisfied
-    return _emit(args, "solve", report.to_dict(), 0 if certified else 2)
+    return _emit(args, "solve", report.to_dict(), 0 if _certified(report) else 2)
 
 
 def cmd_sweep(args):
@@ -234,8 +238,8 @@ def cmd_sweep(args):
             branch_to_csv(branch, args.csv, inst)
     except SolverError as err:
         return _emit(args, "sweep", {"error": str(err)}, 2)
-    all_ok = all(r is not None and r.converged for r in branch.reports)
-    return _emit(args, "sweep", result, 0 if all_ok else 2)
+    certified = all(r is not None and _certified(r) for r in branch.reports)
+    return _emit(args, "sweep", result, 0 if certified else 2)
 
 
 def cmd_control(args):
@@ -251,7 +255,8 @@ def cmd_control(args):
             branch_to_csv(res.branch, args.csv, inst, psi_values=dict(res.table))
     except SolverError as err:
         return _emit(args, "control", {"error": str(err)}, 2)
-    return _emit(args, "control", result, 0)
+    certified = all(r is not None and _certified(r) for r in res.branch.reports)
+    return _emit(args, "control", result, 0 if certified else 2)
 
 
 def cmd_nonexist(args):
@@ -276,8 +281,7 @@ def cmd_demo(args):
     if args.name == "mp-example":
         report = mountain_pass_solve(inst, config)
         result["solve"] = report.to_dict()
-        cert = report.certificate
-        code = 0 if (report.converged and cert and cert.satisfied) else 2
+        code = 0 if _certified(report) else 2
     elif args.name in ("localmin-example", "unique-example"):
         try:
             report = local_min_solve(inst, config)

@@ -132,7 +132,7 @@ class ProblemInstance(FlatProblem):
     def spaces(self) -> tuple:
         return (SpaceSpec(self.ord1, "h1"), SpaceSpec(self.ord2, "h2"))
 
-    # bench/oracle.py reads the two factor spaces under these names
+    # bench/oracle.py and the tests read the two factor spaces under these names
     space1 = property(lambda self: self.spaces[0])
     space2 = property(lambda self: self.spaces[1])
 
@@ -154,10 +154,8 @@ _PARTIALS = ("Fu", "Fv")
 def _unpack(inst: FlatProblem, state) -> tuple:
     """(u, v) as ndarrays; a one-block state has v = 0."""
     if isinstance(state, StatePair):
-        state = (state.u, state.v)
-    u, v = (*state, None)[:2]
-    u = asvalues(inst.graph, u)
-    return u, np.zeros_like(u) if v is None else asvalues(inst.graph, v)
+        state = (state.u,) if state.v is None else (state.u, state.v)
+    return Nonlinearity.pair([asvalues(inst.graph, b) for b in state])
 
 
 def phi(inst: FlatProblem, state) -> float:

@@ -101,6 +101,12 @@ class Nonlinearity:
         out = ex.evaluate(self._expr(which), env)
         return np.broadcast_to(np.asarray(out, float), (self.graph.n,)).copy()
 
+    @staticmethod
+    def pair(blocks) -> tuple:
+        """(u, v) from the values of one or two unknown blocks; one block has v = 0."""
+        u, *rest = blocks
+        return u, rest[0] if rest else np.zeros_like(u)
+
     def grid_values(self, which: str, t, s, w_val) -> np.ndarray:
         """Values at every vertex on shared sample points (t, s).
 
@@ -475,7 +481,7 @@ def sign_screen(
     coords = [c.ravel() for c in np.meshgrid(*(axis,) * blocks, indexing="ij")]
     nontrivial = np.any([c != 0 for c in coords], axis=0)
     coords = [c[nontrivial] for c in coords]
-    t, s = coords[0], coords[1] if blocks > 1 else 0.0
+    t, s = Nonlinearity.pair(coords)
     try:
         for w in spec.w_grid(sampling.w_samples):
             vals = sum(

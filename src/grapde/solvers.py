@@ -22,7 +22,7 @@ import numpy as np
 from ._optim import bb_minimize, path_saddle, polish_root
 from .energy import ProblemInstance, phi  # noqa: F401  phi: bench/tracing.py requires this binding
 from .graph import StatePair, VertexFunction, integral, total_measure
-from .nonlinearity import SamplingConfig, sign_screen
+from .nonlinearity import Nonlinearity, SamplingConfig, sign_screen
 from .spaces import embedding_constants, w_norm
 
 __all__ = [
@@ -263,8 +263,8 @@ def bound_certificate_mp(inst: ProblemInstance, endpoint: tuple) -> BoundCertifi
     C1 = min(A1, A2)
     u0, v0 = endpoint
     E0 = (
-        w_norm(inst.graph, u0, inst.space1) ** p / p
-        + w_norm(inst.graph, v0, inst.space2) ** q / q
+        w_norm(inst.graph, u0, inst.spaces[0]) ** p / p
+        + w_norm(inst.graph, v0, inst.spaces[1]) ** q / q
     )
     base_p = p * th * 2.0 ** (p - 1) * E0 / (th - p)
     base_q = q * th * 2.0 ** (q - 1) * E0 / (th - q)
@@ -297,8 +297,8 @@ def _box_points(inst, radius: float, unit_box: tuple) -> list:
 
 
 def _coupling_on(inst, points: list, w: float) -> np.ndarray:
-    """F at every vertex and sample point; v = 0 for one block."""
-    return inst.nl.grid_values("F", points[0], points[1] if len(points) > 1 else 0.0, w)
+    """F at every vertex and sample point of the box."""
+    return inst.nl.grid_values("F", *Nonlinearity.pair(points), w)
 
 
 def ball_radius(
@@ -464,8 +464,8 @@ def bound_certificate_min(inst: ProblemInstance, t0: float, rho: float) -> Bound
         (1.0 / (2.0**p * vol * M)) ** (1.0 / (mx - p)),
         (1.0 / (2.0 ** (p - 1) * vol * M)) ** (1.0 / (mn - p)),
     )
-    nu = w_norm(inst.graph, spike, inst.space1) ** p
-    nv = w_norm(inst.graph, spike, inst.space2) ** p
+    nu = w_norm(inst.graph, spike, inst.spaces[0]) ** p
+    nv = w_norm(inst.graph, spike, inst.spaces[1]) ** p
     C4 = (th * 2.0 ** (p - 1) * t0**p * (nu + nv) / (p * (th - p))) ** (1.0 / p)
     notes = ()
     if C4 < C3:

@@ -145,7 +145,7 @@ def test_scalar_sweep_with_csv(tmp_path):
 def test_sweep_without_certificate_constants_flags_every_point(tmp_path):
     problem = _write(tmp_path, "p.json", {"F": "(u^2+v^2)^2*(1+w^2)", "p": 2})
     code, report = _run(tmp_path, ["sweep", "--problem", problem, "--grid", "3"])
-    assert code == 0
+    assert code == 2
     reports = report["result"]["reports"]
     assert len(reports) == 3 and all(r["converged"] for r in reports)
     for r in reports:

@@ -1,6 +1,6 @@
 """Golden ``--deterministic`` CLI reports, for showing that a refactor keeps bytes.
 
-    python3 tools/golden.py capture SRC OUT [--jobs N]
+    python3 tools/golden.py capture SRC OUT
     python3 tools/golden.py compare A B
 
 ``capture`` runs the ``grapde`` CLI found under ``SRC/src`` on every command x
@@ -16,7 +16,8 @@ objective), the scalar quartic ``u^4*(1+w^2)`` of the benchmark and the scalar
 benchmark's random-12 graph; commands ``constants``, ``check``, ``solve``,
 ``sweep`` and ``control`` (both kinds, CSV on), ``nonexist`` (without and with
 ``--multistart 3``), and ``demo`` of every builtin.  It needs the standard
-library and numpy; a full capture takes some minutes on two cores.
+library and numpy; a full capture runs two CLI processes at a time and takes
+some minutes on two cores.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ COMMANDS = {
     "nonexist-ms3": ["nonexist", "--multistart", "3"],
 }
 COMMON = ["--deterministic", "--grid", "5", "--seed", "0"]
+WORKERS = 2
 
 
 def _runs(out):
@@ -84,7 +86,7 @@ def _runs(out):
     return runs
 
 
-def capture(src, out, jobs):
+def capture(src, out):
     inputs_dir = os.path.join(out, "inputs")
     for graph, make in GRAPHS.items():
         inputs.write_json(os.path.join(inputs_dir, f"{graph}.json"), make())
@@ -104,7 +106,7 @@ def capture(src, out, jobs):
         print(f"{proc.returncode} {name}", flush=True)
         return name, {"exit": proc.returncode, "stderr": proc.stderr.strip().splitlines()[-1:]}
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         manifest = dict(pool.map(run, _runs(out)))
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -179,13 +181,12 @@ def main(argv=None):
     sp = sub.add_parser("capture", help="run the golden set against SRC/src into OUT")
     sp.add_argument("src")
     sp.add_argument("out")
-    sp.add_argument("--jobs", type=int, default=2, help="concurrent CLI runs (default 2)")
     sp = sub.add_parser("compare", help="list the differences between two captures")
     sp.add_argument("a")
     sp.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "capture":
-        capture(args.src, args.out, max(1, args.jobs))
+        capture(args.src, args.out)
         return 0
     return compare(args.a, args.b)
 
