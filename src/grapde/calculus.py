@@ -116,25 +116,34 @@ def polylap_weak_form(graph: WeightedGraph, u, phi, ord: OperatorOrder) -> float
     return integral(graph, c * a * b)
 
 
+def _reweighted_laplacian(graph: WeightedGraph, c: np.ndarray) -> np.ndarray:
+    """Edge-reweighted Laplacian: its quadratic form matches the Gamma integral."""
+    w_tilde = graph.weight_matrix * 0.5 * (c[:, None] + c[None, :])
+    return np.diag(w_tilde.sum(axis=1)) - w_tilde
+
+
 def polylap_apply(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
     """Strong-form vertex function r with integral(r * phi) == weak(u, phi).
 
     Equivalent to testing the weak form against the indicator of every
     vertex; assembled as a matrix product for exact duality at O(n^2) cost.
+    What does not depend on u is built once per graph (``graph.operator``):
+    the Laplacian power A^k, and at s = 2 (coefficient 1) the reweighted
+    Laplacian.  A^0 = I is not multiplied.
     """
     u = asvalues(graph, u)
     m, s = ord.m, ord.s
-    A = _lap_matrix(graph)
-    c = _power_coeff(grad_modulus(graph, u, m), s)
-    if m % 2 == 1:
-        k = (m - 1) // 2
-        M = np.linalg.matrix_power(A, k)
-        a = M @ u
-        # edge-reweighted Laplacian: quadratic form matches the Gamma integral
-        w_tilde = graph.weight_matrix * 0.5 * (c[:, None] + c[None, :])
-        l_tilde = np.diag(w_tilde.sum(axis=1)) - w_tilde
-        return (M.T @ (l_tilde @ a)) / graph.mu
-    j = m // 2
-    M = np.linalg.matrix_power(A, j)
-    a = M @ u
-    return (M.T @ (graph.mu * c * a)) / graph.mu
+    k = m // 2
+    M = None
+    if k:
+        M = graph.operator(("A^k", k), lambda g: np.linalg.matrix_power(_lap_matrix(g), k))
+    a = u if M is None else M @ u
+    # at s = 2 the coefficient is 1 whatever u is
+    c = np.ones(graph.n) if s == 2 else _power_coeff(grad_modulus(graph, u, m), s)
+    if m % 2 == 0:
+        r = graph.mu * c * a
+    elif s == 2:
+        r = graph.operator("L(c=1)", lambda g: _reweighted_laplacian(g, c)) @ a
+    else:
+        r = _reweighted_laplacian(graph, c) @ a
+    return (r if M is None else M.T @ r) / graph.mu

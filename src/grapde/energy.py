@@ -113,7 +113,7 @@ class FlatProblem:
         """Hypothesis screen with this problem's exponents and operator orders."""
         return check_hypotheses(
             self.nl, self.spec, self.graph, self.p, self.q, sampling,
-            ord1=self.spaces[0].ord, ord2=self.spaces[-1].ord, h5_ball_radius=h5_ball_radius,
+            h5_ball_radius=h5_ball_radius, spaces=self.spaces,
         )
 
 

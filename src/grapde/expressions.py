@@ -17,10 +17,15 @@ same coefficient.
 Symbolic differentiation is closed over the node set; ``abs`` differentiates
 to ``sign`` with ``sign(0) = 0``.  Simplification is limited to constant
 folding and 0/1 identities.
+
+``evaluate`` walks the tree on every call; ``compile_expr`` turns a tree into
+straight-line numpy code once, with the same results and the same domain
+errors, for expressions evaluated many times.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -40,6 +45,7 @@ __all__ = [
     "to_source",
     "differentiate",
     "evaluate",
+    "compile_expr",
     "coefficient_names",
 ]
 
@@ -417,6 +423,14 @@ def _diff(e: Expr, var: str) -> Expr:
 
 # --- evaluation ---------------------------------------------------------
 
+def _domain_message(what: str, e: Expr) -> str:
+    return f"{what} in {to_source(e)!r}"
+
+
+def _missing_message(name: str) -> str:
+    return f"missing coefficient table {name!r}"
+
+
 def evaluate(e: Expr, env: dict):
     """Evaluate over scalars or aligned numpy arrays.
 
@@ -431,7 +445,7 @@ def evaluate(e: Expr, env: dict):
         try:
             return env[e.name]
         except KeyError:
-            raise EvalDomainError(f"missing coefficient table {e.name!r}") from None
+            raise EvalDomainError(_missing_message(e.name)) from None
     if isinstance(e, Neg):
         return -evaluate(e.arg, env)
     if isinstance(e, Bin):
@@ -445,12 +459,12 @@ def evaluate(e: Expr, env: dict):
             return a * b
         if e.op == "/":
             if np.any(b == 0):
-                raise EvalDomainError(f"division by zero in {to_source(e)!r}")
+                raise EvalDomainError(_domain_message("division by zero", e))
             return a / b
         with np.errstate(invalid="ignore"):
             out = np.power(a, b)
         if np.any(np.isnan(out)) and not np.any(np.isnan(a)):
-            raise EvalDomainError(f"invalid power in {to_source(e)!r}")
+            raise EvalDomainError(_domain_message("invalid power", e))
         return out
     if isinstance(e, Call):
         a = evaluate(e.arg, env)
@@ -460,7 +474,7 @@ def evaluate(e: Expr, env: dict):
             return np.sign(a)
         if e.fn == "sqrt":
             if np.any(np.asarray(a) < 0):
-                raise EvalDomainError(f"sqrt of a negative value in {to_source(e)!r}")
+                raise EvalDomainError(_domain_message("sqrt of a negative value", e))
             return np.sqrt(a)
         if e.fn == "sin":
             return np.sin(a)
@@ -470,11 +484,142 @@ def evaluate(e: Expr, env: dict):
             return np.exp(a)
         if e.fn == "log":
             if np.any(np.asarray(a) <= 0):
-                raise EvalDomainError(f"log of a non-positive value in {to_source(e)!r}")
+                raise EvalDomainError(_domain_message("log of a non-positive value", e))
             return np.log(a)
         if e.fn == "atan":
             return np.arctan(a)
     raise TypeError(f"not an expression: {e!r}")
+
+
+# --- compilation --------------------------------------------------------
+
+_UFUNCS = {
+    "abs": "np.abs", "sign": "np.sign", "sqrt": "np.sqrt", "sin": "np.sin",
+    "cos": "np.cos", "exp": "np.exp", "log": "np.log", "atan": "np.arctan",
+}
+# argument test that makes the call a domain error, and its message
+_CALL_GUARDS = {
+    "sqrt": ("< 0", "sqrt of a negative value"),
+    "log": ("<= 0", "log of a non-positive value"),
+}
+
+
+class _Compiler:
+    """Straight-line code for one tree, one statement per node in evaluation order.
+
+    Each node's value goes to a fresh local, deleted once its parent has
+    used it, so no more intermediate arrays are alive at a time than in the
+    tree walk.  A variable or coefficient is read from ``env`` where
+    ``evaluate`` first reads it, and reused after.  Guards run where
+    ``evaluate`` checks them, so the first error raised is the same.
+    ``np.count_nonzero`` of a boolean array or scalar is ``np.any`` of it,
+    at a fraction of the call cost.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.consts = {}
+        self.names = {}
+        self.temps = set()
+
+    def temp(self, value: str, *used: str) -> str:
+        """Assign ``value`` to a fresh local, then delete the operands it used."""
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {value}")
+        self.release(*used)
+        self.temps.add(name)
+        return name
+
+    def release(self, *used: str):
+        dead = [x for x in used if x in self.temps]
+        if dead:
+            self.lines.append(f"del {', '.join(dead)}")
+
+    def raise_if(self, test: str, message: str):
+        self.lines.append(f"if {test}:")
+        self.lines.append(f"    raise EvalDomainError({message!r})")
+
+    def const(self, value) -> str:
+        # finite floats print exactly; anything else is bound by name
+        if type(value) is float and math.isfinite(value):
+            return repr(value)
+        name = f"k{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    def emit(self, e: Expr) -> str:
+        if isinstance(e, Num):
+            return self.const(e.value)
+        if isinstance(e, (Var, Coeff)):
+            if e.name not in self.names:
+                name = self.names[e.name] = f"x{len(self.names)}"
+                if isinstance(e, Var):
+                    self.lines.append(f"{name} = env[{e.name!r}]")
+                else:
+                    self.lines += [
+                        "try:",
+                        f"    {name} = env[{e.name!r}]",
+                        "except KeyError:",
+                        f"    raise EvalDomainError({_missing_message(e.name)!r}) from None",
+                    ]
+            return self.names[e.name]
+        if isinstance(e, Neg):
+            a = self.emit(e.arg)
+            return self.temp(f"-{a}", a)
+        if isinstance(e, Bin):
+            a = self.emit(e.left)
+            b = self.emit(e.right)
+            if e.op in "+-*":
+                return self.temp(f"{a} {e.op} {b}", a, b)
+            if e.op == "/":
+                # a nonzero literal divisor cannot trip the guard
+                if not (isinstance(e.right, Num) and e.right.value != 0):
+                    self.raise_if(
+                        f"np.count_nonzero({b} == 0)", _domain_message("division by zero", e)
+                    )
+                return self.temp(f"{a} / {b}", a, b)
+            if isinstance(e.right, Num) and float(e.right.value).is_integer():
+                # an integer power is NaN only where its base is NaN
+                return self.temp(f"np.power({a}, {b})", a, b)
+            out = f"t{len(self.lines)}"
+            self.lines += [
+                "with np.errstate(invalid='ignore'):",
+                f"    {out} = np.power({a}, {b})",
+            ]
+            self.raise_if(
+                f"np.count_nonzero(np.isnan({out})) and not np.count_nonzero(np.isnan({a}))",
+                _domain_message("invalid power", e),
+            )
+            self.release(a, b)
+            self.temps.add(out)
+            return out
+        if isinstance(e, Call) and e.fn in _UFUNCS:
+            a = self.emit(e.arg)
+            if e.fn in _CALL_GUARDS:
+                test, what = _CALL_GUARDS[e.fn]
+                self.raise_if(
+                    f"np.count_nonzero(np.asarray({a}) {test})", _domain_message(what, e)
+                )
+            return self.temp(f"{_UFUNCS[e.fn]}({a})", a)
+        raise TypeError(f"not an expression: {e!r}")
+
+
+def compile_expr(e: Expr):
+    """Compile ``e`` once into a function ``env -> value``.
+
+    The function applies the same numpy operations as ``evaluate(e, env)``
+    in the same order, so its results are bit-identical, and it raises the
+    same EvalDomainError messages.  Two guards that cannot fire are left
+    out: division by a nonzero literal, and the invalid-power check of a
+    power with an integer literal exponent.
+    """
+    c = _Compiler()
+    result = c.emit(e)
+    body = "".join(f"    {line}\n" for line in c.lines)
+    source = f"def compiled(env):\n{body}    return {result}\n"
+    namespace = {"np": np, "EvalDomainError": EvalDomainError, **c.consts}
+    exec(compile(source, "<grapde expression>", "exec"), namespace)
+    return namespace["compiled"]
 
 
 def coefficient_names(e: Expr) -> set:

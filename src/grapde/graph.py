@@ -50,6 +50,7 @@ class WeightedGraph:
     weight_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     degree: np.ndarray = field(init=False, repr=False, compare=False)
     index: dict = field(init=False, repr=False, compare=False)
+    _operators: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.vertices)
@@ -82,6 +83,7 @@ class WeightedGraph:
         object.__setattr__(
             self, "index", {v: k for k, v in enumerate(self.vertices)}
         )
+        object.__setattr__(self, "_operators", {})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -115,6 +117,19 @@ class WeightedGraph:
                 raise GraphError(f"edge {{{a},{b}}} has a dangling endpoint")
             edge_idx.append((idx[a], idx[b], float(w)))
         return cls(ids, mu, h1, h2, tuple(edge_idx))
+
+    def operator(self, key, build) -> np.ndarray:
+        """The graph-constant matrix ``build(self)``, built once per key.
+
+        The matrix is kept on the graph, read-only, so it lives exactly as
+        long as the graph; ``key`` names it among this graph's operators.
+        """
+        M = self._operators.get(key)
+        if M is None:
+            M = build(self)
+            M.flags.writeable = False
+            self._operators[key] = M
+        return M
 
     def neighbors(self, i: int) -> np.ndarray:
         return np.nonzero(self.weight_matrix[i])[0]

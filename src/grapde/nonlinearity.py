@@ -45,13 +45,19 @@ class NonlinearityError(ValueError):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """F with symbolic partials F_u, F_v bound to a graph's coefficient tables."""
+    """F with symbolic partials F_u, F_v bound to a graph's coefficient tables.
+
+    Each of F, F_u and F_v is compiled (``expressions.compile_expr``) the
+    first time it is evaluated, and the compiled code is kept.
+    """
 
     graph: WeightedGraph
     F: ex.Expr
     Fu: ex.Expr = None
     Fv: ex.Expr = None
     coeffs: dict = field(default_factory=dict)
+    # selector -> compiled expression, filled on first use
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.Fu is None:
@@ -87,19 +93,28 @@ class Nonlinearity:
         except KeyError:
             raise NonlinearityError(f"unknown selector {which!r}") from None
 
+    def _fn(self, which: str):
+        """The selected expression compiled by ``expressions.compile_expr``, once."""
+        fn = self._compiled.get(which)
+        if fn is None:
+            fn = self._compiled[which] = ex.compile_expr(self._expr(which))
+        return fn
+
     def eval(self, which: str, x, u_val, v_val, w_val):
         """Value at a single vertex (by id or index); u/v may be arrays."""
         i = self.graph.index[x] if isinstance(x, str) else int(x)
         env = {name: table[i] for name, table in self.coeffs.items()}
         env.update(u=u_val, v=v_val, w=w_val)
-        return ex.evaluate(self._expr(which), env)
+        return self._fn(which)(env)
 
     def values(self, which: str, u, v, w_val):
         """Vectorized evaluation across all vertices at once."""
         env = dict(self.coeffs)
         env.update(u=np.asarray(u, float), v=np.asarray(v, float), w=w_val)
-        out = ex.evaluate(self._expr(which), env)
-        return np.broadcast_to(np.asarray(out, float), (self.graph.n,)).copy()
+        out = np.array(self._fn(which)(env), float)  # a copy: the result may be u itself
+        if out.shape == (self.graph.n,):
+            return out
+        return np.broadcast_to(out, (self.graph.n,)).copy()
 
     @staticmethod
     def pair(blocks) -> tuple:
@@ -117,7 +132,7 @@ class Nonlinearity:
         lead = (self.graph.n,) + (1,) * len(shape)
         env = {name: table.reshape(lead) for name, table in self.coeffs.items()}
         env.update(u=np.asarray(t, float), v=np.asarray(s, float), w=w_val)
-        out = ex.evaluate(self._expr(which), env)
+        out = self._fn(which)(env)
         return np.broadcast_to(np.asarray(out, float), (self.graph.n,) + shape)
 
 
@@ -216,9 +231,21 @@ def check_hypotheses(
     ord1: OperatorOrder = None,
     ord2: OperatorOrder = None,
     h5_ball_radius: float = None,
+    spaces: tuple = None,
 ) -> HypothesisReport:
-    """Screen (F1)-(F4), (H1)-(H5) and the nonexistence sign condition."""
+    """Screen (F1)-(F4), (H1)-(H5) and the nonexistence sign condition.
+
+    ``spaces`` holds the SpaceSpec of each unknown block; by default the two
+    blocks (ord1, h1) and (ord2, h2), with first-order operators where
+    ord1/ord2 are not given.  A one-block problem gets the one-block spike
+    threshold of (H4) and the one-block sign screen.
+    """
     cfg = sampling or SamplingConfig()
+    if spaces is None:
+        spaces = (
+            SpaceSpec(ord1 or OperatorOrder(1, p), "h1"),
+            SpaceSpec(ord2 or OperatorOrder(1, q), "h2"),
+        )
     emb = embedding_constants(graph, p, q)
     ws = spec.w_grid(cfg.w_samples)
     n = graph.n
@@ -388,15 +415,12 @@ def check_hypotheses(
     elif p != q:
         results["H4"] = ConditionResult("H4", "inconclusive", detail="requires p == q")
     else:
-        o1 = ord1 or OperatorOrder(1, p)
-        o2 = ord2 or OperatorOrder(1, q)
         i0 = graph.index[spec.x0]
         Lvals = np.asarray(spec.L, float)
         spike = np.zeros(n)
         spike[i0] = 1.0
-        nu = w_norm(graph, spike, SpaceSpec(o1, "h1")) ** p
-        nv = w_norm(graph, spike, SpaceSpec(o2, "h2")) ** p
-        threshold = (nu + nv) / p
+        threshold = sum(w_norm(graph, spike, space) ** p for space in spaces) / p
+        terms = " + ".join(("|u*|^p", "|v*|^p")[: len(spaces)])
         if Lvals[i0] <= 0:
             results["H4"] = ConditionResult("H4", "fail", detail=f"L(x0) = {Lvals[i0]} <= 0")
         elif graph.mu[i0] * Lvals[i0] <= threshold:
@@ -405,7 +429,7 @@ def check_hypotheses(
                 "fail",
                 detail=(
                     f"mu(x0) L(x0) = {graph.mu[i0] * Lvals[i0]:.6g} "
-                    f"<= (|u*|^p + |v*|^p)/p = {threshold:.6g}"
+                    f"<= ({terms})/p = {threshold:.6g}"
                 ),
             )
         else:
@@ -416,8 +440,9 @@ def check_hypotheses(
                 floor = Lvals[i0] * ts**p - 1e-12
                 # the scalar analogue quantifies over every vertex; report both
                 all_x_ok = True
+                t, s = Nonlinearity.pair((ts,) * len(spaces))
                 for w in ws:
-                    below = nl.grid_values("F", ts, ts, w) < floor
+                    below = nl.grid_values("F", t, s, w) < floor
                     if np.any(below[i0]):
                         verdict, witness = "fail", (spec.x0, ts[int(np.argmax(below[i0]))], w)
                     all_x_ok = all_x_ok and not np.any(below)
@@ -459,7 +484,7 @@ def check_hypotheses(
         except ex.EvalDomainError as err:
             results["H5"] = ConditionResult("H5", "inconclusive", detail=str(err))
 
-    results["NONEXIST"] = sign_screen(nl, spec, graph, 2, cfg)
+    results["NONEXIST"] = sign_screen(nl, spec, graph, len(spaces), cfg)
     return HypothesisReport(conditions=results, notes=notes)
 
 

@@ -140,7 +140,10 @@ def solve_report(inst, x, kind, iterations, fevals, config, certificate=None, ex
     energy = inst.energy(x)
     norm = inst.norm(x)
     flags = list(extra_flags)
-    if norm < 10.0 * config.tol:
+    # A block of exponent s has a gradient of order r^(s-1) at norm r, so a
+    # residual of 10 tol cannot tell a state below this norm from zero.
+    s_max = max(space.ord.s for space in inst.spaces)
+    if norm < (10.0 * config.tol) ** (1.0 / (s_max - 1.0)):
         flags.append("trivial")
     if kind == "mountain-pass" and energy <= 0:
         flags.append("type-uncertain")

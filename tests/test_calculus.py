@@ -111,3 +111,39 @@ def test_weak_form_even_order_hand_value():
     phi = np.array([0.0, 1.0])
     # Delta u = (-1, 1), Delta phi = (1, -1) -> integral = -2
     assert polylap_weak_form(g, u, phi, OperatorOrder(2, 2.0)) == pytest.approx(-2.0)
+
+
+def _polylap_uncached(graph, u, ord):
+    """polylap_apply assembled from scratch: A and A^k rebuilt, A^0 = I multiplied."""
+    m, s = ord.m, ord.s
+    A = (graph.weight_matrix - np.diag(graph.degree)) / graph.mu[:, None]
+    t = grad_modulus(graph, u, m)
+    c = np.ones_like(t) if s == 2 else np.where(t != 0, np.abs(t) ** (s - 2), 0.0)
+    M = np.linalg.matrix_power(A, m // 2)
+    a = M @ u
+    if m % 2 == 1:
+        w_tilde = graph.weight_matrix * 0.5 * (c[:, None] + c[None, :])
+        l_tilde = np.diag(w_tilde.sum(axis=1)) - w_tilde
+        return (M.T @ (l_tilde @ a)) / graph.mu
+    return (M.T @ (graph.mu * c * a)) / graph.mu
+
+
+def test_laplacian_power_cache_is_per_graph():
+    # two live graphs with the same n but different weights, called in turn:
+    # a cache keyed by n would hand one graph's A^k to the other
+    g1 = path_graph(5)
+    g2 = path_graph(5, w=2.5)
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 3, 4):
+        for g in (g1, g2, g1, g2):
+            u = random_function(rng, g)
+            got = polylap_apply(g, u, OperatorOrder(m, 3.0))
+            assert np.array_equal(got, _polylap_uncached(g, u, OperatorOrder(m, 3.0)))
+    # graphs dropped after use, so a new one may reuse the id() of the last
+    for seed in range(8):
+        g = random_graph(np.random.default_rng(seed), 5)
+        for m in (2, 3, 4):
+            u = random_function(rng, g)
+            got = polylap_apply(g, u, OperatorOrder(m, 2.0))
+            assert np.array_equal(got, _polylap_uncached(g, u, OperatorOrder(m, 2.0)))
+        del g

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from grapde.expressions import (
     ParseError,
     Var,
     coefficient_names,
+    compile_expr,
     differentiate,
     evaluate,
     parse_expr,
@@ -137,14 +139,12 @@ _leaf = st.one_of(
 )
 
 
-def _exprs(leaf):
+def _exprs(leaf, calls=("abs", "sin", "cos", "exp", "atan")):
     return st.one_of(
         leaf,
         st.tuples(st.sampled_from("+-*/^"), leaf, leaf).map(lambda t: Bin(*t)),
         leaf.map(Neg),
-        st.tuples(st.sampled_from(["abs", "sin", "cos", "exp", "atan"]), leaf).map(
-            lambda t: Call(*t)
-        ),
+        st.tuples(st.sampled_from(calls), leaf).map(lambda t: Call(*t)),
     )
 
 
@@ -158,9 +158,12 @@ def test_roundtrip_random_asts(e):
 @given(st.recursive(_leaf, _exprs, max_leaves=10), st.sampled_from(["u", "v", "w"]))
 @example(Bin("^", Num(0.0), Num(0.0)), "u")
 @example(Bin("+", Var("u"), Bin("^", Num(6.0), Num(9.0))), "u")
+@example(Neg(Bin("^", Num(0.0), Neg(Num(1.0)))), "u")
 def test_derivative_matches_finite_difference(e, var):
     # The central difference is taken in extended precision: in float64 the
     # rounding of u + 6^9 alone shifts it by 2.4e-4, past the tolerance.
+    # Points where either side is not finite (0^-1, overflow, inf - inf) are
+    # skipped, so their floating-point warnings are silenced.
     d = differentiate(e, var)
     rng = np.random.default_rng(7)
     h = np.longdouble(1e-6)
@@ -173,11 +176,11 @@ def test_derivative_matches_finite_difference(e, var):
             "gamma": 1.3, "zed": 0.8, "c0": 2.1,
         }
         try:
-            with np.errstate(over="ignore"):
+            with np.errstate(all="ignore"):
                 lo = dict(env, **{var: np.longdouble(env[var]) - h})
                 hi = dict(env, **{var: np.longdouble(env[var]) + h})
                 fd = float((evaluate(e, hi) - evaluate(e, lo)) / (2 * h))
-            exact = evaluate(d, env)
+                exact = evaluate(d, env)
         except (EvalDomainError, OverflowError):
             continue
         if not (np.isfinite(fd) and np.isfinite(exact)):
@@ -186,6 +189,62 @@ def test_derivative_matches_finite_difference(e, var):
         checked += 1
         if checked >= 5:
             break
+
+
+def _guarded_exprs(leaf):
+    return _exprs(leaf, ("abs", "sin", "cos", "exp", "atan", "sqrt", "log", "sign"))
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, np.nan, np.inf, -np.inf]
+_value = st.one_of(st.floats(-10, 10), st.sampled_from(_SPECIAL))
+_env_value = st.one_of(_value, st.lists(_value, min_size=3, max_size=3).map(np.array))
+_envs = st.fixed_dictionaries({name: _env_value for name in ("u", "v", "w", "gamma", "zed", "c0")})
+
+
+def _outcome(fn, e, env):
+    """("value", result) or ("raised", type, message); warnings count as raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return ("value", fn(e, env))
+        except (ArithmeticError, RuntimeWarning) as err:
+            return ("raised", type(err), str(err))
+
+
+_NAN_U = {"u": np.array([np.nan, 1.0, -2.0]), "v": 1.0, "w": 0.5, "gamma": 1.0, "zed": 1.0,
+          "c0": 1.0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_leaf, _guarded_exprs, max_leaves=10), _envs)
+@example(Bin("^", Var("u"), Num(2.0)), _NAN_U)
+@example(Bin("/", Var("u"), Num(2.0)), _NAN_U)
+@example(Bin("^", Num(0.0), Num(0.0)), _NAN_U)
+@example(parse_expr("(0 - 1)^0.5"), _NAN_U)
+def test_compiled_matches_tree_walk(e, env):
+    want = _outcome(evaluate, e, env)
+    got = _outcome(lambda e, env: compile_expr(e)(env), e, env)
+    assert got[0] == want[0]
+    if want[0] == "value":
+        assert type(got[1]) is type(want[1])
+        assert np.array_equal(got[1], want[1], equal_nan=True)
+        assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
+    else:
+        assert got[1:] == want[1:]
+
+
+def test_compiled_keeps_non_finite_literals():
+    u = np.array([1.0, -1.0])
+    for value in (np.inf, -np.inf, np.nan):
+        e = Bin("+", Var("u"), Num(value))
+        assert np.array_equal(compile_expr(e)({"u": u}), evaluate(e, {"u": u}), equal_nan=True)
+
+
+def test_compiled_domain_messages():
+    with pytest.raises(EvalDomainError, match=r"^invalid power in '\(0 - 1\)\^0\.5'$"):
+        compile_expr(parse_expr("(0 - 1)^0.5"))({})
+    with pytest.raises(EvalDomainError, match="^missing coefficient table 'gamma'$"):
+        compile_expr(parse_expr("u*gamma"))({"u": 1.0})
 
 
 def test_domain_errors():

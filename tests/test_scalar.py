@@ -8,7 +8,7 @@ from grapde.calculus import OperatorOrder, laplacian
 from grapde.continuation import optimal_control, sweep
 from grapde.energy import ProblemInstance, phi_grad
 from grapde.graph import path_graph
-from grapde.nonlinearity import HypothesisSpec, Nonlinearity
+from grapde.nonlinearity import HypothesisSpec, Nonlinearity, SamplingConfig
 from grapde.scalar import ScalarInstance, scalar_bounds, scalar_bounds_min
 from grapde.solvers import (
     CertificateError,
@@ -201,3 +201,14 @@ def test_sign_screen_witness_is_largest_pairing():
     report = nonexistence_check(inst)
     assert report.sign_verdict == "fail"
     assert report.sign_witness == (g.vertices[2], 10.0, -1.0)
+
+
+def test_check_screens_one_block_like_nonexist():
+    # F_u t = 0.05 t fails the sign condition at t > 0; both screens sample
+    # the one block alone, so they report the same witness (vertex, t, w)
+    g = path_graph(2)
+    inst = _instance(g, "0.05*u", spec=HypothesisSpec(delta=0.04, x0=g.vertices[0]))
+    screen = inst.check(SamplingConfig()).conditions["NONEXIST"]
+    report = nonexistence_check(inst)
+    assert screen.verdict == report.sign_verdict == "fail"
+    assert screen.witness == report.sign_witness == (g.vertices[0], 10.0, -1.0)

@@ -57,6 +57,23 @@ def test_saddle_polish_overflow_is_not_a_warning():
     assert report.converged
 
 
+def test_trivial_flag_scales_with_the_largest_exponent():
+    # mp-example has p = 3: the cold saddle search on the 16-path at w = -1
+    # converges to a state of norm ~6e-6, below the certificate's lower bound,
+    # whose residual (gradient of order norm^2) cannot tell it from zero
+    g = path_graph(16)
+    prob = builtin("mp-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, -1.0)
+    report = mountain_pass_solve(inst)
+    assert report.converged
+    assert report.certificate.norm < report.certificate.lower
+    assert "trivial" in report.flags
+    # the saddle on the 2-path is well away from zero and not flagged
+    report = mountain_pass_solve(_saddle_instance())
+    assert report.certificate.norm >= 0.1
+    assert "trivial" not in report.flags
+
+
 def test_negative_endpoint_impossible_for_zero_coupling():
     inst = _instance(path_graph(2), "0")
     with pytest.raises(SolverError, match="negative-energy endpoint"):
