@@ -16,6 +16,8 @@ from scipy import optimize
 
 __all__ = ["OptResult", "weighted_norm", "bb_minimize", "path_saddle", "polish_root"]
 
+_ARMIJO_C = 1e-4  # sufficient decrease of every backtracking line search
+
 
 @dataclass
 class OptResult:
@@ -39,9 +41,7 @@ def bb_minimize(
     weights,
     tol=1e-8,
     max_iter=100_000,
-    armijo_c=1e-4,
     project=None,
-    step0=1e-2,
 ) -> OptResult:
     """Barzilai-Borwein descent with Armijo backtracking, optional projection."""
     x = np.array(x0, dtype=float)
@@ -50,7 +50,7 @@ def bb_minimize(
     fx = f(x)
     g = grad(x)
     fevals = 1
-    step = step0
+    step = 1e-2
     for it in range(1, max_iter + 1):
         res = weighted_norm(weights, g)
         if res <= tol:
@@ -65,7 +65,7 @@ def bb_minimize(
                 cand = project(cand)
             fc = f(cand)
             fevals += 1
-            if fc <= fx + armijo_c * t * slope:
+            if fc <= fx + _ARMIJO_C * t * slope:
                 xn, fn, moved = cand, fc, True
                 break
             t *= 0.5
@@ -112,8 +112,7 @@ def path_saddle(
     endpoint,
     n_nodes=41,
     coarse_tol=1e-3,
-    max_outer=2000,
-    armijo_c=1e-4,
+    max_outer=500,
 ) -> tuple:
     """Deform a discretized path from 0 to ``endpoint`` toward the min-max node.
 
@@ -165,7 +164,7 @@ def path_saddle(
                 cand = x - t * g
                 fc = f(cand)
                 fevals += 1
-                if fc <= fx + armijo_c * t * slope:
+                if fc <= fx + _ARMIJO_C * t * slope:
                     path[k] = cand
                     steps[k] = t
                     break
@@ -174,7 +173,7 @@ def path_saddle(
     return peak, max_outer, fevals, False
 
 
-def polish_root(grad, x0, weights, tol=1e-8, max_iter=100_000) -> OptResult:
+def polish_root(grad, x0, weights, tol=1e-8) -> OptResult:
     """Drive the gradient to zero: hybrid Powell first, least squares fallback.
 
     The trial points of both methods may leave the region where the gradient

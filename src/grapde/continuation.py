@@ -28,6 +28,7 @@ from .solvers import (
     negative_endpoint,
     solve_report,
     spike_start,
+    trivial_norm,
 )
 from .spaces import w_norm
 
@@ -68,16 +69,13 @@ def _solve_point(inst, kind, config, endpoint, rho, warm_x):
     if warm_x is not None:
         weights = inst.weights
         if kind == "mp":
-            res = polish_root(
-                inst.gradient, warm_x, weights, tol=config.tol, max_iter=config.max_iter
-            )
+            res = polish_root(inst.gradient, warm_x, weights, tol=config.tol)
         else:
             res = bb_minimize(
                 inst.energy, inst.gradient, warm_x, weights,
-                tol=config.tol, max_iter=config.max_iter,
-                armijo_c=config.armijo_c, project=ball_projection(inst, rho),
+                tol=config.tol, project=ball_projection(inst, rho),
             )
-        if res.converged and inst.norm(res.x) > 10.0 * config.tol:
+        if res.converged and inst.norm(res.x) >= trivial_norm(inst, config.tol):
             if kind == "mp":
                 cert, flags = certify(inst.bounds_mp, endpoint)
             else:
@@ -105,14 +103,13 @@ def sweep(
     config = config or SolverConfig()
     if kind not in ("mp", "min"):
         raise ValueError("kind must be 'mp' or 'min'")
+    lo, hi = inst.spec.J
     if np.isscalar(grid):
-        lo, hi = inst.spec.J
         grid = np.linspace(lo, hi, int(grid))
     else:
         grid = np.asarray(grid, float)
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
-        lo, hi = inst.spec.J
         if grid.min() < lo - 1e-12 or grid.max() > hi + 1e-12:
             raise ValueError("grid leaves the parameter interval")
 
@@ -205,10 +202,7 @@ def branch_continuity_report(
             nearest = (w, report)
     if nearest is not None:
         point = inst.at(w0)
-        res = polish_root(
-            point.gradient, nearest[1].state.flat(), point.weights,
-            tol=config.tol, max_iter=config.max_iter,
-        )
+        res = polish_root(point.gradient, nearest[1].state.flat(), point.weights, tol=config.tol)
         if res.converged:
             ref = next((r for w, r in branch.converged_points if abs(w - w0) < 1e-15), None)
             if ref is not None:

@@ -17,7 +17,7 @@ import numpy as np
 from .calculus import OperatorOrder, grad_modulus, polylap_apply
 from .graph import StatePair, VertexFunction, WeightedGraph, asvalues, integral
 from .nonlinearity import HypothesisSpec, Nonlinearity, check_hypotheses, spike_vertex
-from .spaces import SpaceSpec, embedding_constants, w_norm
+from .spaces import BlockEmbedding, SpaceSpec, block_embedding, w_norm
 
 __all__ = ["FlatProblem", "ProblemInstance", "phi", "phi_grad", "el_residual_norm", "psi"]
 
@@ -68,11 +68,9 @@ class FlatProblem:
         return np.tile(self.graph.mu, len(self.spaces))
 
     @cached_property
-    def embedding(self) -> tuple:
-        """Per-block (b, K): the sup-norm embedding factor and growth constant."""
-        emb = embedding_constants(self.graph, self.p, self.q)
-        pairs = {"h1": (emb.b, emb.K1), "h2": (emb.d, emb.K2)}
-        return tuple(pairs[space.potential] for space in self.spaces)
+    def embedding(self) -> BlockEmbedding:
+        """Per-block (b, K) and the small-amplitude cap: ``spaces.block_embedding``."""
+        return block_embedding(self.graph, self.spaces)
 
     def split(self, x) -> tuple:
         n = self.graph.n
@@ -91,9 +89,8 @@ class FlatProblem:
     def coupling_grad(self, x) -> np.ndarray:
         """Flat (F_u, F_v) at the state x; F_u alone for one block."""
         u, v = _unpack(self, self.split(x))
-        return np.concatenate(
-            [self.nl.values(which, u, v, self.w) for which in _PARTIALS[: len(self.spaces)]]
-        )
+        partials = Nonlinearity.PARTIALS[: len(self.spaces)]
+        return np.concatenate([self.nl.values(which, u, v, self.w) for which in partials])
 
     def residual(self, x) -> float:
         """sqrt of the mu-integral of the squared gradient; zero exactly at critical points."""
@@ -148,9 +145,6 @@ class ProblemInstance(FlatProblem):
         return bound_certificate_min(self, t0, rho)
 
 
-_PARTIALS = ("Fu", "Fv")
-
-
 def _unpack(inst: FlatProblem, state) -> tuple:
     """(u, v) as ndarrays; a one-block state has v = 0."""
     if isinstance(state, StatePair):
@@ -178,7 +172,7 @@ def phi_grad(inst: FlatProblem, state) -> tuple:
         polylap_apply(g, b, s.ord)
         + getattr(g, s.potential) * _odd_power(b, s.ord.s)
         - inst.nl.values(which, u, v, inst.w)
-        for b, s, which in zip((u, v), inst.spaces, _PARTIALS)
+        for b, s, which in zip((u, v), inst.spaces, Nonlinearity.PARTIALS)
     )
 
 

@@ -461,6 +461,8 @@ def evaluate(e: Expr, env: dict):
             if np.any(b == 0):
                 raise EvalDomainError(_domain_message("division by zero", e))
             return a / b
+        if np.any((a == 0) & (b < 0)):
+            raise EvalDomainError(_domain_message("zero to a negative power", e))
         with np.errstate(invalid="ignore"):
             out = np.power(a, b)
         if np.any(np.isnan(out)) and not np.any(np.isnan(a)):
@@ -578,6 +580,12 @@ class _Compiler:
                         f"np.count_nonzero({b} == 0)", _domain_message("division by zero", e)
                     )
                 return self.temp(f"{a} / {b}", a, b)
+            # a nonnegative literal exponent cannot trip the zero-base guard
+            if not (isinstance(e.right, Num) and e.right.value >= 0):
+                self.raise_if(
+                    f"np.count_nonzero(({a} == 0) & ({b} < 0))",
+                    _domain_message("zero to a negative power", e),
+                )
             if isinstance(e.right, Num) and float(e.right.value).is_integer():
                 # an integer power is NaN only where its base is NaN
                 return self.temp(f"np.power({a}, {b})", a, b)
@@ -609,9 +617,10 @@ def compile_expr(e: Expr):
 
     The function applies the same numpy operations as ``evaluate(e, env)``
     in the same order, so its results are bit-identical, and it raises the
-    same EvalDomainError messages.  Two guards that cannot fire are left
-    out: division by a nonzero literal, and the invalid-power check of a
-    power with an integer literal exponent.
+    same EvalDomainError messages.  Three guards that cannot fire are left
+    out: division by a nonzero literal, the zero-base check of a power with
+    a nonnegative literal exponent, and the invalid-power check of a power
+    with an integer literal exponent.
     """
     c = _Compiler()
     result = c.emit(e)

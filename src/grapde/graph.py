@@ -131,9 +131,6 @@ class WeightedGraph:
             self._operators[key] = M
         return M
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.nonzero(self.weight_matrix[i])[0]
-
 
 @dataclass(frozen=True)
 class VertexFunction:

@@ -8,6 +8,7 @@ are limits can only ever report "pass (sampled)".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import expressions as ex
 from .calculus import OperatorOrder
 from .graph import WeightedGraph, asvalues
-from .spaces import SpaceSpec, embedding_constants, w_norm
+from .spaces import SpaceSpec, block_embedding, w_norm
 
 __all__ = [
     "Nonlinearity",
@@ -24,7 +25,9 @@ __all__ = [
     "SamplingConfig",
     "ConditionResult",
     "HypothesisReport",
+    "block_fields",
     "check_hypotheses",
+    "lipschitz_screen",
     "sign_screen",
     "builtin",
     "BUILTIN_NAMES",
@@ -53,17 +56,17 @@ class Nonlinearity:
 
     graph: WeightedGraph
     F: ex.Expr
-    Fu: ex.Expr = None
-    Fv: ex.Expr = None
     coeffs: dict = field(default_factory=dict)
+    Fu: ex.Expr = field(default=None, init=False)
+    Fv: ex.Expr = field(default=None, init=False)
     # selector -> compiled expression, filled on first use
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    PARTIALS = ("Fu", "Fv")  # the selector of the partial in each unknown block
+
     def __post_init__(self):
-        if self.Fu is None:
-            object.__setattr__(self, "Fu", ex.differentiate(self.F, "u"))
-        if self.Fv is None:
-            object.__setattr__(self, "Fv", ex.differentiate(self.F, "v"))
+        object.__setattr__(self, "Fu", ex.differentiate(self.F, "u"))
+        object.__setattr__(self, "Fv", ex.differentiate(self.F, "v"))
         tables = {}
         for name, table in self.coeffs.items():
             if np.isscalar(table):
@@ -81,11 +84,8 @@ class Nonlinearity:
             raise NonlinearityError(f"missing coefficient tables: {sorted(missing)}")
 
     @classmethod
-    def from_source(cls, graph, source, coeffs=None, fu_source=None, fv_source=None):
-        F = ex.parse_expr(source)
-        Fu = ex.parse_expr(fu_source) if fu_source else None
-        Fv = ex.parse_expr(fv_source) if fv_source else None
-        return cls(graph, F, Fu, Fv, dict(coeffs or {}))
+    def from_source(cls, graph, source, coeffs=None):
+        return cls(graph, ex.parse_expr(source), dict(coeffs or {}))
 
     def _expr(self, which: str) -> ex.Expr:
         try:
@@ -197,11 +197,6 @@ class HypothesisReport:
     def verdict(self, name: str) -> str:
         return self.conditions[name].verdict
 
-    def all_pass(self, names) -> bool:
-        return all(
-            self.conditions[n].verdict in ("pass", "pass (sampled)") for n in names
-        )
-
     def to_dict(self) -> dict:
         return {
             "conditions": {
@@ -216,9 +211,69 @@ class HypothesisReport:
         }
 
 
-def _ring(radius: float, k: int):
-    ang = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
+_SAMPLED = {True: "pass (sampled)", False: "fail"}  # verdict of a sampled condition
+
+
+def block_fields(blocks: int, *stems: str) -> list:
+    """Names of per-block constants: ``block_fields(2, "c", "r")`` is c1, c2, r1, r2."""
+    return [f"{stem}{i}" for stem in stems for i in range(1, blocks + 1)]
+
+
+def _unset(name: str, spec: HypothesisSpec, fields) -> ConditionResult:
+    """The inconclusive result naming ``fields`` if one of them is unset, else None."""
+    if any(getattr(spec, f) is None for f in fields):
+        return ConditionResult(name, "inconclusive", detail=f"{'/'.join(fields)} not provided")
+
+
+def _default_spaces(p, q, ord1=None, ord2=None) -> tuple:
+    """The two blocks (ord1, h1) and (ord2, h2), first order where ord1/ord2 are not given."""
+    return (
+        SpaceSpec(ord1 or OperatorOrder(1, p), "h1"),
+        SpaceSpec(ord2 or OperatorOrder(1, q), "h2"),
+    )
+
+
+def _sphere(radius: float, blocks: int, samples: int) -> tuple:
+    """Per block, the coordinates of points on the sphere of radius r in R^blocks:
+    the points r, -r, or ``samples`` equally spaced angles from (r, 0)."""
+    if blocks == 1:
+        return (np.array([radius, -radius]),)
+    ang = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     return radius * np.cos(ang), radius * np.sin(ang)
+
+
+def _radial(nl: Nonlinearity, coords, w) -> np.ndarray:
+    """The radial pairing F_u t + F_v s (F_u t for one block) at every vertex and point."""
+    t, s = Nonlinearity.pair(coords)
+    terms = (nl.grid_values(which, t, s, w) * c for which, c in zip(Nonlinearity.PARTIALS, coords))
+    return functools.reduce(np.add, terms)
+
+
+def _point_witness(graph, values, coords, w) -> tuple:
+    """(vertex, *point, w) where ``values`` is largest: (vertex, t, s, w), or (vertex, t, w)."""
+    i, k = np.unravel_index(int(np.argmax(values)), values.shape)
+    return (graph.vertices[i], *(c[k] for c in coords), w)
+
+
+def _ratio_ladder(graph, radii, sphere, ws, numerator, powers, largest: bool) -> list:
+    """(radius, extreme, witness) per radius of numerator(coords, w) / sum_i |c_i|^powers_i.
+
+    The maximum (``largest``) or minimum over vertices, sphere and ws, where
+    a w with a NaN ratio does not count; the witness is its point.
+    """
+    sign = 1.0 if largest else -1.0
+    rungs = []
+    for radius in radii:
+        coords = sphere(radius)
+        denom = sum(np.abs(c) ** e for c, e in zip(coords, powers))
+        best, witness = -math.inf, None
+        for w in ws:
+            vals = numerator(coords, w) / denom * sign
+            top = float(np.max(vals))
+            if top > best:
+                best, witness = top, _point_witness(graph, vals, coords, w)
+        rungs.append((radius, best * sign, witness))
+    return rungs
 
 
 def check_hypotheses(
@@ -233,34 +288,35 @@ def check_hypotheses(
     h5_ball_radius: float = None,
     spaces: tuple = None,
 ) -> HypothesisReport:
-    """Screen (F1)-(F4), (H1)-(H5) and the nonexistence sign condition.
+    """Screen (F1)-(F4), (H1)-(H5) and the nonexistence sign condition, over the blocks.
 
-    ``spaces`` holds the SpaceSpec of each unknown block; by default the two
-    blocks (ord1, h1) and (ord2, h2), with first-order operators where
-    ord1/ord2 are not given.  A one-block problem gets the one-block spike
-    threshold of (H4) and the one-block sign screen.
+    ``spaces`` holds the SpaceSpec of each unknown block; p, q, ord1 and ord2
+    only build the default (ord1, h1), (ord2, h2), first order where not
+    given.  The samples lie on spheres of R^k (the points {r, -r} for one
+    block, with v = 0), and block i brings its exponent s_i and constants
+    c_i, r_i, gamma_i, d_i; a condition missing one is inconclusive and
+    names it.  Point witnesses are (vertex, t, s, w), or (vertex, t, w).
     """
     cfg = sampling or SamplingConfig()
     if spaces is None:
-        spaces = (
-            SpaceSpec(ord1 or OperatorOrder(1, p), "h1"),
-            SpaceSpec(ord2 or OperatorOrder(1, q), "h2"),
-        )
-    emb = embedding_constants(graph, p, q)
+        spaces = _default_spaces(p, q, ord1, ord2)
+    k = len(spaces)
+    exps = [space.ord.s for space in spaces]
     ws = spec.w_grid(cfg.w_samples)
-    n = graph.n
     results = {}
     notes = []
 
+    sphere = functools.partial(_sphere, blocks=k, samples=cfg.angular_samples)
+
+    def coupling(coords, w):
+        """F at every vertex and point (v = 0 for one block)."""
+        return nl.grid_values("F", *Nonlinearity.pair(coords), w)
+
     # (F1): value at the origin
     try:
-        worst = 0.0
-        witness = None
-        for w in ws:
-            vals = np.abs(nl.grid_values("F", 0.0, 0.0, w))
-            i = int(np.argmax(vals))
-            if vals[i] > worst:
-                worst, witness = float(vals[i]), (graph.vertices[i], w)
+        vals = np.abs([nl.grid_values("F", 0.0, 0.0, w) for w in ws])  # w x vertex
+        j, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        worst, witness = float(vals[j, i]), (graph.vertices[i], ws[j])
         if worst <= 1e-14:
             results["F1"] = ConditionResult("F1", "pass", detail=f"max |F(x,0,0,w)| = {worst:.2e}")
         else:
@@ -269,158 +325,118 @@ def check_hypotheses(
         results["F1"] = ConditionResult("F1", "inconclusive", detail=str(err))
 
     # (F2): small-amplitude growth cap, estimated on a shrinking radius ladder
-    bound_f2 = min(1.0 / (p * emb.K1**p), 1.0 / (q * emb.K2**q))
+    bound_f2 = block_embedding(graph, spaces).cap
     try:
-        ladder = []
-        witness = None
-        for radius in sorted(cfg.small_radii, reverse=True):
-            ts, ss = _ring(radius, cfg.angular_samples)
-            denom = np.abs(ts) ** p + np.abs(ss) ** q
-            rung_max = -math.inf
-            for w in ws:
-                vals = nl.grid_values("F", ts, ss, w) / denom
-                i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-                if vals[i, k] > rung_max:
-                    rung_max = float(vals[i, k])
-                    rung_witness = (graph.vertices[i], ts[k], ss[k], w)
-            ladder.append((radius, rung_max))
-            witness = rung_witness
-        limit_estimate = ladder[-1][1]  # smallest radius
+        rungs = _ratio_ladder(
+            graph, sorted(cfg.small_radii, reverse=True), sphere, ws, coupling, exps, largest=True
+        )
+        ladder = [(radius, value) for radius, value, _ in rungs]
+        limit_estimate, witness = rungs[-1][1:]  # smallest radius
         detail = f"limit estimate {limit_estimate:.3e} vs bound {bound_f2:.3e}; ladder {ladder}"
-        if limit_estimate < bound_f2:
-            results["F2"] = ConditionResult("F2", "pass (sampled)", detail=detail)
-        else:
-            results["F2"] = ConditionResult("F2", "fail", witness, detail)
+        ok = limit_estimate < bound_f2
+        results["F2"] = ConditionResult("F2", _SAMPLED[ok], None if ok else witness, detail)
     except ex.EvalDomainError as err:
         results["F2"] = ConditionResult("F2", "inconclusive", detail=str(err))
 
     # (F3): superlinear growth at infinity
     try:
-        mins = []
-        for radius in cfg.large_radii:
-            ts, ss = _ring(radius, cfg.angular_samples)
-            denom = np.abs(ts) ** p + np.abs(ss) ** q
-            rung_min = math.inf
-            for w in ws:
-                vals = nl.grid_values("F", ts, ss, w) / denom
-                rung_min = min(rung_min, float(np.min(vals)))
-            mins.append(rung_min)
+        rungs = _ratio_ladder(graph, cfg.large_radii, sphere, ws, coupling, exps, largest=False)
+        mins = [value for _, value, _ in rungs]
         growing = all(b > a for a, b in zip(mins, mins[1:]))
+        ok = growing and mins[-1] > 10.0 * max(mins[0], 0.0) and mins[-1] > 1.0
         detail = f"min ratio per radius {list(zip(cfg.large_radii, mins))}"
-        if growing and mins[-1] > 10.0 * max(mins[0], 0.0) and mins[-1] > 1.0:
-            results["F3"] = ConditionResult("F3", "pass (sampled)", detail=detail)
-        else:
-            results["F3"] = ConditionResult("F3", "fail", detail=detail)
+        results["F3"] = ConditionResult("F3", _SAMPLED[ok], detail=detail)
     except ex.EvalDomainError as err:
         results["F3"] = ConditionResult("F3", "inconclusive", detail=str(err))
 
-    # (F4): superlinear excess of the radial derivative over max{p,q} F
-    if spec.gamma1 is None or spec.gamma2 is None:
-        results["F4"] = ConditionResult("F4", "inconclusive", detail="gamma1/gamma2 not provided")
-    else:
+    # (F4): superlinear excess of the radial derivative over max_i s_i F
+    gamma_fields = block_fields(k, "gamma")
+    results["F4"] = _unset("F4", spec, gamma_fields)
+    if results["F4"] is None:
+        gammas = [getattr(spec, f) for f in gamma_fields]
+        mx = max(exps)
+
+        def excess(coords, w):
+            return _radial(nl, coords, w) - mx * coupling(coords, w)
+
         try:
-            mx = max(p, q)
-            mins = []
-            for radius in cfg.large_radii:
-                ts, ss = _ring(radius, cfg.angular_samples)
-                denom = np.abs(ts) ** spec.gamma1 + np.abs(ss) ** spec.gamma2
-                rung_min = math.inf
-                for w in ws:
-                    num = (
-                        nl.grid_values("Fu", ts, ss, w) * ts
-                        + nl.grid_values("Fv", ts, ss, w) * ss
-                        - mx * nl.grid_values("F", ts, ss, w)
-                    )
-                    rung_min = min(rung_min, float(np.min(num / denom)))
-                mins.append(rung_min)
+            rungs = _ratio_ladder(graph, cfg.large_radii, sphere, ws, excess, gammas, largest=False)
+            mins = [value for _, value, _ in rungs]
+            ok = mins[-1] > 0 and mins[-1] >= mins[0]
             detail = f"min excess ratio per radius {list(zip(cfg.large_radii, mins))}"
-            if mins[-1] > 0 and mins[-1] >= mins[0]:
-                results["F4"] = ConditionResult("F4", "pass (sampled)", detail=detail)
-            else:
-                results["F4"] = ConditionResult("F4", "fail", detail=detail)
+            results["F4"] = ConditionResult("F4", _SAMPLED[ok], detail=detail)
         except ex.EvalDomainError as err:
             results["F4"] = ConditionResult("F4", "inconclusive", detail=str(err))
 
-    def box_scan(check, name):
-        """Run check(ts, ss, w) over the moderate radius ladder (ring arrays)."""
+    def box_scan(name, violation):
+        """Fail at the first moderate radius and w where violation() masks a point."""
         try:
             for radius in cfg.moderate_radii:
-                ts, ss = _ring(radius, cfg.angular_samples)
+                coords = sphere(radius)
                 for w in ws:
-                    ok, witness = check(ts, ss, w)
-                    if not ok:
-                        return ConditionResult(name, "fail", witness)
+                    bad, excess = violation(coords, w, radius)
+                    if np.any(bad):
+                        return ConditionResult(name, "fail", _point_witness(graph, excess, coords, w))
             return ConditionResult(name, "pass (sampled)")
         except ex.EvalDomainError as err:
             return ConditionResult(name, "inconclusive", detail=str(err))
 
-    def _witness(excess, ts, ss, w):
-        i, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
-        return graph.vertices[i], ts[k], ss[k], w
+    # (H1): theta F <= radial pairing away from the origin
+    results["H1"] = _unset("H1", spec, ("theta",))
+    if results["H1"] is None:
+        def h1_violation(coords, w, radius):
+            fvals = spec.theta * coupling(coords, w)
+            radial = _radial(nl, coords, w)
+            return fvals > radial + 1e-9 * (1.0 + np.abs(radial)), fvals - radial
 
-    # (H1): theta F <= F_u t + F_v s away from the origin
-    if spec.theta is None:
-        results["H1"] = ConditionResult("H1", "inconclusive", detail="theta not provided")
-    else:
-        def h1_check(ts, ss, w):
-            fvals = nl.grid_values("F", ts, ss, w)
-            radial = nl.grid_values("Fu", ts, ss, w) * ts + nl.grid_values("Fv", ts, ss, w) * ss
-            tol = 1e-9 * (1.0 + np.abs(radial))
-            if np.any(spec.theta * fvals > radial + tol):
-                return False, _witness(spec.theta * fvals - radial, ts, ss, w)
-            return True, None
-
-        results["H1"] = box_scan(h1_check, "H1")
+        results["H1"] = box_scan("H1", h1_violation)
 
     # (H2): polynomial cap on the radial derivative
-    if None in (spec.c1, spec.c2, spec.r1, spec.r2):
-        results["H2"] = ConditionResult("H2", "inconclusive", detail="c1/c2/r1/r2 not provided")
-    else:
-        def h2_check(ts, ss, w):
-            radial = nl.grid_values("Fu", ts, ss, w) * ts + nl.grid_values("Fv", ts, ss, w) * ss
-            cap = spec.c1 * np.abs(ts) ** spec.r1 + spec.c2 * np.abs(ss) ** spec.r2
-            tol = 1e-9 * (1.0 + cap)
-            if np.any(radial > cap + tol):
-                return False, _witness(radial - cap, ts, ss, w)
-            return True, None
+    cap_fields = block_fields(k, "c", "r")
+    results["H2"] = _unset("H2", spec, cap_fields)
+    if results["H2"] is None:
+        consts = [getattr(spec, f) for f in cap_fields]
+        cs, rs = consts[:k], consts[k:]
 
-        results["H2"] = box_scan(h2_check, "H2")
+        def h2_violation(coords, w, radius):
+            radial = _radial(nl, coords, w)
+            cap = sum(c * np.abs(t) ** r for c, t, r in zip(cs, coords, rs))
+            return radial > cap + 1e-9 * (1.0 + cap), radial - cap
 
-    # (H3): positivity floor F >= a(|(t,s)|) c(x)
-    if spec.a_floor is None or spec.c_fn is None:
-        results["H3"] = ConditionResult("H3", "inconclusive", detail="a_floor/c_fn not provided")
-    elif np.any(np.asarray(spec.c_fn) <= 0):
+        results["H2"] = box_scan("H2", h2_violation)
+
+    # (H3): positivity floor F >= a(|point|) c(x)
+    results["H3"] = _unset("H3", spec, ("a_floor", "c_fn"))
+    if results["H3"] is None and np.any(np.asarray(spec.c_fn) <= 0):
         results["H3"] = ConditionResult("H3", "fail", detail="c(x) must be positive")
-    else:
+    elif results["H3"] is None:
         floor_seen = 0.0
 
-        def h3_check(ts, ss, w):
+        def h3_violation(coords, w, radius):
             nonlocal floor_seen
-            floor = spec.a_floor(float(np.hypot(ts[0], ss[0])))
+            floor = spec.a_floor(float(radius))
             floor_seen = max(floor_seen, floor)
-            fvals = nl.grid_values("F", ts, ss, w)
+            fvals = coupling(coords, w)
             lower = floor * np.asarray(spec.c_fn)[:, None]
-            if np.any(fvals < lower - 1e-12 * (1.0 + np.abs(lower))):
-                return False, _witness(lower - fvals, ts, ss, w)
-            return True, None
+            return fvals < lower - 1e-12 * (1.0 + np.abs(lower)), lower - fvals
 
-        res = box_scan(h3_check, "H3")
+        res = box_scan("H3", h3_violation)
         if res.verdict == "pass (sampled)" and floor_seen <= 0:
             res = ConditionResult("H3", "fail", detail="sampled floor a(.) is identically zero")
         results["H3"] = res
 
-    # (H4): spike negativity condition (needs p == q)
-    if spec.L is None or spec.x0 is None or spec.delta is None:
-        results["H4"] = ConditionResult("H4", "inconclusive", detail="L/x0/delta not provided")
-    elif p != q:
+    # (H4): spike negativity condition (needs one exponent for every block)
+    p = exps[0]
+    results["H4"] = _unset("H4", spec, ("L", "x0", "delta"))
+    if results["H4"] is None and len(set(exps)) > 1:
         results["H4"] = ConditionResult("H4", "inconclusive", detail="requires p == q")
-    else:
+    elif results["H4"] is None:
         i0 = graph.index[spec.x0]
         Lvals = np.asarray(spec.L, float)
-        spike = np.zeros(n)
+        spike = np.zeros(graph.n)
         spike[i0] = 1.0
         threshold = sum(w_norm(graph, spike, space) ** p for space in spaces) / p
-        terms = " + ".join(("|u*|^p", "|v*|^p")[: len(spaces)])
+        terms = " + ".join(("|u*|^p", "|v*|^p")[:k])
         if Lvals[i0] <= 0:
             results["H4"] = ConditionResult("H4", "fail", detail=f"L(x0) = {Lvals[i0]} <= 0")
         elif graph.mu[i0] * Lvals[i0] <= threshold:
@@ -440,9 +456,8 @@ def check_hypotheses(
                 floor = Lvals[i0] * ts**p - 1e-12
                 # the scalar analogue quantifies over every vertex; report both
                 all_x_ok = True
-                t, s = Nonlinearity.pair((ts,) * len(spaces))
                 for w in ws:
-                    below = nl.grid_values("F", t, s, w) < floor
+                    below = coupling((ts,) * k, w) < floor
                     if np.any(below[i0]):
                         verdict, witness = "fail", (spec.x0, ts[int(np.argmax(below[i0]))], w)
                     all_x_ok = all_x_ok and not np.any(below)
@@ -454,38 +469,59 @@ def check_hypotheses(
             except ex.EvalDomainError as err:
                 results["H4"] = ConditionResult("H4", "inconclusive", detail=str(err))
 
-    # (H5): Lipschitz smallness of the partials on the certificate ball
-    if spec.d1 is None or spec.d2 is None:
-        results["H5"] = ConditionResult("H5", "inconclusive", detail="d1/d2 not provided")
-    else:
-        radius = h5_ball_radius
-        est = ""
-        if radius is None:
-            radius = 1.0
-            est = " (ball radius defaulted to 1, no certificate available)"
-        try:
-            rng = np.random.default_rng(cfg.seed)
-            pts = rng.uniform(-radius, radius, size=(cfg.pair_samples, 4))
-            verdict, witness = "pass (sampled)", None
-            for t1, s1, t2, s2 in pts:
-                if math.hypot(t1, s1) > radius or math.hypot(t2, s2) > radius:
-                    continue
-                for w in ws:
-                    du = np.abs(nl.grid_values("Fu", t2, s2, w) - nl.grid_values("Fu", t1, s1, w))
-                    dv = np.abs(nl.grid_values("Fv", t2, s2, w) - nl.grid_values("Fv", t1, s1, w))
-                    capu = spec.d1 * abs(t2 - t1) ** (p - 1) + 1e-12
-                    capv = spec.d2 * abs(s2 - s1) ** (p - 1) + 1e-12
-                    if np.any(du > capu) or np.any(dv > capv):
-                        verdict, witness = "fail", (t1, s1, t2, s2, w)
-                        break
-                if verdict == "fail":
-                    break
-            results["H5"] = ConditionResult("H5", verdict, witness, detail=f"radius {radius:.3g}{est}")
-        except ex.EvalDomainError as err:
-            results["H5"] = ConditionResult("H5", "inconclusive", detail=str(err))
-
-    results["NONEXIST"] = sign_screen(nl, spec, graph, len(spaces), cfg)
+    results["H5"] = lipschitz_screen(nl, spec, graph, spaces, cfg, h5_ball_radius)
+    results["NONEXIST"] = sign_screen(nl, spec, graph, k, cfg)
     return HypothesisReport(conditions=results, notes=notes)
+
+
+def lipschitz_screen(
+    nl: Nonlinearity,
+    spec: HypothesisSpec,
+    graph: WeightedGraph,
+    spaces: tuple,
+    sampling: SamplingConfig,
+    radius: float = None,
+) -> ConditionResult:
+    """Screen (H5): |F_{u_i}(b) - F_{u_i}(a)| <= d_i |b_i - a_i|^(s_i - 1) on a ball.
+
+    The pairs are the draws from [-R, R]^(2k) (R = ``radius``, 1 if None)
+    with both points in the ball of radius R, all screened at once.  The
+    witness is the first failing pair and w: (t1, s1, t2, s2, w) or (t1, t2, w).
+    """
+    blocks = len(spaces)
+    d_fields = block_fields(blocks, "d")
+    unset = _unset("H5", spec, d_fields)
+    if unset is not None:
+        return unset
+    est = ""
+    if radius is None:
+        radius = 1.0
+        est = " (ball radius defaulted to 1, no certificate available)"
+    rng = np.random.default_rng(sampling.seed)
+    pts = rng.uniform(-radius, radius, size=(sampling.pair_samples, 2 * blocks))
+    norms = np.linalg.norm(pts.reshape(len(pts), 2, blocks), axis=2)  # of the two points
+    pts = pts[np.all(norms <= radius, axis=1)]
+    first, second = pts[:, :blocks].T, pts[:, blocks:].T
+    caps = [
+        getattr(spec, f) * np.abs(b - a) ** (space.ord.s - 1) + 1e-12
+        for f, a, b, space in zip(d_fields, first, second, spaces)
+    ]
+    ws = spec.w_grid(sampling.w_samples)
+    try:
+        failing = np.zeros((len(pts), len(ws)), bool)  # pair x w
+        for j, w in enumerate(ws):
+            for which, cap in zip(Nonlinearity.PARTIALS, caps):
+                lo = nl.grid_values(which, *Nonlinearity.pair(first), w)
+                hi = nl.grid_values(which, *Nonlinearity.pair(second), w)
+                failing[:, j] |= np.any(np.abs(hi - lo) > cap, axis=0)
+    except ex.EvalDomainError as err:
+        return ConditionResult("H5", "inconclusive", detail=str(err))
+    detail = f"radius {radius:.3g}{est}"
+    hits = np.argwhere(failing)  # the first failing pair first, at its first w
+    if len(hits):
+        pair, j = hits[0]
+        return ConditionResult("H5", "fail", (*pts[pair], ws[j]), detail)
+    return ConditionResult("H5", "pass (sampled)", detail=detail)
 
 
 def sign_screen(
@@ -506,16 +542,11 @@ def sign_screen(
     coords = [c.ravel() for c in np.meshgrid(*(axis,) * blocks, indexing="ij")]
     nontrivial = np.any([c != 0 for c in coords], axis=0)
     coords = [c[nontrivial] for c in coords]
-    t, s = Nonlinearity.pair(coords)
     try:
         for w in spec.w_grid(sampling.w_samples):
-            vals = sum(
-                nl.grid_values(which, t, s, w) * c for which, c in zip(("Fu", "Fv"), coords)
-            )
+            vals = _radial(nl, coords, w)
             if np.any(vals >= 0):
-                i, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-                witness = (graph.vertices[i], *(c[k] for c in coords), w)
-                return ConditionResult("NONEXIST", "fail", witness)
+                return ConditionResult("NONEXIST", "fail", _point_witness(graph, vals, coords, w))
     except ex.EvalDomainError as err:
         return ConditionResult("NONEXIST", "inconclusive", detail=str(err))
     return ConditionResult("NONEXIST", "pass (sampled)")
@@ -532,24 +563,20 @@ class BuiltinProblem:
     ord2: OperatorOrder
     p: float
     q: float
-    J: tuple
-
-
-def _default_small_coeff(graph, p, q) -> float:
-    emb = embedding_constants(graph, p, q)
-    return 0.9 * min(1.0 / (p * emb.K1**p), 1.0 / (q * emb.K2**q))
 
 
 def builtin(name: str, graph: WeightedGraph, gamma=None, z=None, e=None, x0=None):
-    """Instantiate one of the shipped example problems on a graph."""
+    """Instantiate one of the shipped example problems on a graph (J = [-1, 1])."""
     if name not in BUILTIN_NAMES:
         raise NonlinearityError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
     gamma_tab = np.full(graph.n, 1.0) if gamma is None else asvalues(graph, np.asarray(gamma, float))
     gmax = float(np.max(np.abs(gamma_tab)))
     gmin = float(np.min(np.abs(gamma_tab)))
+    p = q = 2.0
+    spec = HypothesisSpec()
 
     if name == "mp-example":
-        p, q = 3.0, 2.0
+        p = 3.0
         nl = Nonlinearity.from_source(
             graph, "(u^2+v^2)^2*(1+w^2)*abs(gamma)", {"gamma": gamma_tab}
         )
@@ -563,60 +590,33 @@ def builtin(name: str, graph: WeightedGraph, gamma=None, z=None, e=None, x0=None
             gamma2=2.0,
             a_floor=lambda r: r**4,
             c_fn=np.abs(gamma_tab),
-            J=(-1.0, 1.0),
         )
-        return BuiltinProblem(name, nl, spec, OperatorOrder(1, p), OperatorOrder(1, q), p, q, spec.J)
-
-    if name == "localmin-example":
-        p = q = 4.0
-        coeff = _default_small_coeff(graph, p, q) if e is None else float(e)
+    elif name in ("localmin-example", "unique-example"):
+        # ecoef (u^2+v^2)^(p/2) (1+w^2) |gamma|: p = 4 and p = 2, homogeneous in (u, v)
+        if name == "localmin-example":
+            p = q = 4.0
+        coeff = 0.9 * block_embedding(graph, _default_spaces(p, q)).cap if e is None else float(e)
+        power = "^2" if p == 4.0 else ""
         nl = Nonlinearity.from_source(
-            graph, "ecoef*(u^2+v^2)^2*(1+w^2)*abs(gamma)", {"gamma": gamma_tab, "ecoef": coeff}
+            graph, f"ecoef*(u^2+v^2){power}*(1+w^2)*abs(gamma)", {"gamma": gamma_tab, "ecoef": coeff}
         )
-        x0 = x0 or spike_vertex(graph)
+        d = {} if name == "localmin-example" else {"d1": 4.0 * coeff * gmax, "d2": 4.0 * coeff * gmax}
         spec = HypothesisSpec(
-            delta=1.0,
-            L=np.full(graph.n, 4.0 * coeff * gmin),
-            x0=x0,
-            J=(-1.0, 1.0),
+            delta=1.0, L=np.full(graph.n, 4.0 * coeff * gmin), x0=x0 or spike_vertex(graph), **d
         )
-        return BuiltinProblem(name, nl, spec, OperatorOrder(1, p), OperatorOrder(1, q), p, q, spec.J)
-
-    if name == "unique-example":
-        p = q = 2.0
-        coeff = _default_small_coeff(graph, p, q) if e is None else float(e)
-        nl = Nonlinearity.from_source(
-            graph, "ecoef*(u^2+v^2)*(1+w^2)*abs(gamma)", {"gamma": gamma_tab, "ecoef": coeff}
-        )
-        x0 = x0 or spike_vertex(graph)
-        spec = HypothesisSpec(
-            delta=1.0,
-            L=np.full(graph.n, 4.0 * coeff * gmin),
-            x0=x0,
-            d1=4.0 * coeff * gmax,
-            d2=4.0 * coeff * gmax,
-            J=(-1.0, 1.0),
-        )
-        return BuiltinProblem(name, nl, spec, OperatorOrder(1, p), OperatorOrder(1, q), p, q, spec.J)
-
-    if name == "control-objective":
-        p = q = 2.0
+    elif name == "control-objective":
         z_tab = np.full(graph.n, 1.0) if z is None else asvalues(graph, np.asarray(z, float))
         nl = Nonlinearity.from_source(graph, "z*(u^2+v^2)^2*w^2", {"z": z_tab})
-        spec = HypothesisSpec(J=(-1.0, 1.0))
-        return BuiltinProblem(name, nl, spec, OperatorOrder(1, p), OperatorOrder(1, q), p, q, spec.J)
-
-    # nonexist-example: partials -xsq*atan(u), -xsq*atan(v); the primitive is
-    # spelled out so the symbolic partials land on the intended pair.
-    p = q = 2.0
-    xsq = np.arange(1, graph.n + 1, dtype=float)
-    nl = Nonlinearity.from_source(
-        graph,
-        "-(xsq*(u*atan(u) - log(1+u^2)/2 + v*atan(v) - log(1+v^2)/2))",
-        {"xsq": xsq},
-    )
-    spec = HypothesisSpec(J=(-1.0, 1.0))
-    return BuiltinProblem(name, nl, spec, OperatorOrder(1, p), OperatorOrder(1, q), p, q, spec.J)
+    else:
+        # nonexist-example: partials -xsq*atan(u), -xsq*atan(v); the primitive is
+        # spelled out so the symbolic partials land on the intended pair.
+        xsq = np.arange(1, graph.n + 1, dtype=float)
+        nl = Nonlinearity.from_source(
+            graph,
+            "-(xsq*(u*atan(u) - log(1+u^2)/2 + v*atan(v) - log(1+v^2)/2))",
+            {"xsq": xsq},
+        )
+    return BuiltinProblem(name, nl, spec, OperatorOrder(1, p), OperatorOrder(1, q), p, q)
 
 
 def spike_vertex(graph: WeightedGraph, L=None) -> str:

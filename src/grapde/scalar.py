@@ -2,10 +2,10 @@
 
 The scalar problem is the system with one unknown block: ``ScalarInstance``
 is a ``FlatProblem`` whose ``spaces`` hold one SpaceSpec, so the energy,
-gradient, embedding constants, ball radius, energy-level bounds, sign screen,
-solvers, sweeps, control and nonexistence screen of ``energy.py``,
-``solvers.py`` and ``continuation.py`` serve it unchanged (the coupling
-is evaluated with v = 0).  What is its own lives here: the primed
+gradient, embedding constants, ball radius, energy-level bounds, hypothesis
+screen, solvers, sweeps, control and nonexistence screen of ``energy.py``,
+``nonlinearity.py``, ``solvers.py`` and ``continuation.py`` serve it
+unchanged (the coupling is evaluated with v = 0).  What is its own lives here: the primed
 certificate constants, which lose the min/max structure of the system's, and
 the ``scalar-`` report-kind prefix.  Only p >= 2 is supported: the bound
 machinery (the 2^{p-1} splitting inequalities and the monotonicity constant)
@@ -97,7 +97,7 @@ def scalar_bounds(inst: ScalarInstance, u0) -> BoundCertificate:
         raise CertificateError("constraint violated: r1 - p must be positive")
     if spec.theta - p <= 0:
         raise CertificateError("constraint violated: theta - p must be positive")
-    (b, _), = inst.embedding
+    (b, _), = inst.embedding.blocks
     vol = total_measure(inst.graph)
     lower = (1.0 / (2.0**p * vol * spec.c1 * b**spec.r1)) ** (1.0 / (spec.r1 - p))
     norm0 = scalar_norm(inst, asvalues(inst.graph, u0))
@@ -126,7 +126,7 @@ def scalar_bounds_min(inst: ScalarInstance, t0: float, rho: float) -> BoundCerti
         return cert
     spec = inst.spec
     p = inst.p
-    (b, _), = inst.embedding
+    (b, _), = inst.embedding.blocks
     vol = total_measure(inst.graph)
     if spec.c1 is None or spec.r1 is None or spec.theta is None:
         raise CertificateError("scalar certificate requires constants c1, r1, theta")

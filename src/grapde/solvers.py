@@ -14,6 +14,7 @@ one-block scalar problem; the certificate functions below are the system's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,8 +23,8 @@ import numpy as np
 from ._optim import bb_minimize, path_saddle, polish_root
 from .energy import ProblemInstance, phi  # noqa: F401  phi: bench/tracing.py requires this binding
 from .graph import StatePair, VertexFunction, integral, total_measure
-from .nonlinearity import Nonlinearity, SamplingConfig, sign_screen
-from .spaces import embedding_constants, w_norm
+from .nonlinearity import Nonlinearity, SamplingConfig, block_fields, lipschitz_screen, sign_screen
+from .spaces import w_norm
 
 __all__ = [
     "SolverError",
@@ -32,6 +33,7 @@ __all__ = [
     "BoundCertificate",
     "SolveReport",
     "solve_report",
+    "trivial_norm",
     "certify",
     "spike_start",
     "ball_projection",
@@ -58,11 +60,7 @@ class CertificateError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-8
-    max_iter: int = 100_000
     path_nodes: int = 41
-    coarse_tol: float = 1e-3
-    armijo_c: float = 1e-4
-    max_doublings: int = 60
     w_grid: int = 21
     multistart: int = 50
     seed: int = 0
@@ -134,16 +132,22 @@ def _split(inst, x) -> tuple:
     return inst.split(x)
 
 
+def trivial_norm(inst, tol: float) -> float:
+    """Norm below which a state cannot be told from zero by a residual of 10 tol.
+
+    A block of exponent s has a gradient of order r^(s-1) at norm r.
+    """
+    s_max = max(space.ord.s for space in inst.spaces)
+    return (10.0 * tol) ** (1.0 / (s_max - 1.0))
+
+
 def solve_report(inst, x, kind, iterations, fevals, config, certificate=None, extra_flags=()):
     """Report of the flat state x; ``kind`` is "mountain-pass" or "local-min"."""
     res = inst.residual(x)
     energy = inst.energy(x)
     norm = inst.norm(x)
     flags = list(extra_flags)
-    # A block of exponent s has a gradient of order r^(s-1) at norm r, so a
-    # residual of 10 tol cannot tell a state below this norm from zero.
-    s_max = max(space.ord.s for space in inst.spaces)
-    if norm < (10.0 * config.tol) ** (1.0 / (s_max - 1.0)):
+    if norm < trivial_norm(inst, config.tol):
         flags.append("trivial")
     if kind == "mountain-pass" and energy <= 0:
         flags.append("type-uncertain")
@@ -175,6 +179,9 @@ def certify(bounds, *args) -> tuple:
 
 # --- mountain pass ------------------------------------------------------
 
+_MAX_DOUBLINGS = 60  # endpoint scalings tried, up to 2^59 times the spike
+
+
 def negative_endpoint(inst, config: SolverConfig = None) -> tuple:
     """Scaled spike state with negative energy uniformly across the w grid.
 
@@ -186,14 +193,14 @@ def negative_endpoint(inst, config: SolverConfig = None) -> tuple:
     direction = inst.spike()
     ws = inst.spec.w_grid(config.w_grid)
     t = 1.0
-    for _ in range(config.max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         x = t * direction
         if all(inst.at(w).energy(x) < 0 for w in ws):
             return tuple(b.copy() for b in inst.split(x))
         t *= 2.0
     raise SolverError(
         "cannot certify (F3) numerically: no negative-energy endpoint after "
-        f"{config.max_doublings} doublings"
+        f"{_MAX_DOUBLINGS} doublings"
     )
 
 
@@ -209,11 +216,8 @@ def mountain_pass_solve(inst, config: SolverConfig = None, endpoint: tuple = Non
         weights,
         np.concatenate(endpoint),
         n_nodes=config.path_nodes,
-        coarse_tol=config.coarse_tol,
-        max_outer=min(config.max_iter, 500),
-        armijo_c=config.armijo_c,
     )
-    polish = polish_root(inst.gradient, peak, weights, tol=config.tol, max_iter=config.max_iter)
+    polish = polish_root(inst.gradient, peak, weights, tol=config.tol)
     cert, extra = certify(inst.bounds_mp, endpoint)
     if not coarse_ok and not polish.converged:
         extra = extra + ("path deformation did not reach coarse tolerance",)
@@ -235,6 +239,24 @@ def _require(spec, names, what):
         raise CertificateError(f"{what} requires constants {missing}")
 
 
+def _growth_radius(inst) -> tuple:
+    """(M, radius) of the two-block lower bounds: M = max{c1, c2} max{b^r1, d^r2}, and
+    radius(a, c) = min{(2^a vol M)^(-1/(max r - c)), (2^(a-1) vol M)^(-1/(min r - a))}."""
+    spec = inst.spec
+    (b, _), (d, _) = inst.embedding.blocks
+    vol = total_measure(inst.graph)
+    M = max(spec.c1, spec.c2) * max(b**spec.r1, d**spec.r2)
+    mx, mn = max(spec.r1, spec.r2), min(spec.r1, spec.r2)
+
+    def radius(a, c):
+        return min(
+            (1.0 / (2.0**a * vol * M)) ** (1.0 / (mx - c)),
+            (1.0 / (2.0 ** (a - 1) * vol * M)) ** (1.0 / (mn - a)),
+        )
+
+    return M, radius
+
+
 def bound_certificate_mp(inst: ProblemInstance, endpoint: tuple) -> BoundCertificate:
     """Lower/upper norm bounds for saddle solutions from the hypothesis constants."""
     spec = inst.spec
@@ -252,17 +274,8 @@ def bound_certificate_mp(inst: ProblemInstance, endpoint: tuple) -> BoundCertifi
     ):
         if value <= 0:
             raise CertificateError(f"constraint violated: {label} must be positive")
-    emb = embedding_constants(inst.graph, p, q)
-    vol = total_measure(inst.graph)
-    M = max(spec.c1, spec.c2) * max(emb.b**spec.r1, emb.d**spec.r2)
-    A1 = min(
-        (1.0 / (2.0**p * vol * M)) ** (1.0 / (mx - q)),
-        (1.0 / (2.0 ** (p - 1) * vol * M)) ** (1.0 / (mn - p)),
-    )
-    A2 = min(
-        (1.0 / (2.0**q * vol * M)) ** (1.0 / (mx - p)),
-        (1.0 / (2.0 ** (q - 1) * vol * M)) ** (1.0 / (mn - q)),
-    )
+    M, growth_radius = _growth_radius(inst)
+    A1, A2 = growth_radius(p, q), growth_radius(q, p)
     C1 = min(A1, A2)
     u0, v0 = endpoint
     E0 = (
@@ -288,6 +301,10 @@ def bound_certificate_mp(inst: ProblemInstance, endpoint: tuple) -> BoundCertifi
 
 # --- local minimum ------------------------------------------------------
 
+_LADDER = 40  # radii r 2^-j tried by the ball radius and the energy-level bounds
+_BOX_GRID = 21  # grid points per block of the sampled box
+
+
 def _unit_box(blocks: int, grid: int) -> tuple:
     """The cube [-1, 1]^blocks sampled on a grid, one coordinate array per block."""
     axis = np.linspace(-1.0, 1.0, grid)
@@ -296,7 +313,7 @@ def _unit_box(blocks: int, grid: int) -> tuple:
 
 def _box_points(inst, radius: float, unit_box: tuple) -> list:
     """The box |t| <= b r, |s| <= d r: the unit box scaled by each block's embedding factor."""
-    return [b * radius * unit for (b, _), unit in zip(inst.embedding, unit_box)]
+    return [b * radius * unit for (b, _), unit in zip(inst.embedding.blocks, unit_box)]
 
 
 def _coupling_on(inst, points: list, w: float) -> np.ndarray:
@@ -304,13 +321,7 @@ def _coupling_on(inst, points: list, w: float) -> np.ndarray:
     return inst.nl.grid_values("F", *Nonlinearity.pair(points), w)
 
 
-def ball_radius(
-    inst,
-    config: SolverConfig = None,
-    ladder_max: float = 1.0,
-    ladder_len: int = 40,
-    grid: int = 21,
-) -> float:
+def ball_radius(inst, config: SolverConfig = None) -> float:
     """Largest ladder radius on whose sphere the energy is certified positive.
 
     With k unknown blocks, let D = 0.9 min_i 1/(p K_i^p) and let E(rho) be the sampled
@@ -321,7 +332,7 @@ def ball_radius(
 
         Phi >= 0.1 * k^{1-p} rho^p / p - vol * E(rho).
 
-    The first radius rho = ladder_max 2^-j at which this bound is positive is
+    The first radius rho = 2^-j at which this bound is positive is
     returned.  A start inside the ball with negative energy then has an
     interior minimizer with negative energy.  E is sampled, so the radius is
     an estimate, not exact.
@@ -332,11 +343,11 @@ def ball_radius(
         raise SolverError("ball radius requires p == q")
     blocks = len(inst.spaces)
     vol = total_measure(inst.graph)
-    D = 0.9 * min(1.0 / (p * K**p) for _, K in inst.embedding)
+    D = 0.9 * inst.embedding.cap
     ws = inst.spec.w_grid(config.w_grid)
-    unit_box = _unit_box(blocks, grid)
-    for j in range(ladder_len):
-        rho = ladder_max * 0.5**j
+    unit_box = _unit_box(blocks, _BOX_GRID)
+    for j in range(_LADDER):
+        rho = 0.5**j
         points = _box_points(inst, rho, unit_box)
         cap = D * sum(np.abs(t) ** p for t in points) * (1.0 + 1e-9)
         budget = 0.1 * blocks ** (1.0 - p) * rho**p / (p * vol)
@@ -376,13 +387,11 @@ def local_min_solve(inst, config: SolverConfig = None) -> SolveReport:
         t0 * inst.spike(),
         weights,
         tol=config.tol,
-        max_iter=config.max_iter,
-        armijo_c=config.armijo_c,
         project=ball_projection(inst, rho),
     )
     x = result.x
     if not result.converged:
-        polish = polish_root(inst.gradient, x, weights, tol=config.tol, max_iter=config.max_iter)
+        polish = polish_root(inst.gradient, x, weights, tol=config.tol)
         if inst.norm(polish.x) <= rho and polish.residual < result.residual:
             x = polish.x
     cert, extra = certify(inst.bounds_min, t0, rho)
@@ -400,9 +409,7 @@ def local_min_solve(inst, config: SolverConfig = None) -> SolveReport:
     )
 
 
-def energy_level_bounds(
-    inst, t0: float, rho: float, ladder_len: int = 40, grid: int = 21
-) -> BoundCertificate | None:
+def energy_level_bounds(inst, t0: float, rho: float) -> BoundCertificate | None:
     """Norm bounds for the minimizer in the ball of radius rho from a negative-energy start.
 
     If the start t0 * spike has energy -eta < 0, the bounds need no growth
@@ -416,9 +423,9 @@ def energy_level_bounds(
     if eta <= 0:
         return None
     vol = total_measure(inst.graph)
-    unit_box = _unit_box(len(inst.spaces), grid)
+    unit_box = _unit_box(len(inst.spaces), _BOX_GRID)
     lower = 0.0
-    for k in range(ladder_len):
+    for k in range(_LADDER):
         r = rho * 0.5**k
         if vol * np.max(_coupling_on(inst, _box_points(inst, r, unit_box), inst.w)) < eta:
             lower = r
@@ -457,16 +464,10 @@ def bound_certificate_min(inst: ProblemInstance, t0: float, rho: float) -> Bound
     th = spec.theta
     if th <= p:
         raise CertificateError("constraint violated: theta - p must be positive")
-    mx, mn = max(spec.r1, spec.r2), min(spec.r1, spec.r2)
-    if mn <= p:
+    if min(spec.r1, spec.r2) <= p:
         raise CertificateError("constraint violated: min{r1,r2} - p must be positive")
-    emb = embedding_constants(inst.graph, p, q)
-    vol = total_measure(inst.graph)
-    M = max(spec.c1, spec.c2) * max(emb.b**spec.r1, emb.d**spec.r2)
-    C3 = min(
-        (1.0 / (2.0**p * vol * M)) ** (1.0 / (mx - p)),
-        (1.0 / (2.0 ** (p - 1) * vol * M)) ** (1.0 / (mn - p)),
-    )
+    M, growth_radius = _growth_radius(inst)
+    C3 = growth_radius(p, p)
     nu = w_norm(inst.graph, spike, inst.spaces[0]) ** p
     nv = w_norm(inst.graph, spike, inst.spaces[1]) ** p
     C4 = (th * 2.0 ** (p - 1) * t0**p * (nu + nv) / (p * (th - p))) ** (1.0 / p)
@@ -516,18 +517,12 @@ def monotonicity_constant(p: float) -> float:
 
 
 def _check_monotonicity(p: float, grid: int = 100, span: float = 3.0) -> tuple:
-    cp = monotonicity_constant(p)
+    """(holds, least slack) of the monotonicity inequality on a grid of [-span, span]^2."""
     xs = np.linspace(-span, span, grid)
-    min_slack = math.inf
-    ok = True
-    for x in xs:
-        lhs = (np.abs(x) ** (p - 2) * x - np.abs(xs) ** (p - 2) * xs) * (x - xs)
-        rhs = cp * np.abs(x - xs) ** p
-        slack = float(np.min(lhs - rhs))
-        min_slack = min(min_slack, slack)
-        if slack < -1e-10:
-            ok = False
-    return ok, min_slack
+    x, y = xs[:, None], xs[None, :]
+    lhs = (np.abs(x) ** (p - 2) * x - np.abs(y) ** (p - 2) * y) * (x - y)
+    min_slack = float(np.min(lhs - monotonicity_constant(p) * np.abs(x - y) ** p))
+    return min_slack >= -1e-10, min_slack
 
 
 def uniqueness_certificate(
@@ -541,26 +536,28 @@ def uniqueness_certificate(
     cp = monotonicity_constant(p)
     monotonicity_ok, monotonicity_slack = _check_monotonicity(p)
     notes = []
-    vol = total_measure(inst.graph)
 
-    if inst.spec.d1 is None or inst.spec.d2 is None:
+    d_fields = block_fields(len(inst.spaces), "d")
+    ds = [getattr(inst.spec, f) for f in d_fields]
+    if None in ds:
         margin = -math.inf
-        notes.append("d1/d2 not provided; margin unavailable")
+        notes.append(f"{'/'.join(d_fields)} not provided; margin unavailable")
         h5_verdict = "inconclusive"
     else:
-        margin = cp / 2.0 ** (p - 1) - max(inst.spec.d1, inst.spec.d2) * vol
+        margin = cp / 2.0 ** (p - 1) - max(ds) * total_measure(inst.graph)
         try:
             rho = ball_radius(inst, config)
             cert = inst.bounds_min(spike_start(inst, rho), rho)
-            h5_radius = cert.upper * min(1.0 / (p * K**p) for _, K in inst.embedding)
+            h5_radius = cert.upper * inst.embedding.cap
         except (SolverError, CertificateError) as err:
             h5_radius = None
             notes.append(f"ball radius for Lipschitz screen unavailable: {err}")
-        report = inst.check(SamplingConfig(seed=config.seed), h5_ball_radius=h5_radius)
-        h5_verdict = report.verdict("H5")
+        h5_verdict = lipschitz_screen(
+            inst.nl, inst.spec, inst.graph, inst.spaces, SamplingConfig(seed=config.seed),
+            h5_radius,
+        ).verdict
 
     # multistart agreement: all interior converged minimizers must coincide
-    spread = 0.0
     solutions = []
     try:
         rho = ball_radius(inst, config)
@@ -574,15 +571,11 @@ def uniqueness_certificate(
         for _ in range(config.multistart):
             x0 = project(rng.uniform(-rho, rho, size=weights.size))
             res = bb_minimize(
-                inst.energy, inst.gradient, x0, weights,
-                tol=config.tol, max_iter=config.max_iter,
-                armijo_c=config.armijo_c, project=project,
+                inst.energy, inst.gradient, x0, weights, tol=config.tol, project=project
             )
             if res.converged and inst.norm(res.x) < rho * (1.0 - 1e-9):
                 solutions.append(res.x)
-        for i in range(len(solutions)):
-            for j in range(i + 1, len(solutions)):
-                spread = max(spread, inst.norm(solutions[i] - solutions[j]))
+    spread = max((inst.norm(a - b) for a, b in itertools.combinations(solutions, 2)), default=0.0)
 
     certified = (
         monotonicity_ok
@@ -663,7 +656,7 @@ def nonexistence_check(
     notes = []
     for _ in range(multistart):
         x0 = rng.uniform(-2.0, 2.0, size=weights.size)
-        res = polish_root(inst.gradient, x0, weights, tol=config.tol, max_iter=config.max_iter)
+        res = polish_root(inst.gradient, x0, weights, tol=config.tol)
         if res.converged:
             norms.append(inst.norm(res.x))
         else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,8 @@ __all__ = [
     "sup_norm",
     "lr_norm",
     "embedding_constants",
+    "BlockEmbedding",
+    "block_embedding",
 ]
 
 
@@ -39,9 +42,6 @@ class EmbeddingConstants:
     d: float
     K1: float
     K2: float
-    mu_min: float
-    h1_min: float
-    h2_min: float
 
 
 def w_norm(graph: WeightedGraph, u, spec: SpaceSpec) -> float:
@@ -69,20 +69,33 @@ def lr_norm(graph: WeightedGraph, u, r: float) -> float:
     return math.fsum(graph.mu * np.abs(u) ** r) ** (1.0 / r)
 
 
-def embedding_constants(graph: WeightedGraph, p: float, q: float) -> EmbeddingConstants:
-    """Sup-norm embedding factors b, d and the growth constants K1, K2."""
+class BlockEmbedding(NamedTuple):
+    blocks: tuple  # (b, K) per block
+    cap: float
+
+
+def block_embedding(graph: WeightedGraph, spaces) -> BlockEmbedding:
+    """Per-block (b, K) and the small-amplitude cap of one SpaceSpec per block.
+
+    A block of exponent s weighted by potential h has the sup-norm embedding
+    factor b = (1 / (min mu min h))^(1/s) and the growth constant
+    K = vol^(1/s) b.  The cap min_i 1/(s_i K_i^{s_i}) bounds the coupling's
+    small-amplitude growth: it is the (F2) bound, and the ball radius, the
+    default builtin coefficients and the (H5) radius take a share of it.
+    """
     mu_min = float(np.min(graph.mu))
-    h1_min = float(np.min(graph.h1))
-    h2_min = float(np.min(graph.h2))
-    b = (1.0 / (mu_min * h1_min)) ** (1.0 / p)
-    d = (1.0 / (mu_min * h2_min)) ** (1.0 / q)
     vol = total_measure(graph)
-    return EmbeddingConstants(
-        b=b,
-        d=d,
-        K1=vol ** (1.0 / p) * b,
-        K2=vol ** (1.0 / q) * d,
-        mu_min=mu_min,
-        h1_min=h1_min,
-        h2_min=h2_min,
-    )
+    pairs = []
+    for space in spaces:
+        s = space.ord.s
+        b = (1.0 / (mu_min * float(np.min(getattr(graph, space.potential))))) ** (1.0 / s)
+        pairs.append((b, vol ** (1.0 / s) * b))
+    cap = min(1.0 / (space.ord.s * K**space.ord.s) for space, (_, K) in zip(spaces, pairs))
+    return BlockEmbedding(tuple(pairs), cap)
+
+
+def embedding_constants(graph: WeightedGraph, p: float, q: float) -> EmbeddingConstants:
+    """(b, K1) and (d, K2) of the blocks of exponent p over h1 and q over h2."""
+    spaces = (SpaceSpec(OperatorOrder(1, p), "h1"), SpaceSpec(OperatorOrder(1, q), "h2"))
+    (b, K1), (d, K2) = block_embedding(graph, spaces).blocks
+    return EmbeddingConstants(b, d, K1, K2)

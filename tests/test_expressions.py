@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -214,6 +215,9 @@ def _outcome(fn, e, env):
 _NAN_U = {"u": np.array([np.nan, 1.0, -2.0]), "v": 1.0, "w": 0.5, "gamma": 1.0, "zed": 1.0,
           "c0": 1.0}
 
+# zero to a negative power: 1/0 in disguise
+_ZERO_U = dict(_NAN_U, u=np.array([0.0, 1.0, -2.0]))
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.recursive(_leaf, _guarded_exprs, max_leaves=10), _envs)
@@ -221,6 +225,9 @@ _NAN_U = {"u": np.array([np.nan, 1.0, -2.0]), "v": 1.0, "w": 0.5, "gamma": 1.0, 
 @example(Bin("/", Var("u"), Num(2.0)), _NAN_U)
 @example(Bin("^", Num(0.0), Num(0.0)), _NAN_U)
 @example(parse_expr("(0 - 1)^0.5"), _NAN_U)
+@example(parse_expr("u^(0 - 1)"), _ZERO_U)
+@example(parse_expr("u^(0 - 0.5)"), _ZERO_U)
+@example(parse_expr("0^(0 - 1)"), _ZERO_U)
 def test_compiled_matches_tree_walk(e, env):
     want = _outcome(evaluate, e, env)
     got = _outcome(lambda e, env: compile_expr(e)(env), e, env)
@@ -245,6 +252,17 @@ def test_compiled_domain_messages():
         compile_expr(parse_expr("(0 - 1)^0.5"))({})
     with pytest.raises(EvalDomainError, match="^missing coefficient table 'gamma'$"):
         compile_expr(parse_expr("u*gamma"))({"u": 1.0})
+
+
+@pytest.mark.parametrize("source", ["u^(0 - 1)", "u^(0 - 0.5)", "0^(0 - 1)"])
+def test_zero_to_a_negative_power_is_a_domain_error(source):
+    e = parse_expr(source)
+    message = rf"^zero to a negative power in '{re.escape(source)}'$"
+    for fn in (evaluate, lambda e, env: compile_expr(e)(env)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalDomainError, match=message):
+                fn(e, {"u": 0.0})
 
 
 def test_domain_errors():

@@ -8,7 +8,7 @@ from grapde.calculus import OperatorOrder, laplacian
 from grapde.continuation import optimal_control, sweep
 from grapde.energy import ProblemInstance, phi_grad
 from grapde.graph import path_graph
-from grapde.nonlinearity import HypothesisSpec, Nonlinearity, SamplingConfig
+from grapde.nonlinearity import HypothesisSpec, Nonlinearity, SamplingConfig, lipschitz_screen
 from grapde.scalar import ScalarInstance, scalar_bounds, scalar_bounds_min
 from grapde.solvers import (
     CertificateError,
@@ -212,3 +212,62 @@ def test_check_screens_one_block_like_nonexist():
     report = nonexistence_check(inst)
     assert screen.verdict == report.sign_verdict == "fail"
     assert screen.witness == report.sign_witness == (g.vertices[0], 10.0, -1.0)
+
+
+def test_check_scalar_quartic_is_superlinear():
+    # on the one-block sphere {r, -r} the ratio F / |u|^2 = r^2 (1 + w^2) grows
+    g = path_graph(2)
+    inst = _instance(g, "u^4*(1+w^2)", spec=HypothesisSpec(theta=4.0, c1=2.0, r1=4.0))
+    f3 = inst.check(SamplingConfig()).conditions["F3"]
+    assert f3.verdict == "pass (sampled)", f3.detail
+
+
+def test_check_reads_the_one_block_constants():
+    # F_u u = 4u^4(1+w^2) <= 8|u|^4, F_u u - 2F = 2u^4(1+w^2) >= |u|^3 for |u| >= 1/2,
+    # and |F_u(b) - F_u(a)| <= 24 (|a| + |b|)^2 |b - a| on the ball of radius 0.1
+    g = path_graph(2)
+    spec = HypothesisSpec(c1=8.0, r1=4.0, gamma1=3.0, d1=1.0)
+    report = _instance(g, "u^4*(1+w^2)", spec=spec).check(SamplingConfig(), h5_ball_radius=0.1)
+    for name in ("H2", "F4", "H5"):
+        assert report.verdict(name) == "pass (sampled)", (name, report.conditions[name].detail)
+
+
+def test_check_names_only_the_constants_of_one_block():
+    g = path_graph(2)
+    report = _instance(g, "u^4").check(SamplingConfig())
+    details = {n: report.conditions[n].detail for n in ("F4", "H2", "H5")}
+    assert details == {
+        "F4": "gamma1 not provided",
+        "H2": "c1/r1 not provided",
+        "H5": "d1 not provided",
+    }
+
+
+def test_one_block_witnesses_are_vertex_t_w():
+    # every condition below fails on the quartic, each with a point witness
+    g = path_graph(2)
+    spec = HypothesisSpec(
+        theta=8.0, c1=2.0, r1=4.0, delta=0.5, x0="v1", L=np.full(g.n, 4.0),
+        a_floor=lambda r: r**2, c_fn=np.ones(g.n),
+    )
+    report = _instance(g, "u^4*(1+w^2)", spec=spec).check(SamplingConfig())
+    for name in ("H1", "H2", "H3", "H4", "NONEXIST"):
+        c = report.conditions[name]
+        assert c.verdict == "fail", name
+        assert len(c.witness) == 3 and c.witness[0] in g.vertices, (name, c.witness)
+        assert -1.0 <= c.witness[2] <= 1.0, (name, c.witness)
+    # F_u u = 4u^4(1+w^2) > 2u^4 first shows at the radius 0.01 of the ladder
+    assert report.conditions["H2"].witness == ("v0", 0.01, -1.0)
+    # F / u^2 = 0.5 u^(-1) blows up at the origin
+    f2 = _instance(g, "0.5*abs(u)").check(SamplingConfig()).conditions["F2"]
+    assert f2.verdict == "fail"
+    assert len(f2.witness) == 3 and f2.witness[0] in g.vertices
+
+
+def test_lipschitz_screen_one_block_witness_is_a_pair():
+    g = path_graph(2)
+    inst = _instance(g, "u^4", spec=HypothesisSpec(d1=1e-3))
+    h5 = lipschitz_screen(inst.nl, inst.spec, g, inst.spaces, SamplingConfig(), radius=1.0)
+    assert h5.verdict == "fail"
+    t1, t2, w = h5.witness
+    assert max(abs(t1), abs(t2)) <= 1.0 and -1.0 <= w <= 1.0

@@ -6,6 +6,7 @@ from grapde.calculus import OperatorOrder
 from grapde.graph import StatePair, VertexFunction, path_graph
 from grapde.spaces import (
     SpaceSpec,
+    block_embedding,
     embedding_constants,
     lr_norm,
     product_norm,
@@ -65,6 +66,23 @@ def test_embedding_constants_scaling():
     emb = embedding_constants(g, 2.0, 2.0)
     assert emb.b == pytest.approx(1.0)  # (1/(4*0.25))^(1/2)
     assert emb.K1 == pytest.approx(np.sqrt(8.0))
+
+
+def test_block_embedding_is_the_embedding_of_each_block():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        g = random_graph(rng)
+        p, q = 3.0, 2.0
+        emb = embedding_constants(g, p, q)
+        two = block_embedding(
+            g, (SpaceSpec(OperatorOrder(1, p), "h1"), SpaceSpec(OperatorOrder(2, q), "h2"))
+        )
+        assert two.blocks == ((emb.b, emb.K1), (emb.d, emb.K2))
+        assert two.cap == min(1.0 / (p * emb.K1**p), 1.0 / (q * emb.K2**q))
+        # one block weighted by h2 gets the second factor at its own exponent
+        one = block_embedding(g, (SpaceSpec(OperatorOrder(1, q), "h2"),))
+        assert one.blocks == ((emb.d, emb.K2),)
+        assert one.cap == 1.0 / (q * emb.K2**q)
 
 
 def test_sup_norm_bounded_by_embedding():

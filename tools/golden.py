@@ -11,7 +11,8 @@ differs between two captures, with the differing JSON leaves, and exits 1 if
 anything differs.  Capture the parent tree and the changed tree, then compare.
 
 The set: the five builtins (with ``control-objective`` as the control
-objective), the scalar quartic ``u^4*(1+w^2)`` of the benchmark and the scalar
+objective), the scalar quartic ``u^4*(1+w^2)`` of the benchmark, the same
+quartic with a constant for every one-block condition, and the scalar
 ``0.05*u`` with a negative-energy minimizer, on path-2, path-16, K5 and the
 benchmark's random-12 graph; commands ``constants``, ``check``, ``solve``,
 ``sweep`` and ``control`` (both kinds, CSV on), ``nonexist`` (without and with
@@ -46,6 +47,12 @@ GRAPHS = {
 PROBLEMS = {
     **{name: {"builtin": name, "objective": "control-objective"} for name in BUILTINS},
     "scalar-u4": {**inputs.scalar_problem(), "objective": {"F": "w^2"}},
+    "scalar-all": {
+        "F": "u^4*(1+w^2)", "p": 2, "scalar": True, "J": [-1, 1],
+        "hypotheses": {"theta": 4, "c1": 8, "r1": 4, "gamma1": 3, "d1": 1,
+                       "delta": 0.5, "x0": "v0", "L": 0.5},
+        "objective": {"F": "w^2"},
+    },
     "scalar-min": {
         "F": "0.05*u", "p": 2, "scalar": True,
         "hypotheses": {"delta": 0.04, "x0": "v0"}, "objective": {"F": "w^2"},
