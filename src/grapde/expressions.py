@@ -26,6 +26,7 @@ errors, for expressions evaluated many times.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -431,6 +432,13 @@ def _missing_message(name: str) -> str:
     return f"missing coefficient table {name!r}"
 
 
+# +, - and * go through the operator functions, not the operators: after a
+# few calls CPython specializes `a + b` on two floats, and the specialized add
+# returns the other operand's NaN, so the sign of a NaN result would depend on
+# how often the line had run before
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def evaluate(e: Expr, env: dict):
     """Evaluate over scalars or aligned numpy arrays.
 
@@ -451,12 +459,8 @@ def evaluate(e: Expr, env: dict):
     if isinstance(e, Bin):
         a = evaluate(e.left, env)
         b = evaluate(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
+        if e.op in _ARITH:
+            return _ARITH[e.op](a, b)
         if e.op == "/":
             if np.any(b == 0):
                 raise EvalDomainError(_domain_message("division by zero", e))
@@ -571,8 +575,8 @@ class _Compiler:
         if isinstance(e, Bin):
             a = self.emit(e.left)
             b = self.emit(e.right)
-            if e.op in "+-*":
-                return self.temp(f"{a} {e.op} {b}", a, b)
+            if e.op in _ARITH:
+                return self.temp(f"{_ARITH[e.op].__name__}({a}, {b})", a, b)
             if e.op == "/":
                 # a nonzero literal divisor cannot trip the guard
                 if not (isinstance(e.right, Num) and e.right.value != 0):
@@ -627,6 +631,7 @@ def compile_expr(e: Expr):
     body = "".join(f"    {line}\n" for line in c.lines)
     source = f"def compiled(env):\n{body}    return {result}\n"
     namespace = {"np": np, "EvalDomainError": EvalDomainError, **c.consts}
+    namespace.update((f.__name__, f) for f in _ARITH.values())
     exec(compile(source, "<grapde expression>", "exec"), namespace)
     return namespace["compiled"]
 

@@ -240,6 +240,19 @@ def test_compiled_matches_tree_walk(e, env):
         assert got[1:] == want[1:]
 
 
+def test_nan_sign_does_not_depend_on_call_count():
+    # nan + (-nan): which operand's NaN comes out must not change once
+    # the interpreter has specialized the addition
+    e = Neg(Bin("+", Bin("-", Var("u"), Num(2.0)), Neg(Var("u"))))
+    compiled = compile_expr(e)
+    env = {"u": float("nan")}
+    want = np.signbit(evaluate(e, env))
+    for _ in range(50):
+        assert np.signbit(evaluate(e, env)) == want
+        assert np.signbit(compiled(env)) == want
+        assert np.signbit(compile_expr(e)(env)) == want
+
+
 def test_compiled_keeps_non_finite_literals():
     u = np.array([1.0, -1.0])
     for value in (np.inf, -np.inf, np.nan):
