@@ -17,6 +17,9 @@ from scipy import optimize
 __all__ = ["OptResult", "weighted_norm", "bb_minimize", "path_saddle", "polish_root"]
 
 _ARMIJO_C = 1e-4  # sufficient decrease of every backtracking line search
+_MAX_ITER = 100_000  # descent steps of bb_minimize
+_COARSE_TOL = 1e-3  # peak residual at which path_saddle hands over to the polish
+_MAX_OUTER = 500  # path sweeps of path_saddle
 
 
 @dataclass
@@ -34,15 +37,7 @@ def weighted_norm(weights: np.ndarray, x: np.ndarray) -> float:
     return math.sqrt(float(np.dot(weights, x * x)))
 
 
-def bb_minimize(
-    f,
-    grad,
-    x0,
-    weights,
-    tol=1e-8,
-    max_iter=100_000,
-    project=None,
-) -> OptResult:
+def bb_minimize(f, grad, x0, weights, tol=1e-8, project=None) -> OptResult:
     """Barzilai-Borwein descent with Armijo backtracking, optional projection."""
     x = np.array(x0, dtype=float)
     if project is not None:
@@ -51,7 +46,7 @@ def bb_minimize(
     g = grad(x)
     fevals = 1
     step = 1e-2
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         res = weighted_norm(weights, g)
         if res <= tol:
             return OptResult(x, fx, res, it - 1, fevals, True)
@@ -79,7 +74,7 @@ def bb_minimize(
         step = ss / sy if sy > 1e-30 else min(2.0 * t, 1.0)
         step = min(max(step, 1e-12), 1e6)
         x, fx, g = xn, fn, gn
-    return OptResult(x, fx, weighted_norm(weights, g), max_iter, fevals, False, "max iterations")
+    return OptResult(x, fx, weighted_norm(weights, g), _MAX_ITER, fevals, False, "max iterations")
 
 
 def _reparametrize(path: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -105,20 +100,12 @@ def _reparametrize(path: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def path_saddle(
-    f,
-    grad,
-    weights,
-    endpoint,
-    n_nodes=41,
-    coarse_tol=1e-3,
-    max_outer=500,
-) -> tuple:
+def path_saddle(f, grad, weights, endpoint, n_nodes=41) -> tuple:
     """Deform a discretized path from 0 to ``endpoint`` toward the min-max node.
 
     Every interior node takes one backtracked descent step per sweep, then the
     path is reparametrized to uniform arclength.  Returns the peak node once
-    its gradient residual falls under ``coarse_tol`` (the caller polishes it),
+    its gradient residual falls under ``_COARSE_TOL`` (the caller polishes it),
     plus iteration/evaluation counts.
     """
     lam = np.linspace(0.0, 1.0, n_nodes)[:, None]
@@ -128,14 +115,14 @@ def path_saddle(
     peak = None
     best_res = math.inf
     stall = 0
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         energies = np.array([f(x) for x in path])
         fevals += n_nodes
         k_peak = 1 + int(np.argmax(energies[1:-1]))
         peak = path[k_peak].copy()
         g_peak = grad(peak)
         res = weighted_norm(weights, g_peak)
-        if res <= coarse_tol:
+        if res <= _COARSE_TOL:
             return peak, outer, fevals, True
         # stop once the peak residual stops improving; the caller polishes
         if res < 0.99 * best_res:
@@ -170,7 +157,7 @@ def path_saddle(
                     break
                 t *= 0.5
         path = _reparametrize(path, weights)
-    return peak, max_outer, fevals, False
+    return peak, _MAX_OUTER, fevals, False
 
 
 def polish_root(grad, x0, weights, tol=1e-8) -> OptResult:

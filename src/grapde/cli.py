@@ -383,7 +383,10 @@ def main(argv=None) -> int:
         return 1 if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (InputError, GraphError, ParseError, NonlinearityError, ValueError, OSError) as err:
+    except (InputError, GraphError, ParseError, NonlinearityError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -103,13 +103,14 @@ def sweep(
     config = config or SolverConfig()
     if kind not in ("mp", "min"):
         raise ValueError("kind must be 'mp' or 'min'")
-    lo, hi = inst.spec.J
     if np.isscalar(grid):
+        lo, hi = inst.spec.J
         grid = np.linspace(lo, hi, int(grid))
     else:
         grid = np.asarray(grid, float)
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
+        lo, hi = inst.spec.J
         if grid.min() < lo - 1e-12 or grid.max() > hi + 1e-12:
             raise ValueError("grid leaves the parameter interval")
 

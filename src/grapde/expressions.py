@@ -432,10 +432,9 @@ def _missing_message(name: str) -> str:
     return f"missing coefficient table {name!r}"
 
 
-# +, - and * go through the operator functions, not the operators: after a
-# few calls CPython specializes `a + b` on two floats, and the specialized add
-# returns the other operand's NaN, so the sign of a NaN result would depend on
-# how often the line had run before
+# +, - and * call the operator functions: CPython specializes `a + b` on two
+# floats after a few calls, and the specialized add returns the other NaN, so
+# the sign of a NaN result would depend on how often the line had run before
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 

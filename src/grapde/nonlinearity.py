@@ -135,6 +135,10 @@ class Nonlinearity:
         out = self._fn(which)(env)
         return np.broadcast_to(np.asarray(out, float), (self.graph.n,) + shape)
 
+    def block_values(self, which: str, coords, w_val) -> np.ndarray:
+        """``grid_values`` at the points of block coordinates ``coords`` (v = 0 for one block)."""
+        return self.grid_values(which, *self.pair(coords), w_val)
+
 
 @dataclass
 class HypothesisSpec:
@@ -194,9 +198,6 @@ class HypothesisReport:
     conditions: dict
     notes: list
 
-    def verdict(self, name: str) -> str:
-        return self.conditions[name].verdict
-
     def to_dict(self) -> dict:
         return {
             "conditions": {
@@ -219,10 +220,12 @@ def block_fields(blocks: int, *stems: str) -> list:
     return [f"{stem}{i}" for stem in stems for i in range(1, blocks + 1)]
 
 
-def _unset(name: str, spec: HypothesisSpec, fields) -> ConditionResult:
-    """The inconclusive result naming ``fields`` if one of them is unset, else None."""
-    if any(getattr(spec, f) is None for f in fields):
-        return ConditionResult(name, "inconclusive", detail=f"{'/'.join(fields)} not provided")
+def _given(name: str, spec: HypothesisSpec, fields) -> tuple:
+    """(the values of ``fields``, None), or (None, the inconclusive result naming them)."""
+    values = [getattr(spec, f) for f in fields]
+    if any(v is None for v in values):
+        return None, ConditionResult(name, "inconclusive", detail=f"{'/'.join(fields)} not provided")
+    return values, None
 
 
 def _default_spaces(p, q, ord1=None, ord2=None) -> tuple:
@@ -244,8 +247,7 @@ def _sphere(radius: float, blocks: int, samples: int) -> tuple:
 
 def _radial(nl: Nonlinearity, coords, w) -> np.ndarray:
     """The radial pairing F_u t + F_v s (F_u t for one block) at every vertex and point."""
-    t, s = Nonlinearity.pair(coords)
-    terms = (nl.grid_values(which, t, s, w) * c for which, c in zip(Nonlinearity.PARTIALS, coords))
+    terms = (nl.block_values(which, coords, w) * c for which, c in zip(nl.PARTIALS, coords))
     return functools.reduce(np.add, terms)
 
 
@@ -307,10 +309,7 @@ def check_hypotheses(
     notes = []
 
     sphere = functools.partial(_sphere, blocks=k, samples=cfg.angular_samples)
-
-    def coupling(coords, w):
-        """F at every vertex and point (v = 0 for one block)."""
-        return nl.grid_values("F", *Nonlinearity.pair(coords), w)
+    coupling = functools.partial(nl.block_values, "F")  # F at every vertex and point
 
     # (F1): value at the origin
     try:
@@ -350,10 +349,8 @@ def check_hypotheses(
         results["F3"] = ConditionResult("F3", "inconclusive", detail=str(err))
 
     # (F4): superlinear excess of the radial derivative over max_i s_i F
-    gamma_fields = block_fields(k, "gamma")
-    results["F4"] = _unset("F4", spec, gamma_fields)
+    gammas, results["F4"] = _given("F4", spec, block_fields(k, "gamma"))
     if results["F4"] is None:
-        gammas = [getattr(spec, f) for f in gamma_fields]
         mx = max(exps)
 
         def excess(coords, w):
@@ -382,7 +379,7 @@ def check_hypotheses(
             return ConditionResult(name, "inconclusive", detail=str(err))
 
     # (H1): theta F <= radial pairing away from the origin
-    results["H1"] = _unset("H1", spec, ("theta",))
+    _, results["H1"] = _given("H1", spec, ("theta",))
     if results["H1"] is None:
         def h1_violation(coords, w, radius):
             fvals = spec.theta * coupling(coords, w)
@@ -392,10 +389,8 @@ def check_hypotheses(
         results["H1"] = box_scan("H1", h1_violation)
 
     # (H2): polynomial cap on the radial derivative
-    cap_fields = block_fields(k, "c", "r")
-    results["H2"] = _unset("H2", spec, cap_fields)
+    consts, results["H2"] = _given("H2", spec, block_fields(k, "c", "r"))
     if results["H2"] is None:
-        consts = [getattr(spec, f) for f in cap_fields]
         cs, rs = consts[:k], consts[k:]
 
         def h2_violation(coords, w, radius):
@@ -406,7 +401,7 @@ def check_hypotheses(
         results["H2"] = box_scan("H2", h2_violation)
 
     # (H3): positivity floor F >= a(|point|) c(x)
-    results["H3"] = _unset("H3", spec, ("a_floor", "c_fn"))
+    _, results["H3"] = _given("H3", spec, ("a_floor", "c_fn"))
     if results["H3"] is None and np.any(np.asarray(spec.c_fn) <= 0):
         results["H3"] = ConditionResult("H3", "fail", detail="c(x) must be positive")
     elif results["H3"] is None:
@@ -427,7 +422,7 @@ def check_hypotheses(
 
     # (H4): spike negativity condition (needs one exponent for every block)
     p = exps[0]
-    results["H4"] = _unset("H4", spec, ("L", "x0", "delta"))
+    _, results["H4"] = _given("H4", spec, ("L", "x0", "delta"))
     if results["H4"] is None and len(set(exps)) > 1:
         results["H4"] = ConditionResult("H4", "inconclusive", detail="requires p == q")
     elif results["H4"] is None:
@@ -489,8 +484,7 @@ def lipschitz_screen(
     witness is the first failing pair and w: (t1, s1, t2, s2, w) or (t1, t2, w).
     """
     blocks = len(spaces)
-    d_fields = block_fields(blocks, "d")
-    unset = _unset("H5", spec, d_fields)
+    ds, unset = _given("H5", spec, block_fields(blocks, "d"))
     if unset is not None:
         return unset
     est = ""
@@ -503,16 +497,16 @@ def lipschitz_screen(
     pts = pts[np.all(norms <= radius, axis=1)]
     first, second = pts[:, :blocks].T, pts[:, blocks:].T
     caps = [
-        getattr(spec, f) * np.abs(b - a) ** (space.ord.s - 1) + 1e-12
-        for f, a, b, space in zip(d_fields, first, second, spaces)
+        d * np.abs(b - a) ** (space.ord.s - 1) + 1e-12
+        for d, a, b, space in zip(ds, first, second, spaces)
     ]
     ws = spec.w_grid(sampling.w_samples)
     try:
         failing = np.zeros((len(pts), len(ws)), bool)  # pair x w
         for j, w in enumerate(ws):
             for which, cap in zip(Nonlinearity.PARTIALS, caps):
-                lo = nl.grid_values(which, *Nonlinearity.pair(first), w)
-                hi = nl.grid_values(which, *Nonlinearity.pair(second), w)
+                lo = nl.block_values(which, first, w)
+                hi = nl.block_values(which, second, w)
                 failing[:, j] |= np.any(np.abs(hi - lo) > cap, axis=0)
     except ex.EvalDomainError as err:
         return ConditionResult("H5", "inconclusive", detail=str(err))
@@ -591,18 +585,26 @@ def builtin(name: str, graph: WeightedGraph, gamma=None, z=None, e=None, x0=None
             a_floor=lambda r: r**4,
             c_fn=np.abs(gamma_tab),
         )
-    elif name in ("localmin-example", "unique-example"):
-        # ecoef (u^2+v^2)^(p/2) (1+w^2) |gamma|: p = 4 and p = 2, homogeneous in (u, v)
-        if name == "localmin-example":
-            p = q = 4.0
+    elif name == "localmin-example":
+        p = q = 4.0
         coeff = 0.9 * block_embedding(graph, _default_spaces(p, q)).cap if e is None else float(e)
-        power = "^2" if p == 4.0 else ""
         nl = Nonlinearity.from_source(
-            graph, f"ecoef*(u^2+v^2){power}*(1+w^2)*abs(gamma)", {"gamma": gamma_tab, "ecoef": coeff}
+            graph, "ecoef*(u^2+v^2)^2*(1+w^2)*abs(gamma)", {"gamma": gamma_tab, "ecoef": coeff}
         )
-        d = {} if name == "localmin-example" else {"d1": 4.0 * coeff * gmax, "d2": 4.0 * coeff * gmax}
         spec = HypothesisSpec(
-            delta=1.0, L=np.full(graph.n, 4.0 * coeff * gmin), x0=x0 or spike_vertex(graph), **d
+            delta=1.0, L=np.full(graph.n, 4.0 * coeff * gmin), x0=x0 or spike_vertex(graph)
+        )
+    elif name == "unique-example":
+        coeff = 0.9 * block_embedding(graph, _default_spaces(p, q)).cap if e is None else float(e)
+        nl = Nonlinearity.from_source(
+            graph, "ecoef*(u^2+v^2)*(1+w^2)*abs(gamma)", {"gamma": gamma_tab, "ecoef": coeff}
+        )
+        spec = HypothesisSpec(
+            delta=1.0,
+            L=np.full(graph.n, 4.0 * coeff * gmin),
+            x0=x0 or spike_vertex(graph),
+            d1=4.0 * coeff * gmax,
+            d2=4.0 * coeff * gmax,
         )
     elif name == "control-objective":
         z_tab = np.full(graph.n, 1.0) if z is None else asvalues(graph, np.asarray(z, float))

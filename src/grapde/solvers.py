@@ -23,7 +23,7 @@ import numpy as np
 from ._optim import bb_minimize, path_saddle, polish_root
 from .energy import ProblemInstance, phi  # noqa: F401  phi: bench/tracing.py requires this binding
 from .graph import StatePair, VertexFunction, integral, total_measure
-from .nonlinearity import Nonlinearity, SamplingConfig, block_fields, lipschitz_screen, sign_screen
+from .nonlinearity import SamplingConfig, block_fields, lipschitz_screen, sign_screen
 from .spaces import w_norm
 
 __all__ = [
@@ -239,24 +239,6 @@ def _require(spec, names, what):
         raise CertificateError(f"{what} requires constants {missing}")
 
 
-def _growth_radius(inst) -> tuple:
-    """(M, radius) of the two-block lower bounds: M = max{c1, c2} max{b^r1, d^r2}, and
-    radius(a, c) = min{(2^a vol M)^(-1/(max r - c)), (2^(a-1) vol M)^(-1/(min r - a))}."""
-    spec = inst.spec
-    (b, _), (d, _) = inst.embedding.blocks
-    vol = total_measure(inst.graph)
-    M = max(spec.c1, spec.c2) * max(b**spec.r1, d**spec.r2)
-    mx, mn = max(spec.r1, spec.r2), min(spec.r1, spec.r2)
-
-    def radius(a, c):
-        return min(
-            (1.0 / (2.0**a * vol * M)) ** (1.0 / (mx - c)),
-            (1.0 / (2.0 ** (a - 1) * vol * M)) ** (1.0 / (mn - a)),
-        )
-
-    return M, radius
-
-
 def bound_certificate_mp(inst: ProblemInstance, endpoint: tuple) -> BoundCertificate:
     """Lower/upper norm bounds for saddle solutions from the hypothesis constants."""
     spec = inst.spec
@@ -274,8 +256,17 @@ def bound_certificate_mp(inst: ProblemInstance, endpoint: tuple) -> BoundCertifi
     ):
         if value <= 0:
             raise CertificateError(f"constraint violated: {label} must be positive")
-    M, growth_radius = _growth_radius(inst)
-    A1, A2 = growth_radius(p, q), growth_radius(q, p)
+    (b, _), (d, _) = inst.embedding.blocks
+    vol = total_measure(inst.graph)
+    M = max(spec.c1, spec.c2) * max(b**spec.r1, d**spec.r2)
+    A1 = min(
+        (1.0 / (2.0**p * vol * M)) ** (1.0 / (mx - q)),
+        (1.0 / (2.0 ** (p - 1) * vol * M)) ** (1.0 / (mn - p)),
+    )
+    A2 = min(
+        (1.0 / (2.0**q * vol * M)) ** (1.0 / (mx - p)),
+        (1.0 / (2.0 ** (q - 1) * vol * M)) ** (1.0 / (mn - q)),
+    )
     C1 = min(A1, A2)
     u0, v0 = endpoint
     E0 = (
@@ -316,11 +307,6 @@ def _box_points(inst, radius: float, unit_box: tuple) -> list:
     return [b * radius * unit for (b, _), unit in zip(inst.embedding.blocks, unit_box)]
 
 
-def _coupling_on(inst, points: list, w: float) -> np.ndarray:
-    """F at every vertex and sample point of the box."""
-    return inst.nl.grid_values("F", *Nonlinearity.pair(points), w)
-
-
 def ball_radius(inst, config: SolverConfig = None) -> float:
     """Largest ladder radius on whose sphere the energy is certified positive.
 
@@ -351,7 +337,7 @@ def ball_radius(inst, config: SolverConfig = None) -> float:
         points = _box_points(inst, rho, unit_box)
         cap = D * sum(np.abs(t) ** p for t in points) * (1.0 + 1e-9)
         budget = 0.1 * blocks ** (1.0 - p) * rho**p / (p * vol)
-        if all(np.max(_coupling_on(inst, points, w) - cap) < budget for w in ws):
+        if all(np.max(inst.nl.block_values("F", points, w) - cap) < budget for w in ws):
             return rho
     raise SolverError("(F2) margin not certifiable: no ladder radius qualifies")
 
@@ -427,7 +413,7 @@ def energy_level_bounds(inst, t0: float, rho: float) -> BoundCertificate | None:
     lower = 0.0
     for k in range(_LADDER):
         r = rho * 0.5**k
-        if vol * np.max(_coupling_on(inst, _box_points(inst, r, unit_box), inst.w)) < eta:
+        if vol * np.max(inst.nl.block_values("F", _box_points(inst, r, unit_box), inst.w)) < eta:
             lower = r
             break
     notes = ("energy-level bounds: the start has negative energy",)
@@ -464,10 +450,16 @@ def bound_certificate_min(inst: ProblemInstance, t0: float, rho: float) -> Bound
     th = spec.theta
     if th <= p:
         raise CertificateError("constraint violated: theta - p must be positive")
-    if min(spec.r1, spec.r2) <= p:
+    mx, mn = max(spec.r1, spec.r2), min(spec.r1, spec.r2)
+    if mn <= p:
         raise CertificateError("constraint violated: min{r1,r2} - p must be positive")
-    M, growth_radius = _growth_radius(inst)
-    C3 = growth_radius(p, p)
+    (b, _), (d, _) = inst.embedding.blocks
+    vol = total_measure(inst.graph)
+    M = max(spec.c1, spec.c2) * max(b**spec.r1, d**spec.r2)
+    C3 = min(
+        (1.0 / (2.0**p * vol * M)) ** (1.0 / (mx - p)),
+        (1.0 / (2.0 ** (p - 1) * vol * M)) ** (1.0 / (mn - p)),
+    )
     nu = w_norm(inst.graph, spike, inst.spaces[0]) ** p
     nv = w_norm(inst.graph, spike, inst.spaces[1]) ** p
     C4 = (th * 2.0 ** (p - 1) * t0**p * (nu + nv) / (p * (th - p))) ** (1.0 / p)
@@ -517,12 +509,18 @@ def monotonicity_constant(p: float) -> float:
 
 
 def _check_monotonicity(p: float, grid: int = 100, span: float = 3.0) -> tuple:
-    """(holds, least slack) of the monotonicity inequality on a grid of [-span, span]^2."""
+    cp = monotonicity_constant(p)
     xs = np.linspace(-span, span, grid)
-    x, y = xs[:, None], xs[None, :]
-    lhs = (np.abs(x) ** (p - 2) * x - np.abs(y) ** (p - 2) * y) * (x - y)
-    min_slack = float(np.min(lhs - monotonicity_constant(p) * np.abs(x - y) ** p))
-    return min_slack >= -1e-10, min_slack
+    min_slack = math.inf
+    ok = True
+    for x in xs:
+        lhs = (np.abs(x) ** (p - 2) * x - np.abs(xs) ** (p - 2) * xs) * (x - xs)
+        rhs = cp * np.abs(x - xs) ** p
+        slack = float(np.min(lhs - rhs))
+        min_slack = min(min_slack, slack)
+        if slack < -1e-10:
+            ok = False
+    return ok, min_slack
 
 
 def uniqueness_certificate(

@@ -7,13 +7,15 @@ from grapde.calculus import OperatorOrder
 from grapde.energy import ProblemInstance
 from grapde.graph import path_graph
 from grapde.nonlinearity import HypothesisSpec, Nonlinearity, builtin
+from grapde import continuation
+from grapde._optim import bb_minimize
 from grapde.continuation import (
     branch_continuity_report,
     branch_to_csv,
     optimal_control,
     sweep,
 )
-from grapde.solvers import SolverConfig, SolverError
+from grapde.solvers import SolverConfig, SolverError, ball_projection, trivial_norm
 
 
 def _saddle_instance():
@@ -128,3 +130,24 @@ def test_branch_to_csv(tmp_path, saddle_branch):
         assert float(row[0]) in saddle_branch.grid
         assert float(row[3]) > 0  # saddle energy
         assert float(row[5]) <= float(row[1]) + float(row[2]) <= float(row[6])
+
+
+def test_warm_start_below_the_trivial_norm_is_rejected(monkeypatch):
+    # F = 5e-6 (u^2 + v^2) with p = q = 3 has a critical point at u = v = 1e-5;
+    # the warm descent toward it stops, residual <= tol, at a norm above 10 tol
+    # but below the norm at which solve_report flags a state as trivial
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, "5e-6*(u^2+v^2)", {})
+    order = OperatorOrder(1, 3.0)
+    inst = ProblemInstance(g, order, order, nl, HypothesisSpec(), 0.0)
+    config = SolverConfig()
+    warm = np.full(4, 1e-2)
+    res = bb_minimize(
+        inst.energy, inst.gradient, warm, inst.weights,
+        tol=config.tol, project=ball_projection(inst, 1.0),
+    )
+    assert res.converged
+    assert 10.0 * config.tol < inst.norm(res.x) < trivial_norm(inst, config.tol)
+    # the warm state is rejected and the point falls back to a cold solve
+    monkeypatch.setattr(continuation, "local_min_solve", lambda inst, config: "cold solve")
+    assert continuation._solve_point(inst, "min", config, None, 1.0, warm) == "cold solve"

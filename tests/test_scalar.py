@@ -229,7 +229,8 @@ def test_check_reads_the_one_block_constants():
     spec = HypothesisSpec(c1=8.0, r1=4.0, gamma1=3.0, d1=1.0)
     report = _instance(g, "u^4*(1+w^2)", spec=spec).check(SamplingConfig(), h5_ball_radius=0.1)
     for name in ("H2", "F4", "H5"):
-        assert report.verdict(name) == "pass (sampled)", (name, report.conditions[name].detail)
+        c = report.conditions[name]
+        assert c.verdict == "pass (sampled)", (name, c.detail)
 
 
 def test_check_names_only_the_constants_of_one_block():

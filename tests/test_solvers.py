@@ -20,7 +20,6 @@ from grapde.solvers import (
     negative_endpoint,
     nonexistence_check,
     state_norm,
-    trivial_norm,
     uniqueness_certificate,
 )
 from grapde.spaces import w_norm
@@ -315,9 +314,3 @@ def test_nonexistence_multistart_without_convergence_reports_none():
     report = nonexistence_check(inst, multistart=2)
     assert report.multistart_max_norm is None
     assert "no multistart polish converged" in report.notes
-
-
-def test_trivial_norm_scales_with_the_largest_exponent():
-    # a residual of 10 tol is r^(s_max - 1) at norm r
-    assert trivial_norm(_saddle_instance(), 1e-8) == pytest.approx(1e-7 ** 0.5)  # p = 3, q = 2
-    assert trivial_norm(_instance(path_graph(2), "0"), 1e-8) == pytest.approx(1e-7)
