@@ -447,14 +447,14 @@ def check_hypotheses(
             try:
                 verdict = "pass (sampled)"
                 witness = None
-                ts = spec.delta * (np.arange(1, cfg.delta_samples + 1) / (cfg.delta_samples + 1))
-                floor = Lvals[i0] * ts**p - 1e-12
+                amps = spec.delta * (np.arange(1, cfg.delta_samples + 1) / (cfg.delta_samples + 1))
+                floor = Lvals[i0] * amps**p - 1e-12
                 # the scalar analogue quantifies over every vertex; report both
                 all_x_ok = True
                 for w in ws:
-                    below = coupling((ts,) * k, w) < floor
+                    below = coupling((amps,) * k, w) < floor
                     if np.any(below[i0]):
-                        verdict, witness = "fail", (spec.x0, ts[int(np.argmax(below[i0]))], w)
+                        verdict, witness = "fail", (spec.x0, amps[int(np.argmax(below[i0]))], w)
                     all_x_ok = all_x_ok and not np.any(below)
                 results["H4"] = ConditionResult("H4", verdict, witness)
                 if not all_x_ok:
