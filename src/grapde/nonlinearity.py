@@ -129,11 +129,13 @@ class Nonlinearity:
         expression at vertex i with u = t and v = s.
         """
         shape = np.broadcast(t, s).shape
+        full = (self.graph.n,) + shape
         lead = (self.graph.n,) + (1,) * len(shape)
         env = {name: table.reshape(lead) for name, table in self.coeffs.items()}
         env.update(u=np.asarray(t, float), v=np.asarray(s, float), w=w_val)
-        out = self._fn(which)(env)
-        return np.broadcast_to(np.asarray(out, float), (self.graph.n,) + shape)
+        out = np.asarray(self._fn(which)(env), float)
+        # np.broadcast_to costs more than a small expression; skip it where it is a no-op
+        return out if out.shape == full else np.broadcast_to(out, full)
 
     def block_values(self, which: str, coords, w_val) -> np.ndarray:
         """``grid_values`` at the points of block coordinates ``coords`` (v = 0 for one block)."""
@@ -247,8 +249,8 @@ def _sphere(radius: float, blocks: int, samples: int) -> tuple:
 
 def _radial(nl: Nonlinearity, coords, w) -> np.ndarray:
     """The radial pairing F_u t + F_v s (F_u t for one block) at every vertex and point."""
-    terms = (nl.block_values(which, coords, w) * c for which, c in zip(nl.PARTIALS, coords))
-    return functools.reduce(np.add, terms)
+    terms = [nl.block_values(which, coords, w) * c for which, c in zip(nl.PARTIALS, coords)]
+    return sum(terms[1:], terms[0])
 
 
 def _point_witness(graph, values, coords, w) -> tuple:
@@ -268,13 +270,14 @@ def _ratio_ladder(graph, radii, sphere, ws, numerator, powers, largest: bool) ->
     for radius in radii:
         coords = sphere(radius)
         denom = sum(np.abs(c) ** e for c, e in zip(coords, powers))
-        best, witness = -math.inf, None
+        best, at = -sign * math.inf, None
         for w in ws:
-            vals = numerator(coords, w) / denom * sign
-            top = float(np.max(vals))
-            if top > best:
-                best, witness = top, _point_witness(graph, vals, coords, w)
-        rungs.append((radius, best * sign, witness))
+            vals = numerator(coords, w) / denom
+            top = float(vals.max() if largest else vals.min())
+            if sign * top > sign * best:
+                best, at = top, (vals, w)
+        witness = None if at is None else _point_witness(graph, sign * at[0], coords, at[1])
+        rungs.append((radius, best, witness))
     return rungs
 
 
@@ -366,14 +369,19 @@ def check_hypotheses(
             results["F4"] = ConditionResult("F4", "inconclusive", detail=str(err))
 
     def box_scan(name, violation):
-        """Fail at the first moderate radius and w where violation() masks a point."""
+        """Fail at the first moderate radius and w where violation() masks a point.
+
+        violation(coords, w, radius) is (mask, lhs, rhs); the witness is the
+        point of largest lhs - rhs.
+        """
         try:
             for radius in cfg.moderate_radii:
                 coords = sphere(radius)
                 for w in ws:
-                    bad, excess = violation(coords, w, radius)
-                    if np.any(bad):
-                        return ConditionResult(name, "fail", _point_witness(graph, excess, coords, w))
+                    bad, lhs, rhs = violation(coords, w, radius)
+                    if bad.any():
+                        witness = _point_witness(graph, lhs - rhs, coords, w)
+                        return ConditionResult(name, "fail", witness)
             return ConditionResult(name, "pass (sampled)")
         except ex.EvalDomainError as err:
             return ConditionResult(name, "inconclusive", detail=str(err))
@@ -384,7 +392,7 @@ def check_hypotheses(
         def h1_violation(coords, w, radius):
             fvals = spec.theta * coupling(coords, w)
             radial = _radial(nl, coords, w)
-            return fvals > radial + 1e-9 * (1.0 + np.abs(radial)), fvals - radial
+            return fvals > radial + 1e-9 * (1.0 + np.abs(radial)), fvals, radial
 
         results["H1"] = box_scan("H1", h1_violation)
 
@@ -396,7 +404,7 @@ def check_hypotheses(
         def h2_violation(coords, w, radius):
             radial = _radial(nl, coords, w)
             cap = sum(c * np.abs(t) ** r for c, t, r in zip(cs, coords, rs))
-            return radial > cap + 1e-9 * (1.0 + cap), radial - cap
+            return radial > cap + 1e-9 * (1.0 + cap), radial, cap
 
         results["H2"] = box_scan("H2", h2_violation)
 
@@ -413,7 +421,7 @@ def check_hypotheses(
             floor_seen = max(floor_seen, floor)
             fvals = coupling(coords, w)
             lower = floor * np.asarray(spec.c_fn)[:, None]
-            return fvals < lower - 1e-12 * (1.0 + np.abs(lower)), lower - fvals
+            return fvals < lower - 1e-12 * (1.0 + np.abs(lower)), lower, fvals
 
         res = box_scan("H3", h3_violation)
         if res.verdict == "pass (sampled)" and floor_seen <= 0:
