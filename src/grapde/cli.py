@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import logging
 import os
@@ -41,7 +42,6 @@ from .solvers import (
     nonexistence_check,
     uniqueness_certificate,
 )
-from .spaces import embedding_constants
 
 log = logging.getLogger("grapde")
 
@@ -49,6 +49,7 @@ _PROBLEM_FIELDS = {
     "builtin", "F", "coeffs", "p", "q", "m1", "m2", "w", "J",
     "hypotheses", "scalar", "objective", "potential",
 }
+_BUILTIN_FIELDS = {"builtin", "w", "hypotheses", "objective"}
 _HYP_FIELDS = {
     "theta", "c1", "c2", "r1", "r2", "gamma1", "gamma2",
     "delta", "L", "x0", "d1", "d2",
@@ -83,6 +84,13 @@ def _hypothesis_spec(data: dict, graph: WeightedGraph) -> HypothesisSpec:
     return HypothesisSpec(**kwargs)
 
 
+def _builtin_instance(name, graph: WeightedGraph, spec=None, w=0.0) -> ProblemInstance:
+    prob = builtin(name, graph)
+    return ProblemInstance(
+        graph, prob.ord1, prob.ord2, prob.nl, prob.spec if spec is None else spec, w
+    )
+
+
 def load_problem(path, graph: WeightedGraph):
     """Build a system or scalar instance from a problem JSON file."""
     data = _load_json(path)
@@ -91,13 +99,11 @@ def load_problem(path, graph: WeightedGraph):
         raise InputError(f"unknown problem fields: {sorted(unknown)}")
     w = float(data.get("w", 0.0))
     if "builtin" in data:
-        prob = builtin(data["builtin"], graph)
-        spec = prob.spec
-        if "hypotheses" in data:
-            spec = _hypothesis_spec(data["hypotheses"], graph)
-        inst = ProblemInstance(graph, prob.ord1, prob.ord2, prob.nl, spec, w)
-        objective = _load_objective(data, graph)
-        return inst, objective
+        fixed = set(data) - _BUILTIN_FIELDS
+        if fixed:
+            raise InputError(f"a builtin problem fixes the fields {sorted(fixed)}")
+        spec = _hypothesis_spec(data["hypotheses"], graph) if "hypotheses" in data else None
+        return _builtin_instance(data["builtin"], graph, spec, w), _load_objective(data, graph)
     if "F" not in data:
         raise InputError("problem file needs either 'builtin' or an 'F' expression")
     coeffs = data.get("coeffs", {})
@@ -129,19 +135,15 @@ def _load_objective(data, graph):
     return Nonlinearity.from_source(graph, obj["F"], obj.get("coeffs", {}))
 
 
-def _config(args) -> SolverConfig:
-    return SolverConfig(tol=args.tol, seed=args.seed)
-
-
-def _emit(args, command, result, exit_code):
+def _emit(args, result, exit_code):
     report = {
         "tool": "grapde",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": {
             "tol": args.tol,
             "seed": args.seed,
-            "grid": getattr(args, "grid", None),
+            "grid": args.grid,
             "kind": getattr(args, "kind", None),
             "deterministic": args.deterministic,
         },
@@ -158,15 +160,8 @@ def _emit(args, command, result, exit_code):
     return exit_code
 
 
-def _default_graph() -> WeightedGraph:
-    return path_graph(2)
-
-
 def _get_graph(args) -> WeightedGraph:
-    if args.graph:
-        graph = load_graph(args.graph)
-    else:
-        graph = _default_graph()
+    graph = load_graph(args.graph) if args.graph else path_graph(2)
     report = validate(graph)
     if not report.ok:
         raise InputError("invalid graph: " + "; ".join(report.violations))
@@ -175,147 +170,105 @@ def _get_graph(args) -> WeightedGraph:
     return graph
 
 
-def cmd_constants(args):
-    graph = _get_graph(args)
-    inst, _ = load_problem(args.problem, graph) if args.problem else (None, None)
-    if inst is None:
-        raise InputError("constants needs --problem (for p, q and hypothesis constants)")
-    emb = embedding_constants(graph, inst.p, inst.q)
-    result = {
-        "n": graph.n,
-        "volume": float(np.sum(graph.mu)),
-        "p": inst.p,
-        "q": inst.q,
-        "b": emb.b,
-        "d": emb.d,
-        "K1": emb.K1,
-        "K2": emb.K2,
-    }
+# A command body takes the loaded instance, the objective (None if the problem
+# file has none), the solver config and the command's options, and returns
+# (result, exit code).
+
+def cmd_constants(inst, objective, config):
+    graph = inst.graph
+    result = {"n": graph.n, "volume": float(np.sum(graph.mu)), "p": inst.p, "q": inst.q}
+    # (b, K1) of the first block and (d, K2) of the second, each under its own potential
+    for names, constants in zip((("b", "K1"), ("d", "K2")), inst.embedding.blocks):
+        result.update(zip(names, constants))
     try:
-        endpoint = negative_endpoint(inst, _config(args))
+        endpoint = negative_endpoint(inst, config)
         result["bounds"] = inst.bounds_mp(endpoint).to_dict()
     except (SolverError, CertificateError) as err:
         result["bounds"] = None
         result["bounds_error"] = str(err)
-    return _emit(args, "constants", result, 0)
+    return result, 0
 
 
-def cmd_check(args):
-    graph = _get_graph(args)
-    inst, _ = load_problem(args.problem, graph)
-    report = inst.check(SamplingConfig(seed=args.seed))
+def cmd_check(inst, objective, config):
+    report = inst.check(SamplingConfig(seed=config.seed))
     failed = [n for n, c in report.conditions.items() if c.verdict == "fail"]
-    return _emit(args, "check", report.to_dict(), 2 if failed else 0)
+    return report.to_dict(), 2 if failed else 0
 
 
-def _certified(report) -> bool:
-    """Converged, with a certificate whose norm bounds hold."""
-    cert = report.certificate
-    return report.converged and cert is not None and bool(cert.satisfied)
+def _exit_code(reports) -> int:
+    """0 if every report converged with a certificate whose norm bounds hold, else 2."""
+    certified = all(
+        r is not None and r.converged and r.certificate is not None and r.certificate.satisfied
+        for r in reports
+    )
+    return 0 if certified else 2
 
 
-def cmd_solve(args):
-    graph = _get_graph(args)
-    inst, _ = load_problem(args.problem, graph)
-    config = _config(args)
-    solve = mountain_pass_solve if args.kind == "mp" else local_min_solve
-    try:
-        report = solve(inst, config)
-    except SolverError as err:
-        return _emit(args, "solve", {"error": str(err)}, 2)
-    return _emit(args, "solve", report.to_dict(), 0 if _certified(report) else 2)
+def cmd_solve(inst, objective, config, kind):
+    solve = mountain_pass_solve if kind == "mp" else local_min_solve
+    report = solve(inst, config)
+    return report.to_dict(), _exit_code([report])
 
 
-def cmd_sweep(args):
-    graph = _get_graph(args)
-    inst, _ = load_problem(args.problem, graph)
-    config = _config(args)
-    try:
-        branch = sweep(inst, grid=args.grid, kind=args.kind, config=config)
-        result = branch.to_dict()
-        result["continuity"] = branch_continuity_report(branch, inst, config).to_dict()
-        if args.csv:
-            branch_to_csv(branch, args.csv, inst)
-    except SolverError as err:
-        return _emit(args, "sweep", {"error": str(err)}, 2)
-    certified = all(r is not None and _certified(r) for r in branch.reports)
-    return _emit(args, "sweep", result, 0 if certified else 2)
+def cmd_sweep(inst, objective, config, grid, kind, csv):
+    branch = sweep(inst, grid=grid, kind=kind, config=config)
+    result = branch.to_dict()
+    result["continuity"] = branch_continuity_report(branch, inst, config).to_dict()
+    if csv:
+        branch_to_csv(branch, csv, inst)
+    return result, _exit_code(branch.reports)
 
 
-def cmd_control(args):
-    graph = _get_graph(args)
-    inst, objective = load_problem(args.problem, graph)
+def cmd_control(inst, objective, config, grid, kind, csv):
     if objective is None:
         raise InputError("control needs an 'objective' block in the problem file")
-    config = _config(args)
-    try:
-        res = optimal_control(inst, objective, grid=args.grid, kind=args.kind, config=config)
-        result = res.to_dict()
-        if args.csv:
-            branch_to_csv(res.branch, args.csv, inst, psi_values=dict(res.table))
-    except SolverError as err:
-        return _emit(args, "control", {"error": str(err)}, 2)
-    certified = all(r is not None and _certified(r) for r in res.branch.reports)
-    return _emit(args, "control", result, 0 if certified else 2)
+    res = optimal_control(inst, objective, grid=grid, kind=kind, config=config)
+    if csv:
+        branch_to_csv(res.branch, csv, inst, psi_values=dict(res.table))
+    return res.to_dict(), _exit_code(res.branch.reports)
 
 
-def cmd_nonexist(args):
-    graph = _get_graph(args)
-    inst, _ = load_problem(args.problem, graph)
-    config = _config(args)
-    sampling = SamplingConfig(seed=args.seed)
-    report = nonexistence_check(inst, sampling, config, multistart=args.multistart)
+def cmd_nonexist(inst, objective, config, multistart):
+    report = nonexistence_check(inst, config=config, multistart=multistart)
     result = report.to_dict()
     if report.certified:
         result["summary"] = "nonexistence certified (sampled)"
-    return _emit(args, "nonexist", result, 0 if report.certified else 2)
+    return result, 0 if report.certified else 2
 
 
-def cmd_demo(args):
-    graph = _get_graph(args)
-    prob = builtin(args.name, graph)
-    config = _config(args)
-    inst = ProblemInstance(graph, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
-    result = {"builtin": args.name}
-    code = 0
-    if args.name == "mp-example":
-        report = mountain_pass_solve(inst, config)
-        result["solve"] = report.to_dict()
-        code = 0 if _certified(report) else 2
-    elif args.name in ("localmin-example", "unique-example"):
-        try:
-            report = local_min_solve(inst, config)
-            result["solve"] = report.to_dict()
-            code = 0 if (report.converged and report.energy < 0) else 2
-        except SolverError as err:
-            result["solve"] = {"error": str(err)}
-            code = 2
-        if args.name == "unique-example":
+def _attempt(body, *args, **options):
+    """(result, exit code) of a command body; a SolverError becomes {"error": ...}, exit 2."""
+    try:
+        return body(*args, **options)
+    except SolverError as err:
+        return {"error": str(err)}, 2
+
+
+def cmd_demo(inst, objective, config, name, grid, multistart):
+    """The pipeline of the builtin ``name`` (instance ``inst``), run by the bodies above."""
+    result = {"builtin": name}
+    if name == "mp-example":
+        result["solve"], code = _attempt(cmd_solve, inst, None, config, kind="mp")
+    elif name in ("localmin-example", "unique-example"):
+        result["solve"], code = _attempt(cmd_solve, inst, None, config, kind="min")
+        if name == "unique-example":
             uniq = uniqueness_certificate(inst, config)
             result["uniqueness"] = uniq.to_dict()
             if not uniq.certified:
                 code = 2
-    elif args.name == "control-objective":
-        base = builtin("mp-example", graph)
-        base_inst = ProblemInstance(graph, base.ord1, base.ord2, base.nl, base.spec, 0.0)
-        try:
-            result["control"] = optimal_control(
-                base_inst, prob.nl, grid=args.grid, kind="mp", config=config
-            ).to_dict()
-        except SolverError as err:
-            result["control"] = {"error": str(err)}
-            code = 2
-    else:  # nonexist-example
-        report = nonexistence_check(
-            inst, SamplingConfig(seed=args.seed), config, multistart=args.multistart
+    elif name == "control-objective":
+        base = _builtin_instance("mp-example", inst.graph)
+        result["control"], code = _attempt(
+            cmd_control, base, inst.nl, config, grid=grid, kind="mp", csv=None
         )
-        result["nonexistence"] = report.to_dict()
-        if report.certified:
-            result["summary"] = "nonexistence certified (sampled)"
-        code = 0 if report.certified else 2
-    return _emit(args, "demo", result, code)
+    else:  # nonexist-example; the demo report keeps the summary at its top level
+        result["nonexistence"], code = cmd_nonexist(inst, None, config, multistart)
+        if "summary" in result["nonexistence"]:
+            result["summary"] = result["nonexistence"].pop("summary")
+    return result, code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grapde",
@@ -324,9 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"grapde {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, problem_required=True):
+    def command(name, run, *options, problem=True, **kwargs):
+        """Subcommand ``name`` run by run(inst, objective, config, **options)."""
+        sp = sub.add_parser(name, **kwargs)
+        sp.set_defaults(run=run, options=options)
         sp.add_argument("--graph", help="graph JSON file (default: 2-vertex path)")
-        sp.add_argument("--problem", required=problem_required, help="problem JSON file")
+        if problem:
+            sp.add_argument("--problem", required=True, help="problem JSON file")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
         sp.add_argument("--grid", type=int, default=21, help="parameter grid points")
         sp.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
@@ -335,58 +292,52 @@ def build_parser() -> argparse.ArgumentParser:
             "--deterministic", action="store_true",
             help="omit timestamps so identical runs emit identical bytes",
         )
+        return sp
 
-    sp = sub.add_parser("constants", help="embedding and bound constants")
-    common(sp)
-    sp.set_defaults(func=cmd_constants)
+    command("constants", cmd_constants, help="embedding and bound constants")
+    command("check", cmd_check, help="hypothesis screening")
 
-    sp = sub.add_parser("check", help="hypothesis screening")
-    common(sp)
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("solve", help="one critical-point solve")
-    common(sp)
+    sp = command("solve", cmd_solve, "kind", help="one critical-point solve")
     sp.add_argument("--kind", choices=("mp", "min"), default="mp")
-    sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("sweep", help="parameter sweep across J")
-    common(sp)
+    sp = command("sweep", cmd_sweep, "grid", "kind", "csv", help="parameter sweep across J")
     sp.add_argument("--kind", choices=("mp", "min"), default="mp")
     sp.add_argument("--csv", help="also write the plotting CSV here")
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("control", help="grid optimal control over the branch")
-    common(sp)
+    sp = command(
+        "control", cmd_control, "grid", "kind", "csv", help="grid optimal control over the branch"
+    )
     sp.add_argument("--kind", choices=("mp", "min"), default="mp")
     sp.add_argument("--csv", help="also write the plotting CSV here")
-    sp.set_defaults(func=cmd_control)
 
-    sp = sub.add_parser("nonexist", help="nonexistence screening")
-    common(sp)
+    sp = command("nonexist", cmd_nonexist, "multistart", help="nonexistence screening")
     sp.add_argument("--multistart", type=int, default=0)
-    sp.set_defaults(func=cmd_nonexist)
 
-    sp = sub.add_parser("demo", help="end-to-end pipeline on a builtin example")
+    sp = command(
+        "demo", cmd_demo, "name", "grid", "multistart", problem=False,
+        help="end-to-end pipeline on a builtin example",
+    )
     sp.add_argument("name", choices=BUILTIN_NAMES)
-    common(sp, problem_required=False)
     sp.add_argument("--multistart", type=int, default=0)
-    sp.set_defaults(func=cmd_demo)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("GRAPDE_LOG", "WARNING"))
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except (InputError, GraphError, ParseError, NonlinearityError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+        graph = _get_graph(args)
+        if args.command == "demo":
+            inst, objective = _builtin_instance(args.name, graph), None
+        else:
+            inst, objective = load_problem(args.problem, graph)
+        config = SolverConfig(tol=args.tol, seed=args.seed)
+        options = {name: getattr(args, name) for name in args.options}
+        return _emit(args, *_attempt(args.run, inst, objective, config, **options))
+    except (InputError, GraphError, ParseError, NonlinearityError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -14,21 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import bb_minimize, polish_root
+from ._optim import polish_root
 from .energy import psi
 from .nonlinearity import Nonlinearity
 from .solvers import (
     SolverConfig,
     SolverError,
-    ball_projection,
     ball_radius,
-    certify,
     local_min_solve,
     mountain_pass_solve,
     negative_endpoint,
-    solve_report,
-    spike_start,
-    trivial_norm,
 )
 from .spaces import w_norm
 
@@ -64,34 +59,6 @@ class Branch:
         }
 
 
-def _solve_point(inst, kind, config, endpoint, rho, warm_x):
-    """One grid point: try the warm start, fall back to a cold solve."""
-    if warm_x is not None:
-        weights = inst.weights
-        if kind == "mp":
-            res = polish_root(inst.gradient, warm_x, weights, tol=config.tol)
-        else:
-            res = bb_minimize(
-                inst.energy, inst.gradient, warm_x, weights,
-                tol=config.tol, project=ball_projection(inst, rho),
-            )
-        if res.converged and inst.norm(res.x) >= trivial_norm(inst, config.tol):
-            if kind == "mp":
-                cert, flags = certify(inst.bounds_mp, endpoint)
-            else:
-                cert, flags = certify(inst.bounds_min, spike_start(inst, rho), rho)
-            report = solve_report(
-                inst, res.x, "mountain-pass" if kind == "mp" else "local-min",
-                res.iterations, res.fevals, config,
-                certificate=cert, extra_flags=flags + ("warm start",),
-            )
-            if report.converged and "type-uncertain" not in report.flags:
-                return report
-    if kind == "mp":
-        return mountain_pass_solve(inst, config, endpoint=endpoint)
-    return local_min_solve(inst, config)
-
-
 def sweep(
     inst,
     grid=21,
@@ -118,16 +85,19 @@ def sweep(
     rho = ball_radius(inst, config) if kind == "min" else None
 
     reports = []
-    warm_x = None
+    start = None
     for w in grid:
         point = inst.at(float(w))
         try:
-            report = _solve_point(point, kind, config, endpoint, rho, warm_x if warm else None)
+            if kind == "mp":
+                report = mountain_pass_solve(point, config, endpoint, start)
+            else:
+                report = local_min_solve(point, config, rho, start)
         except SolverError:
             report = None
         reports.append(report)
         converged = report is not None and report.converged
-        warm_x = report.state.flat() if converged else None
+        start = report.state.flat() if warm and converged else None
 
     jumps = []
     for a, b in zip(reports, reports[1:]):
@@ -164,9 +134,13 @@ class ContinuityReport:
 
 
 def branch_continuity_report(
-    branch: Branch, inst, config: SolverConfig = None, w0: float = None
+    branch: Branch, inst, config: SolverConfig = None
 ) -> ContinuityReport:
-    """Jump statistics, certificate-bound verification, and a limit re-solve."""
+    """Jump statistics, certificate-bound verification, and a limit re-solve.
+
+    The limit check re-solves at the middle grid parameter w0, warm-started
+    from the nearest converged point.
+    """
     config = config or SolverConfig()
     notes = []
     jumps = [j for j in branch.jumps if j is not None]
@@ -193,10 +167,8 @@ def branch_continuity_report(
     if coverage < 1.0:
         notes.append(f"coverage {coverage:.0%}: failed points excluded from statistics")
 
-    # limit check: re-solve at w0 warm-started from the nearest converged point
     limit_distance = math.inf
-    if w0 is None:
-        w0 = float(branch.grid[len(branch.grid) // 2])
+    w0 = float(branch.grid[len(branch.grid) // 2])
     nearest = None
     for w, report in branch.converged_points:
         if nearest is None or abs(w - w0) < abs(nearest[0] - w0):

@@ -177,14 +177,16 @@ class HypothesisSpec:
 class SamplingConfig:
     w_samples: int = 8
     angular_samples: int = 32
-    small_radii: tuple = tuple(10.0**k for k in range(-6, 0))
-    large_radii: tuple = (1e1, 1e2, 1e3, 1e4)
-    box_radius: float = 10.0
     box_grid: int = 64
-    moderate_radii: tuple = tuple(10.0**k for k in range(-3, 4))
-    delta_samples: int = 16
     pair_samples: int = 200
     seed: int = 0
+
+
+_SMALL_RADII = tuple(10.0**k for k in range(-1, -7, -1))  # (F2) ladder, shrinking
+_LARGE_RADII = (1e1, 1e2, 1e3, 1e4)  # (F3) and (F4) ladders
+_MODERATE_RADII = tuple(10.0**k for k in range(-3, 4))  # (H1)-(H3) sphere scans
+_BOX_RADIUS = 10.0  # half-width of the nonexistence sign box
+_DELTA_SAMPLES = 16  # (H4) spike amplitudes in (0, delta)
 
 
 @dataclass
@@ -329,9 +331,7 @@ def check_hypotheses(
     # (F2): small-amplitude growth cap, estimated on a shrinking radius ladder
     bound_f2 = block_embedding(graph, spaces).cap
     try:
-        rungs = _ratio_ladder(
-            graph, sorted(cfg.small_radii, reverse=True), sphere, ws, coupling, exps, largest=True
-        )
+        rungs = _ratio_ladder(graph, _SMALL_RADII, sphere, ws, coupling, exps, largest=True)
         ladder = [(radius, value) for radius, value, _ in rungs]
         limit_estimate, witness = rungs[-1][1:]  # smallest radius
         detail = f"limit estimate {limit_estimate:.3e} vs bound {bound_f2:.3e}; ladder {ladder}"
@@ -342,11 +342,11 @@ def check_hypotheses(
 
     # (F3): superlinear growth at infinity
     try:
-        rungs = _ratio_ladder(graph, cfg.large_radii, sphere, ws, coupling, exps, largest=False)
+        rungs = _ratio_ladder(graph, _LARGE_RADII, sphere, ws, coupling, exps, largest=False)
         mins = [value for _, value, _ in rungs]
         growing = all(b > a for a, b in zip(mins, mins[1:]))
         ok = growing and mins[-1] > 10.0 * max(mins[0], 0.0) and mins[-1] > 1.0
-        detail = f"min ratio per radius {list(zip(cfg.large_radii, mins))}"
+        detail = f"min ratio per radius {list(zip(_LARGE_RADII, mins))}"
         results["F3"] = ConditionResult("F3", _SAMPLED[ok], detail=detail)
     except ex.EvalDomainError as err:
         results["F3"] = ConditionResult("F3", "inconclusive", detail=str(err))
@@ -360,10 +360,10 @@ def check_hypotheses(
             return _radial(nl, coords, w) - mx * coupling(coords, w)
 
         try:
-            rungs = _ratio_ladder(graph, cfg.large_radii, sphere, ws, excess, gammas, largest=False)
+            rungs = _ratio_ladder(graph, _LARGE_RADII, sphere, ws, excess, gammas, largest=False)
             mins = [value for _, value, _ in rungs]
             ok = mins[-1] > 0 and mins[-1] >= mins[0]
-            detail = f"min excess ratio per radius {list(zip(cfg.large_radii, mins))}"
+            detail = f"min excess ratio per radius {list(zip(_LARGE_RADII, mins))}"
             results["F4"] = ConditionResult("F4", _SAMPLED[ok], detail=detail)
         except ex.EvalDomainError as err:
             results["F4"] = ConditionResult("F4", "inconclusive", detail=str(err))
@@ -375,7 +375,7 @@ def check_hypotheses(
         point of largest lhs - rhs.
         """
         try:
-            for radius in cfg.moderate_radii:
+            for radius in _MODERATE_RADII:
                 coords = sphere(radius)
                 for w in ws:
                     bad, lhs, rhs = violation(coords, w, radius)
@@ -455,7 +455,7 @@ def check_hypotheses(
             try:
                 verdict = "pass (sampled)"
                 witness = None
-                amps = spec.delta * (np.arange(1, cfg.delta_samples + 1) / (cfg.delta_samples + 1))
+                amps = spec.delta * (np.arange(1, _DELTA_SAMPLES + 1) / (_DELTA_SAMPLES + 1))
                 floor = Lvals[i0] * amps**p - 1e-12
                 # the scalar analogue quantifies over every vertex; report both
                 all_x_ok = True
@@ -536,11 +536,11 @@ def sign_screen(
     """Screen the nonexistence sign condition F_u t + F_v s < 0 off the origin.
 
     The sample points are the nonzero points of the grid on the box
-    [-R, R]^blocks (R = ``sampling.box_radius``); one block screens F_u t
+    [-R, R]^blocks (R = 10); one block screens F_u t
     with v = 0.  At the first failing w the witness is the largest pairing:
     (vertex, t, s, w), or (vertex, t, w) for one block.
     """
-    axis = np.linspace(-sampling.box_radius, sampling.box_radius, sampling.box_grid)
+    axis = np.linspace(-_BOX_RADIUS, _BOX_RADIUS, sampling.box_grid)
     coords = [c.ravel() for c in np.meshgrid(*(axis,) * blocks, indexing="ij")]
     nontrivial = np.any([c != 0 for c in coords], axis=0)
     coords = [c[nontrivial] for c in coords]
@@ -567,13 +567,16 @@ class BuiltinProblem:
     q: float
 
 
-def builtin(name: str, graph: WeightedGraph, gamma=None, z=None, e=None, x0=None):
-    """Instantiate one of the shipped example problems on a graph (J = [-1, 1])."""
+def builtin(name: str, graph: WeightedGraph):
+    """Instantiate one of the shipped example problems on a graph (J = [-1, 1]).
+
+    The coefficient tables gamma and z are 1 at every vertex, and the small
+    couplings of localmin-example and unique-example take 0.9 of the (F2) cap
+    as their coefficient.
+    """
     if name not in BUILTIN_NAMES:
         raise NonlinearityError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
-    gamma_tab = np.full(graph.n, 1.0) if gamma is None else asvalues(graph, np.asarray(gamma, float))
-    gmax = float(np.max(np.abs(gamma_tab)))
-    gmin = float(np.min(np.abs(gamma_tab)))
+    gamma_tab = np.ones(graph.n)
     p = q = 2.0
     spec = HypothesisSpec()
 
@@ -584,39 +587,38 @@ def builtin(name: str, graph: WeightedGraph, gamma=None, z=None, e=None, x0=None
         )
         spec = HypothesisSpec(
             theta=4.0,
-            c1=16.0 * gmax,
-            c2=16.0 * gmax,
+            c1=16.0,
+            c2=16.0,
             r1=4.0,
             r2=4.0,
             gamma1=2.0,
             gamma2=2.0,
             a_floor=lambda r: r**4,
-            c_fn=np.abs(gamma_tab),
+            c_fn=np.ones(graph.n),
         )
     elif name == "localmin-example":
         p = q = 4.0
-        coeff = 0.9 * block_embedding(graph, _default_spaces(p, q)).cap if e is None else float(e)
+        coeff = 0.9 * block_embedding(graph, _default_spaces(p, q)).cap
         nl = Nonlinearity.from_source(
             graph, "ecoef*(u^2+v^2)^2*(1+w^2)*abs(gamma)", {"gamma": gamma_tab, "ecoef": coeff}
         )
         spec = HypothesisSpec(
-            delta=1.0, L=np.full(graph.n, 4.0 * coeff * gmin), x0=x0 or spike_vertex(graph)
+            delta=1.0, L=np.full(graph.n, 4.0 * coeff), x0=spike_vertex(graph)
         )
     elif name == "unique-example":
-        coeff = 0.9 * block_embedding(graph, _default_spaces(p, q)).cap if e is None else float(e)
+        coeff = 0.9 * block_embedding(graph, _default_spaces(p, q)).cap
         nl = Nonlinearity.from_source(
             graph, "ecoef*(u^2+v^2)*(1+w^2)*abs(gamma)", {"gamma": gamma_tab, "ecoef": coeff}
         )
         spec = HypothesisSpec(
             delta=1.0,
-            L=np.full(graph.n, 4.0 * coeff * gmin),
-            x0=x0 or spike_vertex(graph),
-            d1=4.0 * coeff * gmax,
-            d2=4.0 * coeff * gmax,
+            L=np.full(graph.n, 4.0 * coeff),
+            x0=spike_vertex(graph),
+            d1=4.0 * coeff,
+            d2=4.0 * coeff,
         )
     elif name == "control-objective":
-        z_tab = np.full(graph.n, 1.0) if z is None else asvalues(graph, np.asarray(z, float))
-        nl = Nonlinearity.from_source(graph, "z*(u^2+v^2)^2*w^2", {"z": z_tab})
+        nl = Nonlinearity.from_source(graph, "z*(u^2+v^2)^2*w^2", {"z": np.ones(graph.n)})
     else:
         # nonexist-example: partials -xsq*atan(u), -xsq*atan(v); the primitive is
         # spelled out so the symbolic partials land on the intended pair.

@@ -204,12 +204,41 @@ def negative_endpoint(inst, config: SolverConfig = None) -> tuple:
     )
 
 
-def mountain_pass_solve(inst, config: SolverConfig = None, endpoint: tuple = None) -> SolveReport:
-    """Saddle search: path deformation to locate the peak, then residual polish."""
+def _warm_report(inst, res, kind, config, bounds, *args):
+    """Report of a warm descent, or None if the driver must fall back to its cold search.
+
+    The descent must converge to a nontrivial state whose report is converged
+    and, for a saddle, not ``type-uncertain``.
+    """
+    if not res.converged or inst.norm(res.x) < trivial_norm(inst, config.tol):
+        return None
+    cert, flags = certify(bounds, *args)
+    report = solve_report(
+        inst, res.x, kind, res.iterations, res.fevals, config,
+        certificate=cert, extra_flags=flags + ("warm start",),
+    )
+    if report.converged and "type-uncertain" not in report.flags:
+        return report
+    return None
+
+
+def mountain_pass_solve(
+    inst, config: SolverConfig = None, endpoint: tuple = None, start=None
+) -> SolveReport:
+    """Saddle search: path deformation to locate the peak, then residual polish.
+
+    With a flat state ``start`` (the previous point of a sweep), the polish
+    from ``start`` is tried first and the path search runs only if it fails.
+    """
     config = config or SolverConfig()
     if endpoint is None:
         endpoint = negative_endpoint(inst, config)
     weights = inst.weights
+    if start is not None:
+        warm = polish_root(inst.gradient, start, weights, tol=config.tol)
+        report = _warm_report(inst, warm, "mountain-pass", config, inst.bounds_mp, endpoint)
+        if report is not None:
+            return report
     peak, outer, fevals, coarse_ok = path_saddle(
         inst.energy,
         inst.gradient,
@@ -359,21 +388,37 @@ def spike_start(inst, rho: float) -> float:
     return 0.5 * min(delta, rho / inst.norm(inst.spike()))
 
 
-def local_min_solve(inst, config: SolverConfig = None) -> SolveReport:
-    """Projected descent inside the certified ball from a scaled spike start."""
+def local_min_solve(
+    inst, config: SolverConfig = None, rho: float = None, start=None
+) -> SolveReport:
+    """Projected descent inside the certified ball from a scaled spike start.
+
+    ``rho`` is the ball radius (computed by ``ball_radius`` if None).  With a
+    flat state ``start``, the descent from ``start`` is tried first and the
+    spike start runs only if it fails.
+    """
     config = config or SolverConfig()
     if inst.p != inst.q:
         raise SolverError("local minimum solver requires p == q")
-    rho = ball_radius(inst, config)
+    if rho is None:
+        rho = ball_radius(inst, config)
     t0 = spike_start(inst, rho)
     weights = inst.weights
+    project = ball_projection(inst, rho)
+    if start is not None:
+        warm = bb_minimize(
+            inst.energy, inst.gradient, start, weights, tol=config.tol, project=project
+        )
+        report = _warm_report(inst, warm, "local-min", config, inst.bounds_min, t0, rho)
+        if report is not None:
+            return report
     result = bb_minimize(
         inst.energy,
         inst.gradient,
         t0 * inst.spike(),
         weights,
         tol=config.tol,
-        project=ball_projection(inst, rho),
+        project=project,
     )
     x = result.x
     if not result.converged:
@@ -534,6 +579,10 @@ def uniqueness_certificate(
     cp = monotonicity_constant(p)
     monotonicity_ok, monotonicity_slack = _check_monotonicity(p)
     notes = []
+    try:
+        rho, rho_error = ball_radius(inst, config), None
+    except SolverError as err:
+        rho, rho_error = None, err
 
     d_fields = block_fields(len(inst.spaces), "d")
     ds = [getattr(inst.spec, f) for f in d_fields]
@@ -544,7 +593,8 @@ def uniqueness_certificate(
     else:
         margin = cp / 2.0 ** (p - 1) - max(ds) * total_measure(inst.graph)
         try:
-            rho = ball_radius(inst, config)
+            if rho is None:
+                raise rho_error
             cert = inst.bounds_min(spike_start(inst, rho), rho)
             h5_radius = cert.upper * inst.embedding.cap
         except (SolverError, CertificateError) as err:
@@ -557,12 +607,9 @@ def uniqueness_certificate(
 
     # multistart agreement: all interior converged minimizers must coincide
     solutions = []
-    try:
-        rho = ball_radius(inst, config)
-    except SolverError as err:
-        notes.append(f"multistart skipped: {err}")
-        rho = None
-    if rho is not None:
+    if rho is None:
+        notes.append(f"multistart skipped: {rho_error}")
+    else:
         weights = inst.weights
         project = ball_projection(inst, rho)
         rng = np.random.default_rng(config.seed)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import jsonschema
@@ -203,3 +204,74 @@ def test_demo_control_without_converged_points_is_a_report(tmp_path, monkeypatch
     assert report["result"]["control"] == {
         "error": "optimal control failed: no converged grid points"
     }
+
+
+def test_demo_control_with_an_uncertified_point_exits_2(tmp_path):
+    # on the 16-vertex path the w = -1 point of the mp-example branch converges
+    # to a near-zero state outside its certificate; control exits 2 on it, and
+    # so does the demo, which runs the same pipeline
+    graph = _write(tmp_path, "g.json", graph_to_dict(path_graph(16)))
+    code, report = _run(
+        tmp_path, ["demo", "control-objective", "--graph", graph, "--grid", "5"]
+    )
+    assert code == 2
+    first = report["result"]["control"]["branch"]["reports"][0]
+    assert first["converged"] and not first["certificate"]["satisfied"]
+    assert report["config"]["kind"] is None
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    from grapde import cli
+
+    cli.build_parser.cache_clear()
+    built = []
+    real = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    problem = _write(tmp_path, "p.json", {"builtin": "mp-example"})
+    for _ in range(2):
+        assert _run(tmp_path, ["check", "--problem", problem])[0] == 2
+    assert built == ["grapde"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p", 7), ("q", 7), ("m1", 2), ("m2", 2), ("J", [0, 0.5]), ("F", "u^4"),
+    ("coeffs", {"gamma": 2.0}), ("scalar", True), ("potential", "h2"),
+])
+def test_builtin_problem_rejects_fields_it_fixes(tmp_path, capsys, field, value):
+    data = {"builtin": "mp-example", field: value}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, PROBLEM_SCHEMA)
+    problem = _write(tmp_path, "p.json", data)
+    assert main(["constants", "--problem", problem]) == 1
+    assert field in capsys.readouterr().err
+
+
+def test_builtin_problem_takes_w_and_hypotheses(tmp_path):
+    data = {"builtin": "mp-example", "w": 0.5, "hypotheses": {"theta": 4, "c1": 16}}
+    jsonschema.validate(data, PROBLEM_SCHEMA)
+    problem = _write(tmp_path, "p.json", data)
+    code, report = _run(tmp_path, ["constants", "--problem", problem])
+    assert code == 0
+    assert "r1" in report["result"]["bounds_error"]
+
+
+def test_constants_of_a_one_block_problem_use_its_potential(tmp_path):
+    # p = 2 over h2 = 4: b = (1 / (min mu min h2))^(1/2) = 0.5, K1 = vol^(1/2) b
+    graph = _write(tmp_path, "g.json", graph_to_dict(path_graph(2, h1=1.0, h2=4.0)))
+    problem = _write(
+        tmp_path, "p.json",
+        {"F": "u^4*(1+w^2)", "p": 2, "scalar": True, "potential": "h2",
+         "hypotheses": {"theta": 4, "c1": 8, "r1": 4}},
+    )
+    code, report = _run(tmp_path, ["constants", "--graph", graph, "--problem", problem])
+    result = report["result"]
+    assert code == 0
+    assert result["b"] == 0.5 and result["K1"] == pytest.approx(2**0.5 * 0.5)
+    assert "d" not in result and "K2" not in result
+    # the lower bound (1 / (2^p vol c1 b^r1))^(1/(r1-p)) uses the same b
+    assert result["bounds"]["lower"] == pytest.approx(0.5)

@@ -7,7 +7,7 @@ from grapde.calculus import OperatorOrder
 from grapde.energy import ProblemInstance
 from grapde.graph import path_graph
 from grapde.nonlinearity import HypothesisSpec, Nonlinearity, builtin
-from grapde import continuation
+from grapde import continuation, solvers
 from grapde._optim import bb_minimize
 from grapde.continuation import (
     branch_continuity_report,
@@ -15,7 +15,12 @@ from grapde.continuation import (
     optimal_control,
     sweep,
 )
-from grapde.solvers import SolverConfig, SolverError, ball_projection, trivial_norm
+from grapde.solvers import (
+    SolverConfig,
+    ball_projection,
+    local_min_solve,
+    trivial_norm,
+)
 
 
 def _saddle_instance():
@@ -73,12 +78,15 @@ def test_sweep_validates_arguments():
         sweep(inst, grid=[0.0, 2.0])
 
 
-def test_sweep_min_kind():
+def _quadratic_instance():
     g = path_graph(2)
     spec = HypothesisSpec(theta=4.0, c1=1.0, c2=1.0, r1=4.0, r2=4.0, delta=1.0)
     nl = Nonlinearity.from_source(g, "0.05*(u^2+v^2)", {})
-    inst = ProblemInstance(g, OperatorOrder(1, 2.0), OperatorOrder(1, 2.0), nl, spec, 0.0)
-    branch = sweep(inst, grid=3, kind="min", config=CFG)
+    return ProblemInstance(g, OperatorOrder(1, 2.0), OperatorOrder(1, 2.0), nl, spec, 0.0)
+
+
+def test_sweep_min_kind():
+    branch = sweep(_quadratic_instance(), grid=3, kind="min", config=CFG)
     assert branch.kind == "min"
     assert all(r is not None and r.converged for r in branch.reports)
 
@@ -132,6 +140,19 @@ def test_branch_to_csv(tmp_path, saddle_branch):
         assert float(row[5]) <= float(row[1]) + float(row[2]) <= float(row[6])
 
 
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its calls; return the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def test_warm_start_below_the_trivial_norm_is_rejected(monkeypatch):
     # F = 5e-6 (u^2 + v^2) with p = q = 3 has a critical point at u = v = 1e-5;
     # the warm descent toward it stops, residual <= tol, at a norm above 10 tol
@@ -148,6 +169,16 @@ def test_warm_start_below_the_trivial_norm_is_rejected(monkeypatch):
     )
     assert res.converged
     assert 10.0 * config.tol < inst.norm(res.x) < trivial_norm(inst, config.tol)
-    # the warm state is rejected and the point falls back to a cold solve
-    monkeypatch.setattr(continuation, "local_min_solve", lambda inst, config: "cold solve")
-    assert continuation._solve_point(inst, "min", config, None, 1.0, warm) == "cold solve"
+    # the warm state is rejected and the point falls back to the cold descent
+    calls = _counting(monkeypatch, solvers, "bb_minimize")
+    report = local_min_solve(inst, config, rho=1.0, start=warm)
+    assert "warm start" not in report.flags
+    assert [args[2] is warm for args in calls] == [True, False]
+
+
+def test_min_sweep_computes_the_ball_radius_once(monkeypatch):
+    calls = _counting(monkeypatch, solvers, "ball_radius")
+    monkeypatch.setattr(continuation, "ball_radius", solvers.ball_radius)
+    branch = sweep(_quadratic_instance(), grid=3, kind="min", config=CFG)
+    assert branch.reports[0] is not None and "warm start" not in branch.reports[0].flags
+    assert len(calls) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from grapde import solvers
 from grapde.calculus import OperatorOrder
 from grapde.energy import ProblemInstance, phi
 from grapde.graph import integral, path_graph
@@ -287,6 +288,26 @@ def test_builtin_quadratic_example_not_certified():
     report = uniqueness_certificate(inst, SolverConfig(multistart=4, w_grid=5))
     assert not report.certified
     assert report.margin < 0
+
+
+def test_uniqueness_certificate_computes_the_ball_radius_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ball_radius(*args)
+
+    monkeypatch.setattr(solvers, "ball_radius", counting)
+    g = path_graph(2)
+    prob = builtin("unique-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+    report = uniqueness_certificate(inst, SolverConfig(multistart=4, w_grid=5))
+    assert len(calls) == 1
+    reason = "(F2) margin not certifiable: no ladder radius qualifies"
+    assert report.notes == (
+        f"ball radius for Lipschitz screen unavailable: {reason}",
+        f"multistart skipped: {reason}",
+    )
 
 
 # --- nonexistence --------------------------------------------------------

@@ -11,7 +11,8 @@ differs between two captures, with the differing JSON leaves, and exits 1 if
 anything differs.  Capture the parent tree and the changed tree, then compare.
 
 The set: the five builtins (with ``control-objective`` as the control
-objective), the scalar quartic ``u^4*(1+w^2)`` of the benchmark, the same
+objective), ``mp-example`` at w = 0.5 with its hypothesis constants given in
+the file, the scalar quartic ``u^4*(1+w^2)`` of the benchmark, the same
 quartic with a constant for every one-block condition, and the scalar
 ``0.05*u`` with a negative-energy minimizer, on path-2, path-16, K5 and the
 benchmark's random-12 graph; commands ``constants``, ``check``, ``solve``,
@@ -46,6 +47,11 @@ GRAPHS = {
 }
 PROBLEMS = {
     **{name: {"builtin": name, "objective": "control-objective"} for name in BUILTINS},
+    "mp-w-hypotheses": {
+        "builtin": "mp-example", "w": 0.5, "objective": "control-objective",
+        "hypotheses": {"theta": 4, "c1": 16, "c2": 16, "r1": 4, "r2": 4,
+                       "gamma1": 2, "gamma2": 2},
+    },
     "scalar-u4": {**inputs.scalar_problem(), "objective": {"F": "w^2"}},
     "scalar-all": {
         "F": "u^4*(1+w^2)", "p": 2, "scalar": True, "J": [-1, 1],
