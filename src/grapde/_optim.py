@@ -1,4 +1,4 @@
-"""First-order optimization kernels shared by the system and scalar solvers.
+"""Optimization kernels shared by the system and scalar solvers.
 
 Everything here works on flat ndarrays with a fixed positive weight vector
 defining the inner product <a, b> = sum(weights * a * b); callers pass
@@ -20,6 +20,8 @@ _ARMIJO_C = 1e-4  # sufficient decrease of every backtracking line search
 _MAX_ITER = 100_000  # descent steps of bb_minimize
 _COARSE_TOL = 1e-3  # peak residual at which path_saddle hands over to the polish
 _MAX_OUTER = 500  # path sweeps of path_saddle
+_MAX_NEWTON = 100  # Newton steps of polish_root
+_MIN_STEP = 1e-10  # smallest damping factor of a Newton step
 
 
 @dataclass
@@ -160,31 +162,78 @@ def path_saddle(f, grad, weights, endpoint, n_nodes=41) -> tuple:
     return peak, _MAX_OUTER, fevals, False
 
 
-def polish_root(grad, x0, weights, tol=1e-8) -> OptResult:
-    """Drive the gradient to zero: hybrid Powell first, least squares fallback.
+def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
+    """Drive the gradient to zero: damped Newton on ``jac``, least squares fallback.
 
-    The trial points of both methods may leave the region where the gradient
-    is finite, so they run with overflow and invalid-value warnings off.  A
-    hybr end point with a non-finite residual counts as residual inf, with a
-    named message, and loses to any finite least-squares result.
+    Each Newton step solves J p = -g (the min-norm least-squares step where
+    J is singular) and backtracks until the weighted residual falls by the
+    Armijo fraction.  Trial points may leave the region where the gradient
+    is finite, so they are evaluated with overflow and invalid-value
+    warnings off, and a non-finite residual fails the trial.  If Newton
+    stops short of ``tol`` (line search stalled, non-finite value, or
+    ``_MAX_NEWTON`` steps), ``least_squares`` with the same Jacobian runs
+    from x0 and the smaller residual wins.  ``iterations`` counts Newton
+    steps (plus the Jacobians of the fallback), ``fevals`` gradient calls.
     """
-    x0 = np.asarray(x0, float)
+    x = np.array(x0, dtype=float)
     sw = np.sqrt(weights)
+    fevals = 0
 
-    def scaled(x):
-        return sw * grad(x)
+    def counted(x):
+        nonlocal fevals
+        fevals += 1
+        return grad(x)
+
+    def residual(x):
+        g = counted(x)
+        return g, weighted_norm(weights, g)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = optimize.root(scaled, x0, method="hybr", tol=1e-14)
-        res = weighted_norm(weights, grad(sol.x))
-        message = sol.message
-        if not math.isfinite(res):
-            res, message = math.inf, "hybr ended on a non-finite residual"
-        best = OptResult(sol.x, 0.0, res, int(sol.nfev), int(sol.nfev), res <= tol, message)
-        if best.converged:
+        g, res = residual(x)
+        start_finite = math.isfinite(res)
+        steps = 0
+        while True:
+            if not math.isfinite(res):
+                res, message = math.inf, "non-finite residual"
+                break
+            if res <= tol:
+                message = "converged"
+                break
+            if steps == _MAX_NEWTON:
+                message = "max iterations"
+                break
+            J = jac(x)
+            if not np.all(np.isfinite(J)):
+                message = "non-finite Jacobian"
+                break
+            try:
+                p = np.linalg.solve(J, -g)
+            except np.linalg.LinAlgError:
+                p = np.linalg.lstsq(J, -g, rcond=None)[0]
+            t = 1.0
+            while t >= _MIN_STEP:
+                cand = x + t * p
+                gc, rc = residual(cand)
+                if rc <= (1.0 - _ARMIJO_C * t) * res:  # False for a NaN residual
+                    break
+                t *= 0.5
+            else:
+                message = "line search stalled"
+                break
+            x, g, res = cand, gc, rc
+            steps += 1
+        best = OptResult(x, 0.0, res, steps, fevals, res <= tol, message)
+        if best.converged or not start_finite:
             return best
-        ls = optimize.least_squares(scaled, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        res_ls = weighted_norm(weights, grad(ls.x))
+        ls = optimize.least_squares(
+            lambda x: sw * counted(x),
+            x0,
+            jac=lambda x: sw[:, None] * jac(x),
+            xtol=1e-15, ftol=1e-15, gtol=1e-15,
+        )
+        _, res_ls = residual(ls.x)
+    best.fevals = fevals
     if res_ls < best.residual:
-        best = OptResult(ls.x, 0.0, res_ls, int(ls.nfev), int(ls.nfev), res_ls <= tol, "least squares")
+        steps += int(ls.njev)
+        return OptResult(ls.x, 0.0, res_ls, steps, fevals, res_ls <= tol, "least squares")
     return best

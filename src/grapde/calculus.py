@@ -21,8 +21,10 @@ __all__ = [
     "laplacian",
     "gradient_form",
     "grad_modulus",
+    "power_coeff",
     "polylap_weak_form",
     "polylap_apply",
+    "polylap_jacobian",
 ]
 
 
@@ -77,7 +79,7 @@ def grad_modulus(graph: WeightedGraph, u, m: int) -> np.ndarray:
     return np.abs(_lap_power(graph, u, m // 2))
 
 
-def _power_coeff(t: np.ndarray, s: float) -> np.ndarray:
+def power_coeff(t: np.ndarray, s: float) -> np.ndarray:
     """|t|^(s-2) with the continuous extension 0^0 := 1 at s == 2."""
     if s == 2:
         return np.ones_like(t)
@@ -92,7 +94,7 @@ def p_laplacian(graph: WeightedGraph, u, p: float) -> np.ndarray:
     if p < 2:
         raise ValueError("p must be >= 2")
     u = asvalues(graph, u)
-    c = _power_coeff(grad_modulus(graph, u, 1), p)
+    c = power_coeff(grad_modulus(graph, u, 1), p)
     w = graph.weight_matrix
     s = w @ (c * u) - u * (w @ c) + c * (w @ u) - graph.degree * c * u
     return s / (2.0 * graph.mu)
@@ -107,12 +109,12 @@ def polylap_weak_form(graph: WeightedGraph, u, phi, ord: OperatorOrder) -> float
         k = (m - 1) // 2
         a = _lap_power(graph, u, k)
         b = _lap_power(graph, phi, k)
-        c = _power_coeff(grad_modulus(graph, u, m), s)
+        c = power_coeff(grad_modulus(graph, u, m), s)
         return integral(graph, c * gradient_form(graph, a, b))
     j = m // 2
     a = _lap_power(graph, u, j)
     b = _lap_power(graph, phi, j)
-    c = _power_coeff(grad_modulus(graph, u, m), s)
+    c = power_coeff(grad_modulus(graph, u, m), s)
     return integral(graph, c * a * b)
 
 
@@ -120,6 +122,11 @@ def _reweighted_laplacian(graph: WeightedGraph, c: np.ndarray) -> np.ndarray:
     """Edge-reweighted Laplacian: its quadratic form matches the Gamma integral."""
     w_tilde = graph.weight_matrix * 0.5 * (c[:, None] + c[None, :])
     return np.diag(w_tilde.sum(axis=1)) - w_tilde
+
+
+def _lap_power_matrix(graph: WeightedGraph, k: int) -> np.ndarray:
+    """A^k, the k-th power of the Laplacian matrix, built once per graph."""
+    return graph.operator(("A^k", k), lambda g: np.linalg.matrix_power(_lap_matrix(g), k))
 
 
 def polylap_apply(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
@@ -134,12 +141,10 @@ def polylap_apply(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
     u = asvalues(graph, u)
     m, s = ord.m, ord.s
     k = m // 2
-    M = None
-    if k:
-        M = graph.operator(("A^k", k), lambda g: np.linalg.matrix_power(_lap_matrix(g), k))
+    M = _lap_power_matrix(graph, k) if k else None
     a = u if M is None else M @ u
     # at s = 2 the coefficient is 1 whatever u is
-    c = np.ones(graph.n) if s == 2 else _power_coeff(grad_modulus(graph, u, m), s)
+    c = np.ones(graph.n) if s == 2 else power_coeff(grad_modulus(graph, u, m), s)
     if m % 2 == 0:
         r = graph.mu * c * a
     elif s == 2:
@@ -147,3 +152,41 @@ def polylap_apply(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
     else:
         r = _reweighted_laplacian(graph, c) @ a
     return (r if M is None else M.T @ r) / graph.mu
+
+
+def polylap_jacobian(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
+    """The n x n derivative of ``polylap_apply`` at u.
+
+    With a = A^k u (k = m // 2), ``polylap_apply`` is M^T r(a) / mu for
+    M = A^k, where r is the gradient in a of the integral of |grad^m u|^s / s.
+    Its Hessian H(a) is, for even m, diag(mu (s-1) |a|^(s-2)); for odd m,
+    with G = Gamma(a, a) and c = G^((s-2)/2),
+
+        H = L~(c) + R^T diag((s-2) / (4 mu) G^((s-4)/2)) R,
+
+    where L~ is the reweighted Laplacian, R[x, x] = sum_y w_xy (a_x - a_y)
+    and R[x, y] = -w_xy (a_x - a_y), so that dG = R da / mu.  A row of R
+    vanishes where G = 0, and its coefficient is taken as 0 there.  The
+    derivative is diag(1/mu) M^T H M.
+    """
+    u = asvalues(graph, u)
+    m, s = ord.m, ord.s
+    k = m // 2
+    M = _lap_power_matrix(graph, k) if k else None
+    a = u if M is None else M @ u
+    if m % 2 == 0:
+        H = np.diag(graph.mu * (s - 1) * power_coeff(a, s))
+    elif s == 2:
+        H = graph.operator("L(c=1)", lambda g: _reweighted_laplacian(g, np.ones(g.n)))
+    else:
+        G = np.maximum(gradient_form(graph, a, a), 0.0)
+        w = graph.weight_matrix
+        diff = w * (a[:, None] - a[None, :])  # w_xy (a_x - a_y)
+        R = np.diag(diff.sum(axis=1)) - diff
+        kappa = np.zeros(graph.n)
+        nz = G > 0
+        kappa[nz] = (s - 2) / (4.0 * graph.mu[nz]) * G[nz] ** ((s - 4) / 2)
+        H = _reweighted_laplacian(graph, power_coeff(np.sqrt(G), s)) + R.T @ (kappa[:, None] * R)
+    if M is not None:
+        H = M.T @ H @ M
+    return H / graph.mu[:, None]

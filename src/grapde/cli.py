@@ -8,6 +8,7 @@ Verbosity via the GRAPDE_LOG environment variable (DEBUG/INFO/WARNING).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
@@ -84,11 +85,18 @@ def _hypothesis_spec(data: dict, graph: WeightedGraph) -> HypothesisSpec:
     return HypothesisSpec(**kwargs)
 
 
-def _builtin_instance(name, graph: WeightedGraph, spec=None, w=0.0) -> ProblemInstance:
+def _builtin_instance(name, graph: WeightedGraph, hypotheses=None, w=0.0) -> ProblemInstance:
+    """The builtin ``name``; a ``hypotheses`` dict replaces the constants a file can spell.
+
+    The (H3) floor ``a_floor``/``c_fn``, which a file cannot spell, stays the builtin's.
+    """
     prob = builtin(name, graph)
-    return ProblemInstance(
-        graph, prob.ord1, prob.ord2, prob.nl, prob.spec if spec is None else spec, w
-    )
+    spec = prob.spec
+    if hypotheses is not None:
+        spec = dataclasses.replace(
+            _hypothesis_spec(hypotheses, graph), a_floor=spec.a_floor, c_fn=spec.c_fn
+        )
+    return ProblemInstance(graph, prob.ord1, prob.ord2, prob.nl, spec, w)
 
 
 def load_problem(path, graph: WeightedGraph):
@@ -102,8 +110,8 @@ def load_problem(path, graph: WeightedGraph):
         fixed = set(data) - _BUILTIN_FIELDS
         if fixed:
             raise InputError(f"a builtin problem fixes the fields {sorted(fixed)}")
-        spec = _hypothesis_spec(data["hypotheses"], graph) if "hypotheses" in data else None
-        return _builtin_instance(data["builtin"], graph, spec, w), _load_objective(data, graph)
+        inst = _builtin_instance(data["builtin"], graph, data.get("hypotheses"), w)
+        return inst, _load_objective(data, graph)
     if "F" not in data:
         raise InputError("problem file needs either 'builtin' or an 'F' expression")
     coeffs = data.get("coeffs", {})

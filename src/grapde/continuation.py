@@ -138,8 +138,9 @@ def branch_continuity_report(
 ) -> ContinuityReport:
     """Jump statistics, certificate-bound verification, and a limit re-solve.
 
-    The limit check re-solves at the middle grid parameter w0, warm-started
-    from the nearest converged point.
+    The limit check re-solves at the middle grid parameter w0 from the
+    state found there and reports the distance moved; it is inf, with a
+    note, if the point w0 failed.
     """
     config = config or SolverConfig()
     notes = []
@@ -169,22 +170,17 @@ def branch_continuity_report(
 
     limit_distance = math.inf
     w0 = float(branch.grid[len(branch.grid) // 2])
-    nearest = None
-    for w, report in branch.converged_points:
-        if nearest is None or abs(w - w0) < abs(nearest[0] - w0):
-            nearest = (w, report)
-    if nearest is not None:
+    ref = next((r for w, r in branch.converged_points if abs(w - w0) < 1e-15), None)
+    if ref is not None:
         point = inst.at(w0)
-        res = polish_root(point.gradient, nearest[1].state.flat(), point.weights, tol=config.tol)
+        x = ref.state.flat()
+        res = polish_root(point.gradient, x, point.weights, point.jacobian, tol=config.tol)
         if res.converged:
-            ref = next((r for w, r in branch.converged_points if abs(w - w0) < 1e-15), None)
-            if ref is not None:
-                limit_distance = point.norm(res.x - ref.state.flat())
-            else:
-                limit_distance = 0.0
-                notes.append("limit parameter off-grid: re-solve converged, no reference state")
+            limit_distance = point.norm(res.x - x)
         else:
             notes.append("limit re-solve did not converge")
+    elif converged:
+        notes.append(f"limit parameter w0 = {w0:g} failed: no reference state for the limit check")
     else:
         notes.append("no converged point available for the limit check")
     return ContinuityReport(

@@ -14,22 +14,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import OperatorOrder, grad_modulus, polylap_apply
+from .calculus import OperatorOrder, grad_modulus, polylap_apply, polylap_jacobian, power_coeff
 from .graph import StatePair, VertexFunction, WeightedGraph, asvalues, integral
 from .nonlinearity import HypothesisSpec, Nonlinearity, check_hypotheses, spike_vertex
 from .spaces import BlockEmbedding, SpaceSpec, block_embedding, w_norm
 
 __all__ = ["FlatProblem", "ProblemInstance", "phi", "phi_grad", "el_residual_norm", "psi"]
-
-
-def _odd_power(t: np.ndarray, p: float) -> np.ndarray:
-    """|t|^(p-2) t with the continuous extension 0 at t = 0."""
-    if p == 2:
-        return t
-    out = np.zeros_like(t)
-    nz = t != 0
-    out[nz] = np.abs(t[nz]) ** (p - 2) * t[nz]
-    return out
 
 
 class FlatProblem:
@@ -85,6 +75,28 @@ class FlatProblem:
 
     def gradient(self, x) -> np.ndarray:
         return np.concatenate(phi_grad(self, self.split(x)))
+
+    def jacobian(self, x) -> np.ndarray:
+        """Derivative of ``gradient`` at x: diag(1/mu) times the Hessian of the energy.
+
+        Block i holds the derivative of its poly-Laplacian plus the diagonal
+        h (s-1) |b|^(s-2) of its potential; the second partials of the
+        coupling enter every block pair on the diagonal.
+        """
+        g = self.graph
+        blocks = self.split(x)
+        u, v = Nonlinearity.pair(blocks)
+        k = range(len(blocks))
+        J = -np.block([
+            [np.diag(self.nl.values(Nonlinearity.SECOND_PARTIALS[i][j], u, v, self.w)) for j in k]
+            for i in k
+        ])
+        for i, (b, space) in enumerate(zip(blocks, self.spaces)):
+            rows = slice(i * g.n, (i + 1) * g.n)
+            s = space.ord.s
+            potential = getattr(g, space.potential) * (s - 1) * power_coeff(b, s)
+            J[rows, rows] += polylap_jacobian(g, b, space.ord) + np.diag(potential)
+        return J
 
     def coupling_grad(self, x) -> np.ndarray:
         """Flat (F_u, F_v) at the state x; F_u alone for one block."""
@@ -170,7 +182,7 @@ def phi_grad(inst: FlatProblem, state) -> tuple:
     u, v = _unpack(inst, state)
     return tuple(
         polylap_apply(g, b, s.ord)
-        + getattr(g, s.potential) * _odd_power(b, s.ord.s)
+        + getattr(g, s.potential) * power_coeff(b, s.ord.s) * b
         - inst.nl.values(which, u, v, inst.w)
         for b, s, which in zip((u, v), inst.spaces, Nonlinearity.PARTIALS)
     )

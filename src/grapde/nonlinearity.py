@@ -51,7 +51,10 @@ class Nonlinearity:
     """F with symbolic partials F_u, F_v bound to a graph's coefficient tables.
 
     Each of F, F_u and F_v is compiled (``expressions.compile_expr``) the
-    first time it is evaluated, and the compiled code is kept.
+    first time it is evaluated, and the compiled code is kept.  The second
+    partials F_uu, F_uv and F_vv (selectors in ``SECOND_PARTIALS``) are
+    derived and compiled on their first evaluation only, so a problem that
+    never asks for a Jacobian does not pay for them.
     """
 
     graph: WeightedGraph
@@ -63,6 +66,9 @@ class Nonlinearity:
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     PARTIALS = ("Fu", "Fv")  # the selector of the partial in each unknown block
+    # the selector of the second partial in blocks (i, j)
+    SECOND_PARTIALS = (("Fuu", "Fuv"), ("Fuv", "Fvv"))
+    _DERIVED = {"Fuu": ("Fu", "u"), "Fuv": ("Fu", "v"), "Fvv": ("Fv", "v")}
 
     def __post_init__(self):
         object.__setattr__(self, "Fu", ex.differentiate(self.F, "u"))
@@ -88,6 +94,9 @@ class Nonlinearity:
         return cls(graph, ex.parse_expr(source), dict(coeffs or {}))
 
     def _expr(self, which: str) -> ex.Expr:
+        if which in self._DERIVED:
+            first, var = self._DERIVED[which]
+            return ex.differentiate(self._expr(first), var)
         try:
             return {"F": self.F, "Fu": self.Fu, "Fv": self.Fv}[which]
         except KeyError:

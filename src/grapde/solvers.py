@@ -235,7 +235,7 @@ def mountain_pass_solve(
         endpoint = negative_endpoint(inst, config)
     weights = inst.weights
     if start is not None:
-        warm = polish_root(inst.gradient, start, weights, tol=config.tol)
+        warm = polish_root(inst.gradient, start, weights, inst.jacobian, tol=config.tol)
         report = _warm_report(inst, warm, "mountain-pass", config, inst.bounds_mp, endpoint)
         if report is not None:
             return report
@@ -246,7 +246,7 @@ def mountain_pass_solve(
         np.concatenate(endpoint),
         n_nodes=config.path_nodes,
     )
-    polish = polish_root(inst.gradient, peak, weights, tol=config.tol)
+    polish = polish_root(inst.gradient, peak, weights, inst.jacobian, tol=config.tol)
     cert, extra = certify(inst.bounds_mp, endpoint)
     if not coarse_ok and not polish.converged:
         extra = extra + ("path deformation did not reach coarse tolerance",)
@@ -422,7 +422,7 @@ def local_min_solve(
     )
     x = result.x
     if not result.converged:
-        polish = polish_root(inst.gradient, x, weights, tol=config.tol)
+        polish = polish_root(inst.gradient, x, weights, inst.jacobian, tol=config.tol)
         if inst.norm(polish.x) <= rho and polish.residual < result.residual:
             x = polish.x
     cert, extra = certify(inst.bounds_min, t0, rho)
@@ -676,7 +676,8 @@ def nonexistence_check(
     negative off the origin, no state can satisfy the critical-point
     identity, so only the trivial solution exists.  Optionally confirms by
     driving the gradient to zero from random starts and recording the
-    largest norm reached (None, with a note, if no start converged).
+    largest norm reached (None, with a note, if no start converged).  A
+    state below ``trivial_norm`` counts as the trivial solution, norm 0.
     """
     config = config or SolverConfig()
     sampling = sampling or SamplingConfig(seed=config.seed)
@@ -699,13 +700,21 @@ def nonexistence_check(
 
     norms = []
     notes = []
+    trivial = 0
     for _ in range(multistart):
         x0 = rng.uniform(-2.0, 2.0, size=weights.size)
-        res = polish_root(inst.gradient, x0, weights, tol=config.tol)
-        if res.converged:
-            norms.append(inst.norm(res.x))
-        else:
+        res = polish_root(inst.gradient, x0, weights, inst.jacobian, tol=config.tol)
+        if not res.converged:
             notes.append("a multistart polish failed to converge")
+            continue
+        norm = inst.norm(res.x)
+        # as in solve_report's "trivial" flag: the residual cannot tell it from zero
+        if norm < trivial_norm(inst, config.tol):
+            trivial += 1
+            norm = 0.0
+        norms.append(norm)
+    if trivial:
+        notes.append(f"{trivial} of {multistart} multistart polishes reached the trivial solution")
     if multistart > 0 and not norms:
         notes.append("no multistart polish converged")
     certified = verdict == "pass (sampled)" and mechanism_ok

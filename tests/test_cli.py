@@ -260,6 +260,17 @@ def test_builtin_problem_takes_w_and_hypotheses(tmp_path):
     assert "r1" in report["result"]["bounds_error"]
 
 
+def test_builtin_hypotheses_keep_the_builtin_h3_floor(tmp_path):
+    # a file cannot spell the (H3) floor a(r) = r^4 of mp-example; its
+    # constants must not drop it
+    data = {"builtin": "mp-example", "w": 0.5,
+            "hypotheses": {"theta": 4, "c1": 16, "c2": 16, "r1": 4, "r2": 4,
+                           "gamma1": 2, "gamma2": 2}}
+    problem = _write(tmp_path, "p.json", data)
+    code, report = _run(tmp_path, ["check", "--problem", problem])
+    assert report["result"]["conditions"]["H3"]["verdict"] == "pass (sampled)"
+
+
 def test_constants_of_a_one_block_problem_use_its_potential(tmp_path):
     # p = 2 over h2 = 4: b = (1 / (min mu min h2))^(1/2) = 0.5, K1 = vol^(1/2) b
     graph = _write(tmp_path, "g.json", graph_to_dict(path_graph(2, h1=1.0, h2=4.0)))

@@ -109,6 +109,15 @@ def test_continuity_single_point_grid():
     assert any("single-point" in n for n in report.notes)
 
 
+def test_continuity_limit_check_fails_when_the_middle_point_failed():
+    inst = _saddle_instance()
+    branch = sweep(inst, grid=3, kind="mp", config=CFG)
+    branch.reports[1] = None
+    report = branch_continuity_report(branch, inst, CFG)
+    assert report.limit_check_distance == np.inf
+    assert any("w0 = 0 failed" in n for n in report.notes)
+
+
 def test_control_constant_objective_ties_to_smallest_parameter():
     inst = _saddle_instance()
     obj = Nonlinearity.from_source(inst.graph, "1", {})

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from grapde.calculus import OperatorOrder, laplacian
 from grapde.energy import ProblemInstance, el_residual_norm, phi, phi_grad, psi
 from grapde.graph import StatePair, VertexFunction, integral, path_graph
 from grapde.nonlinearity import HypothesisSpec, Nonlinearity
+from grapde.scalar import ScalarInstance
 from grapde.spaces import SpaceSpec, w_norm
 
 
@@ -81,6 +84,30 @@ def test_gradient_matches_finite_difference(F, p, q, m1, m2):
         # directional derivative along e_i equals mu_i * g at vertex i
         assert fd_u == pytest.approx(g.mu[i] * gu[i], rel=2e-5, abs=2e-6)
         assert fd_v == pytest.approx(g.mu[i] * gv[i], rel=2e-5, abs=2e-6)
+
+
+@pytest.mark.parametrize("m,s", list(itertools.product((1, 2, 3), (2.0, 3.0, 4.0))))
+@pytest.mark.parametrize("blocks", (1, 2))
+def test_jacobian_matches_central_differences(m, s, blocks):
+    # mirrors criterion_03 one derivative up; the coupling has F_uv = 1
+    rng = np.random.default_rng(10 * m + int(s) + 100 * blocks)
+    g = random_graph(rng, 5)
+    if blocks == 2:
+        inst = _instance(g, "u*v + 0.5*u^4 - w*v", p=s, q=6.0 - s, m1=m, m2=4 - m, w=0.3)
+    else:
+        nl = Nonlinearity.from_source(g, "0.5*u^4 - w*u", {})
+        inst = ScalarInstance(g, OperatorOrder(m, s), nl, HypothesisSpec(), "h2", 0.3)
+    x = 0.5 * rng.standard_normal(blocks * g.n)
+    J = inst.jacobian(x)
+    h = 1e-5
+    fd = np.column_stack([
+        (inst.gradient(x + h * e) - inst.gradient(x - h * e)) / (2 * h)
+        for e in np.eye(x.size)
+    ])
+    assert np.linalg.norm(J - fd) / np.linalg.norm(fd) < 1e-7
+    # diag(mu) J is the Hessian of the energy
+    hess = inst.weights[:, None] * J
+    assert np.allclose(hess, hess.T, rtol=1e-10, atol=1e-12)
 
 
 def test_residual_zero_at_linear_eigenpair():

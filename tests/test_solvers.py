@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from grapde import solvers
+from grapde._optim import polish_root
 from grapde.calculus import OperatorOrder
 from grapde.energy import ProblemInstance, phi
-from grapde.graph import integral, path_graph
+from grapde.graph import complete_graph, integral, path_graph
 from grapde.nonlinearity import HypothesisSpec, Nonlinearity, builtin
 from grapde.solvers import (
     CertificateError,
@@ -21,6 +22,7 @@ from grapde.solvers import (
     negative_endpoint,
     nonexistence_check,
     state_norm,
+    trivial_norm,
     uniqueness_certificate,
 )
 from grapde.spaces import w_norm
@@ -50,12 +52,44 @@ def test_negative_endpoint_uniform_over_grid():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_saddle_polish_overflow_is_not_a_warning():
-    # on the 16-path the hybr trial points of the saddle polish overflow F
+    # on the 16-path the trial points of the saddle search can overflow F
     g = path_graph(16)
     prob = builtin("mp-example", g)
     inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
     report = mountain_pass_solve(inst)
     assert report.converged
+
+
+def test_newton_polish_steps_through_a_singular_jacobian():
+    # p = 3: where u and its gradient vanish together the rows of the
+    # Jacobian vanish (the v block is zero where u is), so the Newton step
+    # there is the min-norm least-squares step
+    g = path_graph(6)
+    prob = builtin("mp-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.3)
+    x0 = np.concatenate([[1.0, 0.5, 0.0, 0.0, 0.0, 0.0], np.zeros(6)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(inst.jacobian(x0), inst.gradient(x0))
+    res = polish_root(inst.gradient, x0, inst.weights, inst.jacobian)
+    assert res.converged and res.message == "converged"
+    assert inst.residual(res.x) <= 1e-8
+
+
+def test_warm_polish_takes_few_gradient_calls():
+    g = complete_graph(5)
+    prob = builtin("mp-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+    start = mountain_pass_solve(inst).state.flat()
+    point = inst.at(0.1)
+    calls = []
+
+    def grad(x):
+        calls.append(1)
+        return point.gradient(x)
+
+    res = polish_root(grad, start, point.weights, point.jacobian)
+    assert res.converged and inst.norm(res.x) > 0.1
+    assert len(calls) == res.fevals <= 10
 
 
 def test_trivial_flag_scales_with_the_largest_exponent():
@@ -326,6 +360,18 @@ def test_nonexistence_rejects_saddle_example():
     inst = _saddle_instance()
     report = nonexistence_check(inst)
     assert not report.certified
+
+
+def test_nonexistence_multistart_counts_trivial_states_as_zero():
+    # localmin-example is 4-homogeneous: Newton reaches its only critical
+    # point, the origin, linearly and stops at norm ~4e-3, below trivial_norm
+    g = path_graph(2)
+    prob = builtin("localmin-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+    assert trivial_norm(inst, 1e-8) == pytest.approx(1e-7 ** (1 / 3))
+    report = nonexistence_check(inst, multistart=3)
+    assert report.multistart_max_norm == 0.0
+    assert "3 of 3 multistart polishes reached the trivial solution" in report.notes
 
 
 def test_nonexistence_multistart_without_convergence_reports_none():

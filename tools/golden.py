@@ -8,7 +8,10 @@ problem x graph of the fixed set below (each with ``--deterministic``) and
 writes each JSON report, each CSV and a ``manifest.json`` of exit codes and
 stderr lines to ``OUT``.  ``compare`` lists every file and exit code that
 differs between two captures, with the differing JSON leaves, and exits 1 if
-anything differs.  Capture the parent tree and the changed tree, then compare.
+anything differs.  Each differing report also gets one ``summary`` line: the
+largest relative energy change of a state converged in both, and every change
+of a state's ``converged``, its certificate's ``satisfied``, its ``flags`` and
+the exit code.  Capture the parent tree and the changed tree, then compare.
 
 The set: the five builtins (with ``control-objective`` as the control
 objective), ``mp-example`` at w = 0.5 with its hypothesis constants given in
@@ -151,6 +154,42 @@ def _describe(a, b):
     return lines
 
 
+def _states(node, path=""):
+    """(path, report) of every solve report (a dict with energy and converged) in a document."""
+    if isinstance(node, dict):
+        if "energy" in node and "converged" in node:
+            yield path, node
+        for key in sorted(node):
+            yield from _states(node[key], f"{path}.{key}")
+    elif isinstance(node, list):
+        for k, item in enumerate(node):
+            yield from _states(item, f"{path}[{k}]")
+
+
+def _summary(a, b, exits):
+    """One line: the largest relative energy change and the verdict changes of two reports."""
+    sa, sb = dict(_states(a)), dict(_states(b))
+    rel = 0.0
+    changes = [f"state{path} only in {'A' if path in sa else 'B'}"
+               for path in sorted(sa.keys() ^ sb.keys())]
+    for path in sorted(sa.keys() & sb.keys()):
+        x, y = sa[path], sb[path]
+        if x["converged"] and y["converged"]:
+            ex, ey = x["energy"], y["energy"]
+            rel = max(rel, abs(ey - ex) / abs(ex) if ex else abs(ey))
+        for key, get in (
+            ("converged", lambda r: r["converged"]),
+            ("satisfied", lambda r: (r.get("certificate") or {}).get("satisfied")),
+            ("flags", lambda r: r.get("flags")),
+        ):
+            if get(x) != get(y):
+                changes.append(f"{key}{path}: {get(x)!r} -> {get(y)!r}")
+    if exits[0] != exits[1]:
+        changes.append(f"exit: {exits[0]} -> {exits[1]}")
+    head = f"max energy change {rel:.1e}" if sa.keys() & sb.keys() else "no common state"
+    return "  summary: " + "; ".join([head] + changes)
+
+
 def compare(a, b):
     files = set()
     for root in (a, b):
@@ -182,7 +221,10 @@ def compare(a, b):
         differ += 1
         print(f"differs: {name}")
         if name.endswith(".json"):
-            print("\n".join(_describe(json.loads(da), json.loads(db))[:20]))
+            ja, jb = json.loads(da), json.loads(db)
+            print("\n".join(_describe(ja, jb)[:20]))
+            run = name[: -len(".json")]
+            print(_summary(ja, jb, (ma.get(run, {}).get("exit"), mb.get(run, {}).get("exit"))))
     same = len(files) - differ
     print(f"{len(files)} files, {differ} differences, {max(same, 0)} identical")
     return 1 if differ else 0
