@@ -2,8 +2,9 @@
 
 Everything here works on flat ndarrays with a fixed positive weight vector
 defining the inner product <a, b> = sum(weights * a * b); callers pass
-objective and gradient callables expressed in that metric.  All routines are
-deterministic for fixed inputs.
+objective and gradient callables expressed in that metric, and the root polish
+also the Jacobian of the gradient.  All routines are deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
