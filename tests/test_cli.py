@@ -267,7 +267,7 @@ def test_builtin_hypotheses_keep_the_builtin_h3_floor(tmp_path):
             "hypotheses": {"theta": 4, "c1": 16, "c2": 16, "r1": 4, "r2": 4,
                            "gamma1": 2, "gamma2": 2}}
     problem = _write(tmp_path, "p.json", data)
-    code, report = _run(tmp_path, ["check", "--problem", problem])
+    _, report = _run(tmp_path, ["check", "--problem", problem])
     assert report["result"]["conditions"]["H3"]["verdict"] == "pass (sampled)"
 
 
