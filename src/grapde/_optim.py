@@ -3,8 +3,9 @@
 Everything here works on flat ndarrays with a fixed positive weight vector
 defining the inner product <a, b> = sum(weights * a * b); callers pass
 objective and gradient callables expressed in that metric, and the root polish
-also the Jacobian of the gradient.  All routines are deterministic for fixed
-inputs.
+and the saddle search also the Jacobian of the gradient.  One damped Newton
+loop (``_newton``) serves both the polish and the saddle search's trials.
+All routines are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ _MAX_ITER = 100_000  # descent steps of bb_minimize
 _COARSE_TOL = 1e-3  # peak residual at which path_saddle hands over to the polish
 _MAX_OUTER = 500  # path sweeps of path_saddle
 _MAX_NEWTON = 100  # Newton steps of polish_root
+_TRIAL_NEWTON = 15  # Newton steps of each trial from the path peak
 _MIN_STEP = 1e-10  # smallest damping factor of a Newton step
+_TRIAL_MIN_STEP = 1e-3  # smallest damping factor of a trial step
 
 
 @dataclass
@@ -103,22 +106,32 @@ def _reparametrize(path: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def path_saddle(f, grad, weights, endpoint, n_nodes=41) -> tuple:
+def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -> tuple:
     """Deform a discretized path from 0 to ``endpoint`` toward the min-max node.
 
     Every interior node takes one backtracked descent step per sweep, then the
-    path is reparametrized to uniform arclength.  Returns the peak node once
-    its gradient residual falls under ``_COARSE_TOL`` (the caller polishes it),
-    plus iteration/evaluation counts.
+    path is reparametrized to uniform arclength.  After a sweep that brings
+    the peak residual below 0.9 times its value at the last trial, a Newton
+    trial runs from the peak node: ``_newton`` on ``jac``, at most
+    ``_TRIAL_NEWTON`` steps, none damped below ``_TRIAL_MIN_STEP`` (a start
+    that needs more damping is not in Newton's basin).  The phase ends as
+    soon as a trial converges to a root x with ``accept(x, peak_energy)``
+    true, the peak energy being an upper bound on the mountain-pass level.
+    It also ends once the peak residual falls under ``_COARSE_TOL``, or when
+    the residual stalls for 30 sweeps or after ``_MAX_OUTER`` sweeps; these
+    two return the best-residual peak seen.  Returns (point, sweeps, fevals,
+    ok): ``fevals`` counts the energy calls and the gradient calls of the
+    trials, and ``ok`` is False only for the stall and sweep-cap exits.  The
+    caller polishes the point.
     """
     lam = np.linspace(0.0, 1.0, n_nodes)[:, None]
     path = lam * np.asarray(endpoint, float)[None, :]
     steps = np.full(n_nodes, 1e-2)
     fevals = 0
-    peak = None
-    best_res = math.inf
+    best_peak, best_res = None, math.inf
+    stall_res = trial_res = math.inf
     stall = 0
-    for outer in range(1, _MAX_OUTER + 1):
+    for outer in range(_MAX_OUTER + 1):
         energies = np.array([f(x) for x in path])
         fevals += n_nodes
         k_peak = 1 + int(np.argmax(energies[1:-1]))
@@ -127,14 +140,26 @@ def path_saddle(f, grad, weights, endpoint, n_nodes=41) -> tuple:
         res = weighted_norm(weights, g_peak)
         if res <= _COARSE_TOL:
             return peak, outer, fevals, True
+        if res < best_res:
+            best_peak, best_res = peak, res
+        # a trial after a sweep, once the peak residual has fallen by a tenth
+        # since the last one: a failing trial costs up to _TRIAL_NEWTON Jacobians
+        if outer > 0 and res < 0.9 * trial_res:
+            trial_res = res
+            trial = _newton(grad, jac, peak, weights, tol, _TRIAL_NEWTON, _TRIAL_MIN_STEP)
+            fevals += trial.fevals
+            if trial.converged and accept(trial.x, float(energies[k_peak])):
+                return trial.x, outer, fevals, True
         # stop once the peak residual stops improving; the caller polishes
-        if res < 0.99 * best_res:
-            best_res = res
+        if res < 0.99 * stall_res:
+            stall_res = res
             stall = 0
         else:
             stall += 1
             if stall >= 30:
-                return peak, outer, fevals, False
+                return best_peak, outer, fevals, False
+        if outer == _MAX_OUTER:
+            return best_peak, outer, fevals, False
         # cap each node's displacement at half the node spacing so nodes
         # downhill of the saddle cannot run away before reparametrization
         seg = sum(
@@ -160,38 +185,30 @@ def path_saddle(f, grad, weights, endpoint, n_nodes=41) -> tuple:
                     break
                 t *= 0.5
         path = _reparametrize(path, weights)
-    return peak, _MAX_OUTER, fevals, False
 
 
-def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
-    """Drive the gradient to zero: damped Newton on ``jac``, least squares fallback.
+def _newton(grad, jac, x0, weights, tol, max_steps, min_step=_MIN_STEP) -> OptResult:
+    """Damped Newton on ``jac`` from x0, at most ``max_steps`` steps.
 
-    Each Newton step solves J p = -g (the min-norm least-squares step where
-    J is singular) and backtracks until the weighted residual falls by the
-    Armijo fraction.  Trial points may leave the region where the gradient
-    is finite, so they are evaluated with overflow and invalid-value
-    warnings off, and a non-finite residual fails the trial.  If Newton
-    stops short of ``tol`` (line search stalled, non-finite value, or
-    ``_MAX_NEWTON`` steps), ``least_squares`` with the same Jacobian runs
-    from x0 and the smaller residual wins.  ``iterations`` counts Newton
-    steps (plus the Jacobians of the fallback), ``fevals`` gradient calls.
+    Each step solves J p = -g (the min-norm least-squares step where J is
+    singular) and halves the step, down to ``min_step``, until the weighted
+    residual falls by the Armijo fraction.  Line-search points may leave the
+    region where the gradient is finite, so they are evaluated with overflow
+    and invalid-value warnings off, and a non-finite residual rejects the
+    point; only a non-finite residual at x0 ends with the message
+    "non-finite residual".
     """
     x = np.array(x0, dtype=float)
-    sw = np.sqrt(weights)
     fevals = 0
 
-    def counted(x):
+    def residual(x):
         nonlocal fevals
         fevals += 1
-        return grad(x)
-
-    def residual(x):
-        g = counted(x)
+        g = grad(x)
         return g, weighted_norm(weights, g)
 
     with np.errstate(over="ignore", invalid="ignore"):
         g, res = residual(x)
-        start_finite = math.isfinite(res)
         steps = 0
         while True:
             if not math.isfinite(res):
@@ -200,7 +217,7 @@ def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
             if res <= tol:
                 message = "converged"
                 break
-            if steps == _MAX_NEWTON:
+            if steps == max_steps:
                 message = "max iterations"
                 break
             J = jac(x)
@@ -212,7 +229,7 @@ def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
             except np.linalg.LinAlgError:
                 p = np.linalg.lstsq(J, -g, rcond=None)[0]
             t = 1.0
-            while t >= _MIN_STEP:
+            while t >= min_step:
                 cand = x + t * p
                 gc, rc = residual(cand)
                 if rc <= (1.0 - _ARMIJO_C * t) * res:  # False for a NaN residual
@@ -223,18 +240,40 @@ def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
                 break
             x, g, res = cand, gc, rc
             steps += 1
-        best = OptResult(x, 0.0, res, steps, fevals, res <= tol, message)
-        if best.converged or not start_finite:
-            return best
+    return OptResult(x, 0.0, res, steps, fevals, res <= tol, message)
+
+
+def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
+    """Drive the gradient to zero: damped Newton on ``jac``, least squares fallback.
+
+    Newton (``_newton``) runs at most ``_MAX_NEWTON`` steps.  If it stops
+    short of ``tol`` from a finite start (line search stalled, non-finite
+    Jacobian, or the step cap), ``least_squares`` with the same Jacobian
+    runs from x0 and the smaller residual wins.  ``iterations`` counts
+    Newton steps (plus the Jacobians of the fallback), ``fevals`` gradient
+    calls.
+    """
+    best = _newton(grad, jac, x0, weights, tol, _MAX_NEWTON)
+    if best.converged or best.message == "non-finite residual":
+        return best
+    sw = np.sqrt(weights)
+    fevals = best.fevals
+
+    def counted(x):
+        nonlocal fevals
+        fevals += 1
+        return grad(x)
+
+    with np.errstate(over="ignore", invalid="ignore"):
         ls = optimize.least_squares(
             lambda x: sw * counted(x),
             x0,
             jac=lambda x: sw[:, None] * jac(x),
             xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
-        _, res_ls = residual(ls.x)
+        res_ls = weighted_norm(weights, counted(ls.x))
     best.fevals = fevals
     if res_ls < best.residual:
-        steps += int(ls.njev)
+        steps = best.iterations + int(ls.njev)
         return OptResult(ls.x, 0.0, res_ls, steps, fevals, res_ls <= tol, "least squares")
     return best

@@ -139,8 +139,11 @@ def branch_continuity_report(
     """Jump statistics, certificate-bound verification, and a limit re-solve.
 
     The limit check re-solves at the middle grid parameter w0 from the
-    state found there and reports the distance moved; it is inf, with a
-    note, if the point w0 failed.
+    converged state of the nearest other grid point and reports the
+    distance to the state found at w0.  Ties go to the larger parameter: a
+    sweep runs left to right, so w0's own state may be the polish of its
+    left neighbour's, and repeating that polish would check nothing.  The
+    distance is inf, with a note, if w0 or every other point failed.
     """
     config = config or SolverConfig()
     notes = []
@@ -170,19 +173,29 @@ def branch_continuity_report(
 
     limit_distance = math.inf
     w0 = float(branch.grid[len(branch.grid) // 2])
-    ref = next((r for w, r in branch.converged_points if abs(w - w0) < 1e-15), None)
-    if ref is not None:
+    ref = next((r for w, r in branch.converged_points if w == w0), None)
+    neighbour = min(
+        ((w, r) for w, r in branch.converged_points if w != w0),
+        key=lambda item: (abs(item[0] - w0), -item[0]),
+        default=None,
+    )
+    if ref is None:
+        if converged:
+            notes.append(
+                f"limit parameter w0 = {w0:g} failed: no reference state for the limit check"
+            )
+        else:
+            notes.append("no converged point available for the limit check")
+    elif neighbour is None:
+        notes.append(f"no converged point besides w0 = {w0:g} to start the limit check from")
+    else:
         point = inst.at(w0)
-        x = ref.state.flat()
-        res = polish_root(point.gradient, x, point.weights, point.jacobian, tol=config.tol)
+        start = neighbour[1].state.flat()
+        res = polish_root(point.gradient, start, point.weights, point.jacobian, tol=config.tol)
         if res.converged:
-            limit_distance = point.norm(res.x - x)
+            limit_distance = point.norm(res.x - ref.state.flat())
         else:
             notes.append("limit re-solve did not converge")
-    elif converged:
-        notes.append(f"limit parameter w0 = {w0:g} failed: no reference state for the limit check")
-    else:
-        notes.append("no converged point available for the limit check")
     return ContinuityReport(
         max_jump=max_jump,
         jump_table=table,

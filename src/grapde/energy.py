@@ -98,6 +98,19 @@ class FlatProblem:
             J[rows, rows] += polylap_jacobian(g, b, space.ord) + np.diag(potential)
         return J
 
+    def morse_index(self, x) -> int:
+        """Count of negative eigenvalues of the energy's Hessian at x.
+
+        diag(mu) J is the Hessian, so with D = diag(weights) the matrix
+        D^(1/2) J D^(-1/2) is symmetric and, by Sylvester's law, has the
+        Hessian's inertia.  Eigenvalues below -1e-8 max(1, |lambda|_max)
+        count as negative.
+        """
+        sw = np.sqrt(self.weights)
+        S = sw[:, None] * self.jacobian(x) / sw[None, :]
+        lam = np.linalg.eigvalsh(0.5 * (S + S.T))
+        return int(np.sum(lam < -1e-8 * max(1.0, float(np.max(np.abs(lam))))))
+
     def coupling_grad(self, x) -> np.ndarray:
         """Flat (F_u, F_v) at the state x; F_u alone for one block."""
         u, v = _unpack(self, self.split(x))

@@ -225,10 +225,14 @@ def _warm_report(inst, res, kind, config, bounds, *args):
 def mountain_pass_solve(
     inst, config: SolverConfig = None, endpoint: tuple = None, start=None
 ) -> SolveReport:
-    """Saddle search: path deformation to locate the peak, then residual polish.
+    """Saddle search: path deformation with Newton trials, then residual polish.
 
-    With a flat state ``start`` (the previous point of a sweep), the polish
-    from ``start`` is tried first and the path search runs only if it fails.
+    The path deformation ends as soon as a Newton trial from its peak reaches
+    a critical point that is a mountain-pass point by evidence: nontrivial,
+    with energy at most the path's peak energy (an upper bound on the
+    mountain-pass level) and Morse index 1.  With a flat state ``start``
+    (the previous point of a sweep), the polish from ``start`` is tried
+    first and the path search runs only if it fails.
     """
     config = config or SolverConfig()
     if endpoint is None:
@@ -239,12 +243,24 @@ def mountain_pass_solve(
         report = _warm_report(inst, warm, "mountain-pass", config, inst.bounds_mp, endpoint)
         if report is not None:
             return report
+    floor = trivial_norm(inst, config.tol)
+
+    def accept(x, peak_energy):
+        return (
+            inst.norm(x) >= floor
+            and inst.energy(x) <= peak_energy
+            and inst.morse_index(x) == 1
+        )
+
     peak, outer, fevals, coarse_ok = path_saddle(
         inst.energy,
         inst.gradient,
         weights,
         np.concatenate(endpoint),
+        inst.jacobian,
+        accept,
         n_nodes=config.path_nodes,
+        tol=config.tol,
     )
     polish = polish_root(inst.gradient, peak, weights, inst.jacobian, tol=config.tol)
     cert, extra = certify(inst.bounds_mp, endpoint)

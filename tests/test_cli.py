@@ -206,17 +206,29 @@ def test_demo_control_without_converged_points_is_a_report(tmp_path, monkeypatch
     }
 
 
-def test_demo_control_with_an_uncertified_point_exits_2(tmp_path):
-    # on the 16-vertex path the w = -1 point of the mp-example branch converges
-    # to a near-zero state outside its certificate; control exits 2 on it, and
-    # so does the demo, which runs the same pipeline
-    graph = _write(tmp_path, "g.json", graph_to_dict(path_graph(16)))
+def test_demo_control_with_an_uncertified_point_exits_2(tmp_path, monkeypatch):
+    # a certificate whose lower bound exceeds the norm at w = -1 leaves that
+    # converged point uncertified; control exits 2 on it, and so does the
+    # demo, which runs the same pipeline
+    from grapde import solvers
+
+    real = solvers.bound_certificate_mp
+
+    def raised_at_minus_1(inst, endpoint):
+        cert = real(inst, endpoint)
+        if inst.w == -1.0:
+            cert.lower = cert.upper
+        return cert
+
+    monkeypatch.setattr(solvers, "bound_certificate_mp", raised_at_minus_1)
+    graph = _write(tmp_path, "g.json", graph_to_dict(path_graph(2)))
     code, report = _run(
         tmp_path, ["demo", "control-objective", "--graph", graph, "--grid", "5"]
     )
     assert code == 2
-    first = report["result"]["control"]["branch"]["reports"][0]
-    assert first["converged"] and not first["certificate"]["satisfied"]
+    reports = report["result"]["control"]["branch"]["reports"]
+    assert reports[0]["converged"] and not reports[0]["certificate"]["satisfied"]
+    assert all(r["certificate"]["satisfied"] for r in reports[1:])
     assert report["config"]["kind"] is None
 
 

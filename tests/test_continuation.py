@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -116,6 +117,30 @@ def test_continuity_limit_check_fails_when_the_middle_point_failed():
     report = branch_continuity_report(branch, inst, CFG)
     assert report.limit_check_distance == np.inf
     assert any("w0 = 0 failed" in n for n in report.notes)
+
+
+def test_continuity_limit_check_detects_a_wrong_state_at_the_middle_point(saddle_branch):
+    # -x is a critical point with the saddle's energy whenever x is one (F is
+    # even), but not on the branch: the re-solve from the neighbour finds x
+    inst = _saddle_instance()
+    healthy = branch_continuity_report(saddle_branch, inst, CFG)
+    assert healthy.limit_check_distance < 1e-6
+    reports = list(saddle_branch.reports)
+    middle = reports[2]
+    x = middle.state.flat()
+    reports[2] = dataclasses.replace(middle, state=inst.at(0.0).state(-x))
+    branch = dataclasses.replace(saddle_branch, reports=reports)
+    report = branch_continuity_report(branch, inst, CFG)
+    assert report.limit_check_distance == pytest.approx(2.0 * inst.norm(x), rel=1e-6)
+
+
+def test_continuity_limit_check_needs_a_converged_neighbour():
+    inst = _saddle_instance()
+    branch = sweep(inst, grid=3, kind="mp", config=CFG)
+    branch.reports[0] = branch.reports[2] = None
+    report = branch_continuity_report(branch, inst, CFG)
+    assert report.limit_check_distance == np.inf
+    assert any("no converged point besides w0 = 0" in n for n in report.notes)
 
 
 def test_control_constant_objective_ties_to_smallest_parameter():

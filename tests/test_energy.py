@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _helpers import random_function, random_graph
 from grapde.calculus import OperatorOrder, laplacian
@@ -108,6 +109,25 @@ def test_jacobian_matches_central_differences(m, s, blocks):
     # diag(mu) J is the Hessian of the energy
     hess = inst.weights[:, None] * J
     assert np.allclose(hess, hess.T, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("blocks", (1, 2))
+def test_morse_index_is_the_inertia_of_the_hessian(seed, blocks):
+    # Sylvester's law: the LDL^T factors of the Hessian diag(mu) J have its inertia
+    rng = np.random.default_rng(seed + 10 * blocks)
+    g = random_graph(rng, 6)
+    if blocks == 2:
+        inst = _instance(g, "u*v + 0.5*u^4 - w*v^2", p=3.0, q=2.0, m2=2, w=0.7)
+    else:
+        nl = Nonlinearity.from_source(g, "0.5*u^4 - w*u^2", {})
+        inst = ScalarInstance(g, OperatorOrder(1, 3.0), nl, HypothesisSpec(), "h2", 0.7)
+    x = 2.0 * rng.standard_normal(blocks * g.n)
+    hess = inst.weights[:, None] * inst.jacobian(x)
+    _, d, _ = scipy.linalg.ldl(0.5 * (hess + hess.T))
+    negative = int(np.sum(np.linalg.eigvalsh(d) < 0))
+    assert 0 < negative < x.size
+    assert inst.morse_index(x) == negative
 
 
 def test_residual_zero_at_linear_eigenpair():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grapde import solvers
+from grapde import _optim, solvers
 from grapde._optim import polish_root
 from grapde.calculus import OperatorOrder
 from grapde.energy import ProblemInstance, phi
@@ -93,16 +93,18 @@ def test_warm_polish_takes_few_gradient_calls():
 
 
 def test_trivial_flag_scales_with_the_largest_exponent():
-    # mp-example has p = 3: the cold saddle search on the 16-path at w = -1
-    # converges to a state of norm ~6e-6, below the certificate's lower bound,
-    # whose residual (gradient of order norm^2) cannot tell it from zero
-    g = path_graph(16)
+    # a 1e-6 spike: at p = 3 its gradient is of order 1e-12, so the residual
+    # cannot tell it from zero and it is flagged; at p = 2 the gradient is of
+    # order 1e-6 and the residual tells it from zero
+    config = SolverConfig()
+    g = path_graph(2)
     prob = builtin("mp-example", g)
-    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, -1.0)
-    report = mountain_pass_solve(inst)
-    assert report.converged
-    assert report.certificate.norm < report.certificate.lower
-    assert "trivial" in report.flags
+    for p, flagged in ((3.0, True), (2.0, False)):
+        inst = _instance(g, "(u^2+v^2)^2", p=p, q=p, spec=prob.spec)
+        x = 1e-6 * inst.spike()
+        report = solvers.solve_report(inst, x, "mountain-pass", 0, 0, config)
+        assert report.converged == flagged
+        assert ("trivial" in report.flags) == flagged
     # the saddle on the 2-path is well away from zero and not flagged
     report = mountain_pass_solve(_saddle_instance())
     assert report.certificate.norm >= 0.1
@@ -195,6 +197,95 @@ def test_saddle_solve_satisfies_critical_identity():
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
+def test_cold_saddle_on_the_16_path_at_w_minus_1_is_the_mountain_pass_point():
+    # a 30-sweep stall let the path tunnel through the ridge to a near-zero
+    # state here; the accepted Newton trial is the saddle itself
+    g = path_graph(16)
+    prob = builtin("mp-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, -1.0)
+    report = mountain_pass_solve(inst)
+    assert report.converged and report.certificate.satisfied
+    assert report.certificate.norm >= 0.1
+    assert "trivial" not in report.flags
+    assert inst.morse_index(report.state.flat()) == 1
+
+
+@pytest.mark.parametrize("graph", (path_graph(2), complete_graph(5)), ids=("path-2", "K5"))
+@pytest.mark.parametrize("w", (-1.0, 0.0))
+def test_mountain_pass_saddles_have_morse_index_1(graph, w):
+    prob = builtin("mp-example", graph)
+    inst = ProblemInstance(graph, prob.ord1, prob.ord2, prob.nl, prob.spec, w)
+    report = mountain_pass_solve(inst)
+    assert report.converged
+    assert inst.morse_index(report.state.flat()) == 1
+
+
+def test_saddle_phase_rejects_critical_points_of_higher_index(monkeypatch):
+    # on K5 at w = 0 a trial reaches a critical point of index 4 below the
+    # path's peak energy before the mountain-pass point of index 1
+    g = complete_graph(5)
+    prob = builtin("mp-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+    verdicts = []
+    real = solvers.path_saddle
+
+    def recording(f, grad, weights, endpoint, jac, accept, **kwargs):
+        def recorded(x, peak_energy):
+            ok = accept(x, peak_energy)
+            verdicts.append((inst.energy(x), peak_energy, inst.morse_index(x), ok))
+            return ok
+
+        return real(f, grad, weights, endpoint, jac, recorded, **kwargs)
+
+    monkeypatch.setattr(solvers, "path_saddle", recording)
+    report = mountain_pass_solve(inst)
+    rejected = [v for v in verdicts if v[2] == 4]
+    assert rejected and all(e < peak and not ok for e, peak, _, ok in rejected)
+    assert rejected[0][0] == pytest.approx(6.46e-3, rel=1e-3)
+    assert verdicts[-1][2:] == (1, True)
+    assert report.energy == pytest.approx(6.396e-3, rel=1e-3)
+
+
+def test_cold_saddle_phase_on_k5_takes_few_sweeps(monkeypatch):
+    # the 30-sweep stall rule ended this phase after 72 sweeps
+    g = complete_graph(5)
+    prob = builtin("mp-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+    sweeps = []
+    real = _optim._reparametrize
+
+    def counting(path, weights):
+        sweeps.append(1)
+        return real(path, weights)
+
+    monkeypatch.setattr(_optim, "_reparametrize", counting)
+    report = mountain_pass_solve(inst)
+    assert report.converged and "trivial" not in report.flags
+    assert len(sweeps) <= 25
+
+
+def test_stalled_path_saddle_returns_the_best_peak(monkeypatch):
+    # one interior node, placed by a stubbed reparametrization: its residual
+    # falls to 0.1 at the third sweep and then stalls at 0.3
+    peaks = [1.0, 0.5, 0.1] + [0.3] * 40
+    sweep = iter(peaks[1:])
+    monkeypatch.setattr(_optim, "_reparametrize", lambda path, weights: np.array(
+        [[0.0], [next(sweep)], [2.0]]
+    ))
+    endpoint = np.array([2.0])
+    x, sweeps, _, ok = _optim.path_saddle(
+        lambda x: -float(x[0] - 1.0) ** 2,
+        lambda x: np.array(x, dtype=float),
+        np.ones(1),
+        endpoint,
+        lambda x: np.eye(1),
+        lambda x, peak_energy: False,
+        n_nodes=3,
+    )
+    assert not ok and sweeps > 3
+    assert x.tolist() == [0.1]
+
+
 # --- certified ball and local minimum ------------------------------------
 
 def test_ball_radius_full_for_zero_coupling():
@@ -280,6 +371,16 @@ def test_builtin_local_min_example_fails_honestly():
     inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
     with pytest.raises(SolverError, match="margin not certifiable"):
         local_min_solve(inst)
+
+
+def test_negative_energy_minimizer_has_morse_index_0():
+    # criterion_05's instance: its unique critical point is a strict minimizer
+    g = path_graph(2)
+    spec = HypothesisSpec(delta=0.04, L=np.full(g.n, 2.5), x0=g.vertices[0], d1=0.01, d2=0.01)
+    inst = _instance(g, "0.05*(u+v)", spec=spec)
+    report = local_min_solve(inst)
+    assert report.converged and report.energy < 0
+    assert inst.morse_index(report.state.flat()) == 0
 
 
 # --- uniqueness ----------------------------------------------------------
