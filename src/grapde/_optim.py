@@ -131,7 +131,7 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
     best_peak, best_res = None, math.inf
     stall_res = trial_res = math.inf
     stall = 0
-    for outer in range(_MAX_OUTER + 1):
+    for outer in range(_MAX_OUTER):
         energies = np.array([f(x) for x in path])
         fevals += n_nodes
         k_peak = 1 + int(np.argmax(energies[1:-1]))
@@ -158,8 +158,6 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
             stall += 1
             if stall >= 30:
                 return best_peak, outer, fevals, False
-        if outer == _MAX_OUTER:
-            return best_peak, outer, fevals, False
         # cap each node's displacement at half the node spacing so nodes
         # downhill of the saddle cannot run away before reparametrization
         seg = sum(
@@ -185,6 +183,7 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
                     break
                 t *= 0.5
         path = _reparametrize(path, weights)
+    return best_peak, _MAX_OUTER, fevals, False
 
 
 def _newton(grad, jac, x0, weights, tol, max_steps, min_step=_MIN_STEP) -> OptResult:

@@ -24,6 +24,7 @@ from .solvers import (
     local_min_solve,
     mountain_pass_solve,
     negative_endpoint,
+    trivial_norm,
 )
 from .spaces import w_norm
 
@@ -143,7 +144,8 @@ def branch_continuity_report(
     distance to the state found at w0.  Ties go to the larger parameter: a
     sweep runs left to right, so w0's own state may be the polish of its
     left neighbour's, and repeating that polish would check nothing.  The
-    distance is inf, with a note, if w0 or every other point failed.
+    distance is inf, with a note, if w0 or every other point failed, and a
+    note says when the re-solve reached the trivial solution instead.
     """
     config = config or SolverConfig()
     notes = []
@@ -194,6 +196,10 @@ def branch_continuity_report(
         res = polish_root(point.gradient, start, point.weights, point.jacobian, tol=config.tol)
         if res.converged:
             limit_distance = point.norm(res.x - ref.state.flat())
+            if point.norm(res.x) < trivial_norm(point, config.tol):
+                notes.append(
+                    f"limit re-solve from w = {neighbour[0]:g} reached the trivial solution"
+                )
         else:
             notes.append("limit re-solve did not converge")
     return ContinuityReport(

@@ -134,6 +134,16 @@ def test_continuity_limit_check_detects_a_wrong_state_at_the_middle_point(saddle
     assert report.limit_check_distance == pytest.approx(2.0 * inst.norm(x), rel=1e-6)
 
 
+def test_continuity_limit_check_notes_a_re_solve_that_reached_zero():
+    # mp-example's branch is x(w) = x(0) / (1 + w^2): from x(1) = x(0) / 2
+    # one Newton step at w = 0 lands on the trivial root, not on x(0)
+    inst = _saddle_instance()
+    branch = sweep(inst, grid=3, kind="mp", config=CFG)
+    report = branch_continuity_report(branch, inst, CFG)
+    assert report.limit_check_distance == pytest.approx(branch.reports[1].certificate.norm)
+    assert any("from w = 1 reached the trivial solution" in n for n in report.notes)
+
+
 def test_continuity_limit_check_needs_a_converged_neighbour():
     inst = _saddle_instance()
     branch = sweep(inst, grid=3, kind="mp", config=CFG)

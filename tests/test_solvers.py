@@ -96,13 +96,10 @@ def test_trivial_flag_scales_with_the_largest_exponent():
     # a 1e-6 spike: at p = 3 its gradient is of order 1e-12, so the residual
     # cannot tell it from zero and it is flagged; at p = 2 the gradient is of
     # order 1e-6 and the residual tells it from zero
-    config = SolverConfig()
-    g = path_graph(2)
-    prob = builtin("mp-example", g)
     for p, flagged in ((3.0, True), (2.0, False)):
-        inst = _instance(g, "(u^2+v^2)^2", p=p, q=p, spec=prob.spec)
+        inst = _instance(path_graph(2), "(u^2+v^2)^2", p=p, q=p)
         x = 1e-6 * inst.spike()
-        report = solvers.solve_report(inst, x, "mountain-pass", 0, 0, config)
+        report = solvers.solve_report(inst, x, "mountain-pass", 0, 0, SolverConfig())
         assert report.converged == flagged
         assert ("trivial" in report.flags) == flagged
     # the saddle on the 2-path is well away from zero and not flagged
@@ -265,19 +262,18 @@ def test_cold_saddle_phase_on_k5_takes_few_sweeps(monkeypatch):
 
 
 def test_stalled_path_saddle_returns_the_best_peak(monkeypatch):
-    # one interior node, placed by a stubbed reparametrization: its residual
-    # falls to 0.1 at the third sweep and then stalls at 0.3
-    peaks = [1.0, 0.5, 0.1] + [0.3] * 40
-    sweep = iter(peaks[1:])
+    # one interior node at 1.0, then placed by a stubbed reparametrization;
+    # the gradient is x, so its residual falls to 0.1 at the second sweep and
+    # then stalls at 0.3
+    sweep = iter([0.5, 0.1] + [0.3] * 40)
     monkeypatch.setattr(_optim, "_reparametrize", lambda path, weights: np.array(
         [[0.0], [next(sweep)], [2.0]]
     ))
-    endpoint = np.array([2.0])
     x, sweeps, _, ok = _optim.path_saddle(
         lambda x: -float(x[0] - 1.0) ** 2,
         lambda x: np.array(x, dtype=float),
         np.ones(1),
-        endpoint,
+        np.array([2.0]),
         lambda x: np.eye(1),
         lambda x, peak_energy: False,
         n_nodes=3,
