@@ -145,7 +145,8 @@ def branch_continuity_report(
     sweep runs left to right, so w0's own state may be the polish of its
     left neighbour's, and repeating that polish would check nothing.  The
     distance is inf, with a note, if w0 or every other point failed, and a
-    note says when the re-solve reached the trivial solution instead.
+    note says when the re-solve reached the trivial solution from a
+    nontrivial state at w0.
     """
     config = config or SolverConfig()
     notes = []
@@ -192,11 +193,12 @@ def branch_continuity_report(
         notes.append(f"no converged point besides w0 = {w0:g} to start the limit check from")
     else:
         point = inst.at(w0)
+        x = ref.state.flat()
         start = neighbour[1].state.flat()
         res = polish_root(point.gradient, start, point.weights, point.jacobian, tol=config.tol)
         if res.converged:
-            limit_distance = point.norm(res.x - ref.state.flat())
-            if point.norm(res.x) < trivial_norm(point, config.tol):
+            limit_distance = point.norm(res.x - x)
+            if point.norm(res.x) < trivial_norm(point, config.tol) <= point.norm(x):
                 notes.append(
                     f"limit re-solve from w = {neighbour[0]:g} reached the trivial solution"
                 )
