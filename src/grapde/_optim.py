@@ -20,7 +20,6 @@ __all__ = ["OptResult", "weighted_norm", "bb_minimize", "path_saddle", "polish_r
 
 _ARMIJO_C = 1e-4  # sufficient decrease of every backtracking line search
 _MAX_ITER = 100_000  # descent steps of bb_minimize
-_COARSE_TOL = 1e-3  # peak residual at which path_saddle hands over to the polish
 _MAX_OUTER = 500  # path sweeps of path_saddle
 _MAX_NEWTON = 100  # Newton steps of polish_root
 _TRIAL_NEWTON = 15  # Newton steps of each trial from the path peak
@@ -117,11 +116,10 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
     that needs more damping is not in Newton's basin).  The phase ends as
     soon as a trial converges to a root x with ``accept(x, peak_energy)``
     true, the peak energy being an upper bound on the mountain-pass level.
-    It also ends once the peak residual falls under ``_COARSE_TOL``, or when
-    the residual stalls for 30 sweeps or after ``_MAX_OUTER`` sweeps; these
-    two return the best-residual peak seen.  Returns (point, sweeps, fevals,
-    ok): ``fevals`` counts the energy calls and the gradient calls of the
-    trials, and ``ok`` is False only for the stall and sweep-cap exits.  The
+    Otherwise it ends when the peak residual stalls for 30 sweeps or after
+    ``_MAX_OUTER`` sweeps, with the best-residual peak seen.  Returns (point,
+    sweeps, fevals, ok): ``fevals`` counts the energy calls and the gradient
+    calls of the trials, and ``ok`` is True only for an accepted trial.  The
     caller polishes the point.
     """
     lam = np.linspace(0.0, 1.0, n_nodes)[:, None]
@@ -138,8 +136,6 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
         peak = path[k_peak].copy()
         g_peak = grad(peak)
         res = weighted_norm(weights, g_peak)
-        if res <= _COARSE_TOL:
-            return peak, outer, fevals, True
         if res < best_res:
             best_peak, best_res = peak, res
         # a trial after a sweep, once the peak residual has fallen by a tenth

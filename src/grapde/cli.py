@@ -148,11 +148,9 @@ def _emit(args, result, exit_code):
         "tool": "grapde",
         "version": __version__,
         "command": args.command,
+        # null where the command does not take the option
         "config": {
-            "tol": args.tol,
-            "seed": args.seed,
-            "grid": args.grid,
-            "kind": getattr(args, "kind", None),
+            **{key: getattr(args, key, None) for key in ("tol", "seed", "grid", "kind")},
             "deterministic": args.deterministic,
         },
         "result": result,
@@ -276,6 +274,19 @@ def cmd_demo(inst, objective, config, name, grid, multistart):
     return result, code
 
 
+# Every option a command may take, by name; a command takes those that its body
+# or its SolverConfig reads.  SolverConfig reads tol and seed; the body gets the rest.
+_OPTIONS = {
+    "grid": {"type": int, "default": 21, "help": "parameter grid points"},
+    "tol": {"type": float, "default": SolverConfig.tol, "help": "residual tolerance"},
+    "seed": {"type": int, "default": SolverConfig.seed, "help": "seed for all sampling"},
+    "kind": {"choices": ("mp", "min"), "default": "mp", "help": "mp: saddle, min: local minimum"},
+    "csv": {"help": "also write the plotting CSV here"},
+    "multistart": {"type": int, "default": 0, "help": "random starts of the root polish"},
+}
+_CONFIG_OPTIONS = ("tol", "seed")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -286,16 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, *options, problem=True, **kwargs):
-        """Subcommand ``name`` run by run(inst, objective, config, **options)."""
+        """Subcommand ``name`` taking ``options`` (keys of _OPTIONS), run by
+        run(inst, objective, config, **body options)."""
         sp = sub.add_parser(name, **kwargs)
         sp.set_defaults(run=run, options=options)
         sp.add_argument("--graph", help="graph JSON file (default: 2-vertex path)")
         if problem:
             sp.add_argument("--problem", required=True, help="problem JSON file")
         sp.add_argument("--out", help="write the JSON report here instead of stdout")
-        sp.add_argument("--grid", type=int, default=21, help="parameter grid points")
-        sp.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
-        sp.add_argument("--seed", type=int, default=0, help="seed for all sampling")
+        for option in options:
+            sp.add_argument(f"--{option}", **_OPTIONS[option])
         sp.add_argument(
             "--deterministic", action="store_true",
             help="omit timestamps so identical runs emit identical bytes",
@@ -303,30 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     command("constants", cmd_constants, help="embedding and bound constants")
-    command("check", cmd_check, help="hypothesis screening")
-
-    sp = command("solve", cmd_solve, "kind", help="one critical-point solve")
-    sp.add_argument("--kind", choices=("mp", "min"), default="mp")
-
-    sp = command("sweep", cmd_sweep, "grid", "kind", "csv", help="parameter sweep across J")
-    sp.add_argument("--kind", choices=("mp", "min"), default="mp")
-    sp.add_argument("--csv", help="also write the plotting CSV here")
-
-    sp = command(
-        "control", cmd_control, "grid", "kind", "csv", help="grid optimal control over the branch"
+    command("check", cmd_check, "seed", help="hypothesis screening")
+    command("solve", cmd_solve, "tol", "kind", help="one critical-point solve")
+    command("sweep", cmd_sweep, "tol", "grid", "kind", "csv", help="parameter sweep across J")
+    command(
+        "control", cmd_control, "tol", "grid", "kind", "csv",
+        help="grid optimal control over the branch",
     )
-    sp.add_argument("--kind", choices=("mp", "min"), default="mp")
-    sp.add_argument("--csv", help="also write the plotting CSV here")
-
-    sp = command("nonexist", cmd_nonexist, "multistart", help="nonexistence screening")
-    sp.add_argument("--multistart", type=int, default=0)
-
+    command("nonexist", cmd_nonexist, "tol", "seed", "multistart", help="nonexistence screening")
     sp = command(
-        "demo", cmd_demo, "name", "grid", "multistart", problem=False,
+        "demo", cmd_demo, "tol", "seed", "grid", "multistart", problem=False,
         help="end-to-end pipeline on a builtin example",
     )
     sp.add_argument("name", choices=BUILTIN_NAMES)
-    sp.add_argument("--multistart", type=int, default=0)
     return parser
 
 
@@ -338,12 +338,13 @@ def main(argv=None) -> int:
         return 1 if err.code not in (0, None) else 0
     try:
         graph = _get_graph(args)
+        options = {name: getattr(args, name) for name in args.options}
+        config = SolverConfig(**{k: options.pop(k) for k in _CONFIG_OPTIONS if k in options})
         if args.command == "demo":
             inst, objective = _builtin_instance(args.name, graph), None
+            options["name"] = args.name
         else:
             inst, objective = load_problem(args.problem, graph)
-        config = SolverConfig(tol=args.tol, seed=args.seed)
-        options = {name: getattr(args, name) for name in args.options}
         return _emit(args, *_attempt(args.run, inst, objective, config, **options))
     except (InputError, GraphError, ParseError, NonlinearityError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

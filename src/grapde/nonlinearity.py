@@ -50,29 +50,29 @@ class NonlinearityError(ValueError):
 class Nonlinearity:
     """F with symbolic partials F_u, F_v bound to a graph's coefficient tables.
 
-    Each of F, F_u and F_v is compiled (``expressions.compile_expr``) the
-    first time it is evaluated, and the compiled code is kept.  The second
-    partials F_uu, F_uv and F_vv (selectors in ``SECOND_PARTIALS``) are
+    F is compiled (``expressions.compile_expr``) the first time it is
+    evaluated, and the compiled code is kept.  The partials F_u, F_v and the
+    second partials F_uu, F_uv, F_vv (selectors in ``SECOND_PARTIALS``) are
     derived and compiled on their first evaluation only, so a problem that
-    never asks for a Jacobian does not pay for them.
+    never asks for a Jacobian does not pay for the second partials.
     """
 
     graph: WeightedGraph
     F: ex.Expr
     coeffs: dict = field(default_factory=dict)
-    Fu: ex.Expr = field(default=None, init=False)
-    Fv: ex.Expr = field(default=None, init=False)
     # selector -> compiled expression, filled on first use
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     PARTIALS = ("Fu", "Fv")  # the selector of the partial in each unknown block
     # the selector of the second partial in blocks (i, j)
     SECOND_PARTIALS = (("Fuu", "Fuv"), ("Fuv", "Fvv"))
-    _DERIVED = {"Fuu": ("Fu", "u"), "Fuv": ("Fu", "v"), "Fvv": ("Fv", "v")}
+    # selector -> (selector, variable) it is the derivative of
+    _DERIVED = {
+        "Fu": ("F", "u"), "Fv": ("F", "v"),
+        "Fuu": ("Fu", "u"), "Fuv": ("Fu", "v"), "Fvv": ("Fv", "v"),
+    }
 
     def __post_init__(self):
-        object.__setattr__(self, "Fu", ex.differentiate(self.F, "u"))
-        object.__setattr__(self, "Fv", ex.differentiate(self.F, "v"))
         tables = {}
         for name, table in self.coeffs.items():
             if np.isscalar(table):
@@ -94,13 +94,12 @@ class Nonlinearity:
         return cls(graph, ex.parse_expr(source), dict(coeffs or {}))
 
     def _expr(self, which: str) -> ex.Expr:
-        if which in self._DERIVED:
-            first, var = self._DERIVED[which]
-            return ex.differentiate(self._expr(first), var)
-        try:
-            return {"F": self.F, "Fu": self.Fu, "Fv": self.Fv}[which]
-        except KeyError:
-            raise NonlinearityError(f"unknown selector {which!r}") from None
+        if which == "F":
+            return self.F
+        if which not in self._DERIVED:
+            raise NonlinearityError(f"unknown selector {which!r}")
+        base, var = self._DERIVED[which]
+        return ex.differentiate(self._expr(base), var)
 
     def _fn(self, which: str):
         """The selected expression compiled by ``expressions.compile_expr``, once."""

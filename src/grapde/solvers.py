@@ -252,7 +252,7 @@ def mountain_pass_solve(
             and inst.morse_index(x) == 1
         )
 
-    peak, outer, fevals, coarse_ok = path_saddle(
+    peak, outer, fevals, accepted = path_saddle(
         inst.energy,
         inst.gradient,
         weights,
@@ -264,7 +264,7 @@ def mountain_pass_solve(
     )
     polish = polish_root(inst.gradient, peak, weights, inst.jacobian, tol=config.tol)
     cert, extra = certify(inst.bounds_mp, endpoint)
-    if not coarse_ok and not polish.converged:
+    if not accepted and not polish.converged:
         extra = extra + ("path deformation did not reach coarse tolerance",)
     return solve_report(
         inst,
@@ -681,10 +681,7 @@ class NonexistenceReport:
 
 
 def nonexistence_check(
-    inst,
-    sampling: SamplingConfig = None,
-    config: SolverConfig = None,
-    multistart: int = 0,
+    inst, config: SolverConfig = None, multistart: int = 0
 ) -> NonexistenceReport:
     """Screen the sign condition ruling out nontrivial critical points.
 
@@ -696,12 +693,13 @@ def nonexistence_check(
     state below ``trivial_norm`` counts as the trivial solution, norm 0.
     """
     config = config or SolverConfig()
-    sampling = sampling or SamplingConfig(seed=config.seed)
-    screen = sign_screen(inst.nl, inst.spec, inst.graph, len(inst.spaces), sampling)
+    screen = sign_screen(
+        inst.nl, inst.spec, inst.graph, len(inst.spaces), SamplingConfig(seed=config.seed)
+    )
     verdict, witness = screen.verdict, screen.witness
 
     # contradiction mechanism on random nontrivial states
-    rng = np.random.default_rng(sampling.seed)
+    rng = np.random.default_rng(config.seed)
     weights = inst.weights
     worst = -math.inf
     mechanism_ok = True

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import jsonschema
 import pytest
@@ -174,6 +175,47 @@ def test_control_with_objective(tmp_path):
     assert csv_path.exists()
     header = csv_path.read_text().splitlines()[0]
     assert header == "w,norm_u,norm_v,energy,residual,C1,C2,psi"
+
+
+# the options each command takes: those its body or its SolverConfig reads
+TAKES = {
+    "constants": set(),
+    "check": {"--seed"},
+    "solve": {"--tol", "--kind"},
+    "sweep": {"--tol", "--grid", "--kind", "--csv"},
+    "control": {"--tol", "--grid", "--kind", "--csv"},
+    "nonexist": {"--tol", "--seed", "--multistart"},
+    "demo": {"--tol", "--seed", "--grid", "--multistart"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_help_lists_the_options_the_command_reads(capsys, command):
+    assert main([command, "--help"]) == 0
+    flags = set(re.findall(r"--\w+", capsys.readouterr().out))
+    assert flags - {"--help", "--graph", "--problem", "--out", "--deterministic"} == TAKES[command]
+
+
+@pytest.mark.parametrize("command, option", [
+    ("constants", "--grid"), ("constants", "--tol"), ("constants", "--seed"),
+    ("check", "--grid"), ("check", "--tol"),
+    ("solve", "--grid"), ("solve", "--seed"),
+    ("sweep", "--seed"), ("control", "--seed"),
+    ("nonexist", "--grid"),
+])
+def test_command_rejects_an_option_it_does_not_read(tmp_path, capsys, command, option):
+    problem = _write(tmp_path, "p.json", {"builtin": "mp-example"})
+    assert main([command, "--problem", problem, option, "3"]) == 1
+    assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
+
+
+def test_report_config_is_null_where_the_command_takes_no_option(tmp_path):
+    problem = _write(tmp_path, "p.json", {"builtin": "mp-example"})
+    _, report = _run(tmp_path, ["constants", "--problem", problem, "--deterministic"])
+    nulls = {"tol": None, "seed": None, "grid": None, "kind": None, "deterministic": True}
+    assert report["config"] == nulls
+    _, report = _run(tmp_path, ["check", "--problem", problem, "--seed", "3", "--deterministic"])
+    assert report["config"] == {**nulls, "seed": 3}
 
 
 def test_demo_deterministic_reruns_identical(tmp_path):

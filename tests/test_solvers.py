@@ -282,6 +282,22 @@ def test_stalled_path_saddle_returns_the_best_peak(monkeypatch):
     assert x.tolist() == [0.1]
 
 
+def test_path_saddle_succeeds_only_on_an_accepted_trial():
+    # f = x^2/2 - x^4/4 on the path from 0 to 2: node 20 of 41 sits on the
+    # saddle x = 1, so the peak residual is 0 at the first sweep; with every
+    # trial rejected the phase must not report success
+    x, _, _, ok = _optim.path_saddle(
+        lambda x: float(x[0] ** 2 / 2 - x[0] ** 4 / 4),
+        lambda x: x - x**3,
+        np.ones(1),
+        np.array([2.0]),
+        lambda x: np.array([[1.0 - 3.0 * x[0] ** 2]]),
+        lambda x, peak_energy: False,
+        n_nodes=41,
+    )
+    assert not ok
+
+
 # --- certified ball and local minimum ------------------------------------
 
 def test_ball_radius_full_for_zero_coupling():

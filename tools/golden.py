@@ -4,7 +4,8 @@
     python3 tools/golden.py compare A B
 
 ``capture`` runs the ``grapde`` CLI found under ``SRC/src`` on every command x
-problem x graph of the fixed set below (each with ``--deterministic``) and
+problem x graph of the fixed set below (each with ``--deterministic``, and
+each with ``--grid 5`` and ``--seed 0`` where the command takes them) and
 writes each JSON report, each CSV and a ``manifest.json`` of exit codes and
 stderr lines to ``OUT``.  ``compare`` lists every file and exit code that
 differs between two captures, with the differing JSON leaves, and exits 1 if
@@ -69,17 +70,18 @@ PROBLEMS = {
 }
 COMMANDS = {
     "constants": ["constants"],
-    "check": ["check"],
+    "check": ["check", "--seed", "0"],
     "solve-mp": ["solve", "--kind", "mp"],
     "solve-min": ["solve", "--kind", "min"],
-    "sweep-mp": ["sweep", "--kind", "mp", "--csv"],
-    "sweep-min": ["sweep", "--kind", "min", "--csv"],
-    "control-mp": ["control", "--kind", "mp", "--csv"],
-    "control-min": ["control", "--kind", "min", "--csv"],
-    "nonexist": ["nonexist"],
-    "nonexist-ms3": ["nonexist", "--multistart", "3"],
+    "sweep-mp": ["sweep", "--grid", "5", "--kind", "mp", "--csv"],
+    "sweep-min": ["sweep", "--grid", "5", "--kind", "min", "--csv"],
+    "control-mp": ["control", "--grid", "5", "--kind", "mp", "--csv"],
+    "control-min": ["control", "--grid", "5", "--kind", "min", "--csv"],
+    "nonexist": ["nonexist", "--seed", "0"],
+    "nonexist-ms3": ["nonexist", "--seed", "0", "--multistart", "3"],
 }
-COMMON = ["--deterministic", "--grid", "5", "--seed", "0"]
+DEMO = ["--grid", "5", "--seed", "0", "--multistart", "3"]
+COMMON = ["--deterministic"]
 WORKERS = 2
 
 
@@ -97,8 +99,7 @@ def _runs(out):
                     argv.append(os.path.join(out, name + ".csv"))
                 runs.append((name, argv))
         for builtin in BUILTINS:
-            runs.append((f"{graph}/demo/{builtin}",
-                         ["demo", builtin, "--graph", gfile, "--multistart", "3"]))
+            runs.append((f"{graph}/demo/{builtin}", ["demo", builtin, "--graph", gfile, *DEMO]))
     return runs
 
 
