@@ -5,18 +5,21 @@ defining the inner product <a, b> = sum(weights * a * b); callers pass
 objective and gradient callables expressed in that metric, and the root polish
 and the saddle search also the Jacobian of the gradient.  One damped Newton
 loop (``_newton``) serves both the polish and the saddle search's trials.
-All routines are deterministic for fixed inputs.
+All routines are deterministic for fixed inputs.  Only
+``least_squares_retry`` uses scipy, and imports it when first called.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
-__all__ = ["OptResult", "weighted_norm", "bb_minimize", "path_saddle", "polish_root"]
+__all__ = [
+    "OptResult", "weighted_norm", "bb_minimize", "path_saddle", "polish_root",
+    "least_squares_retry",
+]
 
 _ARMIJO_C = 1e-4  # sufficient decrease of every backtracking line search
 _MAX_ITER = 100_000  # descent steps of bb_minimize
@@ -30,7 +33,6 @@ _TRIAL_MIN_STEP = 1e-3  # smallest damping factor of a trial step
 @dataclass
 class OptResult:
     x: np.ndarray
-    value: float
     residual: float
     iterations: int
     fevals: int
@@ -42,11 +44,9 @@ def weighted_norm(weights: np.ndarray, x: np.ndarray) -> float:
     return math.sqrt(float(np.dot(weights, x * x)))
 
 
-def bb_minimize(f, grad, x0, weights, tol=1e-8, project=None) -> OptResult:
-    """Barzilai-Borwein descent with Armijo backtracking, optional projection."""
-    x = np.array(x0, dtype=float)
-    if project is not None:
-        x = project(x)
+def bb_minimize(f, grad, x0, weights, project, tol=1e-8) -> OptResult:
+    """Barzilai-Borwein descent with Armijo backtracking, each point projected by ``project``."""
+    x = project(np.array(x0, dtype=float))
     fx = f(x)
     g = grad(x)
     fevals = 1
@@ -54,15 +54,13 @@ def bb_minimize(f, grad, x0, weights, tol=1e-8, project=None) -> OptResult:
     for it in range(1, _MAX_ITER + 1):
         res = weighted_norm(weights, g)
         if res <= tol:
-            return OptResult(x, fx, res, it - 1, fevals, True)
+            return OptResult(x, res, it - 1, fevals, True)
         slope = -float(np.dot(weights, g * g))
         t = step
         xn, fn = x, fx
         moved = False
         while t >= 1e-18:
-            cand = x - t * g
-            if project is not None:
-                cand = project(cand)
+            cand = project(x - t * g)
             fc = f(cand)
             fevals += 1
             if fc <= fx + _ARMIJO_C * t * slope:
@@ -70,7 +68,7 @@ def bb_minimize(f, grad, x0, weights, tol=1e-8, project=None) -> OptResult:
                 break
             t *= 0.5
         if not moved:
-            return OptResult(x, fx, res, it, fevals, False, "line search stalled")
+            return OptResult(x, res, it, fevals, False, "line search stalled")
         gn = grad(xn)
         s = xn - x
         y = gn - g
@@ -79,7 +77,7 @@ def bb_minimize(f, grad, x0, weights, tol=1e-8, project=None) -> OptResult:
         step = ss / sy if sy > 1e-30 else min(2.0 * t, 1.0)
         step = min(max(step, 1e-12), 1e6)
         x, fx, g = xn, fn, gn
-    return OptResult(x, fx, weighted_norm(weights, g), _MAX_ITER, fevals, False, "max iterations")
+    return OptResult(x, weighted_norm(weights, g), _MAX_ITER, fevals, False, "max iterations")
 
 
 def _reparametrize(path: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -235,24 +233,30 @@ def _newton(grad, jac, x0, weights, tol, max_steps, min_step=_MIN_STEP) -> OptRe
                 break
             x, g, res = cand, gc, rc
             steps += 1
-    return OptResult(x, 0.0, res, steps, fevals, res <= tol, message)
+    return OptResult(x, res, steps, fevals, res <= tol, message)
 
 
 def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
-    """Drive the gradient to zero: damped Newton on ``jac``, least squares fallback.
+    """Drive the gradient to zero: damped Newton (``_newton``) on ``jac`` from x0.
 
-    Newton (``_newton``) runs at most ``_MAX_NEWTON`` steps.  If it stops
-    short of ``tol`` from a finite start (line search stalled, non-finite
-    Jacobian, or the step cap), ``least_squares`` with the same Jacobian
-    runs from x0 and the smaller residual wins.  ``iterations`` counts
-    Newton steps (plus the Jacobians of the fallback), ``fevals`` gradient
-    calls.
+    At most ``_MAX_NEWTON`` steps; ``iterations`` counts Newton steps,
+    ``fevals`` gradient calls.
     """
-    best = _newton(grad, jac, x0, weights, tol, _MAX_NEWTON)
-    if best.converged or best.message == "non-finite residual":
-        return best
+    return _newton(grad, jac, x0, weights, tol, _MAX_NEWTON)
+
+
+def least_squares_retry(grad, x0, weights, jac, newton: OptResult, tol=1e-8) -> OptResult:
+    """The better of ``newton``, a polish from x0 that stopped short of tol, and least squares.
+
+    ``scipy.optimize.least_squares`` with the same Jacobian runs from x0 on
+    the weighted residual, and the smaller residual wins; its result has the
+    message "least squares", ``iterations`` adds its Jacobians to the Newton
+    steps and ``fevals`` its gradient calls.
+    """
+    from scipy import optimize  # the only scipy use; importing it costs most of a cold start
+
     sw = np.sqrt(weights)
-    fevals = best.fevals
+    fevals = newton.fevals
 
     def counted(x):
         nonlocal fevals
@@ -267,8 +271,7 @@ def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
             xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
         res_ls = weighted_norm(weights, counted(ls.x))
-    best.fevals = fevals
-    if res_ls < best.residual:
-        steps = best.iterations + int(ls.njev)
-        return OptResult(ls.x, 0.0, res_ls, steps, fevals, res_ls <= tol, "least squares")
-    return best
+    if res_ls < newton.residual:
+        steps = newton.iterations + int(ls.njev)
+        return OptResult(ls.x, res_ls, steps, fevals, res_ls <= tol, "least squares")
+    return replace(newton, fevals=fevals)

@@ -22,8 +22,8 @@ from . import __version__
 from .calculus import OperatorOrder
 from .continuation import branch_continuity_report, branch_to_csv, optimal_control, sweep
 from .energy import ProblemInstance
-from .expressions import ParseError
-from .graph import GraphError, WeightedGraph, load_graph, path_graph, validate
+from .expressions import EvalDomainError, ParseError
+from .graph import GraphError, VertexFunction, WeightedGraph, load_graph, path_graph, validate
 from .nonlinearity import (
     BUILTIN_NAMES,
     HypothesisSpec,
@@ -79,7 +79,7 @@ def _hypothesis_spec(data: dict, graph: WeightedGraph) -> HypothesisSpec:
     if "L" in data:
         L = data["L"]
         if isinstance(L, dict):
-            kwargs["L"] = np.array([float(L[v]) for v in graph.vertices])
+            kwargs["L"] = VertexFunction.from_map(graph, L).values
         else:
             kwargs["L"] = np.full(graph.n, float(L))
     return HypothesisSpec(**kwargs)
@@ -117,8 +117,8 @@ def load_problem(path, graph: WeightedGraph):
     coeffs = data.get("coeffs", {})
     nl = Nonlinearity.from_source(graph, data["F"], coeffs)
     spec = _hypothesis_spec(dict(data.get("hypotheses", {})), graph)
-    if "J" in data:
-        spec.J = tuple(float(x) for x in data["J"])
+    if "J" in data:  # replace() validates J, as the constructor does
+        spec = dataclasses.replace(spec, J=tuple(float(x) for x in data["J"]))
     p = float(data.get("p", 2.0))
     q = float(data.get("q", p))
     m1 = int(data.get("m1", 1))
@@ -346,7 +346,9 @@ def main(argv=None) -> int:
         else:
             inst, objective = load_problem(args.problem, graph)
         return _emit(args, *_attempt(args.run, inst, objective, config, **options))
-    except (InputError, GraphError, ParseError, NonlinearityError, ValueError, OSError) as err:
+    except (
+        InputError, GraphError, ParseError, NonlinearityError, EvalDomainError, ValueError, OSError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

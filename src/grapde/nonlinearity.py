@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expressions as ex
 from .calculus import OperatorOrder
-from .graph import WeightedGraph, asvalues
+from .graph import VertexFunction, WeightedGraph, asvalues
 from .spaces import SpaceSpec, block_embedding, w_norm
 
 __all__ = [
@@ -78,9 +78,7 @@ class Nonlinearity:
             if np.isscalar(table):
                 tables[name] = np.full(self.graph.n, float(table))
             elif isinstance(table, dict):
-                tables[name] = np.array(
-                    [table[v] for v in self.graph.vertices], dtype=float
-                )
+                tables[name] = VertexFunction.from_map(self.graph, table).values
             else:
                 tables[name] = asvalues(self.graph, table)
         object.__setattr__(self, "coeffs", tables)
@@ -232,12 +230,22 @@ def block_fields(blocks: int, *stems: str) -> list:
     return [f"{stem}{i}" for stem in stems for i in range(1, blocks + 1)]
 
 
-def _given(name: str, spec: HypothesisSpec, fields) -> tuple:
-    """(the values of ``fields``, None), or (None, the inconclusive result naming them)."""
+def _screen(name: str, spec: HypothesisSpec, fields, body) -> ConditionResult:
+    """Condition ``name`` from body(*the values of ``fields``) -> (verdict, witness, detail).
+
+    A field left None makes the condition inconclusive, naming the fields,
+    and so does an ``EvalDomainError``, with its message.  The body runs with
+    overflow and invalid-value warnings off: an overflowed sample is an inf
+    (or NaN) value for the body to judge.
+    """
     values = [getattr(spec, f) for f in fields]
     if any(v is None for v in values):
-        return None, ConditionResult(name, "inconclusive", detail=f"{'/'.join(fields)} not provided")
-    return values, None
+        return ConditionResult(name, "inconclusive", detail=f"{'/'.join(fields)} not provided")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ConditionResult(name, *body(*values))
+    except ex.EvalDomainError as err:
+        return ConditionResult(name, "inconclusive", detail=str(err))
 
 
 def _default_spaces(p, q, ord1=None, ord2=None) -> tuple:
@@ -284,7 +292,7 @@ def _ratio_ladder(graph, radii, sphere, ws, numerator, powers, largest: bool) ->
         for w in ws:
             vals = numerator(coords, w) / denom
             top = float(vals.max() if largest else vals.min())
-            if sign * top > sign * best:
+            if not math.isnan(top) and (at is None or sign * top > sign * best):
                 best, at = top, (vals, w)
         witness = None if at is None else _point_witness(graph, sign * at[0], coords, at[1])
         rungs.append((radius, best, witness))
@@ -318,170 +326,142 @@ def check_hypotheses(
     k = len(spaces)
     exps = [space.ord.s for space in spaces]
     ws = spec.w_grid(cfg.w_samples)
-    results = {}
     notes = []
 
     sphere = functools.partial(_sphere, blocks=k, samples=cfg.angular_samples)
     coupling = functools.partial(nl.block_values, "F")  # F at every vertex and point
 
-    # (F1): value at the origin
-    try:
+    def f1():  # value at the origin
         vals = np.abs([nl.grid_values("F", 0.0, 0.0, w) for w in ws])  # w x vertex
         j, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
         worst, witness = float(vals[j, i]), (graph.vertices[i], ws[j])
         if worst <= 1e-14:
-            results["F1"] = ConditionResult("F1", "pass", detail=f"max |F(x,0,0,w)| = {worst:.2e}")
-        else:
-            results["F1"] = ConditionResult("F1", "fail", witness, f"|F(x,0,0,w)| = {worst:.2e}")
-    except ex.EvalDomainError as err:
-        results["F1"] = ConditionResult("F1", "inconclusive", detail=str(err))
+            return "pass", None, f"max |F(x,0,0,w)| = {worst:.2e}"
+        return "fail", witness, f"|F(x,0,0,w)| = {worst:.2e}"
 
-    # (F2): small-amplitude growth cap, estimated on a shrinking radius ladder
-    bound_f2 = block_embedding(graph, spaces).cap
-    try:
+    def f2():  # small-amplitude growth cap, estimated on a shrinking radius ladder
+        bound = block_embedding(graph, spaces).cap
         rungs = _ratio_ladder(graph, _SMALL_RADII, sphere, ws, coupling, exps, largest=True)
         ladder = [(radius, value) for radius, value, _ in rungs]
         limit_estimate, witness = rungs[-1][1:]  # smallest radius
-        detail = f"limit estimate {limit_estimate:.3e} vs bound {bound_f2:.3e}; ladder {ladder}"
-        ok = limit_estimate < bound_f2
-        results["F2"] = ConditionResult("F2", _SAMPLED[ok], None if ok else witness, detail)
-    except ex.EvalDomainError as err:
-        results["F2"] = ConditionResult("F2", "inconclusive", detail=str(err))
+        detail = f"limit estimate {limit_estimate:.3e} vs bound {bound:.3e}; ladder {ladder}"
+        ok = limit_estimate < bound
+        return _SAMPLED[ok], None if ok else witness, detail
 
-    # (F3): superlinear growth at infinity
-    try:
+    def f3():  # superlinear growth at infinity
         rungs = _ratio_ladder(graph, _LARGE_RADII, sphere, ws, coupling, exps, largest=False)
         mins = [value for _, value, _ in rungs]
+        detail = f"min ratio per radius {list(zip(_LARGE_RADII, mins))}"
+        if mins[-1] == math.inf and rungs[-1][2] is not None:
+            # F overflows at every sample of the largest radius
+            return "pass (sampled)", None, detail + "; +inf counts as growth past every bound"
         growing = all(b > a for a, b in zip(mins, mins[1:]))
         ok = growing and mins[-1] > 10.0 * max(mins[0], 0.0) and mins[-1] > 1.0
-        detail = f"min ratio per radius {list(zip(_LARGE_RADII, mins))}"
-        results["F3"] = ConditionResult("F3", _SAMPLED[ok], detail=detail)
-    except ex.EvalDomainError as err:
-        results["F3"] = ConditionResult("F3", "inconclusive", detail=str(err))
+        return _SAMPLED[ok], None, detail
 
-    # (F4): superlinear excess of the radial derivative over max_i s_i F
-    gammas, results["F4"] = _given("F4", spec, block_fields(k, "gamma"))
-    if results["F4"] is None:
+    def f4(*gammas):  # superlinear excess of the radial derivative over max_i s_i F
         mx = max(exps)
 
         def excess(coords, w):
             return _radial(nl, coords, w) - mx * coupling(coords, w)
 
-        try:
-            rungs = _ratio_ladder(graph, _LARGE_RADII, sphere, ws, excess, gammas, largest=False)
-            mins = [value for _, value, _ in rungs]
-            ok = mins[-1] > 0 and mins[-1] >= mins[0]
-            detail = f"min excess ratio per radius {list(zip(_LARGE_RADII, mins))}"
-            results["F4"] = ConditionResult("F4", _SAMPLED[ok], detail=detail)
-        except ex.EvalDomainError as err:
-            results["F4"] = ConditionResult("F4", "inconclusive", detail=str(err))
+        rungs = _ratio_ladder(graph, _LARGE_RADII, sphere, ws, excess, gammas, largest=False)
+        mins = [value for _, value, _ in rungs]
+        ok = mins[-1] > 0 and mins[-1] >= mins[0]
+        return _SAMPLED[ok], None, f"min excess ratio per radius {list(zip(_LARGE_RADII, mins))}"
 
-    def box_scan(name, violation):
+    def box_scan(violation) -> tuple:
         """Fail at the first moderate radius and w where violation() masks a point.
 
         violation(coords, w, radius) is (mask, lhs, rhs); the witness is the
         point of largest lhs - rhs.
         """
-        try:
-            for radius in _MODERATE_RADII:
-                coords = sphere(radius)
-                for w in ws:
-                    bad, lhs, rhs = violation(coords, w, radius)
-                    if bad.any():
-                        witness = _point_witness(graph, lhs - rhs, coords, w)
-                        return ConditionResult(name, "fail", witness)
-            return ConditionResult(name, "pass (sampled)")
-        except ex.EvalDomainError as err:
-            return ConditionResult(name, "inconclusive", detail=str(err))
+        for radius in _MODERATE_RADII:
+            coords = sphere(radius)
+            for w in ws:
+                bad, lhs, rhs = violation(coords, w, radius)
+                if bad.any():
+                    return "fail", _point_witness(graph, lhs - rhs, coords, w), ""
+        return "pass (sampled)", None, ""
 
-    # (H1): theta F <= radial pairing away from the origin
-    _, results["H1"] = _given("H1", spec, ("theta",))
-    if results["H1"] is None:
-        def h1_violation(coords, w, radius):
-            fvals = spec.theta * coupling(coords, w)
+    def h1(theta):  # theta F <= radial pairing away from the origin
+        def violation(coords, w, radius):
+            fvals = theta * coupling(coords, w)
             radial = _radial(nl, coords, w)
             return fvals > radial + 1e-9 * (1.0 + np.abs(radial)), fvals, radial
 
-        results["H1"] = box_scan("H1", h1_violation)
+        return box_scan(violation)
 
-    # (H2): polynomial cap on the radial derivative
-    consts, results["H2"] = _given("H2", spec, block_fields(k, "c", "r"))
-    if results["H2"] is None:
+    def h2(*consts):  # polynomial cap on the radial derivative
         cs, rs = consts[:k], consts[k:]
 
-        def h2_violation(coords, w, radius):
+        def violation(coords, w, radius):
             radial = _radial(nl, coords, w)
             cap = sum(c * np.abs(t) ** r for c, t, r in zip(cs, coords, rs))
             return radial > cap + 1e-9 * (1.0 + cap), radial, cap
 
-        results["H2"] = box_scan("H2", h2_violation)
+        return box_scan(violation)
 
-    # (H3): positivity floor F >= a(|point|) c(x)
-    _, results["H3"] = _given("H3", spec, ("a_floor", "c_fn"))
-    if results["H3"] is None and np.any(np.asarray(spec.c_fn) <= 0):
-        results["H3"] = ConditionResult("H3", "fail", detail="c(x) must be positive")
-    elif results["H3"] is None:
-        floor_seen = 0.0
+    def h3(a_floor, c_fn):  # positivity floor F >= a(|point|) c(x)
+        c_fn = np.asarray(c_fn)
+        if np.any(c_fn <= 0):
+            return "fail", None, "c(x) must be positive"
+        floors = []
 
-        def h3_violation(coords, w, radius):
-            nonlocal floor_seen
-            floor = spec.a_floor(float(radius))
-            floor_seen = max(floor_seen, floor)
+        def violation(coords, w, radius):
+            floors.append(a_floor(float(radius)))
             fvals = coupling(coords, w)
-            lower = floor * np.asarray(spec.c_fn)[:, None]
+            lower = floors[-1] * c_fn[:, None]
             return fvals < lower - 1e-12 * (1.0 + np.abs(lower)), lower, fvals
 
-        res = box_scan("H3", h3_violation)
-        if res.verdict == "pass (sampled)" and floor_seen <= 0:
-            res = ConditionResult("H3", "fail", detail="sampled floor a(.) is identically zero")
-        results["H3"] = res
+        verdict, witness, detail = box_scan(violation)
+        if verdict == "pass (sampled)" and max(floors) <= 0:
+            return "fail", None, "sampled floor a(.) is identically zero"
+        return verdict, witness, detail
 
-    # (H4): spike negativity condition (needs one exponent for every block)
-    p = exps[0]
-    _, results["H4"] = _given("H4", spec, ("L", "x0", "delta"))
-    if results["H4"] is None and len(set(exps)) > 1:
-        results["H4"] = ConditionResult("H4", "inconclusive", detail="requires p == q")
-    elif results["H4"] is None:
-        i0 = graph.index[spec.x0]
-        Lvals = np.asarray(spec.L, float)
+    def h4(L, x0, delta):  # spike negativity condition (needs one exponent for every block)
+        if len(set(exps)) > 1:
+            return "inconclusive", None, "requires p == q"
+        p = exps[0]
+        i0 = graph.index[x0]
+        Lvals = np.asarray(L, float)
         spike = np.zeros(graph.n)
         spike[i0] = 1.0
         threshold = sum(w_norm(graph, spike, space) ** p for space in spaces) / p
         terms = " + ".join(("|u*|^p", "|v*|^p")[:k])
         if Lvals[i0] <= 0:
-            results["H4"] = ConditionResult("H4", "fail", detail=f"L(x0) = {Lvals[i0]} <= 0")
-        elif graph.mu[i0] * Lvals[i0] <= threshold:
-            results["H4"] = ConditionResult(
-                "H4",
-                "fail",
-                detail=(
-                    f"mu(x0) L(x0) = {graph.mu[i0] * Lvals[i0]:.6g} "
-                    f"<= ({terms})/p = {threshold:.6g}"
-                ),
+            return "fail", None, f"L(x0) = {Lvals[i0]} <= 0"
+        if graph.mu[i0] * Lvals[i0] <= threshold:
+            return "fail", None, (
+                f"mu(x0) L(x0) = {graph.mu[i0] * Lvals[i0]:.6g} "
+                f"<= ({terms})/p = {threshold:.6g}"
             )
-        else:
-            try:
-                verdict = "pass (sampled)"
-                witness = None
-                amps = spec.delta * (np.arange(1, _DELTA_SAMPLES + 1) / (_DELTA_SAMPLES + 1))
-                floor = Lvals[i0] * amps**p - 1e-12
-                # the scalar analogue quantifies over every vertex; report both
-                all_x_ok = True
-                for w in ws:
-                    below = coupling((amps,) * k, w) < floor
-                    if np.any(below[i0]):
-                        verdict, witness = "fail", (spec.x0, amps[int(np.argmax(below[i0]))], w)
-                    all_x_ok = all_x_ok and not np.any(below)
-                results["H4"] = ConditionResult("H4", verdict, witness)
-                if not all_x_ok:
-                    notes.append(
-                        "spike lower bound holds at x0 only; the all-vertices variant fails"
-                    )
-            except ex.EvalDomainError as err:
-                results["H4"] = ConditionResult("H4", "inconclusive", detail=str(err))
+        verdict, witness = "pass (sampled)", None
+        amps = delta * (np.arange(1, _DELTA_SAMPLES + 1) / (_DELTA_SAMPLES + 1))
+        floor = Lvals[i0] * amps**p - 1e-12
+        # the scalar analogue quantifies over every vertex; report both
+        all_x_ok = True
+        for w in ws:
+            below = coupling((amps,) * k, w) < floor
+            if np.any(below[i0]):
+                verdict, witness = "fail", (x0, amps[int(np.argmax(below[i0]))], w)
+            all_x_ok = all_x_ok and not np.any(below)
+        if not all_x_ok:
+            notes.append("spike lower bound holds at x0 only; the all-vertices variant fails")
+        return verdict, witness, ""
 
-    results["H5"] = lipschitz_screen(nl, spec, graph, spaces, cfg, h5_ball_radius)
-    results["NONEXIST"] = sign_screen(nl, spec, graph, k, cfg)
+    results = {
+        "F1": _screen("F1", spec, (), f1),
+        "F2": _screen("F2", spec, (), f2),
+        "F3": _screen("F3", spec, (), f3),
+        "F4": _screen("F4", spec, block_fields(k, "gamma"), f4),
+        "H1": _screen("H1", spec, ("theta",), h1),
+        "H2": _screen("H2", spec, block_fields(k, "c", "r"), h2),
+        "H3": _screen("H3", spec, ("a_floor", "c_fn"), h3),
+        "H4": _screen("H4", spec, ("L", "x0", "delta"), h4),
+        "H5": lipschitz_screen(nl, spec, graph, spaces, cfg, h5_ball_radius),
+        "NONEXIST": sign_screen(nl, spec, graph, k, cfg),
+    }
     return HypothesisReport(conditions=results, notes=notes)
 
 
@@ -500,38 +480,36 @@ def lipschitz_screen(
     witness is the first failing pair and w: (t1, s1, t2, s2, w) or (t1, t2, w).
     """
     blocks = len(spaces)
-    ds, unset = _given("H5", spec, block_fields(blocks, "d"))
-    if unset is not None:
-        return unset
     est = ""
     if radius is None:
         radius = 1.0
         est = " (ball radius defaulted to 1, no certificate available)"
-    rng = np.random.default_rng(sampling.seed)
-    pts = rng.uniform(-radius, radius, size=(sampling.pair_samples, 2 * blocks))
-    norms = np.linalg.norm(pts.reshape(len(pts), 2, blocks), axis=2)  # of the two points
-    pts = pts[np.all(norms <= radius, axis=1)]
-    first, second = pts[:, :blocks].T, pts[:, blocks:].T
-    caps = [
-        d * np.abs(b - a) ** (space.ord.s - 1) + 1e-12
-        for d, a, b, space in zip(ds, first, second, spaces)
-    ]
-    ws = spec.w_grid(sampling.w_samples)
-    try:
+
+    def body(*ds):
+        rng = np.random.default_rng(sampling.seed)
+        pts = rng.uniform(-radius, radius, size=(sampling.pair_samples, 2 * blocks))
+        norms = np.linalg.norm(pts.reshape(len(pts), 2, blocks), axis=2)  # of the two points
+        pts = pts[np.all(norms <= radius, axis=1)]
+        first, second = pts[:, :blocks].T, pts[:, blocks:].T
+        caps = [
+            d * np.abs(b - a) ** (space.ord.s - 1) + 1e-12
+            for d, a, b, space in zip(ds, first, second, spaces)
+        ]
+        ws = spec.w_grid(sampling.w_samples)
         failing = np.zeros((len(pts), len(ws)), bool)  # pair x w
         for j, w in enumerate(ws):
             for which, cap in zip(Nonlinearity.PARTIALS, caps):
                 lo = nl.block_values(which, first, w)
                 hi = nl.block_values(which, second, w)
                 failing[:, j] |= np.any(np.abs(hi - lo) > cap, axis=0)
-    except ex.EvalDomainError as err:
-        return ConditionResult("H5", "inconclusive", detail=str(err))
-    detail = f"radius {radius:.3g}{est}"
-    hits = np.argwhere(failing)  # the first failing pair first, at its first w
-    if len(hits):
-        pair, j = hits[0]
-        return ConditionResult("H5", "fail", (*pts[pair], ws[j]), detail)
-    return ConditionResult("H5", "pass (sampled)", detail=detail)
+        detail = f"radius {radius:.3g}{est}"
+        hits = np.argwhere(failing)  # the first failing pair first, at its first w
+        if len(hits):
+            pair, j = hits[0]
+            return "fail", (*pts[pair], ws[j]), detail
+        return "pass (sampled)", None, detail
+
+    return _screen("H5", spec, block_fields(blocks, "d"), body)
 
 
 def sign_screen(
@@ -552,14 +530,15 @@ def sign_screen(
     coords = [c.ravel() for c in np.meshgrid(*(axis,) * blocks, indexing="ij")]
     nontrivial = np.any([c != 0 for c in coords], axis=0)
     coords = [c[nontrivial] for c in coords]
-    try:
+
+    def body():
         for w in spec.w_grid(sampling.w_samples):
             vals = _radial(nl, coords, w)
             if np.any(vals >= 0):
-                return ConditionResult("NONEXIST", "fail", _point_witness(graph, vals, coords, w))
-    except ex.EvalDomainError as err:
-        return ConditionResult("NONEXIST", "inconclusive", detail=str(err))
-    return ConditionResult("NONEXIST", "pass (sampled)")
+                return "fail", _point_witness(graph, vals, coords, w), ""
+        return "pass (sampled)", None, ""
+
+    return _screen("NONEXIST", spec, (), body)
 
 
 # --- builtin problems ---------------------------------------------------

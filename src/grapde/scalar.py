@@ -56,11 +56,6 @@ class ScalarInstance(FlatProblem):
 
     kind_prefix = "scalar-"
 
-    def __post_init__(self):
-        if self.ord.s < 2:
-            raise ValueError("p must be >= 2")
-        super().__post_init__()
-
     @cached_property
     def spaces(self) -> tuple:
         return (SpaceSpec(self.ord, self.potential),)
@@ -107,7 +102,6 @@ def scalar_bounds(inst: ScalarInstance, u0) -> BoundCertificate:
         lower=lower,
         upper=upper,
         constants={"C1": lower, "C2": upper, "endpoint_norm": norm0},
-        endpoint=(np.asarray(u0, float),),
     )
 
 

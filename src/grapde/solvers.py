@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import bb_minimize, path_saddle, polish_root
+from ._optim import bb_minimize, least_squares_retry, path_saddle, polish_root
 from .energy import ProblemInstance, phi  # noqa: F401  phi: bench/tracing.py requires this binding
 from .graph import StatePair, VertexFunction, integral, total_measure
 from .nonlinearity import SamplingConfig, block_fields, lipschitz_screen, sign_screen
@@ -72,7 +72,6 @@ class BoundCertificate:
     lower: float
     upper: float
     constants: dict
-    endpoint: tuple = None
     norm: float = None
     satisfied: bool = None
     notes: tuple = ()
@@ -331,7 +330,6 @@ def bound_certificate_mp(inst: ProblemInstance, endpoint: tuple) -> BoundCertifi
             "A1": A1, "A2": A2, "A3": A3, "A4": A4, "A5": A5, "A6": A6,
             "M": M, "E0": E0, "C1": C1, "C2": C2,
         },
-        endpoint=endpoint,
     )
 
 
@@ -423,30 +421,20 @@ def local_min_solve(
     project = ball_projection(inst, rho)
     if start is not None:
         warm = bb_minimize(
-            inst.energy, inst.gradient, start, weights, tol=config.tol, project=project
+            inst.energy, inst.gradient, start, weights, project, tol=config.tol
         )
         report = _warm_report(inst, warm, "local-min", config, inst.bounds_min, t0, rho)
         if report is not None:
             return report
     result = bb_minimize(
-        inst.energy,
-        inst.gradient,
-        t0 * inst.spike(),
-        weights,
-        tol=config.tol,
-        project=project,
+        inst.energy, inst.gradient, t0 * inst.spike(), weights, project, tol=config.tol
     )
-    x = result.x
-    if not result.converged:
-        polish = polish_root(inst.gradient, x, weights, inst.jacobian, tol=config.tol)
-        if inst.norm(polish.x) <= rho and polish.residual < result.residual:
-            x = polish.x
     cert, extra = certify(inst.bounds_min, t0, rho)
-    if inst.norm(x) >= rho * (1.0 - 1e-9):
+    if inst.norm(result.x) >= rho * (1.0 - 1e-9):
         extra += ("boundary minimum - not certified critical",)
     return solve_report(
         inst,
-        x,
+        result.x,
         "local-min",
         result.iterations,
         result.fevals,
@@ -631,9 +619,7 @@ def uniqueness_certificate(
         rng = np.random.default_rng(config.seed)
         for _ in range(config.multistart):
             x0 = project(rng.uniform(-rho, rho, size=weights.size))
-            res = bb_minimize(
-                inst.energy, inst.gradient, x0, weights, tol=config.tol, project=project
-            )
+            res = bb_minimize(inst.energy, inst.gradient, x0, weights, project, tol=config.tol)
             if res.converged and inst.norm(res.x) < rho * (1.0 - 1e-9):
                 solutions.append(res.x)
     spread = max((inst.norm(a - b) for a, b in itertools.combinations(solutions, 2)), default=0.0)
@@ -690,6 +676,9 @@ def nonexistence_check(
     identity, so only the trivial solution exists.  Optionally confirms by
     driving the gradient to zero from random starts and recording the
     largest norm reached (None, with a note, if no start converged).  A
+    Newton polish that stops short of tol from a finite start is retried by
+    ``least_squares_retry``, which converges from some starts of this
+    multistart where Newton does not (no solve needs it).  A
     state below ``trivial_norm`` counts as the trivial solution, norm 0.
     """
     config = config or SolverConfig()
@@ -718,6 +707,10 @@ def nonexistence_check(
     for _ in range(multistart):
         x0 = rng.uniform(-2.0, 2.0, size=weights.size)
         res = polish_root(inst.gradient, x0, weights, inst.jacobian, tol=config.tol)
+        if not res.converged and res.message != "non-finite residual":
+            res = least_squares_retry(
+                inst.gradient, x0, weights, inst.jacobian, res, tol=config.tol
+            )
         if not res.converged:
             notes.append("a multistart polish failed to converge")
             continue

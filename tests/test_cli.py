@@ -1,13 +1,19 @@
 import argparse
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import grapde
 from grapde import load_schema
-from grapde.cli import main
+from grapde.cli import load_problem, main
 from grapde.graph import graph_to_dict, path_graph
+from grapde.nonlinearity import builtin
 from grapde.solvers import SolverError
 
 REPORT_SCHEMA = load_schema("report")
@@ -340,3 +346,84 @@ def test_constants_of_a_one_block_problem_use_its_potential(tmp_path):
     assert "d" not in result and "K2" not in result
     # the lower bound (1 / (2^p vol c1 b^r1))^(1/(r1-p)) uses the same b
     assert result["bounds"]["lower"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("problem", [
+    {"F": "exp(u^2+v^2)-1-u^2-v^2"},
+    {"F": "exp(u^4)-1", "scalar": True},
+])
+def test_check_counts_an_overflowing_coupling_as_superlinear(tmp_path, problem):
+    # F overflows to +inf at every sample of the largest (F3) radius: growth
+    # past every bound, not a failure, and no RuntimeWarning leaves the screen
+    path = _write(tmp_path, "p.json", problem)
+    code, report = _run(tmp_path, ["check", "--problem", path])
+    conditions = report["result"]["conditions"]
+    assert conditions["F3"]["verdict"] == "pass (sampled)"
+    assert "+inf counts as growth" in conditions["F3"]["detail"]
+    assert conditions["NONEXIST"]["verdict"] == "fail"
+    assert code == 2
+
+
+@pytest.mark.parametrize("J", [[0, math.inf], [1, -1]])
+def test_problem_file_interval_is_validated(tmp_path, capsys, J):
+    problem = _write(tmp_path, "p.json", {"F": "(u^2+v^2)^2", "J": J})
+    assert main(["check", "--problem", problem]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter interval J=") and "w=" not in err
+
+
+@pytest.mark.parametrize("data", [
+    {"F": "(u^2+v^2)^2", "hypotheses": {"L": {"v0": 1.0}, "x0": "v0", "delta": 1.0}},
+    {"F": "gamma*(u^2+v^2)^2", "coeffs": {"gamma": {"v0": 1.0, "v9": 2.0}}},
+])
+def test_vertex_map_missing_a_vertex_is_an_input_error(tmp_path, capsys, data):
+    problem = _write(tmp_path, "p.json", data)
+    assert main(["check", "--problem", problem]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex function domain mismatch (missing=['v1']")
+
+
+def test_numeric_hypothesis_l_is_constant_over_the_vertices(tmp_path):
+    hypotheses = {"x0": "v0", "delta": 1.0}
+    reports = []
+    for L in (3.0, {"v0": 3.0, "v1": 3.0}):
+        data = {"F": "(u^2+v^2)^2", "hypotheses": {**hypotheses, "L": L}}
+        problem = _write(tmp_path, "p.json", data)
+        reports.append(_run(tmp_path, ["check", "--problem", problem, "--deterministic"])[1])
+    assert reports[0]["result"]["conditions"]["H4"]["verdict"] == "fail"
+    assert reports[0] == reports[1]
+
+
+def test_objective_named_by_a_builtin(tmp_path):
+    graph = path_graph(2)
+    path = _write(tmp_path, "p.json", {"builtin": "mp-example", "objective": "control-objective"})
+    _, objective = load_problem(path, graph)
+    assert objective.F == builtin("control-objective", graph).nl.F
+
+
+@pytest.mark.parametrize("command", ["solve", "nonexist"])
+def test_coupling_outside_its_domain_is_an_input_error(tmp_path, capsys, command):
+    problem = _write(tmp_path, "p.json", {"F": "u^4*sqrt(u)"})
+    assert main([command, "--problem", problem]) == 1
+    # one line naming the subexpression, not a traceback
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(r"error: .* in '.*sqrt\(u\).*'", err[0])
+
+
+@pytest.mark.parametrize("name", ["localmin-example", "unique-example"])
+def test_demo_of_an_uncertifiable_ball_is_a_report(tmp_path, name):
+    code, report = _run(tmp_path, ["demo", name])
+    result = report["result"]
+    assert code == 2
+    assert result["solve"]["error"].startswith("(F2) margin not certifiable")
+    assert ("uniqueness" in result) == (name == "unique-example")
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(grapde.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import grapde.cli; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -145,6 +145,20 @@ def test_screening_missing_constants_inconclusive():
         assert report.conditions[name].verdict == "inconclusive"
 
 
+def test_screening_outside_the_coupling_domain_is_inconclusive():
+    # sqrt(u) is undefined at the negative samples of every sphere and of the
+    # sign box; the origin alone is in the domain
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, "u^4*sqrt(u)", {})
+    spec = HypothesisSpec(theta=5.0, c1=1.0, c2=1.0, r1=5.0, r2=5.0)
+    report = check_hypotheses(nl, spec, g, 2.0, 2.0, FAST)
+    assert report.conditions["F1"].verdict == "pass"
+    for name in ("F2", "F3", "H1", "H2", "NONEXIST"):
+        condition = report.conditions[name]
+        assert condition.verdict == "inconclusive"
+        assert condition.detail == "sqrt of a negative value in 'sqrt(u)'"
+
+
 def test_screening_h1_failure_witness():
     g = path_graph(2)
     nl = Nonlinearity.from_source(g, "u^2+v^2", {})

@@ -75,6 +75,35 @@ def test_newton_polish_steps_through_a_singular_jacobian():
     assert inst.residual(res.x) <= 1e-8
 
 
+def _k5_nonexistence_start():
+    """The first multistart start of ``nonexistence_check`` on K5 mp-example (seed 0)."""
+    g = complete_graph(5)
+    prob = builtin("mp-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+    rng = np.random.default_rng(0)
+    for _ in range(100):  # the draws of the sign mechanism
+        rng.standard_normal(inst.weights.size)
+    return inst, rng.uniform(-2.0, 2.0, size=inst.weights.size)
+
+
+def test_polish_root_is_newton_alone():
+    inst, x0 = _k5_nonexistence_start()
+    res = polish_root(inst.gradient, x0, inst.weights, inst.jacobian)
+    assert not res.converged
+    assert res.message == "max iterations" and res.iterations == _optim._MAX_NEWTON
+
+
+def test_unconverged_polish_shows_the_path_deformation_flag(monkeypatch):
+    # a saddle phase that ends without an accepted trial, at a peak from which
+    # Newton does not converge, leaves the state flagged
+    inst, peak = _k5_nonexistence_start()
+    monkeypatch.setattr(solvers, "path_saddle", lambda *args, **kwargs: (peak, 7, 0, False))
+    report = mountain_pass_solve(inst)
+    assert not report.converged
+    assert "path deformation did not reach coarse tolerance" in report.flags
+    assert report.iterations == 7 + _optim._MAX_NEWTON
+
+
 def test_warm_polish_takes_few_gradient_calls():
     g = complete_graph(5)
     prob = builtin("mp-example", g)
@@ -485,6 +514,15 @@ def test_nonexistence_multistart_counts_trivial_states_as_zero():
     report = nonexistence_check(inst, multistart=3)
     assert report.multistart_max_norm == 0.0
     assert "3 of 3 multistart polishes reached the trivial solution" in report.notes
+
+
+def test_nonexistence_multistart_retries_by_least_squares():
+    # Newton alone stops short from two of the three starts on K5; least
+    # squares from the same starts converges
+    inst, _ = _k5_nonexistence_start()
+    report = nonexistence_check(inst, multistart=3)
+    assert not any("failed to converge" in note for note in report.notes)
+    assert report.multistart_max_norm > 1.0
 
 
 def test_nonexistence_multistart_without_convergence_reports_none():
