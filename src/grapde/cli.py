@@ -23,7 +23,9 @@ from .calculus import OperatorOrder
 from .continuation import branch_continuity_report, branch_to_csv, optimal_control, sweep
 from .energy import ProblemInstance
 from .expressions import EvalDomainError, ParseError
-from .graph import GraphError, VertexFunction, WeightedGraph, load_graph, path_graph, validate
+from .graph import (
+    GraphError, StatePair, VertexFunction, WeightedGraph, load_graph, path_graph, validate,
+)
 from .nonlinearity import (
     BUILTIN_NAMES,
     HypothesisSpec,
@@ -75,6 +77,8 @@ def _hypothesis_spec(data: dict, graph: WeightedGraph) -> HypothesisSpec:
     unknown = set(data) - _HYP_FIELDS
     if unknown:
         raise InputError(f"unknown hypothesis fields: {sorted(unknown)}")
+    if "x0" in data and data["x0"] not in graph.vertices:
+        raise InputError(f"hypotheses.x0 {data['x0']!r} is not a vertex of the graph")
     kwargs = {k: data[k] for k in data if k not in ("L",)}
     if "L" in data:
         L = data["L"]
@@ -121,9 +125,8 @@ def load_problem(path, graph: WeightedGraph):
         spec = dataclasses.replace(spec, J=tuple(float(x) for x in data["J"]))
     p = float(data.get("p", 2.0))
     q = float(data.get("q", p))
-    m1 = int(data.get("m1", 1))
-    m2 = int(data.get("m2", 1))
-    if data.get("scalar", False):
+    m1, m2 = (_typed(data, name, int, 1) for name in ("m1", "m2"))
+    if _typed(data, "scalar", bool, False):
         inst = ScalarInstance(
             graph, OperatorOrder(m1, p), nl, spec, data.get("potential", "h1"), w
         )
@@ -134,6 +137,15 @@ def load_problem(path, graph: WeightedGraph):
     return inst, _load_objective(data, graph)
 
 
+def _typed(data, name, kind, default):
+    """data[name], or ``default`` if absent; a value not of type ``kind`` is an input error
+    (a JSON boolean is not an integer)."""
+    value = data.get(name, default)
+    if type(value) is not kind:
+        raise InputError(f"'{name}' must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def _load_objective(data, graph):
     if "objective" not in data:
         return None
@@ -141,6 +153,37 @@ def _load_objective(data, graph):
     if isinstance(obj, str):
         return builtin(obj, graph).nl
     return Nonlinearity.from_source(graph, obj["F"], obj.get("coeffs", {}))
+
+
+def to_json(obj):
+    """The report form of a result object, as ``json.dumps`` writes it.
+
+    A StatePair becomes its vertex maps, "u" and (for two blocks) "v"; a
+    dataclass becomes its fields by name, with a StatePair field merged into
+    it; dicts, sequences and arrays are converted item by item, and numpy
+    scalars become Python numbers.  Plain values, the most common, are
+    tested first.
+    """
+    if obj is None or type(obj) in (str, float, int, bool):
+        return obj
+    if isinstance(obj, StatePair):
+        return {name: f.to_map() for name, f in zip("uv", obj.blocks)}
+    if isinstance(obj, dict):
+        return {key: to_json(value) for key, value in obj.items()}
+    if isinstance(obj, (tuple, list, np.ndarray)):
+        return [to_json(item) for item in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if dataclasses.is_dataclass(obj):
+        out = {}
+        for field in dataclasses.fields(obj):
+            value = getattr(obj, field.name)
+            if isinstance(value, StatePair):
+                out.update(to_json(value))
+            else:
+                out[field.name] = to_json(value)
+        return out
+    return obj
 
 
 def _emit(args, result, exit_code):
@@ -188,7 +231,7 @@ def cmd_constants(inst, objective, config):
         result.update(zip(names, constants))
     try:
         endpoint = negative_endpoint(inst, config)
-        result["bounds"] = inst.bounds_mp(endpoint).to_dict()
+        result["bounds"] = to_json(inst.bounds_mp(endpoint))
     except (SolverError, CertificateError) as err:
         result["bounds"] = None
         result["bounds_error"] = str(err)
@@ -198,7 +241,7 @@ def cmd_constants(inst, objective, config):
 def cmd_check(inst, objective, config):
     report = inst.check(SamplingConfig(seed=config.seed))
     failed = [n for n, c in report.conditions.items() if c.verdict == "fail"]
-    return report.to_dict(), 2 if failed else 0
+    return to_json(report), 2 if failed else 0
 
 
 def _exit_code(reports) -> int:
@@ -213,13 +256,13 @@ def _exit_code(reports) -> int:
 def cmd_solve(inst, objective, config, kind):
     solve = mountain_pass_solve if kind == "mp" else local_min_solve
     report = solve(inst, config)
-    return report.to_dict(), _exit_code([report])
+    return to_json(report), _exit_code([report])
 
 
 def cmd_sweep(inst, objective, config, grid, kind, csv):
     branch = sweep(inst, grid=grid, kind=kind, config=config)
-    result = branch.to_dict()
-    result["continuity"] = branch_continuity_report(branch, inst, config).to_dict()
+    result = to_json(branch)
+    result["continuity"] = to_json(branch_continuity_report(branch, inst, config))
     if csv:
         branch_to_csv(branch, csv, inst)
     return result, _exit_code(branch.reports)
@@ -231,12 +274,12 @@ def cmd_control(inst, objective, config, grid, kind, csv):
     res = optimal_control(inst, objective, grid=grid, kind=kind, config=config)
     if csv:
         branch_to_csv(res.branch, csv, inst, psi_values=dict(res.table))
-    return res.to_dict(), _exit_code(res.branch.reports)
+    return to_json(res), _exit_code(res.branch.reports)
 
 
 def cmd_nonexist(inst, objective, config, multistart):
     report = nonexistence_check(inst, config=config, multistart=multistart)
-    result = report.to_dict()
+    result = to_json(report)
     if report.certified:
         result["summary"] = "nonexistence certified (sampled)"
     return result, 0 if report.certified else 2
@@ -259,7 +302,7 @@ def cmd_demo(inst, objective, config, name, grid, multistart):
         result["solve"], code = _attempt(cmd_solve, inst, None, config, kind="min")
         if name == "unique-example":
             uniq = uniqueness_certificate(inst, config)
-            result["uniqueness"] = uniq.to_dict()
+            result["uniqueness"] = to_json(uniq)
             if not uniq.certified:
                 code = 2
     elif name == "control-objective":

@@ -51,14 +51,6 @@ class Branch:
             (w, r) for w, r in zip(self.grid, self.reports) if r is not None and r.converged
         ]
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "grid": [float(w) for w in self.grid],
-            "jumps": [None if j is None else float(j) for j in self.jumps],
-            "reports": [None if r is None else r.to_dict() for r in self.reports],
-        }
-
 
 def sweep(
     inst,
@@ -118,20 +110,6 @@ class ContinuityReport:
     coverage: float
     limit_check_distance: float
     notes: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "max_jump": self.max_jump,
-            "jump_table": [
-                [float(a), float(b), None if j is None else float(j), None if r is None else float(r)]
-                for a, b, j, r in self.jump_table
-            ],
-            "norms_in_bounds": self.norms_in_bounds,
-            "out_of_bounds": list(self.out_of_bounds),
-            "coverage": self.coverage,
-            "limit_check_distance": self.limit_check_distance,
-            "notes": list(self.notes),
-        }
 
 
 def branch_continuity_report(
@@ -222,15 +200,6 @@ class ControlReport:
     psi_opt: float
     table: list  # (w, psi) over converged points
     branch: Branch
-
-    def to_dict(self) -> dict:
-        return {
-            "w_opt": self.w_opt,
-            "psi_opt": self.psi_opt,
-            **self.state.to_dict(),
-            "table": [[float(w), float(val)] for w, val in self.table],
-            "branch": self.branch.to_dict(),
-        }
 
 
 def optimal_control(

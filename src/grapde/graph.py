@@ -179,10 +179,6 @@ class StatePair:
         """The blocks end to end, as the solvers see a state."""
         return np.concatenate([f.values for f in self.blocks])
 
-    def to_dict(self) -> dict:
-        """Vertex maps under "u" and "v"; a one-block state has no "v"."""
-        return {name: f.to_map() for name, f in zip("uv", self.blocks)}
-
 
 def asvalues(graph: WeightedGraph, f) -> np.ndarray:
     """Coerce a VertexFunction or array-like to an aligned ndarray."""

@@ -197,7 +197,6 @@ _DELTA_SAMPLES = 16  # (H4) spike amplitudes in (0, delta)
 
 @dataclass
 class ConditionResult:
-    name: str
     verdict: str  # pass | pass (sampled) | fail | inconclusive
     witness: tuple = None
     detail: str = ""
@@ -208,19 +207,6 @@ class HypothesisReport:
     conditions: dict
     notes: list
 
-    def to_dict(self) -> dict:
-        return {
-            "conditions": {
-                n: {
-                    "verdict": c.verdict,
-                    "witness": list(c.witness) if c.witness else None,
-                    "detail": c.detail,
-                }
-                for n, c in self.conditions.items()
-            },
-            "notes": list(self.notes),
-        }
-
 
 _SAMPLED = {True: "pass (sampled)", False: "fail"}  # verdict of a sampled condition
 
@@ -230,8 +216,8 @@ def block_fields(blocks: int, *stems: str) -> list:
     return [f"{stem}{i}" for stem in stems for i in range(1, blocks + 1)]
 
 
-def _screen(name: str, spec: HypothesisSpec, fields, body) -> ConditionResult:
-    """Condition ``name`` from body(*the values of ``fields``) -> (verdict, witness, detail).
+def _screen(spec: HypothesisSpec, fields, body) -> ConditionResult:
+    """A condition from body(*the values of ``fields``) -> (verdict, witness, detail).
 
     A field left None makes the condition inconclusive, naming the fields,
     and so does an ``EvalDomainError``, with its message.  The body runs with
@@ -240,12 +226,12 @@ def _screen(name: str, spec: HypothesisSpec, fields, body) -> ConditionResult:
     """
     values = [getattr(spec, f) for f in fields]
     if any(v is None for v in values):
-        return ConditionResult(name, "inconclusive", detail=f"{'/'.join(fields)} not provided")
+        return ConditionResult("inconclusive", detail=f"{'/'.join(fields)} not provided")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return ConditionResult(name, *body(*values))
+            return ConditionResult(*body(*values))
     except ex.EvalDomainError as err:
-        return ConditionResult(name, "inconclusive", detail=str(err))
+        return ConditionResult("inconclusive", detail=str(err))
 
 
 def _default_spaces(p, q, ord1=None, ord2=None) -> tuple:
@@ -451,14 +437,14 @@ def check_hypotheses(
         return verdict, witness, ""
 
     results = {
-        "F1": _screen("F1", spec, (), f1),
-        "F2": _screen("F2", spec, (), f2),
-        "F3": _screen("F3", spec, (), f3),
-        "F4": _screen("F4", spec, block_fields(k, "gamma"), f4),
-        "H1": _screen("H1", spec, ("theta",), h1),
-        "H2": _screen("H2", spec, block_fields(k, "c", "r"), h2),
-        "H3": _screen("H3", spec, ("a_floor", "c_fn"), h3),
-        "H4": _screen("H4", spec, ("L", "x0", "delta"), h4),
+        "F1": _screen(spec, (), f1),
+        "F2": _screen(spec, (), f2),
+        "F3": _screen(spec, (), f3),
+        "F4": _screen(spec, block_fields(k, "gamma"), f4),
+        "H1": _screen(spec, ("theta",), h1),
+        "H2": _screen(spec, block_fields(k, "c", "r"), h2),
+        "H3": _screen(spec, ("a_floor", "c_fn"), h3),
+        "H4": _screen(spec, ("L", "x0", "delta"), h4),
         "H5": lipschitz_screen(nl, spec, graph, spaces, cfg, h5_ball_radius),
         "NONEXIST": sign_screen(nl, spec, graph, k, cfg),
     }
@@ -509,7 +495,7 @@ def lipschitz_screen(
             return "fail", (*pts[pair], ws[j]), detail
         return "pass (sampled)", None, detail
 
-    return _screen("H5", spec, block_fields(blocks, "d"), body)
+    return _screen(spec, block_fields(blocks, "d"), body)
 
 
 def sign_screen(
@@ -538,7 +524,7 @@ def sign_screen(
                 return "fail", _point_witness(graph, vals, coords, w), ""
         return "pass (sampled)", None, ""
 
-    return _screen("NONEXIST", spec, (), body)
+    return _screen(spec, (), body)
 
 
 # --- builtin problems ---------------------------------------------------

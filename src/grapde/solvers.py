@@ -76,17 +76,6 @@ class BoundCertificate:
     satisfied: bool = None
     notes: tuple = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lower": self.lower,
-            "upper": self.upper,
-            "constants": {k: float(v) for k, v in self.constants.items()},
-            "norm": self.norm,
-            "satisfied": self.satisfied,
-            "notes": list(self.notes),
-        }
-
 
 @dataclass
 class SolveReport:
@@ -104,19 +93,6 @@ class SolveReport:
     def u(self) -> VertexFunction:
         """The first block; criterion_09 reads the scalar solution under this name."""
         return self.state.u
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            **self.state.to_dict(),
-            "energy": self.energy,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "fevals": self.fevals,
-            "converged": self.converged,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-            "flags": list(self.flags),
-        }
 
 
 # --- shared drivers -----------------------------------------------------
@@ -537,18 +513,6 @@ class UniquenessReport:
     multistart_spread: float
     notes: tuple = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "certified": self.certified,
-            "margin": self.margin,
-            "C_p": self.C_p,
-            "monotonicity_ok": self.monotonicity_ok,
-            "monotonicity_min_slack": self.monotonicity_min_slack,
-            "h5_verdict": self.h5_verdict,
-            "multistart_spread": self.multistart_spread,
-            "notes": list(self.notes),
-        }
-
 
 def monotonicity_constant(p: float) -> float:
     """Sharp constant in (|x|^{p-2}x - |y|^{p-2}y)(x-y) >= C |x-y|^p, p >= 2."""
@@ -653,17 +617,6 @@ class NonexistenceReport:
     worst_pairing: float
     multistart_max_norm: float = None
     notes: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "certified": self.certified,
-            "sign_verdict": self.sign_verdict,
-            "sign_witness": list(self.sign_witness) if self.sign_witness else None,
-            "mechanism_ok": self.mechanism_ok,
-            "worst_pairing": self.worst_pairing,
-            "multistart_max_norm": self.multistart_max_norm,
-            "notes": list(self.notes),
-        }
 
 
 def nonexistence_check(

@@ -7,11 +7,12 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import grapde
 from grapde import load_schema
-from grapde.cli import load_problem, main
+from grapde.cli import load_problem, main, to_json
 from grapde.graph import graph_to_dict, path_graph
 from grapde.nonlinearity import builtin
 from grapde.solvers import SolverError
@@ -427,3 +428,85 @@ def test_importing_the_cli_does_not_load_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_hypothesis_x0_not_a_vertex_is_an_input_error(tmp_path, capsys, command):
+    data = {"F": "(u^2+v^2)^2", "hypotheses": {"L": 3.0, "x0": "nowhere", "delta": 1.0}}
+    problem = _write(tmp_path, "p.json", data)
+    assert main([command, "--problem", problem]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: hypotheses.x0 'nowhere'")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scalar", "no"), ("m1", 1.5), ("m1", True), ("m2", "2"),
+])
+def test_problem_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys, field, value):
+    problem = _write(tmp_path, "p.json", {"F": "(u^2+v^2)^2", field: value})
+    assert main(["solve", "--problem", problem]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: '{field}' must be of type")
+
+
+# --- the report format (cli.to_json) ----------------------------------------
+
+@pytest.mark.parametrize("scalar", [True, False])
+def test_one_block_report_has_no_v(tmp_path, scalar):
+    data = {"F": "u^4" if scalar else "(u^2+v^2)^2", "scalar": scalar}
+    problem = _write(tmp_path, "p.json", data)
+    _, report = _run(tmp_path, ["solve", "--problem", problem])
+    result = report["result"]
+    assert set(result["u"]) == {"v0", "v1"}
+    assert ("v" in result) == (not scalar)
+    assert "state" not in result
+
+
+def test_failed_sweep_point_is_null_with_null_jumps_beside_it(tmp_path, monkeypatch):
+    from grapde import continuation
+
+    real = continuation.mountain_pass_solve
+
+    def failing_at_0(inst, *args):
+        if inst.w == 0.0:
+            raise SolverError("stubbed failure")
+        return real(inst, *args)
+
+    monkeypatch.setattr(continuation, "mountain_pass_solve", failing_at_0)
+    problem = _write(tmp_path, "p.json", {"builtin": "mp-example"})
+    code, report = _run(tmp_path, ["sweep", "--problem", problem, "--grid", "3"])
+    result = report["result"]
+    assert code == 2
+    assert result["grid"] == [-1.0, 0.0, 1.0]
+    assert result["reports"][1] is None and result["reports"][0]["converged"]
+    assert result["jumps"] == [None, None]
+    assert [row[2] for row in result["continuity"]["jump_table"]] == [None, None]
+
+
+def test_each_check_condition_has_verdict_witness_and_detail(tmp_path):
+    problem = _write(tmp_path, "p.json", {"builtin": "mp-example"})
+    _, report = _run(tmp_path, ["check", "--problem", problem])
+    conditions = report["result"]["conditions"]
+    for condition in conditions.values():
+        assert set(condition) == {"verdict", "witness", "detail"}
+    assert conditions["F1"]["witness"] is None
+    assert isinstance(conditions["NONEXIST"]["witness"], list)
+
+
+def test_missing_certificate_is_null(tmp_path):
+    problem = _write(tmp_path, "p.json", {"F": "(u^2+v^2)^2"})
+    code, report = _run(tmp_path, ["solve", "--problem", problem])
+    assert code == 2
+    assert report["result"]["converged"] and report["result"]["certificate"] is None
+
+
+def test_numpy_values_become_json_numbers_and_lists():
+    out = to_json({
+        "float": np.float64(0.5), "int": np.int64(3), "bool": np.bool_(True),
+        "array": np.array([[1.0, 2.0]]), "pairs": [(np.float32(0.25), None)],
+    })
+    assert out == {
+        "float": 0.5, "int": 3, "bool": True, "array": [[1.0, 2.0]], "pairs": [[0.25, None]],
+    }
+    assert [type(out[k]) for k in ("float", "int", "bool")] == [float, int, bool]
+    assert type(out["array"][0][0]) is float and type(out["pairs"][0][0]) is float

@@ -5,6 +5,7 @@ import pytest
 
 from _helpers import random_graph
 from grapde.calculus import OperatorOrder, laplacian
+from grapde.cli import to_json
 from grapde.continuation import optimal_control, sweep
 from grapde.energy import ProblemInstance, phi_grad
 from grapde.graph import path_graph
@@ -102,7 +103,7 @@ def test_one_block_report_shape():
     report = mountain_pass_solve(inst)
     assert report.kind == "scalar-mountain-pass"
     assert report.state.v is None and report.state.flat().shape == (g.n,)
-    out = report.to_dict()
+    out = to_json(report)
     assert "v" not in out and set(out["u"]) == set(g.vertices)
     assert out["certificate"]["kind"] == "scalar-mountain-pass"
 
