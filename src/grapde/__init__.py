@@ -69,8 +69,6 @@ from .spaces import (
     EmbeddingConstants,
     SpaceSpec,
     embedding_constants,
-    lr_norm,
-    product_norm,
     sup_norm,
     w_norm,
 )

@@ -230,7 +230,7 @@ def cmd_constants(inst, objective, config):
     for names, constants in zip((("b", "K1"), ("d", "K2")), inst.embedding.blocks):
         result.update(zip(names, constants))
     try:
-        endpoint = negative_endpoint(inst, config)
+        endpoint = negative_endpoint(inst)
         result["bounds"] = to_json(inst.bounds_mp(endpoint))
     except (SolverError, CertificateError) as err:
         result["bounds"] = None

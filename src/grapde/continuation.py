@@ -54,28 +54,24 @@ class Branch:
 
 def sweep(
     inst,
-    grid=21,
+    grid: int = 21,
     kind: str = "mp",
     config: SolverConfig = None,
     warm: bool = True,
 ) -> Branch:
-    """Solve across the parameter interval; failures are recorded, not fatal."""
+    """Solve at ``grid`` uniform points of J (the one point of a degenerate J).
+
+    Failures are recorded, not fatal.
+    """
     config = config or SolverConfig()
     if kind not in ("mp", "min"):
         raise ValueError("kind must be 'mp' or 'min'")
-    if np.isscalar(grid):
-        lo, hi = inst.spec.J
-        grid = np.linspace(lo, hi, int(grid))
-    else:
-        grid = np.asarray(grid, float)
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        lo, hi = inst.spec.J
-        if grid.min() < lo - 1e-12 or grid.max() > hi + 1e-12:
-            raise ValueError("grid leaves the parameter interval")
+    if grid < 1:
+        raise ValueError("grid needs at least one point")
+    grid = inst.spec.w_grid(grid)
 
-    endpoint = negative_endpoint(inst, config) if kind == "mp" else None
-    rho = ball_radius(inst, config) if kind == "min" else None
+    endpoint = negative_endpoint(inst) if kind == "mp" else None
+    rho = ball_radius(inst) if kind == "min" else None
 
     reports = []
     start = None
@@ -205,7 +201,7 @@ class ControlReport:
 def optimal_control(
     inst,
     objective: Nonlinearity,
-    grid=21,
+    grid: int = 21,
     kind: str = "mp",
     config: SolverConfig = None,
 ) -> ControlReport:

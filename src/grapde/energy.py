@@ -131,11 +131,10 @@ class FlatProblem:
     def state(self, x) -> StatePair:
         return StatePair(*(VertexFunction(self.graph, b) for b in self.split(x)))
 
-    def check(self, sampling=None, h5_ball_radius=None):
+    def check(self, sampling=None):
         """Hypothesis screen with this problem's exponents and operator orders."""
         return check_hypotheses(
-            self.nl, self.spec, self.graph, self.p, self.q, sampling,
-            h5_ball_radius=h5_ball_radius, spaces=self.spaces,
+            self.nl, self.spec, self.graph, self.p, self.q, sampling, spaces=self.spaces
         )
 
 

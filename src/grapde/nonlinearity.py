@@ -181,13 +181,13 @@ class HypothesisSpec:
 
 @dataclass
 class SamplingConfig:
-    w_samples: int = 8
-    angular_samples: int = 32
-    box_grid: int = 64
-    pair_samples: int = 200
-    seed: int = 0
+    seed: int = 0  # of the (H5) pair draws
 
 
+_W_SAMPLES = 8  # parameters of J screened by every condition
+_ANGULAR_SAMPLES = 32  # points on each circle of a two-block sphere
+_BOX_GRID = 64  # grid points per block of the nonexistence sign box
+_PAIR_SAMPLES = 200  # (H5) pair draws before the ball filter
 _SMALL_RADII = tuple(10.0**k for k in range(-1, -7, -1))  # (F2) ladder, shrinking
 _LARGE_RADII = (1e1, 1e2, 1e3, 1e4)  # (F3) and (F4) ladders
 _MODERATE_RADII = tuple(10.0**k for k in range(-3, 4))  # (H1)-(H3) sphere scans
@@ -294,7 +294,6 @@ def check_hypotheses(
     sampling: SamplingConfig = None,
     ord1: OperatorOrder = None,
     ord2: OperatorOrder = None,
-    h5_ball_radius: float = None,
     spaces: tuple = None,
 ) -> HypothesisReport:
     """Screen (F1)-(F4), (H1)-(H5) and the nonexistence sign condition, over the blocks.
@@ -305,16 +304,16 @@ def check_hypotheses(
     block, with v = 0), and block i brings its exponent s_i and constants
     c_i, r_i, gamma_i, d_i; a condition missing one is inconclusive and
     names it.  Point witnesses are (vertex, t, s, w), or (vertex, t, w).
+    (H5) is screened on the ball of radius 1 (see ``lipschitz_screen``).
     """
-    cfg = sampling or SamplingConfig()
     if spaces is None:
         spaces = _default_spaces(p, q, ord1, ord2)
     k = len(spaces)
     exps = [space.ord.s for space in spaces]
-    ws = spec.w_grid(cfg.w_samples)
+    ws = spec.w_grid(_W_SAMPLES)
     notes = []
 
-    sphere = functools.partial(_sphere, blocks=k, samples=cfg.angular_samples)
+    sphere = functools.partial(_sphere, blocks=k, samples=_ANGULAR_SAMPLES)
     coupling = functools.partial(nl.block_values, "F")  # F at every vertex and point
 
     def f1():  # value at the origin
@@ -445,8 +444,8 @@ def check_hypotheses(
         "H2": _screen(spec, block_fields(k, "c", "r"), h2),
         "H3": _screen(spec, ("a_floor", "c_fn"), h3),
         "H4": _screen(spec, ("L", "x0", "delta"), h4),
-        "H5": lipschitz_screen(nl, spec, graph, spaces, cfg, h5_ball_radius),
-        "NONEXIST": sign_screen(nl, spec, graph, k, cfg),
+        "H5": lipschitz_screen(nl, spec, graph, spaces, sampling or SamplingConfig()),
+        "NONEXIST": sign_screen(nl, spec, graph, k),
     }
     return HypothesisReport(conditions=results, notes=notes)
 
@@ -473,7 +472,7 @@ def lipschitz_screen(
 
     def body(*ds):
         rng = np.random.default_rng(sampling.seed)
-        pts = rng.uniform(-radius, radius, size=(sampling.pair_samples, 2 * blocks))
+        pts = rng.uniform(-radius, radius, size=(_PAIR_SAMPLES, 2 * blocks))
         norms = np.linalg.norm(pts.reshape(len(pts), 2, blocks), axis=2)  # of the two points
         pts = pts[np.all(norms <= radius, axis=1)]
         first, second = pts[:, :blocks].T, pts[:, blocks:].T
@@ -481,7 +480,7 @@ def lipschitz_screen(
             d * np.abs(b - a) ** (space.ord.s - 1) + 1e-12
             for d, a, b, space in zip(ds, first, second, spaces)
         ]
-        ws = spec.w_grid(sampling.w_samples)
+        ws = spec.w_grid(_W_SAMPLES)
         failing = np.zeros((len(pts), len(ws)), bool)  # pair x w
         for j, w in enumerate(ws):
             for which, cap in zip(Nonlinearity.PARTIALS, caps):
@@ -499,29 +498,36 @@ def lipschitz_screen(
 
 
 def sign_screen(
-    nl: Nonlinearity,
-    spec: HypothesisSpec,
-    graph: WeightedGraph,
-    blocks: int,
-    sampling: SamplingConfig,
+    nl: Nonlinearity, spec: HypothesisSpec, graph: WeightedGraph, blocks: int
 ) -> ConditionResult:
     """Screen the nonexistence sign condition F_u t + F_v s < 0 off the origin.
 
     The sample points are the nonzero points of the grid on the box
     [-R, R]^blocks (R = 10); one block screens F_u t
-    with v = 0.  At the first failing w the witness is the largest pairing:
-    (vertex, t, s, w), or (vertex, t, w) for one block.
+    with v = 0.  At the first failing w the witness is the largest pairing
+    that is not NaN: (vertex, t, s, w), or (vertex, t, w) for one block.
+    Without a failing point, a NaN pairing makes the screen inconclusive,
+    its first NaN point the witness.
     """
-    axis = np.linspace(-_BOX_RADIUS, _BOX_RADIUS, sampling.box_grid)
+    axis = np.linspace(-_BOX_RADIUS, _BOX_RADIUS, _BOX_GRID)
     coords = [c.ravel() for c in np.meshgrid(*(axis,) * blocks, indexing="ij")]
     nontrivial = np.any([c != 0 for c in coords], axis=0)
     coords = [c[nontrivial] for c in coords]
 
     def body():
-        for w in spec.w_grid(sampling.w_samples):
+        nan_witness = None
+        for w in spec.w_grid(_W_SAMPLES):
             vals = _radial(nl, coords, w)
-            if np.any(vals >= 0):
+            top = vals.max()  # NaN if any pairing is NaN
+            if math.isnan(top):
+                nan = np.isnan(vals)
+                nan_witness = nan_witness or _point_witness(graph, nan, coords, w)
+                vals[nan] = -np.inf
+                top = vals.max()
+            if top >= 0:
                 return "fail", _point_witness(graph, vals, coords, w), ""
+        if nan_witness is not None:
+            return "inconclusive", nan_witness, "the pairing is NaN at the witness"
         return "pass (sampled)", None, ""
 
     return _screen(spec, (), body)

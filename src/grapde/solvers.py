@@ -61,9 +61,10 @@ class CertificateError(ValueError):
 class SolverConfig:
     tol: float = 1e-8
     path_nodes: int = 41
-    w_grid: int = 21
-    multistart: int = 50
     seed: int = 0
+
+
+_W_GRID = 21  # parameters of J at which the endpoint and the ball radius must hold
 
 
 @dataclass
@@ -157,16 +158,15 @@ def certify(bounds, *args) -> tuple:
 _MAX_DOUBLINGS = 60  # endpoint scalings tried, up to 2^59 times the spike
 
 
-def negative_endpoint(inst, config: SolverConfig = None) -> tuple:
+def negative_endpoint(inst) -> tuple:
     """Scaled spike state with negative energy uniformly across the w grid.
 
     The scaling is doubled until the energy is negative at every grid
     parameter, so the resulting upper bound constant does not depend on w.
     Returns the blocks: (u, v), or (u,) for a scalar problem.
     """
-    config = config or SolverConfig()
     direction = inst.spike()
-    ws = inst.spec.w_grid(config.w_grid)
+    ws = inst.spec.w_grid(_W_GRID)
     t = 1.0
     for _ in range(_MAX_DOUBLINGS):
         x = t * direction
@@ -211,7 +211,7 @@ def mountain_pass_solve(
     """
     config = config or SolverConfig()
     if endpoint is None:
-        endpoint = negative_endpoint(inst, config)
+        endpoint = negative_endpoint(inst)
     weights = inst.weights
     if start is not None:
         warm = polish_root(inst.gradient, start, weights, inst.jacobian, tol=config.tol)
@@ -326,7 +326,7 @@ def _box_points(inst, radius: float, unit_box: tuple) -> list:
     return [b * radius * unit for (b, _), unit in zip(inst.embedding.blocks, unit_box)]
 
 
-def ball_radius(inst, config: SolverConfig = None) -> float:
+def ball_radius(inst) -> float:
     """Largest ladder radius on whose sphere the energy is certified positive.
 
     With k unknown blocks, let D = 0.9 min_i 1/(p K_i^p) and let E(rho) be the sampled
@@ -342,14 +342,13 @@ def ball_radius(inst, config: SolverConfig = None) -> float:
     interior minimizer with negative energy.  E is sampled, so the radius is
     an estimate, not exact.
     """
-    config = config or SolverConfig()
     p = inst.p
     if p != inst.q:
         raise SolverError("ball radius requires p == q")
     blocks = len(inst.spaces)
     vol = total_measure(inst.graph)
     D = 0.9 * inst.embedding.cap
-    ws = inst.spec.w_grid(config.w_grid)
+    ws = inst.spec.w_grid(_W_GRID)
     unit_box = _unit_box(blocks, _BOX_GRID)
     for j in range(_LADDER):
         rho = 0.5**j
@@ -391,7 +390,7 @@ def local_min_solve(
     if inst.p != inst.q:
         raise SolverError("local minimum solver requires p == q")
     if rho is None:
-        rho = ball_radius(inst, config)
+        rho = ball_radius(inst)
     t0 = spike_start(inst, rho)
     weights = inst.weights
     project = ball_projection(inst, rho)
@@ -502,6 +501,9 @@ def bound_certificate_min(inst: ProblemInstance, t0: float, rho: float) -> Bound
 
 # --- uniqueness ---------------------------------------------------------
 
+_UNIQUE_STARTS = 50  # random starts in the ball that must reach one minimizer
+
+
 @dataclass
 class UniquenessReport:
     certified: bool
@@ -548,7 +550,7 @@ def uniqueness_certificate(
     monotonicity_ok, monotonicity_slack = _check_monotonicity(p)
     notes = []
     try:
-        rho, rho_error = ball_radius(inst, config), None
+        rho, rho_error = ball_radius(inst), None
     except SolverError as err:
         rho, rho_error = None, err
 
@@ -581,7 +583,7 @@ def uniqueness_certificate(
         weights = inst.weights
         project = ball_projection(inst, rho)
         rng = np.random.default_rng(config.seed)
-        for _ in range(config.multistart):
+        for _ in range(_UNIQUE_STARTS):
             x0 = project(rng.uniform(-rho, rho, size=weights.size))
             res = bb_minimize(inst.energy, inst.gradient, x0, weights, project, tol=config.tol)
             if res.converged and inst.norm(res.x) < rho * (1.0 - 1e-9):
@@ -626,7 +628,8 @@ def nonexistence_check(
 
     If the radial pairing F_u u + F_v v (F_u u for a scalar problem) is
     negative off the origin, no state can satisfy the critical-point
-    identity, so only the trivial solution exists.  Optionally confirms by
+    identity, so only the trivial solution exists; a NaN pairing is no
+    evidence of the sign.  Optionally confirms by
     driving the gradient to zero from random starts and recording the
     largest norm reached (None, with a note, if no start converged).  A
     Newton polish that stops short of tol from a finite start is retried by
@@ -635,27 +638,29 @@ def nonexistence_check(
     state below ``trivial_norm`` counts as the trivial solution, norm 0.
     """
     config = config or SolverConfig()
-    screen = sign_screen(
-        inst.nl, inst.spec, inst.graph, len(inst.spaces), SamplingConfig(seed=config.seed)
-    )
+    screen = sign_screen(inst.nl, inst.spec, inst.graph, len(inst.spaces))
     verdict, witness = screen.verdict, screen.witness
+    notes = [f"sign screen inconclusive: {screen.detail}"] if verdict == "inconclusive" else []
 
     # contradiction mechanism on random nontrivial states
     rng = np.random.default_rng(config.seed)
     weights = inst.weights
     worst = -math.inf
     mechanism_ok = True
+    nan_pairings = 0
     for _ in range(100):
         x = rng.standard_normal(weights.size)
         if not np.any(x):
             continue
         pairing = integral(inst.graph, sum(inst.split(inst.coupling_grad(x) * x)))
         worst = max(worst, pairing)
-        if pairing >= 0:
+        nan_pairings += math.isnan(pairing)
+        if not pairing < 0:  # a NaN pairing is no evidence of the sign
             mechanism_ok = False
+    if nan_pairings:
+        notes.append(f"{nan_pairings} mechanism pairings are NaN")
 
     norms = []
-    notes = []
     trivial = 0
     for _ in range(multistart):
         x0 = rng.uniform(-2.0, 2.0, size=weights.size)

@@ -9,15 +9,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .calculus import OperatorOrder, grad_modulus
-from .graph import StatePair, WeightedGraph, asvalues, total_measure
+from .graph import WeightedGraph, asvalues, total_measure
 
 __all__ = [
     "SpaceSpec",
     "EmbeddingConstants",
     "w_norm",
-    "product_norm",
     "sup_norm",
-    "lr_norm",
     "embedding_constants",
     "BlockEmbedding",
     "block_embedding",
@@ -53,20 +51,9 @@ def w_norm(graph: WeightedGraph, u, spec: SpaceSpec) -> float:
     return val ** (1.0 / s)
 
 
-def product_norm(
-    graph: WeightedGraph, state: StatePair, spec1: SpaceSpec, spec2: SpaceSpec
-) -> float:
-    return w_norm(graph, state.u, spec1) + w_norm(graph, state.v, spec2)
-
-
 def sup_norm(u) -> float:
     vals = u.values if hasattr(u, "values") else np.asarray(u, float)
     return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-
-def lr_norm(graph: WeightedGraph, u, r: float) -> float:
-    u = asvalues(graph, u)
-    return math.fsum(graph.mu * np.abs(u) ** r) ** (1.0 / r)
 
 
 class BlockEmbedding(NamedTuple):

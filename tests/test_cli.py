@@ -510,3 +510,53 @@ def test_numpy_values_become_json_numbers_and_lists():
     }
     assert [type(out[k]) for k in ("float", "int", "bool")] == [float, int, bool]
     assert type(out["array"][0][0]) is float and type(out["pairs"][0][0]) is float
+
+
+# --- input errors: one "error:" line, exit 1 ---------------------------------
+
+@pytest.mark.parametrize("command", ["sweep", "control"])
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_grid_below_one_point_is_an_input_error(tmp_path, capsys, command, grid):
+    data = {"builtin": "mp-example", "objective": "control-objective"}
+    problem = _write(tmp_path, "p.json", data)
+    assert main([command, "--problem", problem, "--grid", grid]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: grid needs at least one point"]
+
+
+_ZERO_MU_GRAPH = {
+    "vertices": [{"id": "v0", "mu": 0.0, "h1": 1.0, "h2": 1.0},
+                 {"id": "v1", "mu": 1.0, "h1": 1.0, "h2": 1.0}],
+    "edges": [{"a": "v0", "b": "v1", "w": 1.0}],
+}
+
+
+@pytest.mark.parametrize("problem, graph, message", [
+    (None, None, "cannot read"),  # no problem file
+    ("{not json", None, "invalid JSON"),
+    ('{"F": "u^4", "hypotheses": {"zeta": 1}}', None, "unknown hypothesis fields: ['zeta']"),
+    ('{"p": 2}', None, "problem file needs either 'builtin' or an 'F' expression"),
+    ('{"builtin": "mp-example"}', _ZERO_MU_GRAPH, "invalid graph: non-positive mu"),
+])
+def test_input_error_is_one_error_line(tmp_path, capsys, problem, graph, message):
+    path = tmp_path / "p.json"
+    if problem is not None:
+        path.write_text(problem)
+    argv = ["check", "--problem", str(path)]
+    if graph is not None:
+        argv += ["--graph", _write(tmp_path, "g.json", graph)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
+def test_nan_sign_pairing_is_not_negative(tmp_path):
+    # exp(u^4) - exp(u^4) is inf - inf = NaN where exp(u^4) overflows, at
+    # half the points of the sign box: no evidence of a negative pairing
+    problem = _write(tmp_path, "p.json", {"F": "-(u^2+v^2) + exp(u^4) - exp(u^4)"})
+    code, report = _run(tmp_path, ["nonexist", "--problem", problem])
+    result = report["result"]
+    assert code == 2
+    assert result["sign_verdict"] == "inconclusive" and not result["certified"]
+    vertex, t, _s, _w = result["sign_witness"]
+    assert vertex == "v0" and abs(t) > 5.0  # exp(t^4) overflows for |t| > 5.2
+    assert result["notes"] == ["sign screen inconclusive: the pairing is NaN at the witness"]

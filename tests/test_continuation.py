@@ -38,12 +38,9 @@ def _autonomous_instance():
     return ProblemInstance(g, OperatorOrder(1, 3.0), OperatorOrder(1, 2.0), nl, spec, 0.0)
 
 
-CFG = SolverConfig(w_grid=5)
-
-
 @pytest.fixture(scope="module")
 def saddle_branch():
-    return sweep(_saddle_instance(), grid=5, kind="mp", config=CFG)
+    return sweep(_saddle_instance(), grid=5, kind="mp")
 
 
 def test_sweep_converges_everywhere(saddle_branch):
@@ -64,7 +61,7 @@ def test_sweep_warm_starts_interior_points(saddle_branch):
 
 
 def test_sweep_autonomous_branch_is_flat():
-    branch = sweep(_autonomous_instance(), grid=3, kind="mp", config=CFG)
+    branch = sweep(_autonomous_instance(), grid=3, kind="mp")
     assert all(r is not None and r.converged for r in branch.reports)
     assert max(branch.jumps) < 1e-6
 
@@ -73,10 +70,9 @@ def test_sweep_validates_arguments():
     inst = _saddle_instance()
     with pytest.raises(ValueError, match="kind"):
         sweep(inst, grid=3, kind="saddle")
-    with pytest.raises(ValueError, match="increasing"):
-        sweep(inst, grid=[0.5, 0.0])
-    with pytest.raises(ValueError, match="interval"):
-        sweep(inst, grid=[0.0, 2.0])
+    for grid in (0, -1):
+        with pytest.raises(ValueError, match="at least one point"):
+            sweep(inst, grid=grid)
 
 
 def _quadratic_instance():
@@ -86,15 +82,24 @@ def _quadratic_instance():
     return ProblemInstance(g, OperatorOrder(1, 2.0), OperatorOrder(1, 2.0), nl, spec, 0.0)
 
 
+def test_sweep_of_a_degenerate_interval_solves_its_one_point():
+    inst = _autonomous_instance()
+    inst = dataclasses.replace(inst, spec=dataclasses.replace(inst.spec, J=(0.0, 0.0)))
+    branch = sweep(inst, grid=3, kind="mp")
+    assert list(branch.grid) == [0.0] and len(branch.reports) == 1
+    report = branch_continuity_report(branch, inst)
+    assert any("single-point" in n for n in report.notes)
+
+
 def test_sweep_min_kind():
-    branch = sweep(_quadratic_instance(), grid=3, kind="min", config=CFG)
+    branch = sweep(_quadratic_instance(), grid=3, kind="min")
     assert branch.kind == "min"
     assert all(r is not None and r.converged for r in branch.reports)
 
 
 def test_continuity_report(saddle_branch):
     inst = _saddle_instance()
-    report = branch_continuity_report(saddle_branch, inst, CFG)
+    report = branch_continuity_report(saddle_branch, inst)
     assert report.coverage == 1.0
     assert report.norms_in_bounds
     assert report.max_jump is not None and np.isfinite(report.max_jump)
@@ -104,17 +109,17 @@ def test_continuity_report(saddle_branch):
 
 def test_continuity_single_point_grid():
     inst = _saddle_instance()
-    branch = sweep(inst, grid=[0.0], kind="mp", config=CFG)
-    report = branch_continuity_report(branch, inst, CFG)
+    branch = sweep(inst, grid=1, kind="mp")
+    report = branch_continuity_report(branch, inst)
     assert report.max_jump is None
     assert any("single-point" in n for n in report.notes)
 
 
 def test_continuity_limit_check_fails_when_the_middle_point_failed():
     inst = _saddle_instance()
-    branch = sweep(inst, grid=3, kind="mp", config=CFG)
+    branch = sweep(inst, grid=3, kind="mp")
     branch.reports[1] = None
-    report = branch_continuity_report(branch, inst, CFG)
+    report = branch_continuity_report(branch, inst)
     assert report.limit_check_distance == np.inf
     assert any("w0 = 0 failed" in n for n in report.notes)
 
@@ -123,14 +128,14 @@ def test_continuity_limit_check_detects_a_wrong_state_at_the_middle_point(saddle
     # -x is a critical point with the saddle's energy whenever x is one (F is
     # even), but not on the branch: the re-solve from the neighbour finds x
     inst = _saddle_instance()
-    healthy = branch_continuity_report(saddle_branch, inst, CFG)
+    healthy = branch_continuity_report(saddle_branch, inst)
     assert healthy.limit_check_distance < 1e-6
     reports = list(saddle_branch.reports)
     middle = reports[2]
     x = middle.state.flat()
     reports[2] = dataclasses.replace(middle, state=inst.at(0.0).state(-x))
     branch = dataclasses.replace(saddle_branch, reports=reports)
-    report = branch_continuity_report(branch, inst, CFG)
+    report = branch_continuity_report(branch, inst)
     assert report.limit_check_distance == pytest.approx(2.0 * inst.norm(x), rel=1e-6)
 
 
@@ -138,17 +143,17 @@ def test_continuity_limit_check_notes_a_re_solve_that_reached_zero():
     # mp-example's branch is x(w) = x(0) / (1 + w^2): from x(1) = x(0) / 2
     # one Newton step at w = 0 lands on the trivial root, not on x(0)
     inst = _saddle_instance()
-    branch = sweep(inst, grid=3, kind="mp", config=CFG)
-    report = branch_continuity_report(branch, inst, CFG)
+    branch = sweep(inst, grid=3, kind="mp")
+    report = branch_continuity_report(branch, inst)
     assert report.limit_check_distance == pytest.approx(branch.reports[1].certificate.norm)
     assert any("from w = 1 reached the trivial solution" in n for n in report.notes)
 
 
 def test_continuity_limit_check_needs_a_converged_neighbour():
     inst = _saddle_instance()
-    branch = sweep(inst, grid=3, kind="mp", config=CFG)
+    branch = sweep(inst, grid=3, kind="mp")
     branch.reports[0] = branch.reports[2] = None
-    report = branch_continuity_report(branch, inst, CFG)
+    report = branch_continuity_report(branch, inst)
     assert report.limit_check_distance == np.inf
     assert any("no converged point besides w0 = 0" in n for n in report.notes)
 
@@ -156,7 +161,7 @@ def test_continuity_limit_check_needs_a_converged_neighbour():
 def test_control_constant_objective_ties_to_smallest_parameter():
     inst = _saddle_instance()
     obj = Nonlinearity.from_source(inst.graph, "1", {})
-    report = optimal_control(inst, obj, grid=3, kind="mp", config=CFG)
+    report = optimal_control(inst, obj, grid=3, kind="mp")
     assert report.w_opt == -1.0  # all psi equal: total measure 2 at every w
     assert report.psi_opt == pytest.approx(2.0)
     assert len(report.table) == 3
@@ -165,7 +170,7 @@ def test_control_constant_objective_ties_to_smallest_parameter():
 def test_control_parameter_only_objective():
     inst = _saddle_instance()
     obj = Nonlinearity.from_source(inst.graph, "w^2", {})
-    report = optimal_control(inst, obj, grid=3, kind="mp", config=CFG)
+    report = optimal_control(inst, obj, grid=3, kind="mp")
     assert report.w_opt == 0.0
     assert report.psi_opt == pytest.approx(0.0)
 
@@ -223,6 +228,6 @@ def test_warm_start_below_the_trivial_norm_is_rejected(monkeypatch):
 def test_min_sweep_computes_the_ball_radius_once(monkeypatch):
     calls = _counting(monkeypatch, solvers, "ball_radius")
     monkeypatch.setattr(continuation, "ball_radius", solvers.ball_radius)
-    branch = sweep(_quadratic_instance(), grid=3, kind="min", config=CFG)
+    branch = sweep(_quadratic_instance(), grid=3, kind="min")
     assert branch.reports[0] is not None and "warm start" not in branch.reports[0].flags
     assert len(calls) == 1

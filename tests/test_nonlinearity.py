@@ -13,9 +13,10 @@ from grapde.nonlinearity import (
     SamplingConfig,
     builtin,
     check_hypotheses,
+    lipschitz_screen,
+    sign_screen,
 )
-
-FAST = SamplingConfig(w_samples=4, angular_samples=16, box_grid=16, pair_samples=50)
+from grapde.spaces import SpaceSpec
 
 
 def test_eval_quartic_at_unit_point():
@@ -107,7 +108,7 @@ def test_builtin_sign_example_partial():
 def test_screening_saddle_example():
     g = path_graph(2)
     prob = builtin("mp-example", g)
-    report = check_hypotheses(prob.nl, prob.spec, g, 3.0, 2.0, FAST)
+    report = check_hypotheses(prob.nl, prob.spec, g, 3.0, 2.0)
     for name in ("F1", "F2", "H1", "H2", "H3"):
         assert report.conditions[name].verdict in ("pass", "pass (sampled)"), name
     assert report.conditions["NONEXIST"].verdict == "fail"
@@ -116,7 +117,7 @@ def test_screening_saddle_example():
 def test_screening_sign_example():
     g = path_graph(2)
     prob = builtin("nonexist-example", g)
-    report = check_hypotheses(prob.nl, prob.spec, g, 2.0, 2.0, FAST)
+    report = check_hypotheses(prob.nl, prob.spec, g, 2.0, 2.0)
     assert report.conditions["NONEXIST"].verdict == "pass (sampled)"
     assert report.conditions["F1"].verdict == "pass"
 
@@ -125,14 +126,14 @@ def test_screening_zero_function_positivity_floor():
     g = path_graph(2)
     nl = Nonlinearity.from_source(g, "0", {})
     spec = HypothesisSpec(a_floor=lambda r: r**4, c_fn=np.ones(2))
-    report = check_hypotheses(nl, spec, g, 2.0, 2.0, FAST)
+    report = check_hypotheses(nl, spec, g, 2.0, 2.0)
     assert report.conditions["H3"].verdict == "fail"
 
 
 def test_screening_limits_are_only_sampled():
     g = path_graph(2)
     prob = builtin("mp-example", g)
-    report = check_hypotheses(prob.nl, prob.spec, g, 3.0, 2.0, FAST)
+    report = check_hypotheses(prob.nl, prob.spec, g, 3.0, 2.0)
     assert report.conditions["F2"].verdict != "pass"  # at best "pass (sampled)"
 
 
@@ -140,7 +141,7 @@ def test_screening_missing_constants_inconclusive():
     g = path_graph(2)
     nl = Nonlinearity.from_source(g, "u^4+v^4", {})
     spec = HypothesisSpec()
-    report = check_hypotheses(nl, spec, g, 2.0, 2.0, FAST)
+    report = check_hypotheses(nl, spec, g, 2.0, 2.0)
     for name in ("H1", "H2", "H3", "H4", "H5", "F4"):
         assert report.conditions[name].verdict == "inconclusive"
 
@@ -151,7 +152,7 @@ def test_screening_outside_the_coupling_domain_is_inconclusive():
     g = path_graph(2)
     nl = Nonlinearity.from_source(g, "u^4*sqrt(u)", {})
     spec = HypothesisSpec(theta=5.0, c1=1.0, c2=1.0, r1=5.0, r2=5.0)
-    report = check_hypotheses(nl, spec, g, 2.0, 2.0, FAST)
+    report = check_hypotheses(nl, spec, g, 2.0, 2.0)
     assert report.conditions["F1"].verdict == "pass"
     for name in ("F2", "F3", "H1", "H2", "NONEXIST"):
         condition = report.conditions[name]
@@ -163,7 +164,7 @@ def test_screening_h1_failure_witness():
     g = path_graph(2)
     nl = Nonlinearity.from_source(g, "u^2+v^2", {})
     spec = HypothesisSpec(theta=4.0)  # 4F > 2F at nonzero points
-    report = check_hypotheses(nl, spec, g, 2.0, 2.0, FAST)
+    report = check_hypotheses(nl, spec, g, 2.0, 2.0)
     assert report.conditions["H1"].verdict == "fail"
     assert report.conditions["H1"].witness is not None
 
@@ -171,17 +172,28 @@ def test_screening_h1_failure_witness():
 def test_f1_requires_vanishing_origin():
     g = path_graph(2)
     nl = Nonlinearity.from_source(g, "1+u^2", {})
-    report = check_hypotheses(nl, HypothesisSpec(), g, 2.0, 2.0, FAST)
+    report = check_hypotheses(nl, HypothesisSpec(), g, 2.0, 2.0)
     assert report.conditions["F1"].verdict == "fail"
 
 
 def test_quadratic_example_h5_passes():
     g = path_graph(2)
     prob = builtin("unique-example", g)
-    report = check_hypotheses(
-        prob.nl, prob.spec, g, 2.0, 2.0, FAST, h5_ball_radius=0.5
-    )
-    assert report.conditions["H5"].verdict == "pass (sampled)"
+    spaces = (SpaceSpec(prob.ord1, "h1"), SpaceSpec(prob.ord2, "h2"))
+    h5 = lipschitz_screen(prob.nl, prob.spec, g, spaces, SamplingConfig(), radius=0.5)
+    assert h5.verdict == "pass (sampled)"
+
+
+def test_sign_screen_failure_witness_skips_nan_pairings():
+    # F_u t = 2t^2 + exp(t^4) 4t^4 - exp(t^4) 4t^4 is 2t^2 up to |t| = 2.4, 0
+    # once exp(t^4) absorbs 2t, and inf - inf = NaN where exp(t^4) overflows
+    # (|t| > 5.2): the witness is the largest finite pairing, not a NaN
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, "u^2 + exp(u^4) - exp(u^4)", {})
+    screen = sign_screen(nl, HypothesisSpec(), g, 1)
+    assert screen.verdict == "fail"
+    vertex, t, w = screen.witness
+    assert (vertex, w) == ("v0", -1.0) and t == pytest.approx(-10.0 + 24 * 20.0 / 63)
 
 
 def test_hypothesis_spec_interval_validated():

@@ -13,7 +13,6 @@ from grapde.nonlinearity import HypothesisSpec, Nonlinearity, SamplingConfig, li
 from grapde.scalar import ScalarInstance, scalar_bounds, scalar_bounds_min
 from grapde.solvers import (
     CertificateError,
-    SolverConfig,
     SolverError,
     ball_radius,
     local_min_solve,
@@ -133,7 +132,7 @@ def test_min_solve_small_quadratic():
     g = path_graph(2)
     spec = HypothesisSpec(theta=4.0, c1=1.0, r1=4.0, delta=1.0)
     inst = _instance(g, "0.05*u^2", spec=spec)
-    report = local_min_solve(inst, SolverConfig(w_grid=5))
+    report = local_min_solve(inst)
     assert report.converged
     assert "trivial" in report.flags
 
@@ -145,7 +144,7 @@ def test_min_solve_negative_energy_certified():
     g = path_graph(2)
     inst = _instance(g, "0.05*u", spec=HypothesisSpec(delta=0.04, x0=g.vertices[0]))
     assert ball_radius(inst) == 1.0
-    report = local_min_solve(inst, SolverConfig(w_grid=5))
+    report = local_min_solve(inst)
     assert report.converged and report.energy == pytest.approx(-0.0025)
     assert np.allclose(report.u.values, 0.05)
     cert = report.certificate
@@ -166,12 +165,11 @@ def test_sweep_and_control():
     g = path_graph(2, h1=2.0)
     spec = HypothesisSpec(theta=4.0, c1=8.0, r1=4.0)
     inst = _instance(g, "u^4*(1+w^2)", spec=spec)
-    cfg = SolverConfig(w_grid=5)
-    branch = sweep(inst, grid=3, kind="mp", config=cfg)
+    branch = sweep(inst, grid=3, kind="mp")
     assert all(r is not None and r.converged for r in branch.reports)
     assert all(j is not None and np.isfinite(j) for j in branch.jumps)
     obj = Nonlinearity.from_source(g, "w^2", {})
-    result = optimal_control(inst, obj, grid=3, kind="mp", config=cfg)
+    result = optimal_control(inst, obj, grid=3, kind="mp")
     assert result.w_opt == 0.0
     assert result.psi_opt == pytest.approx(0.0)
 
@@ -181,7 +179,7 @@ def test_control_tie_breaks_to_smallest_parameter():
     spec = HypothesisSpec(theta=4.0, c1=8.0, r1=4.0)
     inst = _instance(g, "u^4*(1+w^2)", spec=spec)
     obj = Nonlinearity.from_source(g, "1", {})
-    result = optimal_control(inst, obj, grid=3, kind="mp", config=SolverConfig(w_grid=5))
+    result = optimal_control(inst, obj, grid=3, kind="mp")
     assert result.w_opt == -1.0
 
 
@@ -228,9 +226,11 @@ def test_check_reads_the_one_block_constants():
     # and |F_u(b) - F_u(a)| <= 24 (|a| + |b|)^2 |b - a| on the ball of radius 0.1
     g = path_graph(2)
     spec = HypothesisSpec(c1=8.0, r1=4.0, gamma1=3.0, d1=1.0)
-    report = _instance(g, "u^4*(1+w^2)", spec=spec).check(SamplingConfig(), h5_ball_radius=0.1)
+    inst = _instance(g, "u^4*(1+w^2)", spec=spec)
+    h5 = lipschitz_screen(inst.nl, spec, g, inst.spaces, SamplingConfig(), radius=0.1)
+    conditions = dict(inst.check(SamplingConfig()).conditions, H5=h5)
     for name in ("H2", "F4", "H5"):
-        c = report.conditions[name]
+        c = conditions[name]
         assert c.verdict == "pass (sampled)", (name, c.detail)
 
 

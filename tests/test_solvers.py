@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from grapde._optim import polish_root
 from grapde.calculus import OperatorOrder
 from grapde.energy import ProblemInstance, phi
 from grapde.graph import complete_graph, integral, path_graph
-from grapde.nonlinearity import HypothesisSpec, Nonlinearity, builtin
+from grapde.nonlinearity import HypothesisSpec, Nonlinearity, SamplingConfig, builtin
 from grapde.solvers import (
     CertificateError,
     SolverConfig,
@@ -39,6 +40,16 @@ def _saddle_instance(w=0.0):
     g = path_graph(2)
     prob = builtin("mp-example", g)
     return ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, w)
+
+
+# --- configuration surface -----------------------------------------------
+
+def test_configuration_surface_is_tol_path_nodes_and_seed():
+    # Every other sampling count is a module constant: no pipeline sets one.
+    # path_nodes stays settable because criterion_06 solves with 81 nodes.
+    # A new option needs a deliberate edit here.
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol", "path_nodes", "seed"]
+    assert [f.name for f in dataclasses.fields(SamplingConfig)] == ["seed"]
 
 
 # --- negative endpoint ---------------------------------------------------
@@ -400,7 +411,7 @@ def test_local_min_solve_quadratic_descends_to_origin():
     g = path_graph(2)
     spec = HypothesisSpec(theta=4.0, c1=1.0, c2=1.0, r1=4.0, r2=4.0, delta=1.0)
     inst = _instance(g, "0.05*(u^2+v^2)", spec=spec)
-    report = local_min_solve(inst, SolverConfig(w_grid=5))
+    report = local_min_solve(inst)
     assert report.converged
     assert "trivial" in report.flags
     assert "nonnegative energy at convergence" in report.flags
@@ -450,7 +461,7 @@ def test_uniqueness_certified_for_small_quadratic():
         d1=0.02, d2=0.02, L=0.1, delta=1.0,
     )
     inst = _instance(g, "0.01*(u^2+v^2)", spec=spec)
-    report = uniqueness_certificate(inst, SolverConfig(multistart=8, w_grid=5))
+    report = uniqueness_certificate(inst)
     assert report.monotonicity_ok
     assert report.margin == pytest.approx(0.5 - 0.04)
     assert report.multistart_spread < 1e-6
@@ -461,9 +472,21 @@ def test_builtin_quadratic_example_not_certified():
     g = path_graph(2)
     prob = builtin("unique-example", g)
     inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
-    report = uniqueness_certificate(inst, SolverConfig(multistart=4, w_grid=5))
+    report = uniqueness_certificate(inst)
     assert not report.certified
     assert report.margin < 0
+
+
+def test_uniqueness_without_lipschitz_constants_is_inconclusive():
+    g = path_graph(2)
+    prob = builtin("unique-example", g)
+    spec = dataclasses.replace(prob.spec, d1=None, d2=None)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, spec, 0.0)
+    report = uniqueness_certificate(inst)
+    assert report.margin == -math.inf
+    assert report.h5_verdict == "inconclusive"
+    assert not report.certified
+    assert "d1/d2 not provided; margin unavailable" in report.notes
 
 
 def test_uniqueness_certificate_computes_the_ball_radius_once(monkeypatch):
@@ -477,7 +500,7 @@ def test_uniqueness_certificate_computes_the_ball_radius_once(monkeypatch):
     g = path_graph(2)
     prob = builtin("unique-example", g)
     inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
-    report = uniqueness_certificate(inst, SolverConfig(multistart=4, w_grid=5))
+    report = uniqueness_certificate(inst)
     assert len(calls) == 1
     reason = "(F2) margin not certifiable: no ladder radius qualifies"
     assert report.notes == (
@@ -502,6 +525,17 @@ def test_nonexistence_rejects_saddle_example():
     inst = _saddle_instance()
     report = nonexistence_check(inst)
     assert not report.certified
+
+
+def test_nonexistence_nan_mechanism_pairing_is_not_negative(monkeypatch):
+    g = path_graph(2)
+    prob = builtin("nonexist-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+    monkeypatch.setattr(solvers, "integral", lambda graph, f: math.nan)
+    report = nonexistence_check(inst)
+    assert report.sign_verdict == "pass (sampled)"
+    assert not report.mechanism_ok and not report.certified
+    assert report.notes == ("100 mechanism pairings are NaN",)
 
 
 def test_nonexistence_multistart_counts_trivial_states_as_zero():

@@ -3,13 +3,11 @@ import pytest
 
 from _helpers import random_function, random_graph
 from grapde.calculus import OperatorOrder
-from grapde.graph import StatePair, VertexFunction, path_graph
+from grapde.graph import path_graph
 from grapde.spaces import (
     SpaceSpec,
     block_embedding,
     embedding_constants,
-    lr_norm,
-    product_norm,
     sup_norm,
     w_norm,
 )
@@ -36,20 +34,8 @@ def test_space_spec_potential_validated():
         SpaceSpec(OperatorOrder(1, 2.0), "h3")
 
 
-def test_product_norm_is_sum():
-    g = path_graph(2)
-    u = VertexFunction(g, np.array([1.0, 0.0]))
-    state = StatePair(u, u)
-    s1 = SpaceSpec(OperatorOrder(1, 2.0), "h1")
-    s2 = SpaceSpec(OperatorOrder(1, 2.0), "h2")
-    assert product_norm(g, state, s1, s2) == pytest.approx(2.0 * np.sqrt(2.0))
-
-
-def test_sup_and_lr_norms():
-    g = path_graph(2, mu=2.0)
-    u = np.array([3.0, -4.0])
-    assert sup_norm(u) == 4.0
-    assert lr_norm(g, u, 2.0) == pytest.approx(np.sqrt(2 * 9 + 2 * 16))
+def test_sup_norm_hand_value():
+    assert sup_norm(np.array([3.0, -4.0])) == 4.0
 
 
 def test_embedding_constants_hand_values():
