@@ -3,10 +3,12 @@
 Everything here works on flat ndarrays with a fixed positive weight vector
 defining the inner product <a, b> = sum(weights * a * b); callers pass
 objective and gradient callables expressed in that metric, and the root polish
-and the saddle search also the Jacobian of the gradient.  One damped Newton
-loop (``_newton``) serves both the polish and the saddle search's trials.
-All routines are deterministic for fixed inputs.  Only
-``least_squares_retry`` uses scipy, and imports it when first called.
+and the saddle search also the Jacobian of the gradient.  The saddle search
+evaluates a whole path at once, so its objective and gradient take a stack of
+states along a leading axis.  One damped Newton loop (``_newton``) serves
+both the polish and the saddle search's trials.  All routines are
+deterministic for fixed inputs.  Only ``least_squares_retry`` uses scipy, and
+imports it when first called.
 """
 
 from __future__ import annotations
@@ -80,34 +82,39 @@ def bb_minimize(f, grad, x0, weights, project, tol=1e-8) -> OptResult:
     return OptResult(x, weighted_norm(weights, g), _MAX_ITER, fevals, False, "max iterations")
 
 
+def _segments(path: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted lengths of the path's segments between consecutive nodes."""
+    d = np.diff(path, axis=0)
+    return np.sqrt((d * d) @ weights)
+
+
 def _reparametrize(path: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Redistribute path nodes to equal arclength in the weighted metric."""
-    seg = np.array(
-        [0.0] + [weighted_norm(weights, path[k] - path[k - 1]) for k in range(1, len(path))]
-    )
-    s = np.cumsum(seg)
+    s = np.concatenate(([0.0], np.cumsum(_segments(path, weights))))
     total = s[-1]
     if total <= 0:
         return path
-    targets = np.linspace(0.0, total, len(path))
+    targets = np.linspace(0.0, total, len(path))[1:-1]
+    # the first node at or past each target's arclength, the last node at most
+    j = np.minimum(np.searchsorted(s, targets), len(path) - 1)
+    lo, hi = s[j - 1], s[j]
+    lam = np.divide(targets - lo, hi - lo, out=np.zeros_like(targets), where=hi != lo)
     out = np.empty_like(path)
     out[0], out[-1] = path[0], path[-1]
-    j = 1
-    for k in range(1, len(path) - 1):
-        t = targets[k]
-        while s[j] < t and j < len(path) - 1:
-            j += 1
-        lo, hi = s[j - 1], s[j]
-        lam = 0.0 if hi == lo else (t - lo) / (hi - lo)
-        out[k] = (1.0 - lam) * path[j - 1] + lam * path[j]
+    out[1:-1] = (1.0 - lam)[:, None] * path[j - 1] + lam[:, None] * path[j]
     return out
 
 
 def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -> tuple:
     """Deform a discretized path from 0 to ``endpoint`` toward the min-max node.
 
-    Every interior node takes one backtracked descent step per sweep, then the
-    path is reparametrized to uniform arclength.  After a sweep that brings
+    ``f`` and ``grad`` take a stack of states along a leading axis and
+    return one energy or gradient per state: each sweep evaluates the
+    energy of every node in one call and the gradient of the interior
+    nodes in another.  Every interior node then takes one backtracked
+    descent step; the line searches run in lockstep, each node halving its
+    own step and evaluating only its own pending candidate.  The path is
+    then reparametrized to uniform arclength.  After a sweep that brings
     the peak residual below 0.9 times its value at the last trial, a Newton
     trial runs from the peak node: ``_newton`` on ``jac``, at most
     ``_TRIAL_NEWTON`` steps, none damped below ``_TRIAL_MIN_STEP`` (a start
@@ -116,9 +123,9 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
     true, the peak energy being an upper bound on the mountain-pass level.
     Otherwise it ends when the peak residual stalls for 30 sweeps or after
     ``_MAX_OUTER`` sweeps, with the best-residual peak seen.  Returns (point,
-    sweeps, fevals, ok): ``fevals`` counts the energy calls and the gradient
-    calls of the trials, and ``ok`` is True only for an accepted trial.  The
-    caller polishes the point.
+    sweeps, fevals, ok): ``fevals`` counts the states whose energy was
+    evaluated and the gradient calls of the trials, and ``ok`` is True only
+    for an accepted trial.  The caller polishes the point.
     """
     lam = np.linspace(0.0, 1.0, n_nodes)[:, None]
     path = lam * np.asarray(endpoint, float)[None, :]
@@ -128,12 +135,13 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
     stall_res = trial_res = math.inf
     stall = 0
     for outer in range(_MAX_OUTER):
-        energies = np.array([f(x) for x in path])
+        energies = np.asarray(f(path), float)
         fevals += n_nodes
         k_peak = 1 + int(np.argmax(energies[1:-1]))
         peak = path[k_peak].copy()
-        g_peak = grad(peak)
-        res = weighted_norm(weights, g_peak)
+        grads = grad(path[1:-1])  # row i belongs to node i + 1
+        sq = (grads * grads) @ weights
+        res = math.sqrt(sq[k_peak - 1])
         if res < best_res:
             best_peak, best_res = peak, res
         # a trial after a sweep, once the peak residual has fallen by a tenth
@@ -154,28 +162,26 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
                 return best_peak, outer, fevals, False
         # cap each node's displacement at half the node spacing so nodes
         # downhill of the saddle cannot run away before reparametrization
-        seg = sum(
-            weighted_norm(weights, path[k] - path[k - 1]) for k in range(1, n_nodes)
-        )
-        max_move = 0.5 * seg / (n_nodes - 1)
-        for k in range(1, n_nodes - 1):
-            x = path[k]
-            g = grad(x) if k != k_peak else g_peak
-            slope = -float(np.dot(weights, g * g))
-            if slope == 0.0:
-                continue
-            gnorm = weighted_norm(weights, g)
-            fx = energies[k]
-            t = min(steps[k] * 2.0, 1.0, max_move / gnorm)
-            while t >= 1e-16:
-                cand = x - t * g
-                fc = f(cand)
-                fevals += 1
-                if fc <= fx + _ARMIJO_C * t * slope:
-                    path[k] = cand
-                    steps[k] = t
-                    break
-                t *= 0.5
+        max_move = 0.5 * float(np.sum(_segments(path, weights))) / (n_nodes - 1)
+        # the interior nodes with a nonzero gradient, by row of grads
+        todo = np.flatnonzero(sq != 0.0)
+        g = grads[todo]
+        slope = -sq[todo]
+        x, fx = path[1 + todo], energies[1 + todo]
+        t = np.minimum(np.minimum(steps[1 + todo] * 2.0, 1.0), max_move / np.sqrt(sq[todo]))
+        pending = np.flatnonzero(t >= 1e-16)  # indices into todo
+        while pending.size:
+            tp = t[pending]
+            cand = x[pending] - tp[:, None] * g[pending]
+            fc = np.asarray(f(cand), float)
+            fevals += pending.size
+            done = fc <= fx[pending] + _ARMIJO_C * tp * slope[pending]
+            nodes = 1 + todo[pending[done]]
+            path[nodes] = cand[done]
+            steps[nodes] = tp[done]
+            pending = pending[~done]
+            t[pending] *= 0.5
+            pending = pending[t[pending] >= 1e-16]
         path = _reparametrize(path, weights)
     return best_peak, _MAX_OUTER, fevals, False
 

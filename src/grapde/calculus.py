@@ -6,6 +6,10 @@ Laplacian (even ``m``) terms.  ``polylap_apply`` recovers the strong form by
 testing against the indicator basis; the matrix assembly below is that
 recovery evaluated in closed form, so weak/strong duality is exact by
 construction.
+
+Every operator takes one vertex function, shape (n,), or a stack of them,
+shape (k, n), and works along the last axis; the weight matrix is
+symmetric, so ``u @ W`` is W applied to each state.
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ class OperatorOrder:
 
 def laplacian(graph: WeightedGraph, u) -> np.ndarray:
     u = asvalues(graph, u)
-    w = graph.weight_matrix
-    return (w @ u - graph.degree * u) / graph.mu
+    return (u @ graph.weight_matrix - graph.degree * u) / graph.mu
 
 
 def _lap_matrix(graph: WeightedGraph) -> np.ndarray:
@@ -57,7 +60,7 @@ def gradient_form(graph: WeightedGraph, u, v) -> np.ndarray:
     u = asvalues(graph, u)
     v = asvalues(graph, v)
     w = graph.weight_matrix
-    s = w @ (u * v) - u * (w @ v) - v * (w @ u) + graph.degree * u * v
+    s = (u * v) @ w - u * (v @ w) - v * (u @ w) + graph.degree * u * v
     return s / (2.0 * graph.mu)
 
 
@@ -133,25 +136,30 @@ def polylap_apply(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
     """Strong-form vertex function r with integral(r * phi) == weak(u, phi).
 
     Equivalent to testing the weak form against the indicator of every
-    vertex; assembled as a matrix product for exact duality at O(n^2) cost.
-    What does not depend on u is built once per graph (``graph.operator``):
-    the Laplacian power A^k, and at s = 2 (coefficient 1) the reweighted
-    Laplacian.  A^0 = I is not multiplied.
+    vertex, in closed form at O(n^2) cost per state; u may be a stack of
+    states, shape (k, n).  With a = A^k u (k = m // 2), r is M^T applied to
+    the mu-weighted c a (even m) or to the reweighted Laplacian of a (odd
+    m), c = |grad^m u|^(s-2).  That Laplacian is applied as
+    0.5 (c (deg a - W a) + a (W c) - W (c a)), so no n x n matrix is built
+    per state.  What does not depend on u is built once per graph
+    (``graph.operator``): the Laplacian power A^k, and at s = 2
+    (coefficient 1) the reweighted Laplacian.  A^0 = I is not multiplied.
     """
     u = asvalues(graph, u)
     m, s = ord.m, ord.s
     k = m // 2
     M = _lap_power_matrix(graph, k) if k else None
-    a = u if M is None else M @ u
+    a = u if M is None else u @ M.T
     # at s = 2 the coefficient is 1 whatever u is
     c = np.ones(graph.n) if s == 2 else power_coeff(grad_modulus(graph, u, m), s)
     if m % 2 == 0:
         r = graph.mu * c * a
     elif s == 2:
-        r = graph.operator("L(c=1)", lambda g: _reweighted_laplacian(g, c)) @ a
+        r = a @ graph.operator("L(c=1)", lambda g: _reweighted_laplacian(g, c))
     else:
-        r = _reweighted_laplacian(graph, c) @ a
-    return (r if M is None else M.T @ r) / graph.mu
+        w = graph.weight_matrix
+        r = 0.5 * (c * (graph.degree * a - a @ w) + a * (c @ w) - (c * a) @ w)
+    return (r if M is None else r @ M) / graph.mu
 
 
 def polylap_jacobian(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:

@@ -4,6 +4,11 @@ The gradient returned by ``phi_grad`` is the vertex function pair (g_u, g_v)
 with directional derivative  <phi'(u,v), (e1, e2)> = integral(g_u e1 + g_v e2).
 Descent methods and the residual norm all use this mu-weighted metric, so
 tolerances carry the same meaning on graphs with very different measures.
+
+``phi``, ``phi_grad``, ``FlatProblem.energy`` and ``FlatProblem.gradient``
+take one state or a stack of states along a leading axis, so a path of
+states is evaluated in one call; a stack gives an array of energies and a
+stack of gradients.
 """
 
 from __future__ import annotations
@@ -63,18 +68,19 @@ class FlatProblem:
         return block_embedding(self.graph, self.spaces)
 
     def split(self, x) -> tuple:
+        """The blocks of a flat state (N,), or of a stack of them (k, N), along the last axis."""
         n = self.graph.n
-        return tuple(x[k * n : (k + 1) * n] for k in range(len(self.spaces)))
+        return tuple(x[..., k * n : (k + 1) * n] for k in range(len(self.spaces)))
 
     def norm(self, x) -> float:
         """Sum of the block norms, each in its own space."""
         return sum(w_norm(self.graph, b, s) for b, s in zip(self.split(x), self.spaces))
 
-    def energy(self, x) -> float:
+    def energy(self, x):
         return phi(self, self.split(x))
 
     def gradient(self, x) -> np.ndarray:
-        return np.concatenate(phi_grad(self, self.split(x)))
+        return np.concatenate(phi_grad(self, self.split(x)), axis=-1)
 
     def jacobian(self, x) -> np.ndarray:
         """Derivative of ``gradient`` at x: diag(1/mu) times the Hessian of the energy.
@@ -176,20 +182,29 @@ def _unpack(inst: FlatProblem, state) -> tuple:
     return Nonlinearity.pair([asvalues(inst.graph, b) for b in state])
 
 
-def phi(inst: FlatProblem, state) -> float:
-    """Energy: the sum over blocks of (1/p)||u||^p, minus the integral of F."""
+def _fsum(x: np.ndarray):
+    """math.fsum along the last axis: a float for one state, an array for a stack."""
+    sums = [math.fsum(row) for row in x.reshape(-1, x.shape[-1])]
+    return sums[0] if x.ndim == 1 else np.array(sums)
+
+
+def phi(inst: FlatProblem, state):
+    """Energy: the sum over blocks of (1/p)||u||^p, minus the integral of F.
+
+    A float for one state; an array of energies for a stack of states.
+    """
     g = inst.graph
     u, v = _unpack(inst, state)
     norms = sum(
-        math.fsum(g.mu * (grad_modulus(g, b, s.ord.m) ** s.ord.s
-                          + getattr(g, s.potential) * np.abs(b) ** s.ord.s)) / s.ord.s
+        _fsum(g.mu * (grad_modulus(g, b, s.ord.m) ** s.ord.s
+                      + getattr(g, s.potential) * np.abs(b) ** s.ord.s)) / s.ord.s
         for b, s in zip((u, v), inst.spaces)
     )
-    return norms - math.fsum(g.mu * inst.nl.values("F", u, v, inst.w))
+    return norms - _fsum(g.mu * inst.nl.values("F", u, v, inst.w))
 
 
 def phi_grad(inst: FlatProblem, state) -> tuple:
-    """Measure-weighted gradient blocks (g_u, g_v), or (g_u,) for one block."""
+    """Measure-weighted gradient blocks (g_u, g_v), or (g_u,) for one block, each in u's shape."""
     g = inst.graph
     u, v = _unpack(inst, state)
     return tuple(

@@ -181,13 +181,17 @@ class StatePair:
 
 
 def asvalues(graph: WeightedGraph, f) -> np.ndarray:
-    """Coerce a VertexFunction or array-like to an aligned ndarray."""
+    """Coerce a VertexFunction or array-like to an aligned ndarray.
+
+    An array may be one vertex function, shape (n,), or a stack of them,
+    shape (k, n): the vertices are always the last axis.
+    """
     if isinstance(f, VertexFunction):
         if f.graph is not graph and f.graph != graph:
             raise GraphError("vertex function belongs to a different graph")
         return f.values
     vals = np.asarray(f, dtype=float)
-    if vals.shape != (graph.n,):
+    if vals.ndim not in (1, 2) or vals.shape[-1] != graph.n:
         raise GraphError("vertex function domain does not match the graph")
     return vals
 

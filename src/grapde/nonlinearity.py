@@ -114,13 +114,17 @@ class Nonlinearity:
         return self._fn(which)(env)
 
     def values(self, which: str, u, v, w_val):
-        """Vectorized evaluation across all vertices at once."""
+        """Vectorized evaluation across all vertices at once, in the shape of u.
+
+        u and v hold one state, shape (n,), or a stack of states, shape (k, n).
+        """
+        u = np.asarray(u, float)
         env = dict(self.coeffs)
-        env.update(u=np.asarray(u, float), v=np.asarray(v, float), w=w_val)
+        env.update(u=u, v=np.asarray(v, float), w=w_val)
         out = np.array(self._fn(which)(env), float)  # a copy: the result may be u itself
-        if out.shape == (self.graph.n,):
+        if out.shape == u.shape:
             return out
-        return np.broadcast_to(out, (self.graph.n,)).copy()
+        return np.broadcast_to(out, u.shape).copy()
 
     @staticmethod
     def pair(blocks) -> tuple:
@@ -267,22 +271,35 @@ def _ratio_ladder(graph, radii, sphere, ws, numerator, powers, largest: bool) ->
     """(radius, extreme, witness) per radius of numerator(coords, w) / sum_i |c_i|^powers_i.
 
     The maximum (``largest``) or minimum over vertices, sphere and ws, where
-    a w with a NaN ratio does not count; the witness is its point.
+    a w with a NaN ratio does not count; the witness is its point.  A radius
+    where every w has a NaN ratio has the extreme NaN, and its first NaN
+    point is the witness.
     """
     sign = 1.0 if largest else -1.0
     rungs = []
     for radius in radii:
         coords = sphere(radius)
         denom = sum(np.abs(c) ** e for c, e in zip(coords, powers))
-        best, at = -sign * math.inf, None
+        best, at, nan_at = -sign * math.inf, None, None
         for w in ws:
             vals = numerator(coords, w) / denom
             top = float(vals.max() if largest else vals.min())
-            if not math.isnan(top) and (at is None or sign * top > sign * best):
-                best, at = top, (vals, w)
-        witness = None if at is None else _point_witness(graph, sign * at[0], coords, at[1])
-        rungs.append((radius, best, witness))
+            if math.isnan(top):
+                nan_at = nan_at or (np.isnan(vals), w)
+            elif at is None or sign * top > sign * best:
+                best, at = top, (sign * vals, w)
+        if at is None:
+            best, at = math.nan, nan_at
+        rungs.append((radius, best, _point_witness(graph, at[0], coords, at[1])))
     return rungs
+
+
+def _nan_rung(rungs):
+    """(verdict, witness, detail), inconclusive, of the first rung with a NaN extreme; or None."""
+    for radius, value, witness in rungs:
+        if math.isnan(value):
+            return "inconclusive", witness, f"the ratio is NaN at the witness (radius {radius:g})"
+    return None
 
 
 def check_hypotheses(
@@ -327,6 +344,8 @@ def check_hypotheses(
     def f2():  # small-amplitude growth cap, estimated on a shrinking radius ladder
         bound = block_embedding(graph, spaces).cap
         rungs = _ratio_ladder(graph, _SMALL_RADII, sphere, ws, coupling, exps, largest=True)
+        if nan := _nan_rung(rungs):
+            return nan
         ladder = [(radius, value) for radius, value, _ in rungs]
         limit_estimate, witness = rungs[-1][1:]  # smallest radius
         detail = f"limit estimate {limit_estimate:.3e} vs bound {bound:.3e}; ladder {ladder}"
@@ -335,9 +354,11 @@ def check_hypotheses(
 
     def f3():  # superlinear growth at infinity
         rungs = _ratio_ladder(graph, _LARGE_RADII, sphere, ws, coupling, exps, largest=False)
+        if nan := _nan_rung(rungs):
+            return nan
         mins = [value for _, value, _ in rungs]
         detail = f"min ratio per radius {list(zip(_LARGE_RADII, mins))}"
-        if mins[-1] == math.inf and rungs[-1][2] is not None:
+        if mins[-1] == math.inf:
             # F overflows at every sample of the largest radius
             return "pass (sampled)", None, detail + "; +inf counts as growth past every bound"
         growing = all(b > a for a, b in zip(mins, mins[1:]))
@@ -351,6 +372,8 @@ def check_hypotheses(
             return _radial(nl, coords, w) - mx * coupling(coords, w)
 
         rungs = _ratio_ladder(graph, _LARGE_RADII, sphere, ws, excess, gammas, largest=False)
+        if nan := _nan_rung(rungs):
+            return nan
         mins = [value for _, value, _ in rungs]
         ok = mins[-1] > 0 and mins[-1] >= mins[0]
         return _SAMPLED[ok], None, f"min excess ratio per radius {list(zip(_LARGE_RADII, mins))}"

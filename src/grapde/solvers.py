@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import bb_minimize, least_squares_retry, path_saddle, polish_root
+from ._optim import bb_minimize, least_squares_retry, path_saddle, polish_root, weighted_norm
 from .energy import ProblemInstance, phi  # noqa: F401  phi: bench/tracing.py requires this binding
 from .graph import StatePair, VertexFunction, integral, total_measure
 from .nonlinearity import SamplingConfig, block_fields, lipschitz_screen, sign_screen
@@ -156,6 +156,7 @@ def certify(bounds, *args) -> tuple:
 # --- mountain pass ------------------------------------------------------
 
 _MAX_DOUBLINGS = 60  # endpoint scalings tried, up to 2^59 times the spike
+_SAME_ROOT = 1e-6  # weighted distance within which two saddle-trial roots are one point
 
 
 def negative_endpoint(inst) -> tuple:
@@ -205,9 +206,11 @@ def mountain_pass_solve(
     The path deformation ends as soon as a Newton trial from its peak reaches
     a critical point that is a mountain-pass point by evidence: nontrivial,
     with energy at most the path's peak energy (an upper bound on the
-    mountain-pass level) and Morse index 1.  With a flat state ``start``
-    (the previous point of a sweep), the polish from ``start`` is tried
-    first and the path search runs only if it fails.
+    mountain-pass level) and Morse index 1.  A root rejected as trivial or
+    for its index is remembered, and a later trial root within
+    ``_SAME_ROOT`` of one is rejected without a new index.  With a flat
+    state ``start`` (the previous point of a sweep), the polish from
+    ``start`` is tried first and the path search runs only if it fails.
     """
     config = config or SolverConfig()
     if endpoint is None:
@@ -219,13 +222,20 @@ def mountain_pass_solve(
         if report is not None:
             return report
     floor = trivial_norm(inst, config.tol)
+    rejected = []  # roots rejected for a property of the point alone
 
     def accept(x, peak_energy):
-        return (
-            inst.norm(x) >= floor
-            and inst.energy(x) <= peak_energy
-            and inst.morse_index(x) == 1
-        )
+        if any(weighted_norm(weights, x - r) <= _SAME_ROOT for r in rejected):
+            return False
+        if inst.norm(x) < floor:
+            rejected.append(x)
+            return False
+        if inst.energy(x) > peak_energy:  # depends on the path, so not remembered
+            return False
+        if inst.morse_index(x) != 1:
+            rejected.append(x)
+            return False
+        return True
 
     peak, outer, fevals, accepted = path_saddle(
         inst.energy,

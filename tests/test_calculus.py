@@ -114,18 +114,25 @@ def test_weak_form_even_order_hand_value():
 
 
 def _polylap_uncached(graph, u, ord):
-    """polylap_apply assembled from scratch: A and A^k rebuilt, A^0 = I multiplied."""
+    """polylap_apply from scratch: A and A^k rebuilt, A^0 = I multiplied.
+
+    The operations are polylap_apply's, in its order: the reweighted
+    Laplacian as a matrix at s = 2 and in closed form otherwise.
+    """
     m, s = ord.m, ord.s
-    A = (graph.weight_matrix - np.diag(graph.degree)) / graph.mu[:, None]
+    W = graph.weight_matrix
+    A = (W - np.diag(graph.degree)) / graph.mu[:, None]
     t = grad_modulus(graph, u, m)
     c = np.ones_like(t) if s == 2 else np.where(t != 0, np.abs(t) ** (s - 2), 0.0)
     M = np.linalg.matrix_power(A, m // 2)
-    a = M @ u
-    if m % 2 == 1:
-        w_tilde = graph.weight_matrix * 0.5 * (c[:, None] + c[None, :])
-        l_tilde = np.diag(w_tilde.sum(axis=1)) - w_tilde
-        return (M.T @ (l_tilde @ a)) / graph.mu
-    return (M.T @ (graph.mu * c * a)) / graph.mu
+    a = u @ M.T
+    if m % 2 == 0:
+        r = graph.mu * c * a
+    elif s == 2:
+        r = a @ (np.diag(W.sum(axis=1)) - W)
+    else:
+        r = 0.5 * (c * (graph.degree * a - a @ W) + a * (c @ W) - (c * a) @ W)
+    return (r @ M) / graph.mu
 
 
 def test_laplacian_power_cache_is_per_graph():
@@ -147,3 +154,25 @@ def test_laplacian_power_cache_is_per_graph():
             got = polylap_apply(g, u, OperatorOrder(m, 2.0))
             assert np.array_equal(got, _polylap_uncached(g, u, OperatorOrder(m, 2.0)))
         del g
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("s", [2.0, 2.5, 3.0])
+def test_reweighted_laplacian_applied_in_closed_form(m, s):
+    # odd m: polylap_apply applies the reweighted Laplacian diag(w~ 1) - w~,
+    # w~_xy = w_xy (c_x + c_y) / 2, without building it; compare the matrix
+    rng = np.random.default_rng(20 + m)
+    for _ in range(10):
+        g = random_graph(rng)
+        u = random_function(rng, g)
+        W = g.weight_matrix
+        A = (W - np.diag(g.degree)) / g.mu[:, None]
+        M = np.linalg.matrix_power(A, m // 2)
+        t = grad_modulus(g, u, m)
+        c = np.where(t != 0, np.abs(t) ** (s - 2), 0.0)
+        w_tilde = W * 0.5 * (c[:, None] + c[None, :])
+        l_tilde = np.diag(w_tilde.sum(axis=1)) - w_tilde
+        want = M.T @ (l_tilde @ (M @ u)) / g.mu
+        got = polylap_apply(g, u, OperatorOrder(m, s))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+

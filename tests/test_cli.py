@@ -560,3 +560,15 @@ def test_nan_sign_pairing_is_not_negative(tmp_path):
     vertex, t, _s, _w = result["sign_witness"]
     assert vertex == "v0" and abs(t) > 5.0  # exp(t^4) overflows for |t| > 5.2
     assert result["notes"] == ["sign screen inconclusive: the pairing is NaN at the witness"]
+
+
+def test_nan_ratio_ladder_is_inconclusive(tmp_path):
+    # inf - inf = NaN at every sample of the largest (F3) radii: no ratio there
+    # was seen, so (F3) is inconclusive at its first NaN point, not a verdict
+    problem = _write(tmp_path, "p.json", {"F": "-(u^2+v^2) + exp(u^4) - exp(u^4)"})
+    code, report = _run(tmp_path, ["check", "--problem", problem])
+    f3 = report["result"]["conditions"]["F3"]
+    assert f3["verdict"] == "inconclusive"
+    assert f3["detail"] == "the ratio is NaN at the witness (radius 10)"
+    vertex, t, _s, _w = f3["witness"]
+    assert vertex == "v0" and abs(t) == 10.0

@@ -8,7 +8,7 @@ from _helpers import random_function, random_graph
 from grapde.calculus import OperatorOrder, laplacian
 from grapde.energy import ProblemInstance, el_residual_norm, phi, phi_grad, psi
 from grapde.graph import StatePair, VertexFunction, integral, path_graph
-from grapde.nonlinearity import HypothesisSpec, Nonlinearity
+from grapde.nonlinearity import BUILTIN_NAMES, HypothesisSpec, Nonlinearity, builtin
 from grapde.scalar import ScalarInstance
 from grapde.spaces import SpaceSpec, w_norm
 
@@ -191,3 +191,32 @@ def test_objective_hand_value():
     obj = Nonlinearity.from_source(g, "u^2*w", {})
     u = np.array([1.0, 0.0])
     assert psi(inst, (u, np.zeros(2)), obj) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [2.0, 3.0])
+def test_stacked_states_match_single_states(m, s):
+    # energy and gradient of a stack (k, N) equal the row-by-row calls, for
+    # one block and two, on a builtin's coupling and a random graph
+    rng = np.random.default_rng(40 + m)
+    g = random_graph(rng, 5)
+    couplings = [builtin(name, g).nl for name in BUILTIN_NAMES] + [
+        Nonlinearity.from_source(g, "(u^2+v^2)^2 + 0.1*w*u*v")
+    ]
+    ord = OperatorOrder(m, s)
+    other = OperatorOrder(m, 5.0 - s)  # the second block takes the other exponent
+    problems = [
+        ProblemInstance(g, ord, other, nl, HypothesisSpec(), 0.5)
+        for nl in couplings
+    ] + [
+        ScalarInstance(g, ord, Nonlinearity.from_source(g, "u^4*(1+w^2)"), HypothesisSpec()),
+    ]
+    for inst in problems:
+        stack = 0.5 * rng.standard_normal((3, len(inst.weights)))
+        energies = inst.energy(stack)
+        grads = inst.gradient(stack)
+        assert energies.shape == (3,) and grads.shape == stack.shape
+        for x, e, gx in zip(stack, energies, grads):
+            assert e == pytest.approx(inst.energy(x), rel=1e-12, abs=1e-14)
+            assert np.allclose(gx, inst.gradient(x), rtol=1e-12, atol=1e-12)
+

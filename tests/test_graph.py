@@ -8,6 +8,7 @@ from grapde.graph import (
     GraphError,
     VertexFunction,
     WeightedGraph,
+    asvalues,
     complete_graph,
     graph_from_dict,
     graph_to_dict,
@@ -80,6 +81,17 @@ def test_vertex_function_domain_mismatch():
         VertexFunction.from_map(g, {"v0": 1.0})
     with pytest.raises(GraphError):
         VertexFunction(g, np.array([1.0, 2.0, 3.0]))
+
+
+def test_asvalues_takes_one_state_or_a_stack():
+    g = path_graph(2)
+    stack = np.arange(6.0).reshape(3, 2)
+    assert asvalues(g, stack).shape == (3, 2)
+    assert asvalues(g, stack[0]).shape == (2,)
+    with pytest.raises(GraphError):  # the vertices are the last axis
+        asvalues(g, stack.T)
+    with pytest.raises(GraphError):
+        asvalues(g, np.zeros((2, 3, 2)))
 
 
 def test_validate_flags_nonpositive_data():

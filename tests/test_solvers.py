@@ -7,6 +7,7 @@ import pytest
 from grapde import _optim, solvers
 from grapde._optim import polish_root
 from grapde.calculus import OperatorOrder
+from grapde.cli import to_json
 from grapde.energy import ProblemInstance, phi
 from grapde.graph import complete_graph, integral, path_graph
 from grapde.nonlinearity import HypothesisSpec, Nonlinearity, SamplingConfig, builtin
@@ -310,7 +311,7 @@ def test_stalled_path_saddle_returns_the_best_peak(monkeypatch):
         [[0.0], [next(sweep)], [2.0]]
     ))
     x, sweeps, _, ok = _optim.path_saddle(
-        lambda x: -float(x[0] - 1.0) ** 2,
+        lambda x: -(x[..., 0] - 1.0) ** 2,
         lambda x: np.array(x, dtype=float),
         np.ones(1),
         np.array([2.0]),
@@ -322,12 +323,36 @@ def test_stalled_path_saddle_returns_the_best_peak(monkeypatch):
     assert x.tolist() == [0.1]
 
 
+def test_saddle_trials_skip_the_index_of_a_rejected_root(monkeypatch):
+    # K5 mp-example, w = 0: six of the eight trial roots are the same index-5
+    # point (E = 0.3083), of which three are first rejected by the energy
+    # test; the index is computed once per distinct root, and the report
+    # is that of a solve that remembers no root
+    g = complete_graph(5)
+    prob = builtin("mp-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+    calls = []
+    index = ProblemInstance.morse_index
+
+    def counted(self, x):
+        calls.append(x)
+        return index(self, x)
+
+    monkeypatch.setattr(ProblemInstance, "morse_index", counted)
+    report = to_json(mountain_pass_solve(inst))
+    assert len(calls) == 3 and report["converged"]
+    monkeypatch.setattr(solvers, "_SAME_ROOT", -1.0)  # no root is ever the same
+    calls.clear()
+    assert to_json(mountain_pass_solve(inst)) == report
+    assert len(calls) == 5
+
+
 def test_path_saddle_succeeds_only_on_an_accepted_trial():
     # f = x^2/2 - x^4/4 on the path from 0 to 2: node 20 of 41 sits on the
     # saddle x = 1, so the peak residual is 0 at the first sweep; with every
     # trial rejected the phase must not report success
     x, _, _, ok = _optim.path_saddle(
-        lambda x: float(x[0] ** 2 / 2 - x[0] ** 4 / 4),
+        lambda x: x[..., 0] ** 2 / 2 - x[..., 0] ** 4 / 4,
         lambda x: x - x**3,
         np.ones(1),
         np.array([2.0]),

@@ -12,7 +12,9 @@ differs between two captures, with the differing JSON leaves, and exits 1 if
 anything differs.  Each differing report also gets one ``summary`` line: the
 largest relative energy change of a state converged in both, and every change
 of a state's ``converged``, its certificate's ``satisfied``, its ``flags`` and
-the exit code.  Capture the parent tree and the changed tree, then compare.
+the exit code.  The last line is the tally: the count of differing files, the
+count of runs with such a verdict change, and the largest energy change of
+all.  Capture the parent tree and the changed tree, then compare.
 
 The set: the five builtins (with ``control-objective`` as the control
 objective), ``mp-example`` at w = 0.5 with its hypothesis constants given in
@@ -168,7 +170,7 @@ def _states(node, path=""):
 
 
 def _summary(a, b, exits):
-    """One line: the largest relative energy change and the verdict changes of two reports."""
+    """The largest relative energy change and the verdict changes of two reports."""
     sa, sb = dict(_states(a)), dict(_states(b))
     rel = 0.0
     changes = [f"state{path} only in {'A' if path in sa else 'B'}"
@@ -187,8 +189,7 @@ def _summary(a, b, exits):
                 changes.append(f"{key}{path}: {get(x)!r} -> {get(y)!r}")
     if exits[0] != exits[1]:
         changes.append(f"exit: {exits[0]} -> {exits[1]}")
-    head = f"max energy change {rel:.1e}" if sa.keys() & sb.keys() else "no common state"
-    return "  summary: " + "; ".join([head] + changes)
+    return rel, changes, bool(sa.keys() & sb.keys())
 
 
 def compare(a, b):
@@ -200,6 +201,8 @@ def compare(a, b):
                          if not rel.startswith("inputs"))
     files.discard("manifest.json")
     differ = 0
+    files_differ, max_rel = 0, 0.0
+    verdicts = set()  # runs with a change of converged, satisfied, flags or exit code
     with open(os.path.join(a, "manifest.json"), encoding="utf-8") as fh:
         ma = json.load(fh)
     with open(os.path.join(b, "manifest.json"), encoding="utf-8") as fh:
@@ -208,11 +211,13 @@ def compare(a, b):
         ea, eb = ma.get(name, {}).get("exit"), mb.get(name, {}).get("exit")
         if ea != eb:
             differ += 1
+            verdicts.add(name)
             print(f"exit {name}: {ea} -> {eb}")
     for name in sorted(files):
         pa, pb = os.path.join(a, name), os.path.join(b, name)
         if not (os.path.exists(pa) and os.path.exists(pb)):
             differ += 1
+            files_differ += 1
             print(f"only in {'A' if os.path.exists(pa) else 'B'}: {name}")
             continue
         with open(pa, "rb") as fa, open(pb, "rb") as fb:
@@ -220,14 +225,23 @@ def compare(a, b):
         if da == db:
             continue
         differ += 1
+        files_differ += 1
         print(f"differs: {name}")
         if name.endswith(".json"):
             ja, jb = json.loads(da), json.loads(db)
             print("\n".join(_describe(ja, jb)[:20]))
             run = name[: -len(".json")]
-            print(_summary(ja, jb, (ma.get(run, {}).get("exit"), mb.get(run, {}).get("exit"))))
+            exits = (ma.get(run, {}).get("exit"), mb.get(run, {}).get("exit"))
+            rel, changes, common = _summary(ja, jb, exits)
+            max_rel = max(max_rel, rel)
+            if changes:
+                verdicts.add(run)
+            head = f"max energy change {rel:.1e}" if common else "no common state"
+            print("  summary: " + "; ".join([head] + changes))
     same = len(files) - differ
     print(f"{len(files)} files, {differ} differences, {max(same, 0)} identical")
+    print(f"tally: {files_differ} files differ, {len(verdicts)} runs change converged, "
+          f"satisfied, flags or exit code, max energy change {max_rel:.1e}")
     return 1 if differ else 0
 
 
