@@ -4,19 +4,6 @@ grid optimal control."""
 
 __version__ = "0.1.0"
 
-
-def load_schema(name: str) -> dict:
-    """Return one of the shipped JSON schemas: 'graph', 'problem' or 'report'."""
-    import json
-    from importlib import resources
-
-    if name not in ("graph", "problem", "report"):
-        raise ValueError(f"no schema named {name!r}")
-    path = resources.files(__name__) / "schemas" / f"{name}.schema.json"
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-
 from .calculus import (
     OperatorOrder,
     gradient_form,
@@ -65,6 +52,7 @@ from .solvers import (
 )
 from .continuation import branch_continuity_report, branch_to_csv, optimal_control, sweep
 from .scalar import ScalarInstance, scalar_bounds
+from .schema import load_schema
 from .spaces import (
     EmbeddingConstants,
     SpaceSpec,

@@ -35,6 +35,7 @@ from .nonlinearity import (
     builtin,
 )
 from .scalar import ScalarInstance
+from .schema import check
 from .solvers import (
     CertificateError,
     SolverConfig,
@@ -47,17 +48,6 @@ from .solvers import (
 )
 
 log = logging.getLogger("grapde")
-
-_PROBLEM_FIELDS = {
-    "builtin", "F", "coeffs", "p", "q", "m1", "m2", "w", "J",
-    "hypotheses", "scalar", "objective", "potential",
-}
-_BUILTIN_FIELDS = {"builtin", "w", "hypotheses", "objective"}
-_HYP_FIELDS = {
-    "theta", "c1", "c2", "r1", "r2", "gamma1", "gamma2",
-    "delta", "L", "x0", "d1", "d2",
-}
-
 
 class InputError(ValueError):
     pass
@@ -74,9 +64,6 @@ def _load_json(path):
 
 
 def _hypothesis_spec(data: dict, graph: WeightedGraph) -> HypothesisSpec:
-    unknown = set(data) - _HYP_FIELDS
-    if unknown:
-        raise InputError(f"unknown hypothesis fields: {sorted(unknown)}")
     if "x0" in data and data["x0"] not in graph.vertices:
         raise InputError(f"hypotheses.x0 {data['x0']!r} is not a vertex of the graph")
     kwargs = {k: data[k] for k in data if k not in ("L",)}
@@ -104,16 +91,11 @@ def _builtin_instance(name, graph: WeightedGraph, hypotheses=None, w=0.0) -> Pro
 
 
 def load_problem(path, graph: WeightedGraph):
-    """Build a system or scalar instance from a problem JSON file."""
+    """Build a system or scalar instance from a problem file (``schemas/problem.schema.json``)."""
     data = _load_json(path)
-    unknown = set(data) - _PROBLEM_FIELDS
-    if unknown:
-        raise InputError(f"unknown problem fields: {sorted(unknown)}")
+    check(data, "problem", InputError)
     w = float(data.get("w", 0.0))
     if "builtin" in data:
-        fixed = set(data) - _BUILTIN_FIELDS
-        if fixed:
-            raise InputError(f"a builtin problem fixes the fields {sorted(fixed)}")
         inst = _builtin_instance(data["builtin"], graph, data.get("hypotheses"), w)
         return inst, _load_objective(data, graph)
     if "F" not in data:
@@ -125,8 +107,8 @@ def load_problem(path, graph: WeightedGraph):
         spec = dataclasses.replace(spec, J=tuple(float(x) for x in data["J"]))
     p = float(data.get("p", 2.0))
     q = float(data.get("q", p))
-    m1, m2 = (_typed(data, name, int, 1) for name in ("m1", "m2"))
-    if _typed(data, "scalar", bool, False):
+    m1, m2 = data.get("m1", 1), data.get("m2", 1)
+    if data.get("scalar", False):
         inst = ScalarInstance(
             graph, OperatorOrder(m1, p), nl, spec, data.get("potential", "h1"), w
         )
@@ -135,15 +117,6 @@ def load_problem(path, graph: WeightedGraph):
             graph, OperatorOrder(m1, p), OperatorOrder(m2, q), nl, spec, w
         )
     return inst, _load_objective(data, graph)
-
-
-def _typed(data, name, kind, default):
-    """data[name], or ``default`` if absent; a value not of type ``kind`` is an input error
-    (a JSON boolean is not an integer)."""
-    value = data.get(name, default)
-    if type(value) is not kind:
-        raise InputError(f"'{name}' must be of type {kind.__name__}, got {value!r}")
-    return value
 
 
 def _load_objective(data, graph):

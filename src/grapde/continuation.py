@@ -141,7 +141,7 @@ def branch_continuity_report(
         cert = report.certificate
         if cert is None:
             out.append((float(w), "no certificate"))
-        elif not (cert.lower <= cert.norm <= cert.upper):
+        elif not cert.satisfied:
             out.append((float(w), f"norm {cert.norm:.6g} outside [{cert.lower:.6g}, {cert.upper:.6g}]"))
     converged = sum(1 for r in branch.reports if r is not None and r.converged)
     coverage = converged / len(branch.reports)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .schema import check
+
 __all__ = [
     "GraphError",
     "WeightedGraph",
@@ -240,33 +242,20 @@ def total_measure(graph: WeightedGraph) -> float:
 
 # --- JSON graph files ---------------------------------------------------
 
-_VERTEX_FIELDS = {"id", "mu", "h1", "h2"}
-_EDGE_FIELDS = {"a", "b", "w"}
-
-
-def graph_from_dict(data: dict) -> WeightedGraph:
-    unknown = set(data) - {"vertices", "edges"}
-    if unknown:
-        raise GraphError(f"unknown top-level fields: {sorted(unknown)}")
+def graph_from_dict(data) -> WeightedGraph:
+    """The graph of a loaded graph file; the file must match ``schemas/graph.schema.json``."""
+    check(data, "graph", GraphError)
     vertices = []
-    for entry in data.get("vertices", []):
-        unknown = set(entry) - _VERTEX_FIELDS
-        if unknown:
-            raise GraphError(f"unknown vertex fields: {sorted(unknown)}")
+    for entry in data["vertices"]:
         for fld in ("mu", "h1", "h2"):
-            if not math.isfinite(float(entry[fld])):
+            if not math.isfinite(entry[fld]):
                 raise GraphError(f"non-finite {fld} for vertex {entry['id']!r}")
-        vertices.append(
-            (str(entry["id"]), float(entry["mu"]), float(entry["h1"]), float(entry["h2"]))
-        )
+        vertices.append((entry["id"], entry["mu"], entry["h1"], entry["h2"]))
     edges = []
     for entry in data.get("edges", []):
-        unknown = set(entry) - _EDGE_FIELDS
-        if unknown:
-            raise GraphError(f"unknown edge fields: {sorted(unknown)}")
-        if not math.isfinite(float(entry["w"])):
+        if not math.isfinite(entry["w"]):
             raise GraphError(f"non-finite weight on {{{entry['a']},{entry['b']}}}")
-        edges.append((str(entry["a"]), str(entry["b"]), float(entry["w"])))
+        edges.append((entry["a"], entry["b"], entry["w"]))
     return WeightedGraph.build(vertices, edges)
 
 

@@ -63,6 +63,10 @@ class SolverConfig:
     path_nodes: int = 41
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 < self.tol < math.inf:  # false for a NaN
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol}")
+
 
 _W_GRID = 21  # parameters of J at which the endpoint and the ball radius must hold
 
@@ -647,6 +651,8 @@ def nonexistence_check(
     multistart where Newton does not (no solve needs it).  A
     state below ``trivial_norm`` counts as the trivial solution, norm 0.
     """
+    if multistart < 0:
+        raise ValueError(f"multistart must be >= 0, got {multistart}")
     config = config or SolverConfig()
     screen = sign_screen(inst.nl, inst.spec, inst.graph, len(inst.spaces))
     verdict, witness = screen.verdict, screen.witness

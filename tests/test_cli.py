@@ -17,6 +17,9 @@ from grapde.graph import graph_to_dict, path_graph
 from grapde.nonlinearity import builtin
 from grapde.solvers import SolverError
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
+import golden  # noqa: E402  holds the malformed-input probes
+
 REPORT_SCHEMA = load_schema("report")
 GRAPH_SCHEMA = load_schema("graph")
 PROBLEM_SCHEMA = load_schema("problem")
@@ -535,7 +538,7 @@ _ZERO_MU_GRAPH = {
     ("{not json", None, "invalid JSON"),
     ('{"F": "u^4", "hypotheses": {"zeta": 1}}', None, "unknown hypothesis fields: ['zeta']"),
     ('{"p": 2}', None, "problem file needs either 'builtin' or an 'F' expression"),
-    ('{"builtin": "mp-example"}', _ZERO_MU_GRAPH, "invalid graph: non-positive mu"),
+    ('{"builtin": "mp-example"}', _ZERO_MU_GRAPH, "'vertices[0].mu' must be > 0, got 0.0"),
 ])
 def test_input_error_is_one_error_line(tmp_path, capsys, problem, graph, message):
     path = tmp_path / "p.json"
@@ -547,6 +550,49 @@ def test_input_error_is_one_error_line(tmp_path, capsys, problem, graph, message
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
+_MP_FILES = (graph_to_dict(path_graph(2)), {"builtin": "mp-example"})
+# (argv, graph file, problem file) of tools/golden.py's probes and of the
+# option values that cannot work
+_PROBES = {
+    **{name: ([cmd], graph, problem) for name, (cmd, graph, problem) in golden.PROBES.items()},
+    "tol-zero": (["solve", "--tol", "0"], *_MP_FILES),
+    "tol-negative": (["solve", "--tol", "-1"], *_MP_FILES),
+    "tol-nan": (["solve", "--tol", "nan"], *_MP_FILES),
+    "multistart-negative": (["nonexist", "--multistart", "-5"], *_MP_FILES),
+}
+# what the error line of each probe names
+_PROBE_NAMES = {
+    "problem-theta-string": "'hypotheses.theta' must be of type number",
+    "problem-J-number": "'J' must be of type array",
+    "problem-F-number": "'F' must be of type string",
+    "problem-objective-number": "'objective' must be of type string or object",
+    "problem-hypotheses-number": "'hypotheses' must be of type object",
+    "problem-array": "the problem file must be of type object",
+    "problem-p-string": "'p' must be of type number",
+    "graph-vertices-number": "'vertices' must be of type array",
+    "graph-vertex-without-h2": "'vertices[0]' misses the vertex fields ['h2']",
+    "graph-edge-without-w": "'edges[0]' misses the edge fields ['w']",
+    "graph-array": "the graph file must be of type object",
+    "graph-w-string": "'edges[0].w' must be of type number",
+    "graph-mu-string": "'vertices[0].mu' must be of type number",
+    "graph-id-int": "'vertices[0].id' must be of type string",
+    "tol-zero": "tol must be a finite number > 0, got 0.0",
+    "tol-negative": "tol must be a finite number > 0, got -1.0",
+    "tol-nan": "tol must be a finite number > 0, got nan",
+    "multistart-negative": "multistart must be >= 0, got -5",
+}
+
+
+@pytest.mark.parametrize("probe", _PROBES)
+def test_malformed_input_is_one_error_line_naming_it(tmp_path, capsys, probe):
+    argv, graph, problem = _PROBES[probe]
+    files = ["--graph", _write(tmp_path, "g.json", graph),
+             "--problem", _write(tmp_path, "p.json", problem)]
+    assert main(argv[:1] + files + argv[1:]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + _PROBE_NAMES[probe]), err
 
 
 def test_nan_sign_pairing_is_not_negative(tmp_path):

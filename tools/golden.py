@@ -5,16 +5,18 @@
 
 ``capture`` runs the ``grapde`` CLI found under ``SRC/src`` on every command x
 problem x graph of the fixed set below (each with ``--deterministic``, and
-each with ``--grid 5`` and ``--seed 0`` where the command takes them) and
-writes each JSON report, each CSV and a ``manifest.json`` of exit codes and
-stderr lines to ``OUT``.  ``compare`` lists every file and exit code that
-differs between two captures, with the differing JSON leaves, and exits 1 if
-anything differs.  Each differing report also gets one ``summary`` line: the
-largest relative energy change of a state converged in both, and every change
-of a state's ``converged``, its certificate's ``satisfied``, its ``flags`` and
-the exit code.  The last line is the tally: the count of differing files, the
-count of runs with such a verdict change, and the largest energy change of
-all.  Capture the parent tree and the changed tree, then compare.
+each with ``--grid 5`` and ``--seed 0`` where the command takes them) and on
+each malformed-input probe, and writes each JSON report, each CSV and a
+``manifest.json`` of exit codes and stderr lines to ``OUT``.  ``compare``
+lists every file, exit code and stderr line that differs between two
+captures, with the differing JSON leaves, and exits 1 if anything differs.
+Each differing report also gets one ``summary`` line: the largest energy
+change of a state converged in both, relative to the largest |energy| of a
+converged state of the first report, and every change of a state's
+``converged``, its certificate's ``satisfied``, its ``flags`` and the exit
+code.  The last line is the tally: the count of differing files, the count
+of runs with such a verdict change, and the largest energy change of all.
+Capture the parent tree and the changed tree, then compare.
 
 The set: the five builtins (with ``control-objective`` as the control
 objective), ``mp-example`` at w = 0.5 with its hypothesis constants given in
@@ -23,9 +25,11 @@ quartic with a constant for every one-block condition, and the scalar
 ``0.05*u`` with a negative-energy minimizer, on path-2, path-16, K5 and the
 benchmark's random-12 graph; commands ``constants``, ``check``, ``solve``,
 ``sweep`` and ``control`` (both kinds, CSV on), ``nonexist`` (without and with
-``--multistart 3``), and ``demo`` of every builtin.  It needs the standard
-library and numpy; a full capture runs two CLI processes at a time and takes
-some minutes on two cores.
+``--multistart 3``), and ``demo`` of every builtin.  The probes are the
+malformed graph and problem files of ``PROBES``, each run once by ``check``
+(``control`` for the objective) on its own pair of files.  It needs the
+standard library and numpy; a full capture runs two CLI processes at a time
+and takes some minutes on two cores.
 """
 
 from __future__ import annotations
@@ -82,6 +86,40 @@ COMMANDS = {
     "nonexist": ["nonexist", "--seed", "0"],
     "nonexist-ms3": ["nonexist", "--seed", "0", "--multistart", "3"],
 }
+_MP = {"builtin": "mp-example"}
+_COUPLING = "(u^2+v^2)^2"
+_PATH2 = inputs.path(2)
+
+
+def _graph_with(vertex=None, edge=None, drop=()):
+    """The 2-vertex path with ``vertex``/``edge`` merged into its first vertex/edge
+    and the fields ``drop`` removed from both."""
+    data = inputs.path(2)
+    data["vertices"][0].update(vertex or {})
+    data["edges"][0].update(edge or {})
+    for entry in (data["vertices"][0], data["edges"][0]):
+        for name in drop:
+            entry.pop(name, None)
+    return data
+
+
+# name -> (command, graph file, problem file)
+PROBES = {
+    "problem-theta-string": ("check", _PATH2, {**_MP, "hypotheses": {"theta": "4"}}),
+    "problem-J-number": ("check", _PATH2, {"F": _COUPLING, "J": 5}),
+    "problem-F-number": ("check", _PATH2, {"F": 3}),
+    "problem-objective-number": ("control", _PATH2, {**_MP, "objective": 3}),
+    "problem-hypotheses-number": ("check", _PATH2, {**_MP, "hypotheses": 5}),
+    "problem-array": ("check", _PATH2, []),
+    "problem-p-string": ("check", _PATH2, {"F": _COUPLING, "p": "3"}),
+    "graph-vertices-number": ("check", {"vertices": 5}, _MP),
+    "graph-vertex-without-h2": ("check", _graph_with(drop=("h2",)), _MP),
+    "graph-edge-without-w": ("check", _graph_with(drop=("w",)), _MP),
+    "graph-array": ("check", [], _MP),
+    "graph-w-string": ("check", _graph_with(edge={"w": "0.5"}), _MP),
+    "graph-mu-string": ("check", _graph_with(vertex={"mu": "1"}), _MP),
+    "graph-id-int": ("check", _graph_with(vertex={"id": 0}, edge={"a": "0"}), _MP),
+}
 DEMO = ["--grid", "5", "--seed", "0", "--multistart", "3"]
 COMMON = ["--deterministic"]
 WORKERS = 2
@@ -102,6 +140,10 @@ def _runs(out):
                 runs.append((name, argv))
         for builtin in BUILTINS:
             runs.append((f"{graph}/demo/{builtin}", ["demo", builtin, "--graph", gfile, *DEMO]))
+    for probe, (cmd, _, _) in PROBES.items():
+        files = [os.path.join(out, "inputs", f"probe-{probe}-{kind}.json")
+                 for kind in ("graph", "problem")]
+        runs.append((f"probe/{probe}", [cmd, "--graph", files[0], "--problem", files[1]]))
     return runs
 
 
@@ -111,6 +153,9 @@ def capture(src, out):
         inputs.write_json(os.path.join(inputs_dir, f"{graph}.json"), make())
     for problem, data in PROBLEMS.items():
         inputs.write_json(os.path.join(inputs_dir, f"{problem}.json"), data)
+    for probe, (_, graph, problem) in PROBES.items():
+        for kind, data in (("graph", graph), ("problem", problem)):
+            inputs.write_json(os.path.join(inputs_dir, f"probe-{probe}-{kind}.json"), data)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(src), "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
@@ -170,8 +215,14 @@ def _states(node, path=""):
 
 
 def _summary(a, b, exits):
-    """The largest relative energy change and the verdict changes of two reports."""
+    """The largest relative energy change and the verdict changes of two reports.
+
+    Each change is relative to the largest |energy| of a converged state of
+    ``a``, not to that state's own energy, so a state whose energy is ~0
+    (the trivial solution, 1e-30) does not make a round-off change look large.
+    """
     sa, sb = dict(_states(a)), dict(_states(b))
+    scale = max((abs(r["energy"]) for r in sa.values() if r["converged"]), default=0.0)
     rel = 0.0
     changes = [f"state{path} only in {'A' if path in sa else 'B'}"
                for path in sorted(sa.keys() ^ sb.keys())]
@@ -179,7 +230,7 @@ def _summary(a, b, exits):
         x, y = sa[path], sb[path]
         if x["converged"] and y["converged"]:
             ex, ey = x["energy"], y["energy"]
-            rel = max(rel, abs(ey - ex) / abs(ex) if ex else abs(ey))
+            rel = max(rel, abs(ey - ex) / scale if scale else abs(ey - ex))
         for key, get in (
             ("converged", lambda r: r["converged"]),
             ("satisfied", lambda r: (r.get("certificate") or {}).get("satisfied")),
@@ -213,6 +264,10 @@ def compare(a, b):
             differ += 1
             verdicts.add(name)
             print(f"exit {name}: {ea} -> {eb}")
+        sa, sb = ma.get(name, {}).get("stderr"), mb.get(name, {}).get("stderr")
+        if sa != sb:
+            differ += 1
+            print(f"stderr {name}: {sa} -> {sb}")
     for name in sorted(files):
         pa, pb = os.path.join(a, name), os.path.join(b, name)
         if not (os.path.exists(pa) and os.path.exists(pb)):
