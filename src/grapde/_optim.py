@@ -4,11 +4,14 @@ Everything here works on flat ndarrays with a fixed positive weight vector
 defining the inner product <a, b> = sum(weights * a * b); callers pass
 objective and gradient callables expressed in that metric, and the root polish
 and the saddle search also the Jacobian of the gradient.  The saddle search
-evaluates a whole path at once, so its objective and gradient take a stack of
-states along a leading axis.  One damped Newton loop (``_newton``) serves
-both the polish and the saddle search's trials.  All routines are
-deterministic for fixed inputs.  Only ``least_squares_retry`` uses scipy, and
-imports it when first called.
+evaluates a whole path at once and the root polish a whole stack of starts,
+so their objective, gradient and Jacobian take a stack of states along
+leading axes.  One damped Newton loop (``_newton``) serves the stacked
+polish (``polish_roots``), its one-start case (``polish_root``) and the
+saddle search's trials; it runs its starts in lockstep, and each start ends
+exactly as it would alone.  All routines are deterministic for fixed
+inputs.  Only ``least_squares_retry`` uses scipy, and imports it when first
+called.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
-    "OptResult", "weighted_norm", "bb_minimize", "path_saddle", "polish_root",
+    "OptResult", "weighted_norm", "bb_minimize", "path_saddle", "polish_root", "polish_roots",
     "least_squares_retry",
 ]
 
 _ARMIJO_C = 1e-4  # sufficient decrease of every backtracking line search
 _MAX_ITER = 100_000  # descent steps of bb_minimize
 _MAX_OUTER = 500  # path sweeps of path_saddle
-_MAX_NEWTON = 100  # Newton steps of polish_root
+_MAX_NEWTON = 100  # Newton steps of each polish
 _TRIAL_NEWTON = 15  # Newton steps of each trial from the path peak
 _MIN_STEP = 1e-10  # smallest damping factor of a Newton step
 _TRIAL_MIN_STEP = 1e-3  # smallest damping factor of a trial step
@@ -148,7 +151,7 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
         # since the last one: a failing trial costs up to _TRIAL_NEWTON Jacobians
         if outer > 0 and res < 0.9 * trial_res:
             trial_res = res
-            trial = _newton(grad, jac, peak, weights, tol, _TRIAL_NEWTON, _TRIAL_MIN_STEP)
+            trial = _newton(grad, jac, [peak], weights, tol, _TRIAL_NEWTON, _TRIAL_MIN_STEP)[0]
             fevals += trial.fevals
             if trial.converged and accept(trial.x, float(energies[k_peak])):
                 return trial.x, outer, fevals, True
@@ -186,69 +189,108 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
     return best_peak, _MAX_OUTER, fevals, False
 
 
-def _newton(grad, jac, x0, weights, tol, max_steps, min_step=_MIN_STEP) -> OptResult:
-    """Damped Newton on ``jac`` from x0, at most ``max_steps`` steps.
+def _each(f, rows) -> np.ndarray:
+    """f at each state of ``rows``, stacked, each as f gives it for that state alone.
 
-    Each step solves J p = -g (the min-norm least-squares step where J is
-    singular) and halves the step, down to ``min_step``, until the weighted
-    residual falls by the Armijo fraction.  Line-search points may leave the
-    region where the gradient is finite, so they are evaluated with overflow
-    and invalid-value warnings off, and a non-finite residual rejects the
-    point; only a non-finite residual at x0 ends with the message
-    "non-finite residual".
+    Several states go to f as a (k, 1, N) stack, one vector-matrix product
+    per state: a (k, N) stack runs one matrix product that rounds differently.
     """
-    x = np.array(x0, dtype=float)
-    fevals = 0
+    if len(rows) == 1:
+        return f(rows[0])[None]
+    return f(np.stack(rows)[:, None])[:, 0]
 
-    def residual(x):
-        nonlocal fevals
-        fevals += 1
-        g = grad(x)
-        return g, weighted_norm(weights, g)
 
+def _newton_steps(J: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The step p of J p = -g for each pair; the min-norm least-squares step where J is singular."""
+    try:
+        return np.linalg.solve(J, -G[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # raised for the whole stack if one J is singular
+        if len(J) > 1:  # each pair on its own
+            pairs = range(len(J))
+            return np.concatenate([_newton_steps(J[i : i + 1], G[i : i + 1]) for i in pairs])
+        return np.linalg.lstsq(J[0], -G[0], rcond=None)[0][None]
+
+
+def _newton(grad, jac, X0, weights, tol, max_steps, min_step=_MIN_STEP) -> list:
+    """Damped Newton on ``jac`` from each start of X0, at most ``max_steps`` steps each.
+
+    The starts run in lockstep: each step takes the Jacobians of the starts
+    still running in one ``jac`` call and their steps J p = -g in one solve
+    (the min-norm least-squares step where J is singular), then one
+    ``grad`` call per halving of their line searches.  Each start halves
+    its own step, down to ``min_step``, until its weighted residual falls by
+    the Armijo fraction.  Line-search points may leave the region where the
+    gradient is finite, so they are evaluated with overflow and
+    invalid-value warnings off, and a non-finite residual rejects the
+    point; only a non-finite residual at the start ends with the message
+    "non-finite residual".  Returns one OptResult per start, equal to the
+    run from that start alone (``_each``).
+    """
+    X = [np.array(x0, dtype=float) for x0 in X0]
+    k = len(X)
+    steps, fevals, messages = [0] * k, [1] * k, [""] * k
     with np.errstate(over="ignore", invalid="ignore"):
-        g, res = residual(x)
-        steps = 0
+        G = list(_each(grad, X))
+        res = [weighted_norm(weights, g) for g in G]
+        for i in range(k):
+            if not math.isfinite(res[i]):
+                res[i], messages[i] = math.inf, "non-finite residual"
         while True:
-            if not math.isfinite(res):
-                res, message = math.inf, "non-finite residual"
+            for i in range(k):
+                if not messages[i] and res[i] <= tol:
+                    messages[i] = "converged"
+                elif not messages[i] and steps[i] == max_steps:
+                    messages[i] = "max iterations"
+            live = [i for i in range(k) if not messages[i]]
+            if not live:
                 break
-            if res <= tol:
-                message = "converged"
-                break
-            if steps == max_steps:
-                message = "max iterations"
-                break
-            J = jac(x)
-            if not np.all(np.isfinite(J)):
-                message = "non-finite Jacobian"
-                break
-            try:
-                p = np.linalg.solve(J, -g)
-            except np.linalg.LinAlgError:
-                p = np.linalg.lstsq(J, -g, rcond=None)[0]
-            t = 1.0
-            while t >= min_step:
-                cand = x + t * p
-                gc, rc = residual(cand)
-                if rc <= (1.0 - _ARMIJO_C * t) * res:  # False for a NaN residual
-                    break
-                t *= 0.5
-            else:
-                message = "line search stalled"
-                break
-            x, g, res = cand, gc, rc
-            steps += 1
-    return OptResult(x, res, steps, fevals, res <= tol, message)
+            J = _each(jac, [X[i] for i in live])
+            finite = np.isfinite(J).all(axis=(1, 2)).tolist()
+            if not all(finite):
+                for i, ok in zip(live, finite):
+                    messages[i] = messages[i] if ok else "non-finite Jacobian"
+                J, live = J[finite], [i for i in live if not messages[i]]
+            P = _newton_steps(J, np.array([G[i] for i in live]))  # row r: start live[r]
+            t = [1.0] * len(live)
+            pending = list(range(len(live)))
+            while pending:
+                cand = [X[live[r]] + t[r] * P[r] for r in pending]
+                halved = []
+                for x, g, r in zip(cand, _each(grad, cand), pending):
+                    i = live[r]
+                    fevals[i] += 1
+                    rc = weighted_norm(weights, g)
+                    if rc <= (1.0 - _ARMIJO_C * t[r]) * res[i]:  # False for a NaN residual
+                        X[i], G[i], res[i] = x, g, rc
+                        steps[i] += 1
+                        continue
+                    t[r] *= 0.5
+                    if t[r] >= min_step:
+                        halved.append(r)
+                    else:
+                        messages[i] = "line search stalled"
+                pending = halved
+    return [
+        OptResult(x, r, n, f, r <= tol, message)
+        for x, r, n, f, message in zip(X, res, steps, fevals, messages)
+    ]
+
+
+def polish_roots(grad, X0, weights, jac, tol=1e-8) -> list:
+    """Drive the gradient to zero from each row of X0: damped Newton (``_newton``) on ``jac``.
+
+    ``grad`` and ``jac`` take one state, or a stack of states along leading
+    axes, as ``FlatProblem.gradient`` and ``jacobian`` do.  At most
+    ``_MAX_NEWTON`` steps per start; one OptResult per start, whose
+    ``iterations`` counts its Newton steps and ``fevals`` its gradient
+    evaluations.
+    """
+    return _newton(grad, jac, X0, weights, tol, _MAX_NEWTON)
 
 
 def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
-    """Drive the gradient to zero: damped Newton (``_newton``) on ``jac`` from x0.
-
-    At most ``_MAX_NEWTON`` steps; ``iterations`` counts Newton steps,
-    ``fevals`` gradient calls.
-    """
-    return _newton(grad, jac, x0, weights, tol, _MAX_NEWTON)
+    """``polish_roots`` from the one start x0; ``fevals`` counts gradient calls."""
+    return polish_roots(grad, [x0], weights, jac, tol)[0]
 
 
 def least_squares_retry(grad, x0, weights, jac, newton: OptResult, tol=1e-8) -> OptResult:

@@ -8,8 +8,8 @@ recovery evaluated in closed form, so weak/strong duality is exact by
 construction.
 
 Every operator takes one vertex function, shape (n,), or a stack of them,
-shape (k, n), and works along the last axis; the weight matrix is
-symmetric, so ``u @ W`` is W applied to each state.
+shape (k, n) or (k, 1, n), and works along the last axis; the weight
+matrix is symmetric, so ``u @ W`` is W applied to each state.
 """
 
 from __future__ import annotations
@@ -121,10 +121,25 @@ def polylap_weak_form(graph: WeightedGraph, u, phi, ord: OperatorOrder) -> float
     return integral(graph, c * a * b)
 
 
+def _diag(A: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a matrix, or of each matrix of a stack."""
+    return np.einsum("...ii->...i", A)
+
+
+def _laplacian_of(w: np.ndarray) -> np.ndarray:
+    """diag(row sums of w) - w, for one weight matrix or a stack of them."""
+    L = np.zeros_like(w)
+    _diag(L)[...] = w.sum(axis=-1)
+    L -= w
+    return L
+
+
 def _reweighted_laplacian(graph: WeightedGraph, c: np.ndarray) -> np.ndarray:
-    """Edge-reweighted Laplacian: its quadratic form matches the Gamma integral."""
-    w_tilde = graph.weight_matrix * 0.5 * (c[:, None] + c[None, :])
-    return np.diag(w_tilde.sum(axis=1)) - w_tilde
+    """Edge-reweighted Laplacian, one per row of a stack c.
+
+    Its quadratic form matches the Gamma integral.
+    """
+    return _laplacian_of(graph.weight_matrix * 0.5 * (c[..., :, None] + c[..., None, :]))
 
 
 def _lap_power_matrix(graph: WeightedGraph, k: int) -> np.ndarray:
@@ -163,7 +178,7 @@ def polylap_apply(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
 
 
 def polylap_jacobian(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
-    """The n x n derivative of ``polylap_apply`` at u.
+    """The n x n derivative of ``polylap_apply`` at u; a stack (k, n, n) for a stack of states.
 
     With a = A^k u (k = m // 2), ``polylap_apply`` is M^T r(a) / mu for
     M = A^k, where r is the gradient in a of the integral of |grad^m u|^s / s.
@@ -181,20 +196,22 @@ def polylap_jacobian(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
     m, s = ord.m, ord.s
     k = m // 2
     M = _lap_power_matrix(graph, k) if k else None
-    a = u if M is None else M @ u
+    a = u if M is None else (M @ u[..., None])[..., 0]  # M times each state
     if m % 2 == 0:
-        H = np.diag(graph.mu * (s - 1) * power_coeff(a, s))
-    elif s == 2:
+        H = np.zeros(a.shape + (graph.n,))
+        _diag(H)[...] = graph.mu * (s - 1) * power_coeff(a, s)
+    elif s == 2:  # the same for every state
         H = graph.operator("L(c=1)", lambda g: _reweighted_laplacian(g, np.ones(g.n)))
     else:
         G = np.maximum(gradient_form(graph, a, a), 0.0)
-        w = graph.weight_matrix
-        diff = w * (a[:, None] - a[None, :])  # w_xy (a_x - a_y)
-        R = np.diag(diff.sum(axis=1)) - diff
-        kappa = np.zeros(graph.n)
+        R = _laplacian_of(graph.weight_matrix * (a[..., :, None] - a[..., None, :]))
+        kappa = np.zeros_like(G)
         nz = G > 0
-        kappa[nz] = (s - 2) / (4.0 * graph.mu[nz]) * G[nz] ** ((s - 4) / 2)
-        H = _reweighted_laplacian(graph, power_coeff(np.sqrt(G), s)) + R.T @ (kappa[:, None] * R)
+        mu = np.broadcast_to(graph.mu, G.shape)
+        kappa[nz] = (s - 2) / (4.0 * mu[nz]) * G[nz] ** ((s - 4) / 2)
+        R_T = np.swapaxes(R, -1, -2)
+        H = _reweighted_laplacian(graph, power_coeff(np.sqrt(G), s)) + R_T @ (kappa[..., None] * R)
     if M is not None:
         H = M.T @ H @ M
-    return H / graph.mu[:, None]
+    H = H / graph.mu[:, None]
+    return H if H.ndim > a.ndim else np.broadcast_to(H, a.shape + (graph.n,))

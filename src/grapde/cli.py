@@ -35,7 +35,7 @@ from .nonlinearity import (
     builtin,
 )
 from .scalar import ScalarInstance
-from .schema import check
+from .schema import check, load_json
 from .solvers import (
     CertificateError,
     SolverConfig,
@@ -51,16 +51,6 @@ log = logging.getLogger("grapde")
 
 class InputError(ValueError):
     pass
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as err:
-        raise InputError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise InputError(f"{path}: invalid JSON ({err})") from err
 
 
 def _hypothesis_spec(data: dict, graph: WeightedGraph) -> HypothesisSpec:
@@ -92,7 +82,7 @@ def _builtin_instance(name, graph: WeightedGraph, hypotheses=None, w=0.0) -> Pro
 
 def load_problem(path, graph: WeightedGraph):
     """Build a system or scalar instance from a problem file (``schemas/problem.schema.json``)."""
-    data = _load_json(path)
+    data = load_json(path, InputError)
     check(data, "problem", InputError)
     w = float(data.get("w", 0.0))
     if "builtin" in data:

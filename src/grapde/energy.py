@@ -5,14 +5,19 @@ with directional derivative  <phi'(u,v), (e1, e2)> = integral(g_u e1 + g_v e2).
 Descent methods and the residual norm all use this mu-weighted metric, so
 tolerances carry the same meaning on graphs with very different measures.
 
-``phi``, ``phi_grad``, ``FlatProblem.energy`` and ``FlatProblem.gradient``
-take one state or a stack of states along a leading axis, so a path of
-states is evaluated in one call; a stack gives an array of energies and a
-stack of gradients.
+``phi``, ``phi_grad`` and ``FlatProblem``'s ``energy``, ``gradient``,
+``jacobian`` and ``norm`` take one state or a stack of states along a
+leading axis, so a path of states is evaluated in one call; a stack gives an
+array of energies or norms, a stack of gradients or of Jacobians.  A (k, N)
+stack runs each matrix product of the graph operators once for all states,
+which rounds differently from one state alone; ``gradient`` and
+``jacobian`` also take a (k, 1, N) stack, one vector-matrix product per
+state, whose results equal the single-state ones exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -72,8 +77,8 @@ class FlatProblem:
         n = self.graph.n
         return tuple(x[..., k * n : (k + 1) * n] for k in range(len(self.spaces)))
 
-    def norm(self, x) -> float:
-        """Sum of the block norms, each in its own space."""
+    def norm(self, x):
+        """Sum of the block norms, each in its own space; an array of norms for a stack."""
         return sum(w_norm(self.graph, b, s) for b, s in zip(self.split(x), self.spaces))
 
     def energy(self, x):
@@ -87,21 +92,25 @@ class FlatProblem:
 
         Block i holds the derivative of its poly-Laplacian plus the diagonal
         h (s-1) |b|^(s-2) of its potential; the second partials of the
-        coupling enter every block pair on the diagonal.
+        coupling enter every block pair on the diagonal.  A stack of states
+        (..., N) gives a stack of Jacobians (..., N, N).
         """
         g = self.graph
         blocks = self.split(x)
         u, v = Nonlinearity.pair(blocks)
-        k = range(len(blocks))
-        J = -np.block([
-            [np.diag(self.nl.values(Nonlinearity.SECOND_PARTIALS[i][j], u, v, self.w)) for j in k]
-            for i in k
-        ])
+        n, N = g.n, x.shape[-1]
+        J = np.zeros(x.shape + (N,))
+        flat = J.reshape(x.shape[:-1] + (N * N,))  # a view: J is contiguous
+
+        def diagonal(i, j):  # of block (i, j) of each matrix, a view
+            return flat[..., (i * N + j) * n :: N + 1][..., :n]
+
         for i, (b, space) in enumerate(zip(blocks, self.spaces)):
-            rows = slice(i * g.n, (i + 1) * g.n)
             s = space.ord.s
-            potential = getattr(g, space.potential) * (s - 1) * power_coeff(b, s)
-            J[rows, rows] += polylap_jacobian(g, b, space.ord) + np.diag(potential)
+            J[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = polylap_jacobian(g, b, space.ord)
+            diagonal(i, i)[...] += getattr(g, space.potential) * (s - 1) * power_coeff(b, s)
+        for i, j in itertools.product(range(len(blocks)), repeat=2):
+            diagonal(i, j)[...] -= self.nl.values(Nonlinearity.SECOND_PARTIALS[i][j], u, v, self.w)
         return J
 
     def morse_index(self, x) -> int:
@@ -118,10 +127,10 @@ class FlatProblem:
         return int(np.sum(lam < -1e-8 * max(1.0, float(np.max(np.abs(lam))))))
 
     def coupling_grad(self, x) -> np.ndarray:
-        """Flat (F_u, F_v) at the state x; F_u alone for one block."""
+        """Flat (F_u, F_v) at the state x, or at each state of a stack; F_u alone for one block."""
         u, v = _unpack(self, self.split(x))
         partials = Nonlinearity.PARTIALS[: len(self.spaces)]
-        return np.concatenate([self.nl.values(which, u, v, self.w) for which in partials])
+        return np.concatenate([self.nl.values(which, u, v, self.w) for which in partials], axis=-1)
 
     def residual(self, x) -> float:
         """sqrt of the mu-integral of the squared gradient; zero exactly at critical points."""
@@ -182,12 +191,6 @@ def _unpack(inst: FlatProblem, state) -> tuple:
     return Nonlinearity.pair([asvalues(inst.graph, b) for b in state])
 
 
-def _fsum(x: np.ndarray):
-    """math.fsum along the last axis: a float for one state, an array for a stack."""
-    sums = [math.fsum(row) for row in x.reshape(-1, x.shape[-1])]
-    return sums[0] if x.ndim == 1 else np.array(sums)
-
-
 def phi(inst: FlatProblem, state):
     """Energy: the sum over blocks of (1/p)||u||^p, minus the integral of F.
 
@@ -196,11 +199,11 @@ def phi(inst: FlatProblem, state):
     g = inst.graph
     u, v = _unpack(inst, state)
     norms = sum(
-        _fsum(g.mu * (grad_modulus(g, b, s.ord.m) ** s.ord.s
-                      + getattr(g, s.potential) * np.abs(b) ** s.ord.s)) / s.ord.s
+        integral(g, grad_modulus(g, b, s.ord.m) ** s.ord.s
+                 + getattr(g, s.potential) * np.abs(b) ** s.ord.s) / s.ord.s
         for b, s in zip((u, v), inst.spaces)
     )
-    return norms - _fsum(g.mu * inst.nl.values("F", u, v, inst.w))
+    return norms - integral(g, inst.nl.values("F", u, v, inst.w))
 
 
 def phi_grad(inst: FlatProblem, state) -> tuple:

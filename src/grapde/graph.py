@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schema import check
+from .schema import check, load_json
 
 __all__ = [
     "GraphError",
@@ -186,14 +186,15 @@ def asvalues(graph: WeightedGraph, f) -> np.ndarray:
     """Coerce a VertexFunction or array-like to an aligned ndarray.
 
     An array may be one vertex function, shape (n,), or a stack of them,
-    shape (k, n): the vertices are always the last axis.
+    shape (k, n), or a stack of one-function stacks, shape (k, 1, n): the
+    vertices are always the last axis.
     """
     if isinstance(f, VertexFunction):
         if f.graph is not graph and f.graph != graph:
             raise GraphError("vertex function belongs to a different graph")
         return f.values
     vals = np.asarray(f, dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[-1] != graph.n:
+    if vals.shape[-1:] != (graph.n,) or vals.shape[1:-1] not in ((), (1,)):
         raise GraphError("vertex function domain does not match the graph")
     return vals
 
@@ -230,10 +231,13 @@ def validate(graph: WeightedGraph) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=violations, warnings=warnings)
 
 
-def integral(graph: WeightedGraph, f) -> float:
-    """Measure-weighted sum over vertices (compensated)."""
-    vals = asvalues(graph, f)
-    return math.fsum(graph.mu * vals)
+def integral(graph: WeightedGraph, f):
+    """Measure-weighted sum over vertices (compensated, ``math.fsum``).
+
+    A float for one vertex function; an array of sums for a stack (k, n).
+    """
+    vals = graph.mu * asvalues(graph, f)
+    return math.fsum(vals) if vals.ndim == 1 else np.array([math.fsum(row) for row in vals])
 
 
 def total_measure(graph: WeightedGraph) -> float:
@@ -245,17 +249,8 @@ def total_measure(graph: WeightedGraph) -> float:
 def graph_from_dict(data) -> WeightedGraph:
     """The graph of a loaded graph file; the file must match ``schemas/graph.schema.json``."""
     check(data, "graph", GraphError)
-    vertices = []
-    for entry in data["vertices"]:
-        for fld in ("mu", "h1", "h2"):
-            if not math.isfinite(entry[fld]):
-                raise GraphError(f"non-finite {fld} for vertex {entry['id']!r}")
-        vertices.append((entry["id"], entry["mu"], entry["h1"], entry["h2"]))
-    edges = []
-    for entry in data.get("edges", []):
-        if not math.isfinite(entry["w"]):
-            raise GraphError(f"non-finite weight on {{{entry['a']},{entry['b']}}}")
-        edges.append((entry["a"], entry["b"], entry["w"]))
+    vertices = [(entry["id"], entry["mu"], entry["h1"], entry["h2"]) for entry in data["vertices"]]
+    edges = [(entry["a"], entry["b"], entry["w"]) for entry in data.get("edges", [])]
     return WeightedGraph.build(vertices, edges)
 
 
@@ -273,8 +268,7 @@ def graph_to_dict(graph: WeightedGraph) -> dict:
 
 
 def load_graph(path) -> WeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+    return graph_from_dict(load_json(path, GraphError))
 
 
 def save_graph(graph: WeightedGraph, path) -> None:

@@ -8,6 +8,7 @@ branch has its own ``type``, and the branch whose type fits must match.
 
 import functools
 import json
+import math
 import os
 
 KEYWORDS = frozenset({"type", "enum", "minimum", "exclusiveMinimum", "oneOf", "properties",
@@ -18,14 +19,31 @@ _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
           "number": (int, float), "integer": int}
 
 
+def _not_json(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def load_json(path, error: type = ValueError):
+    """The parsed JSON file at ``path``; ``error``, naming the file, if it cannot be read or parsed.
+
+    ``NaN``, ``Infinity`` and ``-Infinity``, which Python's ``json`` reads as
+    floats, are not JSON (RFC 8259) and fail to parse here.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=_not_json)
+    except OSError as err:
+        raise error(f"cannot read {path}: {err}") from err
+    except ValueError as err:  # a json.JSONDecodeError, or _not_json's
+        raise error(f"{path}: invalid JSON ({err})") from err
+
+
 @functools.cache
 def load_schema(name: str) -> dict:
     """The shipped JSON schema 'graph', 'problem' or 'report', parsed once: do not change it."""
     if name not in ("graph", "problem", "report"):
         raise ValueError(f"no schema named {name!r}")
-    with open(os.path.join(os.path.dirname(__file__), "schemas", f"{name}.schema.json"),
-              encoding="utf-8") as fh:
-        return json.load(fh)
+    return load_json(os.path.join(os.path.dirname(__file__), "schemas", f"{name}.schema.json"))
 
 
 class _Mismatch(Exception):  # each container it leaves prefixes its key to where
@@ -40,6 +58,14 @@ def check(data, name: str, error: type) -> None:
     except _Mismatch as m:
         where = m.where.removeprefix(".")
         raise error(f"'{where}' {m.text}" if where else f"the {name} file {m.text}") from None
+
+
+def _finite(number) -> bool:
+    """Whether a JSON number is finite as a float, as every number of an input file must be."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _is(value, kind: str) -> bool:
@@ -60,7 +86,9 @@ def _check(data, schema):
             kinds = " or ".join(sub["type"] for sub in schema["oneOf"])
             raise _Mismatch(f"must be of type {kinds}, got {data!r}")
         _check(data, fits[0])
-    if _is(data, "number"):  # a NaN passes both bounds, as in jsonschema
+    if _is(data, "number"):
+        if not _finite(data):  # unlike jsonschema, which takes them for numbers
+            raise _Mismatch("is non-finite as a float")
         if data < schema.get("minimum", data):
             raise _Mismatch(f"must be >= {schema['minimum']}, got {data!r}")
         if "exclusiveMinimum" in schema and data <= schema["exclusiveMinimum"]:

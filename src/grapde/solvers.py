@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import bb_minimize, least_squares_retry, path_saddle, polish_root, weighted_norm
+from ._optim import (
+    bb_minimize, least_squares_retry, path_saddle, polish_root, polish_roots, weighted_norm,
+)
 from .energy import ProblemInstance, phi  # noqa: F401  phi: bench/tracing.py requires this binding
 from .graph import StatePair, VertexFunction, integral, total_measure
 from .nonlinearity import SamplingConfig, block_fields, lipschitz_screen, sign_screen
@@ -516,6 +518,7 @@ def bound_certificate_min(inst: ProblemInstance, t0: float, rho: float) -> Bound
 # --- uniqueness ---------------------------------------------------------
 
 _UNIQUE_STARTS = 50  # random starts in the ball that must reach one minimizer
+_POLISH_BATCH_BYTES = 1 << 24  # the stacked Jacobians of one batch of multistart polishes
 
 
 @dataclass
@@ -643,13 +646,17 @@ def nonexistence_check(
     If the radial pairing F_u u + F_v v (F_u u for a scalar problem) is
     negative off the origin, no state can satisfy the critical-point
     identity, so only the trivial solution exists; a NaN pairing is no
-    evidence of the sign.  Optionally confirms by
-    driving the gradient to zero from random starts and recording the
-    largest norm reached (None, with a note, if no start converged).  A
-    Newton polish that stops short of tol from a finite start is retried by
-    ``least_squares_retry``, which converges from some starts of this
-    multistart where Newton does not (no solve needs it).  A
-    state below ``trivial_norm`` counts as the trivial solution, norm 0.
+    evidence of the sign; the pairings of the 100 random states are
+    evaluated in one call.  Optionally confirms by driving the gradient to
+    zero from random starts and recording the largest norm reached (None,
+    with a note, if no start converged).  The starts are drawn at once and
+    polished in lockstep by ``polish_roots``, in batches whose stacked
+    Jacobians stay under ``_POLISH_BATCH_BYTES``; each ends as its polish
+    alone would.  Then, start by start, a Newton polish that stops short of
+    tol from a finite start is retried by ``least_squares_retry``, which
+    converges from some starts of this multistart where Newton does not (no
+    solve needs it).  A state below ``trivial_norm`` counts as the trivial
+    solution, norm 0; the norms of the converged states come from one call.
     """
     if multistart < 0:
         raise ValueError(f"multistart must be >= 0, got {multistart}")
@@ -661,39 +668,36 @@ def nonexistence_check(
     # contradiction mechanism on random nontrivial states
     rng = np.random.default_rng(config.seed)
     weights = inst.weights
-    worst = -math.inf
-    mechanism_ok = True
-    nan_pairings = 0
-    for _ in range(100):
-        x = rng.standard_normal(weights.size)
-        if not np.any(x):
-            continue
-        pairing = integral(inst.graph, sum(inst.split(inst.coupling_grad(x) * x)))
-        worst = max(worst, pairing)
-        nan_pairings += math.isnan(pairing)
-        if not pairing < 0:  # a NaN pairing is no evidence of the sign
-            mechanism_ok = False
+    X = rng.standard_normal((100, weights.size))
+    X = X[np.any(X, axis=1)]
+    pairings = integral(inst.graph, sum(inst.split(inst.coupling_grad(X) * X)))
+    worst = max([-math.inf, *pairings.tolist()])  # the NaN pairings left out
+    mechanism_ok = bool(np.all(pairings < 0))  # a NaN pairing is no evidence of the sign
+    nan_pairings = int(np.sum(np.isnan(pairings)))
     if nan_pairings:
         notes.append(f"{nan_pairings} mechanism pairings are NaN")
 
-    norms = []
-    trivial = 0
-    for _ in range(multistart):
-        x0 = rng.uniform(-2.0, 2.0, size=weights.size)
-        res = polish_root(inst.gradient, x0, weights, inst.jacobian, tol=config.tol)
+    X0 = rng.uniform(-2.0, 2.0, size=(multistart, weights.size))
+    batch = max(1, _POLISH_BATCH_BYTES // (8 * weights.size**2))  # starts per batch
+    polished = []
+    for b in range(0, multistart, batch):
+        polished += polish_roots(inst.gradient, X0[b : b + batch], weights, inst.jacobian,
+                                 config.tol)
+    roots = []
+    for x0, res in zip(X0, polished):
         if not res.converged and res.message != "non-finite residual":
             res = least_squares_retry(
                 inst.gradient, x0, weights, inst.jacobian, res, tol=config.tol
             )
-        if not res.converged:
+        if res.converged:
+            roots.append(res.x)
+        else:
             notes.append("a multistart polish failed to converge")
-            continue
-        norm = inst.norm(res.x)
-        # as in solve_report's "trivial" flag: the residual cannot tell it from zero
-        if norm < trivial_norm(inst, config.tol):
-            trivial += 1
-            norm = 0.0
-        norms.append(norm)
+    norms = inst.norm(np.array(roots)) if roots else np.zeros(0)
+    # as in solve_report's "trivial" flag: the residual cannot tell it from zero
+    small = norms < trivial_norm(inst, config.tol)
+    trivial = int(np.sum(small))
+    norms = np.where(small, 0.0, norms).tolist()
     if trivial:
         notes.append(f"{trivial} of {multistart} multistart polishes reached the trivial solution")
     if multistart > 0 and not norms:

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .calculus import OperatorOrder, grad_modulus
-from .graph import WeightedGraph, asvalues, total_measure
+from .graph import WeightedGraph, asvalues, integral, total_measure
 
 __all__ = [
     "SpaceSpec",
@@ -42,13 +41,20 @@ class EmbeddingConstants:
     K2: float
 
 
-def w_norm(graph: WeightedGraph, u, spec: SpaceSpec) -> float:
+def w_norm(graph: WeightedGraph, u, spec: SpaceSpec):
+    """The norm of u in the space; for a stack (k, n), the array of the norms of its rows.
+
+    Each norm of a stack equals the norm of its row alone: the rows go to
+    ``grad_modulus`` as a (k, 1, n) stack, one vector-matrix product each,
+    and each root is taken of a float, since numpy's array power rounds
+    differently.
+    """
     u = asvalues(graph, u)
     s = spec.ord.s
     h = graph.h1 if spec.potential == "h1" else graph.h2
-    gm = grad_modulus(graph, u, spec.ord.m)
-    val = math.fsum(graph.mu * (gm**s + h * np.abs(u) ** s))
-    return val ** (1.0 / s)
+    gm = grad_modulus(graph, u if u.ndim == 1 else u[:, None], spec.ord.m).reshape(u.shape)
+    val = integral(graph, gm**s + h * np.abs(u) ** s)
+    return val ** (1.0 / s) if u.ndim == 1 else np.array([float(v) ** (1.0 / s) for v in val])
 
 
 def sup_norm(u) -> float:

@@ -373,7 +373,9 @@ def test_problem_file_interval_is_validated(tmp_path, capsys, J):
     problem = _write(tmp_path, "p.json", {"F": "(u^2+v^2)^2", "J": J})
     assert main(["check", "--problem", problem]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: parameter interval J=") and "w=" not in err
+    # an infinite end is no JSON number (json writes it as Infinity): the parser rejects it
+    start = f"{problem}: invalid JSON (Infinity" if math.inf in J else "parameter interval J="
+    assert err.startswith("error: " + start) and "w=" not in err
 
 
 @pytest.mark.parametrize("data", [
@@ -562,7 +564,7 @@ _PROBES = {
     "tol-nan": (["solve", "--tol", "nan"], *_MP_FILES),
     "multistart-negative": (["nonexist", "--multistart", "-5"], *_MP_FILES),
 }
-# what the error line of each probe names
+# what the error line of each probe names; {problem} stands for the problem file
 _PROBE_NAMES = {
     "problem-theta-string": "'hypotheses.theta' must be of type number",
     "problem-J-number": "'J' must be of type array",
@@ -578,6 +580,10 @@ _PROBE_NAMES = {
     "graph-w-string": "'edges[0].w' must be of type number",
     "graph-mu-string": "'vertices[0].mu' must be of type number",
     "graph-id-int": "'vertices[0].id' must be of type string",
+    "problem-p-nan": "{problem}: invalid JSON (NaN is not a JSON number)",
+    "graph-w-huge-int": "'edges[0].w' is non-finite as a float",
+    "problem-objective-coeff-string":
+        "'objective.coeffs.a' must be of type number or object or array, got 'x'",
     "tol-zero": "tol must be a finite number > 0, got 0.0",
     "tol-negative": "tol must be a finite number > 0, got -1.0",
     "tol-nan": "tol must be a finite number > 0, got nan",
@@ -592,7 +598,8 @@ def test_malformed_input_is_one_error_line_naming_it(tmp_path, capsys, probe):
              "--problem", _write(tmp_path, "p.json", problem)]
     assert main(argv[:1] + files + argv[1:]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: " + _PROBE_NAMES[probe]), err
+    name = _PROBE_NAMES[probe].format(problem=files[3])
+    assert len(err) == 1 and err[0].startswith("error: " + name), err
 
 
 def test_nan_sign_pairing_is_not_negative(tmp_path):

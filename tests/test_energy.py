@@ -98,17 +98,19 @@ def test_jacobian_matches_central_differences(m, s, blocks):
     else:
         nl = Nonlinearity.from_source(g, "0.5*u^4 - w*u", {})
         inst = ScalarInstance(g, OperatorOrder(m, s), nl, HypothesisSpec(), "h2", 0.3)
-    x = 0.5 * rng.standard_normal(blocks * g.n)
-    J = inst.jacobian(x)
+    # a stack of two states: each Jacobian against the stacked gradients
+    X = 0.5 * rng.standard_normal((2, blocks * g.n))
+    jacs = inst.jacobian(X)
     h = 1e-5
-    fd = np.column_stack([
-        (inst.gradient(x + h * e) - inst.gradient(x - h * e)) / (2 * h)
-        for e in np.eye(x.size)
-    ])
-    assert np.linalg.norm(J - fd) / np.linalg.norm(fd) < 1e-7
-    # diag(mu) J is the Hessian of the energy
-    hess = inst.weights[:, None] * J
-    assert np.allclose(hess, hess.T, rtol=1e-10, atol=1e-12)
+    fds = np.stack([
+        (inst.gradient(X + h * e) - inst.gradient(X - h * e)) / (2 * h)
+        for e in np.eye(X.shape[1])
+    ], axis=-1)
+    for J, fd in zip(jacs, fds):
+        assert np.linalg.norm(J - fd) / np.linalg.norm(fd) < 1e-7
+        # diag(mu) J is the Hessian of the energy
+        hess = inst.weights[:, None] * J
+        assert np.allclose(hess, hess.T, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -196,8 +198,9 @@ def test_objective_hand_value():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("s", [2.0, 3.0])
 def test_stacked_states_match_single_states(m, s):
-    # energy and gradient of a stack (k, N) equal the row-by-row calls, for
-    # one block and two, on a builtin's coupling and a random graph
+    # energy, gradient, Jacobian and norm of a stack (k, N) equal the
+    # row-by-row calls, for one block and two, on a builtin's coupling and a
+    # random graph
     rng = np.random.default_rng(40 + m)
     g = random_graph(rng, 5)
     couplings = [builtin(name, g).nl for name in BUILTIN_NAMES] + [
@@ -215,8 +218,19 @@ def test_stacked_states_match_single_states(m, s):
         stack = 0.5 * rng.standard_normal((3, len(inst.weights)))
         energies = inst.energy(stack)
         grads = inst.gradient(stack)
-        assert energies.shape == (3,) and grads.shape == stack.shape
-        for x, e, gx in zip(stack, energies, grads):
+        jacs = inst.jacobian(stack)
+        norms = inst.norm(stack)
+        assert energies.shape == norms.shape == (3,) and grads.shape == stack.shape
+        assert jacs.shape == stack.shape + stack.shape[-1:]
+        for x, e, gx, Jx, nx in zip(stack, energies, grads, jacs, norms):
             assert e == pytest.approx(inst.energy(x), rel=1e-12, abs=1e-14)
             assert np.allclose(gx, inst.gradient(x), rtol=1e-12, atol=1e-12)
+            assert np.allclose(Jx, inst.jacobian(x), rtol=1e-12, atol=1e-12)
+            assert nx == inst.norm(x)
+        # a stack of one-state stacks (k, 1, N) runs each state's own products:
+        # its gradients and Jacobians equal the single-state ones bit for bit
+        alone = np.stack([inst.gradient(x) for x in stack])
+        assert inst.gradient(stack[:, None])[:, 0].tobytes() == alone.tobytes()
+        alone = np.stack([inst.jacobian(x) for x in stack])
+        assert inst.jacobian(stack[:, None])[:, 0].tobytes() == alone.tobytes()
 

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import grapde
-from grapde.schema import KEYWORDS, _TYPES, check, load_schema
+from grapde.schema import KEYWORDS, _TYPES, _finite, _is, check, load_schema
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 import golden  # noqa: E402  the golden inputs and the malformed-input probes
@@ -19,13 +19,26 @@ import workloads  # noqa: E402  the benchmark's inputs (golden puts bench/ on th
 SCHEMAS = ("graph", "problem")
 ANNOTATIONS = {"$schema", "$id", "title", "description"}  # keys the checker does not read
 
-# Values put in place of each field, one at a time; 2.0 stands for an integral float.
+# Values put in place of each field, one at a time; 2.0 stands for an integral
+# float, 10**400 for an int beyond the float range.
 REPLACEMENTS = ["x", 0, 1, 2, 2.0, -1, 1.5, True, None, [], {}, [1, 2], [1, 2, 3], {"a": 1},
-                float("nan"), float("inf")]
+                float("nan"), float("inf"), 10**400]
 
 # Where the checker deliberately disagrees with jsonschema: a JSON integer is a
 # Python int here, so an integral float is not one, as the loaders require.
 KNOWN_DIFFERENCES = {("problem", ("m1",), 2.0), ("problem", ("m2",), 2.0)}
+
+
+def _non_finite(node) -> bool:
+    """Whether a number under ``node`` is not finite as a float.
+
+    The second deliberate difference: a number must be finite as a float, as
+    a JSON number is, so the checker rejects NaN, infinity and an int beyond
+    the float range, which jsonschema takes for numbers.
+    """
+    if isinstance(node, (dict, list)):
+        return any(map(_non_finite, node.values() if isinstance(node, dict) else node))
+    return _is(node, "number") and not _finite(node)
 
 
 def _subschemas(schema):
@@ -139,15 +152,19 @@ def test_the_checker_agrees_with_jsonschema(tmp_path):
         name: jsonschema.Draft202012Validator(load_schema(name)) for name in SCHEMAS
     }
     seen, differences = set(), set()
+
+    def expected(doc, name):
+        return validators[name].is_valid(doc) and not _non_finite(doc)
+
     for name, doc in [*_inputs(tmp_path), *_probes()]:
-        assert _checker_accepts(doc, name) == validators[name].is_valid(doc)
+        assert _checker_accepts(doc, name) == expected(doc, name)
         doc = _head(doc)
         key = (name, json.dumps(doc, sort_keys=True))
         if key in seen:
             continue
         seen.add(key)
         for path, value, new in _mutations(doc, load_schema(name)["properties"]):
-            if _checker_accepts(new, name) != validators[name].is_valid(new):
+            if _checker_accepts(new, name) != expected(new, name):
                 differences.add((name, path, value))
     assert differences == KNOWN_DIFFERENCES
 
@@ -208,3 +225,12 @@ def test_loading_a_problem_does_not_import_jsonschema(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_json_constants_fail_where_the_file_is_parsed(tmp_path, token):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices": [{"id": "a", "mu": %s, "h1": 1, "h2": 1}]}' % token)
+    with pytest.raises(grapde.GraphError) as err:
+        grapde.load_graph(path)
+    assert str(err.value) == f"{path}: invalid JSON ({token} is not a JSON number)"

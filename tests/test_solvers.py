@@ -105,6 +105,49 @@ def test_polish_root_is_newton_alone():
     assert res.message == "max iterations" and res.iterations == _optim._MAX_NEWTON
 
 
+def _newton_stack(case):
+    """(instance, stack of starts, the message of each polish) of a lockstep-polish case."""
+    if case == "K5":
+        inst, k5_start = _k5_nonexistence_start()
+        starts = np.random.default_rng(0).uniform(-2.0, 2.0, (24, inst.weights.size))
+        X0 = np.stack([starts[1], k5_start, starts[18], np.full(k5_start.size, 1e200)])
+        return inst, X0, ["converged", "max iterations", "line search stalled",
+                          "non-finite residual"]
+    # path-6: a singular Jacobian at the first start, min-norm steps for it alone
+    g = path_graph(6)
+    prob = builtin("mp-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.3)
+    singular = np.concatenate([[1.0, 0.5, 0.0, 0.0, 0.0, 0.0], np.zeros(6)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(inst.jacobian(singular), inst.gradient(singular))
+    starts = np.random.default_rng(0).uniform(-2.0, 2.0, (3, inst.weights.size))
+    X0 = np.stack([singular, starts[1], starts[2]])
+    return inst, X0, ["converged", "line search stalled", "converged"]
+
+
+@pytest.mark.parametrize("case", ["K5", "path-6"])
+def test_stacked_polish_matches_one_polish_per_start(case):
+    inst, X0, messages = _newton_stack(case)
+    stacked = _optim.polish_roots(inst.gradient, X0, inst.weights, inst.jacobian)
+    assert [r.message for r in stacked] == messages
+    for x0, a in zip(X0, stacked):
+        b = polish_root(inst.gradient, x0, inst.weights, inst.jacobian)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert (a.residual, a.iterations, a.fevals, a.converged, a.message) == (
+            b.residual, b.iterations, b.fevals, b.converged, b.message
+        )
+
+
+def test_multistart_batches_give_the_same_report(monkeypatch):
+    # K5 mp-example: converged starts and starts retried by least squares
+    inst, _ = _k5_nonexistence_start()
+    whole = to_json(nonexistence_check(inst, multistart=5))
+    n = inst.weights.size
+    for per_batch in (1, 2):
+        monkeypatch.setattr(solvers, "_POLISH_BATCH_BYTES", per_batch * 8 * n * n)
+        assert to_json(nonexistence_check(inst, multistart=5)) == whole
+
+
 def test_unconverged_polish_shows_the_path_deformation_flag(monkeypatch):
     # a saddle phase that ends without an accepted trial, at a peak from which
     # Newton does not converge, leaves the state flagged
@@ -556,7 +599,8 @@ def test_nonexistence_nan_mechanism_pairing_is_not_negative(monkeypatch):
     g = path_graph(2)
     prob = builtin("nonexist-example", g)
     inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
-    monkeypatch.setattr(solvers, "integral", lambda graph, f: math.nan)
+    # a NaN integral for every state of the stack
+    monkeypatch.setattr(solvers, "integral", lambda graph, f: np.full(np.shape(f)[:-1], math.nan))
     report = nonexistence_check(inst)
     assert report.sign_verdict == "pass (sampled)"
     assert not report.mechanism_ok and not report.certified

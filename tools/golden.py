@@ -119,6 +119,11 @@ PROBES = {
     "graph-w-string": ("check", _graph_with(edge={"w": "0.5"}), _MP),
     "graph-mu-string": ("check", _graph_with(vertex={"mu": "1"}), _MP),
     "graph-id-int": ("check", _graph_with(vertex={"id": 0}, edge={"a": "0"}), _MP),
+    "problem-p-nan": ("constants", _PATH2, {"F": "u^4", "scalar": True, "p": math.nan}),
+    "graph-w-huge-int": ("check", _graph_with(edge={"w": 10**400}), _MP),
+    "problem-objective-coeff-string": (
+        "control", _PATH2, {**_MP, "objective": {"F": "a*w^2", "coeffs": {"a": "x"}}}
+    ),
 }
 DEMO = ["--grid", "5", "--seed", "0", "--multistart", "3"]
 COMMON = ["--deterministic"]
