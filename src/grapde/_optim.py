@@ -128,7 +128,7 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
     ``_MAX_OUTER`` sweeps, with the best-residual peak seen.  Returns (point,
     sweeps, fevals, ok): ``fevals`` counts the states whose energy was
     evaluated and the gradient calls of the trials, and ``ok`` is True only
-    for an accepted trial.  The caller polishes the point.
+    for an accepted trial.
     """
     lam = np.linspace(0.0, 1.0, n_nodes)[:, None]
     path = lam * np.asarray(endpoint, float)[None, :]
@@ -155,7 +155,7 @@ def path_saddle(f, grad, weights, endpoint, jac, accept, n_nodes=41, tol=1e-8) -
             fevals += trial.fevals
             if trial.converged and accept(trial.x, float(energies[k_peak])):
                 return trial.x, outer, fevals, True
-        # stop once the peak residual stops improving; the caller polishes
+        # stop once the peak residual stops improving
         if res < 0.99 * stall_res:
             stall_res = res
             stall = 0
@@ -250,6 +250,8 @@ def _newton(grad, jac, X0, weights, tol, max_steps, min_step=_MIN_STEP) -> list:
                 for i, ok in zip(live, finite):
                     messages[i] = messages[i] if ok else "non-finite Jacobian"
                 J, live = J[finite], [i for i in live if not messages[i]]
+                if not live:
+                    continue
             P = _newton_steps(J, np.array([G[i] for i in live]))  # row r: start live[r]
             t = [1.0] * len(live)
             pending = list(range(len(live)))

@@ -15,6 +15,7 @@ one-block scalar problem; the certificate functions below are the system's.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,8 @@ from .energy import ProblemInstance, phi  # noqa: F401  phi: bench/tracing.py re
 from .graph import StatePair, VertexFunction, integral, total_measure
 from .nonlinearity import SamplingConfig, block_fields, lipschitz_screen, sign_screen
 from .spaces import w_norm
+
+log = logging.getLogger("grapde")
 
 __all__ = [
     "SolverError",
@@ -207,14 +210,16 @@ def _warm_report(inst, res, kind, config, bounds, *args):
 def mountain_pass_solve(
     inst, config: SolverConfig = None, endpoint: tuple = None, start=None
 ) -> SolveReport:
-    """Saddle search: path deformation with Newton trials, then residual polish.
+    """Saddle search: path deformation with Newton trials from the path's peak.
 
     The path deformation ends as soon as a Newton trial from its peak reaches
     a critical point that is a mountain-pass point by evidence: nontrivial,
     with energy at most the path's peak energy (an upper bound on the
     mountain-pass level) and Morse index 1.  A root rejected as trivial or
     for its index is remembered, and a later trial root within
-    ``_SAME_ROOT`` of one is rejected without a new index.  With a flat
+    ``_SAME_ROOT`` of one is rejected without a new index.  A cold solve
+    reports the accepted root, or else the best-residual peak, not converged
+    and flagged; ``iterations`` counts the path sweeps.  With a flat
     state ``start`` (the previous point of a sweep), the polish from
     ``start`` is tried first and the path search runs only if it fails.
     """
@@ -243,30 +248,19 @@ def mountain_pass_solve(
             return False
         return True
 
-    peak, outer, fevals, accepted = path_saddle(
-        inst.energy,
-        inst.gradient,
-        weights,
-        np.concatenate(endpoint),
-        inst.jacobian,
-        accept,
-        n_nodes=config.path_nodes,
-        tol=config.tol,
+    x, outer, fevals, accepted = path_saddle(
+        inst.energy, inst.gradient, weights, np.concatenate(endpoint), inst.jacobian, accept,
+        n_nodes=config.path_nodes, tol=config.tol,
     )
-    polish = polish_root(inst.gradient, peak, weights, inst.jacobian, tol=config.tol)
+    log.info("%s after %d sweeps", "accepted trial" if accepted else "no trial accepted", outer)
     cert, extra = certify(inst.bounds_mp, endpoint)
-    if not accepted and not polish.converged:
-        extra = extra + ("path deformation did not reach coarse tolerance",)
-    return solve_report(
-        inst,
-        polish.x,
-        "mountain-pass",
-        outer + polish.iterations,
-        fevals + polish.fevals,
-        config,
-        certificate=cert,
-        extra_flags=extra,
+    if not accepted:
+        extra += ("path deformation did not reach coarse tolerance",)
+    report = solve_report(
+        inst, x, "mountain-pass", outer, fevals, config, certificate=cert, extra_flags=extra
     )
+    report.converged = report.converged and accepted  # a peak is not a root that accept took
+    return report
 
 
 def _require(spec, names, what):
@@ -691,8 +685,9 @@ def nonexistence_check(
             )
         if res.converged:
             roots.append(res.x)
-        else:
-            notes.append("a multistart polish failed to converge")
+    failed = multistart - len(roots)
+    if failed:
+        notes.append(f"{failed} of {multistart} multistart polishes failed to converge")
     norms = inst.norm(np.array(roots)) if roots else np.zeros(0)
     # as in solve_report's "trivial" flag: the residual cannot tell it from zero
     small = norms < trivial_norm(inst, config.tol)

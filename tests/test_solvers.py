@@ -1,5 +1,8 @@
 import dataclasses
+import logging
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +10,9 @@ import pytest
 from grapde import _optim, solvers
 from grapde._optim import polish_root
 from grapde.calculus import OperatorOrder
-from grapde.cli import to_json
+from grapde.cli import _exit_code, to_json
 from grapde.energy import ProblemInstance, phi
-from grapde.graph import complete_graph, integral, path_graph
+from grapde.graph import complete_graph, graph_from_dict, integral, path_graph
 from grapde.nonlinearity import HypothesisSpec, Nonlinearity, SamplingConfig, builtin
 from grapde.solvers import (
     CertificateError,
@@ -28,6 +31,9 @@ from grapde.solvers import (
     uniqueness_certificate,
 )
 from grapde.spaces import w_norm
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+import inputs  # noqa: E402  the benchmark's seeded graph generators
 
 
 def _instance(g, F, coeffs=None, p=2.0, q=2.0, spec=None, w=0.0):
@@ -138,6 +144,28 @@ def test_stacked_polish_matches_one_polish_per_start(case):
         )
 
 
+def test_non_finite_jacobian_stops_its_start_alone():
+    # a stub Jacobian that is NaN at the second start, whose gradient is
+    # finite: that start ends where it began, the others as they end alone
+    inst, X0, _ = _newton_stack("K5")
+    bad = X0[1]
+
+    def jac(x):
+        return np.where(np.all(x == bad, axis=-1)[..., None, None], np.nan, inst.jacobian(x))
+
+    stacked = _optim.polish_roots(inst.gradient, X0[:3], inst.weights, jac)
+    alone = polish_root(inst.gradient, bad, inst.weights, jac)
+    for res in (stacked[1], alone):
+        assert res.message == "non-finite Jacobian" and not res.converged
+        assert res.x.tobytes() == bad.tobytes() and (res.iterations, res.fevals) == (0, 1)
+    for x0, a in zip(X0[::2], stacked[::2]):
+        b = polish_root(inst.gradient, x0, inst.weights, inst.jacobian)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert (a.residual, a.iterations, a.fevals, a.converged, a.message) == (
+            b.residual, b.iterations, b.fevals, b.converged, b.message
+        )
+
+
 def test_multistart_batches_give_the_same_report(monkeypatch):
     # K5 mp-example: converged starts and starts retried by least squares
     inst, _ = _k5_nonexistence_start()
@@ -149,14 +177,67 @@ def test_multistart_batches_give_the_same_report(monkeypatch):
 
 
 def test_unconverged_polish_shows_the_path_deformation_flag(monkeypatch):
-    # a saddle phase that ends without an accepted trial, at a peak from which
-    # Newton does not converge, leaves the state flagged
+    # a saddle phase that ends without an accepted trial reports its peak,
+    # flagged and not converged, after the phase's sweeps alone
     inst, peak = _k5_nonexistence_start()
     monkeypatch.setattr(solvers, "path_saddle", lambda *args, **kwargs: (peak, 7, 0, False))
     report = mountain_pass_solve(inst)
     assert not report.converged
     assert "path deformation did not reach coarse tolerance" in report.flags
-    assert report.iterations == 7 + _optim._MAX_NEWTON
+    assert report.iterations == 7
+
+
+def test_a_critical_peak_without_an_accepted_trial_is_not_converged(monkeypatch):
+    # the phase can end at a peak that is a critical point which every trial
+    # rejected: its residual is below tol, but accept never took it
+    inst = _saddle_instance()
+    root = mountain_pass_solve(inst).state.flat()
+    monkeypatch.setattr(solvers, "path_saddle", lambda *args, **kwargs: (root, 7, 0, False))
+    report = mountain_pass_solve(inst)
+    assert report.residual <= 1e-8 and not report.converged
+    assert _exit_code([report]) == 2
+
+
+def _mp_example(graph, w=0.0):
+    prob = builtin("mp-example", graph)
+    return ProblemInstance(graph, prob.ord1, prob.ord2, prob.nl, prob.spec, w)
+
+
+def _random_12(seed):
+    return graph_from_dict(inputs.random_sparse(12, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("graph", (complete_graph(8), _random_12(4)), ids=("K8", "random-12-4"))
+def test_cold_solve_without_an_accepted_trial_is_not_certified(graph):
+    # no trial is accepted at w = 0; a Newton polish from the best peak
+    # reached a root of Morse index 7 (K8) or 2 (seed 4), which was reported
+    # converged and certified
+    report = mountain_pass_solve(_mp_example(graph))
+    assert not report.converged
+    assert "path deformation did not reach coarse tolerance" in report.flags
+    assert _exit_code([report]) == 2
+
+
+@pytest.mark.parametrize(
+    "graph", [complete_graph(8), *map(_random_12, range(1, 7))],
+    ids=["K8", *(f"random-12-{s}" for s in range(1, 7))],
+)
+def test_converged_cold_mountain_pass_states_have_morse_index_1(graph):
+    # test_mountain_pass_saddles_have_morse_index_1 covers path-2 and K5, where
+    # every cold solve converges; here some solves accept no trial
+    inst = _mp_example(graph)
+    report = mountain_pass_solve(inst)
+    assert not report.converged or inst.morse_index(report.state.flat()) == 1
+
+
+def test_cold_mountain_pass_exit_is_logged(caplog):
+    caplog.set_level(logging.INFO, logger="grapde")
+    for n, line in ((5, "accepted trial"), (8, "no trial accepted")):
+        caplog.clear()
+        report = mountain_pass_solve(_mp_example(complete_graph(n)))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{line} after {report.iterations} sweeps"
+        ]
 
 
 def test_warm_polish_takes_few_gradient_calls():
@@ -626,6 +707,14 @@ def test_nonexistence_multistart_retries_by_least_squares():
     report = nonexistence_check(inst, multistart=3)
     assert not any("failed to converge" in note for note in report.notes)
     assert report.multistart_max_norm > 1.0
+
+
+def test_nonexistence_multistart_failures_are_one_note():
+    inst = _instance(path_graph(2), "exp(u)+exp(v)")
+    report = nonexistence_check(inst, multistart=3)
+    assert [note for note in report.notes if "failed to converge" in note] == [
+        "3 of 3 multistart polishes failed to converge"
+    ]
 
 
 def test_nonexistence_multistart_without_convergence_reports_none():

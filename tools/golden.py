@@ -22,8 +22,8 @@ The set: the five builtins (with ``control-objective`` as the control
 objective), ``mp-example`` at w = 0.5 with its hypothesis constants given in
 the file, the scalar quartic ``u^4*(1+w^2)`` of the benchmark, the same
 quartic with a constant for every one-block condition, and the scalar
-``0.05*u`` with a negative-energy minimizer, on path-2, path-16, K5 and the
-benchmark's random-12 graph; commands ``constants``, ``check``, ``solve``,
+``0.05*u`` with a negative-energy minimizer, on path-2, path-16, K5, K8 and
+the benchmark's random-12 graph; commands ``constants``, ``check``, ``solve``,
 ``sweep`` and ``control`` (both kinds, CSV on), ``nonexist`` (without and with
 ``--multistart 3``), and ``demo`` of every builtin.  The probes are the
 malformed graph and problem files of ``PROBES``, each run once by ``check``
@@ -53,6 +53,7 @@ GRAPHS = {
     "path-2": lambda: inputs.path(2),
     "path-16": lambda: inputs.path(16),
     "K5": lambda: inputs.complete(5),
+    "K8": lambda: inputs.complete(8),
     "random-12": lambda: inputs.random_sparse(12, np.random.default_rng(3)),
 }
 PROBLEMS = {
