@@ -109,8 +109,12 @@ class FlatProblem:
             s = space.ord.s
             J[..., i * n : (i + 1) * n, i * n : (i + 1) * n] = polylap_jacobian(g, b, space.ord)
             diagonal(i, i)[...] += getattr(g, space.potential) * (s - 1) * power_coeff(b, s)
+        second = {}  # selector -> values: F_uv serves both off-diagonal blocks
         for i, j in itertools.product(range(len(blocks)), repeat=2):
-            diagonal(i, j)[...] -= self.nl.values(Nonlinearity.SECOND_PARTIALS[i][j], u, v, self.w)
+            which = Nonlinearity.SECOND_PARTIALS[i][j]
+            if which not in second:
+                second[which] = self.nl.values(which, u, v, self.w)
+            diagonal(i, j)[...] -= second[which]
         return J
 
     def morse_index(self, x) -> int:

@@ -237,7 +237,8 @@ def integral(graph: WeightedGraph, f):
     A float for one vertex function; an array of sums for a stack (k, n).
     """
     vals = graph.mu * asvalues(graph, f)
-    return math.fsum(vals) if vals.ndim == 1 else np.array([math.fsum(row) for row in vals])
+    rows = vals.tolist()  # math.fsum reads Python floats faster than numpy scalars
+    return math.fsum(rows) if vals.ndim == 1 else np.array([math.fsum(row) for row in rows])
 
 
 def total_measure(graph: WeightedGraph) -> float:

@@ -133,12 +133,13 @@ class Nonlinearity:
         return u, rest[0] if rest else np.zeros_like(u)
 
     def grid_values(self, which: str, t, s, w_val) -> np.ndarray:
-        """Values at every vertex on shared sample points (t, s).
+        """Values at every vertex on shared sample points (t, s) and parameters w.
 
-        The result has shape (n,) + broadcast(t, s).shape: row i holds the
-        expression at vertex i with u = t and v = s.
+        ``w_val`` is one parameter or an array of them that broadcasts with
+        t and s.  The result has shape (n,) + broadcast(t, s, w_val).shape:
+        row i holds the expression at vertex i with u = t, v = s and w = w_val.
         """
-        shape = np.broadcast(t, s).shape
+        shape = np.broadcast(t, s, w_val).shape
         full = (self.graph.n,) + shape
         lead = (self.graph.n,) + (1,) * len(shape)
         env = {name: table.reshape(lead) for name, table in self.coeffs.items()}
@@ -148,7 +149,8 @@ class Nonlinearity:
         return out if out.shape == full else np.broadcast_to(out, full)
 
     def block_values(self, which: str, coords, w_val) -> np.ndarray:
-        """``grid_values`` at the points of block coordinates ``coords`` (v = 0 for one block)."""
+        """``grid_values`` at the points of block coordinates ``coords`` (v = 0 for one block),
+        at one parameter or an array of them."""
         return self.grid_values(which, *self.pair(coords), w_val)
 
 
@@ -197,6 +199,9 @@ _LARGE_RADII = (1e1, 1e2, 1e3, 1e4)  # (F3) and (F4) ladders
 _MODERATE_RADII = tuple(10.0**k for k in range(-3, 4))  # (H1)-(H3) sphere scans
 _BOX_RADIUS = 10.0  # half-width of the nonexistence sign box
 _DELTA_SAMPLES = 16  # (H4) spike amplitudes in (0, delta)
+# Cap on one float array over the (vertex x radius x w x point) grid of a
+# screen batch; at 100 vertices every sphere scan fits in one batch.
+_SCREEN_BATCH_BYTES = 4 << 20
 
 
 @dataclass
@@ -246,13 +251,15 @@ def _default_spaces(p, q, ord1=None, ord2=None) -> tuple:
     )
 
 
-def _sphere(radius: float, blocks: int, samples: int) -> tuple:
-    """Per block, the coordinates of points on the sphere of radius r in R^blocks:
-    the points r, -r, or ``samples`` equally spaced angles from (r, 0)."""
+def _sphere(radii, blocks: int, samples: int) -> tuple:
+    """Per block, the coordinates of points on the spheres of the radii r in R^blocks,
+    shaped (radius, 1, point) to leave an axis for w: the points r, -r, or
+    ``samples`` equally spaced angles from (r, 0)."""
+    r = np.asarray(radii, float)[:, None, None]
     if blocks == 1:
-        return (np.array([radius, -radius]),)
+        return (np.concatenate([r, -r], axis=-1),)
     ang = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    return radius * np.cos(ang), radius * np.sin(ang)
+    return r * np.cos(ang), r * np.sin(ang)
 
 
 def _radial(nl: Nonlinearity, coords, w) -> np.ndarray:
@@ -261,10 +268,68 @@ def _radial(nl: Nonlinearity, coords, w) -> np.ndarray:
     return sum(terms[1:], terms[0])
 
 
-def _point_witness(graph, values, coords, w) -> tuple:
-    """(vertex, *point, w) where ``values`` is largest: (vertex, t, s, w), or (vertex, t, w)."""
-    i, k = np.unravel_index(int(np.argmax(values)), values.shape)
-    return (graph.vertices[i], *(c[k] for c in coords), w)
+def _point_witness(graph, index, coords, w) -> tuple:
+    """(vertex, *point, w) at ``index`` of a flat (vertex x point) array over the points
+    of ``coords``: (vertex, t, s, w), or (vertex, t, w)."""
+    points = [np.ravel(c) for c in coords]
+    i, k = divmod(int(index), len(points[0]))
+    return (graph.vertices[i], *(c[k] for c in points), w)
+
+
+def _rung_major(values) -> np.ndarray:
+    """(vertex, radius, w, point) values as contiguous rows (radius, w, vertex x point).
+
+    A row holds one rung's (vertex, point) values in their own order, so
+    its max, min and argmax equal those of the rung alone, signed zeros
+    included.
+    """
+    radii, ws = values.shape[1:3]
+    return np.ascontiguousarray(np.moveaxis(values, 0, 2)).reshape(radii, ws, -1)
+
+
+def _records(radii, ws, *tables) -> list:
+    """(radius, w, *values) of every rung of (radius x w) tables, radius-major."""
+    rows = zip(radii, zip(*(table.tolist() for table in tables)))
+    return [(r, w, *vals) for r, row in rows for w, vals in zip(ws, zip(*row))]
+
+
+def _blocks(radii, ws, rung_bytes: int) -> list:
+    """(radii, ws) of each batch, in rung order, with at most _SCREEN_BATCH_BYTES per
+    array at ``rung_bytes`` per rung: whole radii, or runs of the ws of one
+    radius where it alone is over the cap; one rung at least."""
+    per = max(1, _SCREEN_BATCH_BYTES // max(rung_bytes, 1))  # rungs per batch
+    if per >= len(ws):
+        step = per // len(ws)
+        return [(radii[i : i + step], ws) for i in range(0, len(radii), step)]
+    runs = range(0, len(ws), per)
+    return [(radii[i : i + 1], ws[j : j + per]) for i in range(len(radii)) for j in runs]
+
+
+def _rung_records(table, radii, ws, rung_bytes: int, stop=None) -> list:
+    """The records of the (radius, w) rungs, radius-major, up to the first where stop holds.
+
+    ``table(rs, ws)`` evaluates the rungs rs x ws at once; it returns their
+    records in rung order and whether its values are free of NaN.  A
+    condition without radii passes ``radii=(None,)``.  A batch that raises
+    ``EvalDomainError`` or holds a NaN is evaluated again one rung at a time,
+    so the records are the rung-by-rung ones: the error raised is the first
+    that the rung order meets, and an invalid power at one rung cannot hide
+    behind a NaN base at another (its guard skips a base that holds a NaN).
+    """
+    records = []
+    for rs, bws in _blocks(radii, ws, rung_bytes):
+        try:
+            batch, clean = table(rs, bws)
+        except ex.EvalDomainError:
+            clean = False
+        if not clean:
+            rungs = ((r, bws[j : j + 1]) for r in rs for j in range(len(bws)))
+            batch = (rec for r, one_w in rungs for rec in table((r,), one_w)[0])
+        for rec in batch:
+            records.append(rec)
+            if stop is not None and stop(rec):
+                return records
+    return records
 
 
 def _ratio_ladder(graph, radii, sphere, ws, numerator, powers, largest: bool) -> list:
@@ -273,24 +338,32 @@ def _ratio_ladder(graph, radii, sphere, ws, numerator, powers, largest: bool) ->
     The maximum (``largest``) or minimum over vertices, sphere and ws, where
     a w with a NaN ratio does not count; the witness is its point.  A radius
     where every w has a NaN ratio has the extreme NaN, and its first NaN
-    point is the witness.
+    point is the witness.  The radii and ws are evaluated together, in the
+    batches of ``_rung_records``.
     """
-    sign = 1.0 if largest else -1.0
-    rungs = []
-    for radius in radii:
-        coords = sphere(radius)
+
+    def table(rs, bws):
+        coords = sphere(rs)
         denom = sum(np.abs(c) ** e for c, e in zip(coords, powers))
+        vals = _rung_major(numerator(coords, bws[:, None]) / denom)
+        # argmin and argmax point at the first NaN of a rung that holds one
+        tops, ats = (vals.max(-1), vals.argmax(-1)) if largest else (vals.min(-1), vals.argmin(-1))
+        return _records(rs, bws, tops, ats), not np.isnan(tops).any()
+
+    sign = 1.0 if largest else -1.0
+    records = _rung_records(table, radii, ws, 8 * graph.n * sphere((1.0,))[0].size)
+    rungs = []
+    for start in range(0, len(records), len(ws)):
+        radius = records[start][0]
         best, at, nan_at = -sign * math.inf, None, None
-        for w in ws:
-            vals = numerator(coords, w) / denom
-            top = float(vals.max() if largest else vals.min())
+        for _, w, top, k in records[start : start + len(ws)]:
             if math.isnan(top):
-                nan_at = nan_at or (np.isnan(vals), w)
+                nan_at = nan_at or (k, w)
             elif at is None or sign * top > sign * best:
-                best, at = top, (sign * vals, w)
+                best, at = top, (k, w)
         if at is None:
             best, at = math.nan, nan_at
-        rungs.append((radius, best, _point_witness(graph, at[0], coords, at[1])))
+        rungs.append((radius, best, _point_witness(graph, at[0], sphere((radius,)), at[1])))
     return rungs
 
 
@@ -322,6 +395,9 @@ def check_hypotheses(
     c_i, r_i, gamma_i, d_i; a condition missing one is inconclusive and
     names it.  Point witnesses are (vertex, t, s, w), or (vertex, t, w).
     (H5) is screened on the ball of radius 1 (see ``lipschitz_screen``).
+    Each condition but the sign screen evaluates a selector once for all
+    its radii, ws and points, with the verdicts of the rung-by-rung order
+    (``_rung_records``).
     """
     if spaces is None:
         spaces = _default_spaces(p, q, ord1, ord2)
@@ -331,10 +407,15 @@ def check_hypotheses(
     notes = []
 
     sphere = functools.partial(_sphere, blocks=k, samples=_ANGULAR_SAMPLES)
+    sphere_bytes = 8 * graph.n * sphere((1.0,))[0].size  # of one (radius, w) rung's array
     coupling = functools.partial(nl.block_values, "F")  # F at every vertex and point
 
     def f1():  # value at the origin
-        vals = np.abs([nl.grid_values("F", 0.0, 0.0, w) for w in ws])  # w x vertex
+        def table(_, bws):
+            vals = np.abs(nl.grid_values("F", 0.0, 0.0, bws))  # vertex x w
+            return list(zip(bws, vals.T)), not np.isnan(vals).any()
+
+        vals = np.array([row for _, row in _rung_records(table, (None,), ws, 8 * graph.n)])
         j, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
         worst, witness = float(vals[j, i]), (graph.vertices[i], ws[j])
         if worst <= 1e-14:
@@ -381,19 +462,26 @@ def check_hypotheses(
     def box_scan(violation) -> tuple:
         """Fail at the first moderate radius and w where violation() masks a point.
 
-        violation(coords, w, radius) is (mask, lhs, rhs); the witness is the
-        point of largest lhs - rhs.
+        violation(coords, w, radii) is (mask, lhs, rhs) on the spheres of the
+        radii at the parameters w, in the shape of ``grid_values``; the
+        witness is the point of largest lhs - rhs.
         """
-        for radius in _MODERATE_RADII:
-            coords = sphere(radius)
-            for w in ws:
-                bad, lhs, rhs = violation(coords, w, radius)
-                if bad.any():
-                    return "fail", _point_witness(graph, lhs - rhs, coords, w), ""
+
+        def table(rs, bws):
+            bad, lhs, rhs = violation(sphere(rs), bws[:, None], rs)
+            excess = _rung_major(lhs - rhs)
+            records = _records(rs, bws, bad.any(axis=(0, -1)), excess.argmax(-1))
+            return records, not np.isnan(excess).any()
+
+        for radius, w, bad, k in _rung_records(
+            table, _MODERATE_RADII, ws, sphere_bytes, stop=lambda rec: rec[2]
+        ):
+            if bad:
+                return "fail", _point_witness(graph, k, sphere((radius,)), w), ""
         return "pass (sampled)", None, ""
 
     def h1(theta):  # theta F <= radial pairing away from the origin
-        def violation(coords, w, radius):
+        def violation(coords, w, radii):
             fvals = theta * coupling(coords, w)
             radial = _radial(nl, coords, w)
             return fvals > radial + 1e-9 * (1.0 + np.abs(radial)), fvals, radial
@@ -403,7 +491,7 @@ def check_hypotheses(
     def h2(*consts):  # polynomial cap on the radial derivative
         cs, rs = consts[:k], consts[k:]
 
-        def violation(coords, w, radius):
+        def violation(coords, w, radii):
             radial = _radial(nl, coords, w)
             cap = sum(c * np.abs(t) ** r for c, t, r in zip(cs, coords, rs))
             return radial > cap + 1e-9 * (1.0 + cap), radial, cap
@@ -416,10 +504,11 @@ def check_hypotheses(
             return "fail", None, "c(x) must be positive"
         floors = []
 
-        def violation(coords, w, radius):
-            floors.append(a_floor(float(radius)))
+        def violation(coords, w, radii):
+            floor = [a_floor(float(radius)) for radius in radii]
+            floors.extend(floor)
             fvals = coupling(coords, w)
-            lower = floors[-1] * c_fn[:, None]
+            lower = np.array(floor)[:, None, None] * c_fn[:, None, None, None]
             return fvals < lower - 1e-12 * (1.0 + np.abs(lower)), lower, fvals
 
         verdict, witness, detail = box_scan(violation)
@@ -447,13 +536,19 @@ def check_hypotheses(
         verdict, witness = "pass (sampled)", None
         amps = delta * (np.arange(1, _DELTA_SAMPLES + 1) / (_DELTA_SAMPLES + 1))
         floor = Lvals[i0] * amps**p - 1e-12
+
+        def table(_, bws):
+            vals = coupling((amps,) * k, bws[:, None])  # vertex x w x amplitude
+            below = vals < floor
+            records = zip(bws, below[i0].any(-1), below[i0].argmax(-1), below.any(axis=(0, 2)))
+            return list(records), not np.isnan(vals).any()
+
         # the scalar analogue quantifies over every vertex; report both
         all_x_ok = True
-        for w in ws:
-            below = coupling((amps,) * k, w) < floor
-            if np.any(below[i0]):
-                verdict, witness = "fail", (x0, amps[int(np.argmax(below[i0]))], w)
-            all_x_ok = all_x_ok and not np.any(below)
+        for w, at_x0, first, anywhere in _rung_records(table, (None,), ws, 8 * graph.n * len(amps)):
+            if at_x0:
+                verdict, witness = "fail", (x0, amps[first], w)
+            all_x_ok = all_x_ok and not anywhere
         if not all_x_ok:
             notes.append("spike lower bound holds at x0 only; the all-vertices variant fails")
         return verdict, witness, ""
@@ -503,13 +598,22 @@ def lipschitz_screen(
             d * np.abs(b - a) ** (space.ord.s - 1) + 1e-12
             for d, a, b, space in zip(ds, first, second, spaces)
         ]
-        ws = spec.w_grid(_W_SAMPLES)
-        failing = np.zeros((len(pts), len(ws)), bool)  # pair x w
-        for j, w in enumerate(ws):
+        ends = [np.stack(pair) for pair in zip(first, second)]  # per block: (a, b) x pair
+
+        def table(_, bws):
+            failing = np.zeros((len(bws), len(pts)), bool)  # w x pair
+            clean = True
             for which, cap in zip(Nonlinearity.PARTIALS, caps):
-                lo = nl.block_values(which, first, w)
-                hi = nl.block_values(which, second, w)
-                failing[:, j] |= np.any(np.abs(hi - lo) > cap, axis=0)
+                # vertex x w x (a, b) x pair
+                vals = nl.block_values(which, ends, bws[:, None, None])
+                jump = np.abs(vals[:, :, 1] - vals[:, :, 0])
+                clean = clean and not np.isnan(jump).any()
+                failing |= np.any(jump > cap, axis=0)
+            return list(zip(bws, failing)), clean
+
+        ws = spec.w_grid(_W_SAMPLES)
+        rung_bytes = 8 * graph.n * 2 * len(pts)
+        failing = np.array([row for _, row in _rung_records(table, (None,), ws, rung_bytes)]).T
         detail = f"radius {radius:.3g}{est}"
         hits = np.argwhere(failing)  # the first failing pair first, at its first w
         if len(hits):
@@ -544,11 +648,11 @@ def sign_screen(
             top = vals.max()  # NaN if any pairing is NaN
             if math.isnan(top):
                 nan = np.isnan(vals)
-                nan_witness = nan_witness or _point_witness(graph, nan, coords, w)
+                nan_witness = nan_witness or _point_witness(graph, np.argmax(nan), coords, w)
                 vals[nan] = -np.inf
                 top = vals.max()
             if top >= 0:
-                return "fail", _point_witness(graph, vals, coords, w), ""
+                return "fail", _point_witness(graph, np.argmax(vals), coords, w), ""
         if nan_witness is not None:
             return "inconclusive", nan_witness, "the pairing is NaN at the witness"
         return "pass (sampled)", None, ""

@@ -68,6 +68,23 @@ def test_integral_is_measure_weighted_sum():
     assert total_measure(g) == 5.0
 
 
+@pytest.mark.parametrize("shape", [(39,), (39, 2), (5, 39), (2, 64)])
+def test_integral_equals_fsum_of_the_numpy_values(shape):
+    # math.fsum of Python floats is the correctly rounded sum of numpy's rows
+    rng = np.random.default_rng(5)
+    n = shape[-1]
+    mu = rng.uniform(0.1, 3.0, n)
+    g = WeightedGraph.build(
+        [(f"v{i}", mu[i], 1.0, 1.0) for i in range(n)],
+        [(f"v{i}", f"v{i + 1}", 1.0) for i in range(n - 1)],
+    )
+    for scale in (1.0, 1e-300, 1e300):
+        f = scale * rng.standard_normal(shape)
+        expected = [math.fsum(row) for row in g.mu * np.atleast_2d(f)]
+        got = np.atleast_1d(integral(g, f))
+        assert got.tobytes() == np.array(expected).tobytes()
+
+
 def test_vertex_function_map_roundtrip():
     g = path_graph(3)
     f = VertexFunction.from_map(g, {"v0": 1.0, "v1": 2.0, "v2": 3.0})

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from grapde import nonlinearity
 from grapde.calculus import OperatorOrder
-from grapde.graph import path_graph
+from grapde.graph import complete_graph, path_graph
 from grapde.nonlinearity import (
     BUILTIN_NAMES,
     HypothesisSpec,
@@ -158,6 +159,67 @@ def test_screening_outside_the_coupling_domain_is_inconclusive():
         condition = report.conditions[name]
         assert condition.verdict == "inconclusive"
         assert condition.detail == "sqrt of a negative value in 'sqrt(u)'"
+
+
+def test_screening_reports_the_first_failing_radius_before_a_later_domain_error():
+    # sqrt(100 - u) is undefined from radius 1000 on; (H1) and (H2) fail at
+    # radius 1e-3, before any sphere reaches it, and the screens that need
+    # every radius meet the domain error
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, "u^2+v^2+sqrt(100-u)", {})
+    spec = HypothesisSpec(
+        theta=4.0, c1=1.0, c2=1.0, r1=3.0, r2=3.0, a_floor=lambda r: r**2, c_fn=np.ones(2)
+    )
+    report = check_hypotheses(nl, spec, g, 2.0, 2.0)
+    point = ("v0", -1e-3, 1e-3 * np.sin(np.pi), -1.0)  # radius 1e-3 at angle pi, w = -1
+    for name in ("H1", "H2"):
+        assert report.conditions[name].verdict == "fail"
+        assert report.conditions[name].witness == point
+    for name in ("F3", "H3"):
+        assert report.conditions[name].verdict == "inconclusive"
+        assert report.conditions[name].detail == "sqrt of a negative value in 'sqrt(100 - u)'"
+
+
+def test_screening_reports_the_domain_error_of_the_first_w():
+    # at w = -1, log(w + 0.9) fails first; sqrt(0.5 - w) fails from w = 0.5 on
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, "sqrt(0.5 - w) + log(w + 0.9) + u^2", {})
+    spec = HypothesisSpec(theta=4.0, a_floor=lambda r: r**2, c_fn=np.ones(2))
+    report = check_hypotheses(nl, spec, g, 2.0, 2.0)
+    for name in ("F1", "F2", "F3", "H1", "H3"):
+        assert report.conditions[name].detail == "log of a non-positive value in 'log(w + 0.9)'"
+
+
+def test_screening_nan_at_one_radius_does_not_hide_an_invalid_power_at_another():
+    # the base is -1 at small radii (an invalid power) and inf - inf = NaN
+    # where exp(u^4) overflows; the power's guard skips a base holding a NaN,
+    # so the small radii must not be screened together with the large ones
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, "(exp(u^4)-exp(u^4)-1)^0.5 + u^2", {})
+    spec = HypothesisSpec(
+        theta=4.0, c1=1.0, c2=1.0, r1=3.0, r2=3.0, a_floor=lambda r: r**2, c_fn=np.ones(2)
+    )
+    report = check_hypotheses(nl, spec, g, 2.0, 2.0)
+    for name in ("H1", "H2", "H3"):
+        assert report.conditions[name].verdict == "inconclusive"
+        assert report.conditions[name].detail.startswith("invalid power in ")
+
+
+@pytest.mark.parametrize("cap", [1, 8 * 5 * 32 * 8], ids=["rung", "radius"])
+def test_screening_batches_give_the_report_of_one_batch(monkeypatch, cap):
+    # a cap of one byte screens every (radius, w) rung alone; 8 * 5 * 32 * 8,
+    # the bytes of one radius of a two-block sphere on K5, every radius alone
+    g = complete_graph(5)
+    reports = {}
+    for name in BUILTIN_NAMES:
+        prob = builtin(name, g)
+        args = (prob.nl, prob.spec, g, prob.p, prob.q)
+        reports[name] = repr(check_hypotheses(*args, ord1=prob.ord1, ord2=prob.ord2))
+    monkeypatch.setattr(nonlinearity, "_SCREEN_BATCH_BYTES", cap)
+    for name in BUILTIN_NAMES:
+        prob = builtin(name, g)
+        args = (prob.nl, prob.spec, g, prob.p, prob.q)
+        assert repr(check_hypotheses(*args, ord1=prob.ord1, ord2=prob.ord2)) == reports[name]
 
 
 def test_screening_h1_failure_witness():

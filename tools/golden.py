@@ -7,7 +7,8 @@
 problem x graph of the fixed set below (each with ``--deterministic``, and
 each with ``--grid 5`` and ``--seed 0`` where the command takes them) and on
 each malformed-input probe, and writes each JSON report, each CSV and a
-``manifest.json`` of exit codes and stderr lines to ``OUT``.  ``compare``
+``manifest.json`` of exit codes and stderr lines to ``OUT``, where a stderr
+line names the capture directory as ``<OUT>``.  ``compare``
 lists every file, exit code and stderr line that differs between two
 captures, with the differing JSON leaves, and exits 1 if anything differs.
 Each differing report also gets one ``summary`` line: the largest energy
@@ -162,6 +163,7 @@ def capture(src, out):
     for probe, (_, graph, problem) in PROBES.items():
         for kind, data in (("graph", graph), ("problem", problem)):
             inputs.write_json(os.path.join(inputs_dir, f"probe-{probe}-{kind}.json"), data)
+    prefix = os.path.join(out, "")
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(src), "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
@@ -174,7 +176,9 @@ def capture(src, out):
             env=env, capture_output=True, text=True,
         )
         print(f"{proc.returncode} {name}", flush=True)
-        return name, {"exit": proc.returncode, "stderr": proc.stderr.strip().splitlines()[-1:]}
+        # written relative to the capture, so that captures in two directories compare
+        stderr = [line.replace(prefix, "<OUT>/") for line in proc.stderr.strip().splitlines()[-1:]]
+        return name, {"exit": proc.returncode, "stderr": stderr}
 
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         manifest = dict(pool.map(run, _runs(out)))
