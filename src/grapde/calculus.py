@@ -46,13 +46,15 @@ class OperatorOrder:
             raise ValueError(f"exponent s must be >= 2, got {self.s}")
 
 
+def _lap_power(graph: WeightedGraph, u: np.ndarray, k: int) -> np.ndarray:
+    """Delta^k along the last axis: each vector, or each row of a matrix, is a function."""
+    for _ in range(k):
+        u = (u @ graph.weight_matrix - graph.degree * u) / graph.mu
+    return u
+
+
 def laplacian(graph: WeightedGraph, u) -> np.ndarray:
-    u = asvalues(graph, u)
-    return (u @ graph.weight_matrix - graph.degree * u) / graph.mu
-
-
-def _lap_matrix(graph: WeightedGraph) -> np.ndarray:
-    return (graph.weight_matrix - np.diag(graph.degree)) / graph.mu[:, None]
+    return _lap_power(graph, asvalues(graph, u), 1)
 
 
 def gradient_form(graph: WeightedGraph, u, v) -> np.ndarray:
@@ -64,22 +66,18 @@ def gradient_form(graph: WeightedGraph, u, v) -> np.ndarray:
     return s / (2.0 * graph.mu)
 
 
-def _lap_power(graph: WeightedGraph, u: np.ndarray, k: int) -> np.ndarray:
-    for _ in range(k):
-        u = laplacian(graph, u)
-    return u
+def _modulus(graph: WeightedGraph, a: np.ndarray, m: int) -> np.ndarray:
+    """|grad^m u| from a = Delta^(m // 2) u: sqrt(Gamma(a, a)) for odd m, |a| for even."""
+    if m % 2 == 1:
+        return np.sqrt(np.maximum(gradient_form(graph, a, a), 0.0))
+    return np.abs(a)
 
 
 def grad_modulus(graph: WeightedGraph, u, m: int) -> np.ndarray:
     """|grad^m u|; odd orders go through the gradient form, even through Delta."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    u = asvalues(graph, u)
-    if m % 2 == 1:
-        a = _lap_power(graph, u, (m - 1) // 2)
-        g = gradient_form(graph, a, a)
-        return np.sqrt(np.maximum(g, 0.0))
-    return np.abs(_lap_power(graph, u, m // 2))
+    return _modulus(graph, _lap_power(graph, asvalues(graph, u), m // 2), m)
 
 
 def power_coeff(t: np.ndarray, s: float) -> np.ndarray:
@@ -105,20 +103,11 @@ def p_laplacian(graph: WeightedGraph, u, p: float) -> np.ndarray:
 
 def polylap_weak_form(graph: WeightedGraph, u, phi, ord: OperatorOrder) -> float:
     """Weak pairing of the order-(m, s) operator applied to u with phi."""
-    u = asvalues(graph, u)
-    phi = asvalues(graph, phi)
-    m, s = ord.m, ord.s
-    if m % 2 == 1:
-        k = (m - 1) // 2
-        a = _lap_power(graph, u, k)
-        b = _lap_power(graph, phi, k)
-        c = power_coeff(grad_modulus(graph, u, m), s)
-        return integral(graph, c * gradient_form(graph, a, b))
-    j = m // 2
-    a = _lap_power(graph, u, j)
-    b = _lap_power(graph, phi, j)
-    c = power_coeff(grad_modulus(graph, u, m), s)
-    return integral(graph, c * a * b)
+    m, k = ord.m, ord.m // 2
+    a = _lap_power(graph, asvalues(graph, u), k)
+    b = _lap_power(graph, asvalues(graph, phi), k)
+    c = power_coeff(_modulus(graph, a, m), ord.s)
+    return integral(graph, c * (gradient_form(graph, a, b) if m % 2 else a * b))
 
 
 def _diag(A: np.ndarray) -> np.ndarray:
@@ -142,39 +131,33 @@ def _reweighted_laplacian(graph: WeightedGraph, c: np.ndarray) -> np.ndarray:
     return _laplacian_of(graph.weight_matrix * 0.5 * (c[..., :, None] + c[..., None, :]))
 
 
-def _lap_power_matrix(graph: WeightedGraph, k: int) -> np.ndarray:
-    """A^k, the k-th power of the Laplacian matrix, built once per graph."""
-    return graph.operator(("A^k", k), lambda g: np.linalg.matrix_power(_lap_matrix(g), k))
-
-
 def polylap_apply(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
     """Strong-form vertex function r with integral(r * phi) == weak(u, phi).
 
     Equivalent to testing the weak form against the indicator of every
     vertex, in closed form at O(n^2) cost per state; u may be a stack of
-    states, shape (k, n).  With a = A^k u (k = m // 2), r is M^T applied to
-    the mu-weighted c a (even m) or to the reweighted Laplacian of a (odd
-    m), c = |grad^m u|^(s-2).  That Laplacian is applied as
+    states, shape (k, n).  With a = Delta^k u (k = m // 2), the result is
+    Delta^k (r / mu), for r the mu-weighted c a (even m) or the reweighted
+    Laplacian of a (odd m), c = |grad^m u|^(s-2); as A^T = mu A / mu for
+    the Laplacian matrix A, that is M^T r / mu for M = A^k, which is never
+    formed.  The reweighted Laplacian is applied as
     0.5 (c (deg a - W a) + a (W c) - W (c a)), so no n x n matrix is built
-    per state.  What does not depend on u is built once per graph
-    (``graph.operator``): the Laplacian power A^k, and at s = 2
-    (coefficient 1) the reweighted Laplacian.  A^0 = I is not multiplied.
+    per state; at s = 2 (coefficient 1) it is ``graph.laplacian_matrix``.
     """
     u = asvalues(graph, u)
     m, s = ord.m, ord.s
     k = m // 2
-    M = _lap_power_matrix(graph, k) if k else None
-    a = u if M is None else u @ M.T
+    a = _lap_power(graph, u, k)
     # at s = 2 the coefficient is 1 whatever u is
-    c = np.ones(graph.n) if s == 2 else power_coeff(grad_modulus(graph, u, m), s)
+    c = np.ones(graph.n) if s == 2 else power_coeff(_modulus(graph, a, m), s)
     if m % 2 == 0:
         r = graph.mu * c * a
     elif s == 2:
-        r = a @ graph.operator("L(c=1)", lambda g: _reweighted_laplacian(g, c))
+        r = a @ graph.laplacian_matrix
     else:
         w = graph.weight_matrix
         r = 0.5 * (c * (graph.degree * a - a @ w) + a * (c @ w) - (c * a) @ w)
-    return (r if M is None else r @ M) / graph.mu
+    return _lap_power(graph, r / graph.mu, k)
 
 
 def polylap_jacobian(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
@@ -190,18 +173,19 @@ def polylap_jacobian(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
     where L~ is the reweighted Laplacian, R[x, x] = sum_y w_xy (a_x - a_y)
     and R[x, y] = -w_xy (a_x - a_y), so that dG = R da / mu.  A row of R
     vanishes where G = 0, and its coefficient is taken as 0 there.  The
-    derivative is diag(1/mu) M^T H M.
+    derivative is diag(1/mu) M^T H M = A^k diag(1/mu) H M, applied by
+    Delta^k twice: over the rows, H M = (H / mu) M^T mu, then over the
+    columns.
     """
     u = asvalues(graph, u)
     m, s = ord.m, ord.s
     k = m // 2
-    M = _lap_power_matrix(graph, k) if k else None
-    a = u if M is None else (M @ u[..., None])[..., 0]  # M times each state
+    a = _lap_power(graph, u, k)
     if m % 2 == 0:
         H = np.zeros(a.shape + (graph.n,))
         _diag(H)[...] = graph.mu * (s - 1) * power_coeff(a, s)
     elif s == 2:  # the same for every state
-        H = graph.operator("L(c=1)", lambda g: _reweighted_laplacian(g, np.ones(g.n)))
+        H = graph.laplacian_matrix
     else:
         G = np.maximum(gradient_form(graph, a, a), 0.0)
         R = _laplacian_of(graph.weight_matrix * (a[..., :, None] - a[..., None, :]))
@@ -211,7 +195,9 @@ def polylap_jacobian(graph: WeightedGraph, u, ord: OperatorOrder) -> np.ndarray:
         kappa[nz] = (s - 2) / (4.0 * mu[nz]) * G[nz] ** ((s - 4) / 2)
         R_T = np.swapaxes(R, -1, -2)
         H = _reweighted_laplacian(graph, power_coeff(np.sqrt(G), s)) + R_T @ (kappa[..., None] * R)
-    if M is not None:
-        H = M.T @ H @ M
-    H = H / graph.mu[:, None]
+    if k:
+        H = _lap_power(graph, H / graph.mu, k) * graph.mu
+        H = np.swapaxes(_lap_power(graph, np.swapaxes(H / graph.mu[:, None], -1, -2), k), -1, -2)
+    else:
+        H = H / graph.mu[:, None]
     return H if H.ndim > a.ndim else np.broadcast_to(H, a.shape + (graph.n,))

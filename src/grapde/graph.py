@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,6 @@ class WeightedGraph:
     weight_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     degree: np.ndarray = field(init=False, repr=False, compare=False)
     index: dict = field(init=False, repr=False, compare=False)
-    _operators: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.vertices)
@@ -85,7 +85,6 @@ class WeightedGraph:
         object.__setattr__(
             self, "index", {v: k for k, v in enumerate(self.vertices)}
         )
-        object.__setattr__(self, "_operators", {})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -120,18 +119,12 @@ class WeightedGraph:
             edge_idx.append((idx[a], idx[b], float(w)))
         return cls(ids, mu, h1, h2, tuple(edge_idx))
 
-    def operator(self, key, build) -> np.ndarray:
-        """The graph-constant matrix ``build(self)``, built once per key.
-
-        The matrix is kept on the graph, read-only, so it lives exactly as
-        long as the graph; ``key`` names it among this graph's operators.
-        """
-        M = self._operators.get(key)
-        if M is None:
-            M = build(self)
-            M.flags.writeable = False
-            self._operators[key] = M
-        return M
+    @cached_property
+    def laplacian_matrix(self) -> np.ndarray:
+        """diag(degree) - W, built on first use and kept on the graph, read-only."""
+        L = np.diag(self.degree) - self.weight_matrix
+        L.flags.writeable = False
+        return L
 
 
 @dataclass(frozen=True)

@@ -416,11 +416,15 @@ def check_hypotheses(
             return list(zip(bws, vals.T)), not np.isnan(vals).any()
 
         vals = np.array([row for _, row in _rung_records(table, (None,), ws, 8 * graph.n)])
-        j, i = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        nan = np.isnan(vals)
+        j, i = np.unravel_index(int(np.argmax(np.where(nan, -np.inf, vals))), vals.shape)
         worst, witness = float(vals[j, i]), (graph.vertices[i], ws[j])
-        if worst <= 1e-14:
-            return "pass", None, f"max |F(x,0,0,w)| = {worst:.2e}"
-        return "fail", witness, f"|F(x,0,0,w)| = {worst:.2e}"
+        if worst > 1e-14:
+            return "fail", witness, f"|F(x,0,0,w)| = {worst:.2e}"
+        if nan.any():
+            j, i = np.unravel_index(int(np.argmax(nan)), vals.shape)
+            return "inconclusive", (graph.vertices[i], ws[j]), "F(x,0,0,w) is NaN at the witness"
+        return "pass", None, f"max |F(x,0,0,w)| = {worst:.2e}"
 
     def f2():  # small-amplitude growth cap, estimated on a shrinking radius ladder
         bound = block_embedding(graph, spaces).cap
@@ -464,20 +468,32 @@ def check_hypotheses(
 
         violation(coords, w, radii) is (mask, lhs, rhs) on the spheres of the
         radii at the parameters w, in the shape of ``grid_values``; the
-        witness is the point of largest lhs - rhs.
+        witness is the point of largest lhs - rhs.  Without a failing point,
+        a NaN lhs or rhs makes the condition inconclusive, its first NaN
+        point the witness.
         """
 
         def table(rs, bws):
             bad, lhs, rhs = violation(sphere(rs), bws[:, None], rs)
             excess = _rung_major(lhs - rhs)
-            records = _records(rs, bws, bad.any(axis=(0, -1)), excess.argmax(-1))
-            return records, not np.isnan(excess).any()
+            clean = not np.isnan(excess).any()
+            # a NaN lhs or rhs is a NaN sample; an inf - inf excess is not
+            nan = (np.zeros_like(excess[..., :1], bool) if clean
+                   else _rung_major(np.isnan(lhs) | np.isnan(rhs)))
+            records = _records(rs, bws, bad.any(axis=(0, -1)), excess.argmax(-1),
+                               nan.any(-1), nan.argmax(-1))
+            return records, clean
 
-        for radius, w, bad, k in _rung_records(
+        nan_witness = None
+        for radius, w, bad, k, nan, at in _rung_records(
             table, _MODERATE_RADII, ws, sphere_bytes, stop=lambda rec: rec[2]
         ):
             if bad:
                 return "fail", _point_witness(graph, k, sphere((radius,)), w), ""
+            if nan and nan_witness is None:
+                nan_witness = _point_witness(graph, at, sphere((radius,)), w)
+        if nan_witness is not None:
+            return "inconclusive", nan_witness, "a sample is NaN at the witness"
         return "pass (sampled)", None, ""
 
     def h1(theta):  # theta F <= radial pairing away from the origin
@@ -539,18 +555,25 @@ def check_hypotheses(
 
         def table(_, bws):
             vals = coupling((amps,) * k, bws[:, None])  # vertex x w x amplitude
-            below = vals < floor
-            records = zip(bws, below[i0].any(-1), below[i0].argmax(-1), below.any(axis=(0, 2)))
+            below, nan = vals < floor, np.isnan(vals[i0])
+            records = zip(bws, below[i0].any(-1), below[i0].argmax(-1), below.any(axis=(0, 2)),
+                          nan.any(-1), nan.argmax(-1))
             return list(records), not np.isnan(vals).any()
 
         # the scalar analogue quantifies over every vertex; report both
-        all_x_ok = True
-        for w, at_x0, first, anywhere in _rung_records(table, (None,), ws, 8 * graph.n * len(amps)):
+        all_x_ok, nan_witness = True, None
+        for w, at_x0, first, anywhere, nan, at in _rung_records(
+            table, (None,), ws, 8 * graph.n * len(amps)
+        ):
             if at_x0:
                 verdict, witness = "fail", (x0, amps[first], w)
+            if nan and nan_witness is None:
+                nan_witness = (x0, amps[at], w)
             all_x_ok = all_x_ok and not anywhere
         if not all_x_ok:
             notes.append("spike lower bound holds at x0 only; the all-vertices variant fails")
+        if verdict != "fail" and nan_witness is not None:
+            return "inconclusive", nan_witness, "F is NaN at the witness"
         return verdict, witness, ""
 
     results = {
@@ -602,23 +625,25 @@ def lipschitz_screen(
 
         def table(_, bws):
             failing = np.zeros((len(bws), len(pts)), bool)  # w x pair
-            clean = True
+            nan = np.zeros_like(failing)
             for which, cap in zip(Nonlinearity.PARTIALS, caps):
                 # vertex x w x (a, b) x pair
                 vals = nl.block_values(which, ends, bws[:, None, None])
                 jump = np.abs(vals[:, :, 1] - vals[:, :, 0])
-                clean = clean and not np.isnan(jump).any()
+                nan |= np.any(np.isnan(jump), axis=0)
                 failing |= np.any(jump > cap, axis=0)
-            return list(zip(bws, failing)), clean
+            return list(zip(bws, failing, nan)), not nan.any()
 
         ws = spec.w_grid(_W_SAMPLES)
         rung_bytes = 8 * graph.n * 2 * len(pts)
-        failing = np.array([row for _, row in _rung_records(table, (None,), ws, rung_bytes)]).T
+        records = _rung_records(table, (None,), ws, rung_bytes)
         detail = f"radius {radius:.3g}{est}"
-        hits = np.argwhere(failing)  # the first failing pair first, at its first w
-        if len(hits):
-            pair, j = hits[0]
-            return "fail", (*pts[pair], ws[j]), detail
+        # the first failing pair first, at its first w; else the first NaN pair
+        for col, verdict in ((1, "fail"), (2, "inconclusive")):
+            hits = np.argwhere(np.array([rec[col] for rec in records]).T)
+            if len(hits):
+                pair, j = hits[0]
+                return verdict, (*pts[pair], ws[j]), detail
         return "pass (sampled)", None, detail
 
     return _screen(spec, block_fields(blocks, "d"), body)

@@ -552,7 +552,11 @@ def _check_monotonicity(p: float, grid: int = 100, span: float = 3.0) -> tuple:
 def uniqueness_certificate(
     inst: ProblemInstance, config: SolverConfig = None
 ) -> UniquenessReport:
-    """Contraction-style uniqueness screen for the local minimizer."""
+    """Contraction-style uniqueness screen for the local minimizer.
+
+    Besides the margin, monotonicity and (H5), at least 2 multistart
+    minimizers must converge inside the ball and agree.
+    """
     config = config or SolverConfig()
     p, q = inst.p, inst.q
     if p != q:
@@ -607,6 +611,9 @@ def uniqueness_certificate(
         and h5_verdict in ("pass", "pass (sampled)")
         and spread < 1e-6
     )
+    if certified and len(solutions) < 2:  # a spread of one minimizer, or none, is 0
+        certified = False
+        notes.append(f"{len(solutions)} interior minimizers converged; agreement needs 2")
     return UniquenessReport(
         certified=certified,
         margin=margin,
@@ -651,6 +658,8 @@ def nonexistence_check(
     converges from some starts of this multistart where Newton does not (no
     solve needs it).  A state below ``trivial_norm`` counts as the trivial
     solution, norm 0; the norms of the converged states come from one call.
+    A converged state at or above it is a nontrivial critical point, which
+    refutes the certificate.
     """
     if multistart < 0:
         raise ValueError(f"multistart must be >= 0, got {multistart}")
@@ -698,6 +707,12 @@ def nonexistence_check(
     if multistart > 0 and not norms:
         notes.append("no multistart polish converged")
     certified = verdict == "pass (sampled)" and mechanism_ok
+    if certified and len(norms) > trivial:
+        certified = False
+        notes.append(
+            f"{len(norms) - trivial} of {multistart} multistart polishes reached "
+            "a nontrivial critical point"
+        )
     return NonexistenceReport(
         certified=certified,
         sign_verdict=verdict,

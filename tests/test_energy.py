@@ -87,14 +87,16 @@ def test_gradient_matches_finite_difference(F, p, q, m1, m2):
         assert fd_v == pytest.approx(g.mu[i] * gv[i], rel=2e-5, abs=2e-6)
 
 
-@pytest.mark.parametrize("m,s", list(itertools.product((1, 2, 3), (2.0, 3.0, 4.0))))
+@pytest.mark.parametrize("m,s", list(itertools.product((1, 2, 3, 4), (2.0, 3.0, 4.0))))
 @pytest.mark.parametrize("blocks", (1, 2))
 def test_jacobian_matches_central_differences(m, s, blocks):
     # mirrors criterion_03 one derivative up; the coupling has F_uv = 1
     rng = np.random.default_rng(10 * m + int(s) + 100 * blocks)
     g = random_graph(rng, 5)
     if blocks == 2:
-        inst = _instance(g, "u*v + 0.5*u^4 - w*v", p=s, q=6.0 - s, m1=m, m2=4 - m, w=0.3)
+        # m = 4 repeats Delta in both blocks: k = 2
+        m2 = 4 - m if m < 4 else 4
+        inst = _instance(g, "u*v + 0.5*u^4 - w*v", p=s, q=6.0 - s, m1=m, m2=m2, w=0.3)
     else:
         nl = Nonlinearity.from_source(g, "0.5*u^4 - w*u", {})
         inst = ScalarInstance(g, OperatorOrder(m, s), nl, HypothesisSpec(), "h2", 0.3)

@@ -258,6 +258,61 @@ def test_sign_screen_failure_witness_skips_nan_pairings():
     assert (vertex, w) == ("v0", -1.0) and t == pytest.approx(-10.0 + 24 * 20.0 / 63)
 
 
+# exp(1000 w) overflows for w > 0.71, so inf - inf = NaN at the top two of the
+# eight screened w; exp(-1000 w) does the same at the bottom two
+_NAN_AT_TOP_W = "(exp(1000*w) - exp(1000*w))"
+_NAN_AT_BOTTOM_W = "(exp(-1000*w) - exp(-1000*w))"
+_W_TOP = 5 / 7  # the first NaN w of the grid -1, -5/7, ..., 1
+
+
+def test_screening_nan_samples_are_no_evidence():
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, f"(u^2+v^2)^2 + {_NAN_AT_TOP_W}", {})
+    spec = HypothesisSpec(theta=4.0, c1=16.0, c2=16.0, r1=4.0, r2=4.0,
+                          a_floor=lambda r: r**4, c_fn=np.ones(g.n))
+    report = check_hypotheses(nl, spec, g, 3.0, 3.0)
+    f1 = report.conditions["F1"]
+    assert (f1.verdict, f1.witness) == ("inconclusive", ("v0", pytest.approx(_W_TOP)))
+    for name in ("H1", "H3"):
+        cond = report.conditions[name]
+        assert cond.verdict == "inconclusive" and cond.detail == "a sample is NaN at the witness"
+        assert cond.witness[0] == "v0" and cond.witness[-1] == pytest.approx(_W_TOP)
+    # the partials hold no NaN: the radial pairing 4 F is finite everywhere
+    assert report.conditions["H2"].verdict == "pass (sampled)"
+
+
+def test_screening_a_failing_sample_outranks_an_earlier_nan():
+    # 5 F > 4 F = radial pairing at every sample; the first two w are NaN
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, f"(u^2+v^2)^2 + {_NAN_AT_BOTTOM_W}", {})
+    report = check_hypotheses(nl, HypothesisSpec(theta=5.0), g, 3.0, 3.0)
+    h1 = report.conditions["H1"]
+    assert h1.verdict == "fail" and h1.witness[-1] == pytest.approx(-3 / 7)
+    assert report.conditions["F1"].verdict == "inconclusive"
+
+
+def test_h5_nan_jumps_are_no_evidence():
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, f"u^2*{_NAN_AT_TOP_W} + v^4", {})
+    spaces = (SpaceSpec(OperatorOrder(1, 2.0), "h1"), SpaceSpec(OperatorOrder(1, 2.0), "h2"))
+    h5 = lipschitz_screen(nl, HypothesisSpec(d1=100.0, d2=100.0), g, spaces, SamplingConfig())
+    assert h5.verdict == "inconclusive"
+    assert h5.witness[-1] == pytest.approx(_W_TOP)
+
+
+def test_h4_nan_spike_values_are_no_evidence():
+    # F = 4 a^4 at the spike (a, a), above the floor L a^4 wherever it is not NaN
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, f"(u^2+v^2)^2 + {_NAN_AT_TOP_W}", {})
+    spec = HypothesisSpec(L=np.full(g.n, 1.0), x0="v0", delta=0.5)
+    h4 = check_hypotheses(nl, spec, g, 4.0, 4.0).conditions["H4"]
+    assert h4.verdict == "inconclusive" and h4.detail == "F is NaN at the witness"
+    vertex, amp, w = h4.witness
+    assert vertex == "v0" and amp == pytest.approx(0.5 / 17) and w == pytest.approx(_W_TOP)
+    clean = Nonlinearity.from_source(g, "(u^2+v^2)^2", {})
+    assert check_hypotheses(clean, spec, g, 4.0, 4.0).conditions["H4"].verdict == "pass (sampled)"
+
+
 def test_hypothesis_spec_interval_validated():
     with pytest.raises(ValueError):
         HypothesisSpec(J=(1.0, 0.0))

@@ -638,6 +638,41 @@ def test_uniqueness_without_lipschitz_constants_is_inconclusive():
     assert "d1/d2 not provided; margin unavailable" in report.notes
 
 
+def _criterion_05_instance():
+    g = path_graph(2)
+    spec = HypothesisSpec(delta=0.04, L=np.full(g.n, 2.5), x0=g.vertices[0], d1=0.01, d2=0.01)
+    return _instance(g, "0.05*(u+v)", spec=spec)
+
+
+@pytest.mark.parametrize("converging", (0, 1))
+def test_uniqueness_needs_two_converged_minimizers(monkeypatch, converging):
+    # a spread over fewer than two interior minimizers is 0 and shows nothing
+    calls = []
+
+    def bb(*args, **kwargs):
+        res = _optim.bb_minimize(*args, **kwargs)
+        calls.append(res)
+        return dataclasses.replace(res, converged=res.converged and len(calls) <= converging)
+
+    monkeypatch.setattr(solvers, "bb_minimize", bb)
+    report = uniqueness_certificate(_criterion_05_instance())
+    assert report.margin > 0 and report.h5_verdict == "pass (sampled)"
+    assert report.multistart_spread == 0.0
+    assert not report.certified
+    assert report.notes[-1] == f"{converging} interior minimizers converged; agreement needs 2"
+
+
+def test_uniqueness_without_a_ball_radius_is_not_certified(monkeypatch):
+    def no_radius(inst):
+        raise SolverError("no radius")
+
+    monkeypatch.setattr(solvers, "ball_radius", no_radius)
+    report = uniqueness_certificate(_criterion_05_instance())
+    assert "multistart skipped: no radius" in report.notes
+    assert not report.certified
+    assert report.notes[-1] == "0 interior minimizers converged; agreement needs 2"
+
+
 def test_uniqueness_certificate_computes_the_ball_radius_once(monkeypatch):
     calls = []
 
@@ -668,6 +703,24 @@ def test_nonexistence_certified_for_sign_example():
     assert report.certified
     assert report.worst_pairing < 0
     assert report.multistart_max_norm == pytest.approx(0.0, abs=1e-6)
+
+
+def test_nonexistence_is_refuted_by_a_nontrivial_multistart_root(monkeypatch):
+    g = path_graph(2)
+    prob = builtin("nonexist-example", g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+
+    def polish(*args, **kwargs):
+        results = _optim.polish_roots(*args, **kwargs)
+        results[0] = dataclasses.replace(results[0], x=np.ones_like(results[0].x), converged=True)
+        return results
+
+    monkeypatch.setattr(solvers, "polish_roots", polish)
+    report = nonexistence_check(inst, multistart=3)
+    assert report.sign_verdict == "pass (sampled)" and report.mechanism_ok
+    assert report.multistart_max_norm > 1.0
+    assert not report.certified
+    assert report.notes[-1] == "1 of 3 multistart polishes reached a nontrivial critical point"
 
 
 def test_nonexistence_rejects_saddle_example():

@@ -22,8 +22,10 @@ Capture the parent tree and the changed tree, then compare.
 The set: the five builtins (with ``control-objective`` as the control
 objective), ``mp-example`` at w = 0.5 with its hypothesis constants given in
 the file, the scalar quartic ``u^4*(1+w^2)`` of the benchmark, the same
-quartic with a constant for every one-block condition, and the scalar
-``0.05*u`` with a negative-energy minimizer, on path-2, path-16, K5, K8 and
+quartic with a constant for every one-block condition, the scalar
+``0.05*u`` with a negative-energy minimizer, and two problems of order m >= 2
+(``mp-m23``: the mp-example coupling without gamma at m1 = 2, m2 = 3, and
+``scalar-m2``: the all-constants quartic at m1 = 2), on path-2, path-16, K5, K8 and
 the benchmark's random-12 graph; commands ``constants``, ``check``, ``solve``,
 ``sweep`` and ``control`` (both kinds, CSV on), ``nonexist`` (without and with
 ``--multistart 3``), and ``demo`` of every builtin.  The probes are the
@@ -75,7 +77,14 @@ PROBLEMS = {
         "F": "0.05*u", "p": 2, "scalar": True,
         "hypotheses": {"delta": 0.04, "x0": "v0"}, "objective": {"F": "w^2"},
     },
+    "mp-m23": {
+        "F": "(u^2+v^2)^2*(1+w^2)", "p": 3, "q": 3, "m1": 2, "m2": 3, "J": [-1, 1],
+        "hypotheses": {"theta": 4, "c1": 16, "c2": 16, "r1": 4, "r2": 4,
+                       "gamma1": 2, "gamma2": 2},
+        "objective": "control-objective",
+    },
 }
+PROBLEMS["scalar-m2"] = {**PROBLEMS["scalar-all"], "m1": 2}
 COMMANDS = {
     "constants": ["constants"],
     "check": ["check", "--seed", "0"],
