@@ -24,7 +24,8 @@ from .continuation import branch_continuity_report, branch_to_csv, optimal_contr
 from .energy import ProblemInstance
 from .expressions import EvalDomainError, ParseError
 from .graph import (
-    GraphError, StatePair, VertexFunction, WeightedGraph, load_graph, path_graph, validate,
+    GraphError, StatePair, VertexFunction, WeightedGraph, load_graph, path_graph, total_measure,
+    validate,
 )
 from .nonlinearity import (
     BUILTIN_NAMES,
@@ -40,6 +41,7 @@ from .solvers import (
     CertificateError,
     SolverConfig,
     SolverError,
+    bound_certificate_mp,
     local_min_solve,
     mountain_pass_solve,
     negative_endpoint,
@@ -188,13 +190,13 @@ def _get_graph(args) -> WeightedGraph:
 
 def cmd_constants(inst, objective, config):
     graph = inst.graph
-    result = {"n": graph.n, "volume": float(np.sum(graph.mu)), "p": inst.p, "q": inst.q}
+    result = {"n": graph.n, "volume": total_measure(graph), "p": inst.p, "q": inst.q}
     # (b, K1) of the first block and (d, K2) of the second, each under its own potential
     for names, constants in zip((("b", "K1"), ("d", "K2")), inst.embedding.blocks):
         result.update(zip(names, constants))
     try:
         endpoint = negative_endpoint(inst)
-        result["bounds"] = to_json(inst.bounds_mp(endpoint))
+        result["bounds"] = to_json(bound_certificate_mp(inst, endpoint))
     except (SolverError, CertificateError) as err:
         result["bounds"] = None
         result["bounds_error"] = str(err)

@@ -37,10 +37,10 @@ class FlatProblem:
 
     A state is one ndarray holding the unknown blocks end to end: (u, v) for
     the system, u alone for the scalar problem.  Subclasses are dataclasses
-    with ``graph``, ``nl``, ``spec`` and ``w``; they supply ``spaces`` (one
-    SpaceSpec per block, carrying its order, exponent and potential), the
-    certificate functions ``bounds_mp`` and ``bounds_min``, and the
-    report-kind prefix.  Everything else is written once over the blocks.
+    with ``graph``, ``nl``, ``spec`` and ``w``; they supply only ``spaces``
+    (one SpaceSpec per block, carrying its order, exponent and potential)
+    and the report-kind prefix ``kind_prefix``.  Everything else, the
+    certificates of ``solvers.py`` included, is written once over the blocks.
     """
 
     kind_prefix = ""
@@ -175,17 +175,6 @@ class ProblemInstance(FlatProblem):
     # bench/oracle.py and the tests read the two factor spaces under these names
     space1 = property(lambda self: self.spaces[0])
     space2 = property(lambda self: self.spaces[1])
-
-    # The two-block certificates live in solvers.py, which imports this module.
-    def bounds_mp(self, endpoint):
-        from .solvers import bound_certificate_mp
-
-        return bound_certificate_mp(self, endpoint)
-
-    def bounds_min(self, t0, rho):
-        from .solvers import bound_certificate_min
-
-        return bound_certificate_min(self, t0, rho)
 
 
 def _unpack(inst: FlatProblem, state) -> tuple:

@@ -7,9 +7,11 @@ descent inside a certified ball.  Each converged state gets a certificate
 sandwiching its product norm between explicit constants built from the graph
 data and the hypothesis constants.
 
-The drivers see a problem only through its flat-vector surface (see
-``energy.FlatProblem``), so the same code serves the two-block system and the
-one-block scalar problem; the certificate functions below are the system's.
+The drivers and the certificates see a problem only through its flat-vector
+surface and its blocks' spaces (see ``energy.FlatProblem``), so the same code
+serves the two-block system and the one-block scalar problem: there is one
+certificate function per solution type, and the scalar problem's primed
+constants are its one-block case.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from ._optim import (
     bb_minimize, least_squares_retry, path_saddle, polish_root, polish_roots, weighted_norm,
 )
-from .energy import ProblemInstance, phi  # noqa: F401  phi: bench/tracing.py requires this binding
+from .energy import FlatProblem, phi  # noqa: F401  phi: bench/tracing.py requires this binding
 from .graph import StatePair, VertexFunction, integral, total_measure
 from .nonlinearity import SamplingConfig, block_fields, lipschitz_screen, sign_screen
 from .spaces import w_norm
@@ -197,7 +199,7 @@ def _warm_report(inst, res, kind, config, bounds, *args):
     """
     if not res.converged or inst.norm(res.x) < trivial_norm(inst, config.tol):
         return None
-    cert, flags = certify(bounds, *args)
+    cert, flags = certify(bounds, inst, *args)
     report = solve_report(
         inst, res.x, kind, res.iterations, res.fevals, config,
         certificate=cert, extra_flags=flags + ("warm start",),
@@ -229,7 +231,7 @@ def mountain_pass_solve(
     weights = inst.weights
     if start is not None:
         warm = polish_root(inst.gradient, start, weights, inst.jacobian, tol=config.tol)
-        report = _warm_report(inst, warm, "mountain-pass", config, inst.bounds_mp, endpoint)
+        report = _warm_report(inst, warm, "mountain-pass", config, bound_certificate_mp, endpoint)
         if report is not None:
             return report
     floor = trivial_norm(inst, config.tol)
@@ -253,7 +255,7 @@ def mountain_pass_solve(
         n_nodes=config.path_nodes, tol=config.tol,
     )
     log.info("%s after %d sweeps", "accepted trial" if accepted else "no trial accepted", outer)
-    cert, extra = certify(inst.bounds_mp, endpoint)
+    cert, extra = certify(bound_certificate_mp, inst, endpoint)
     if not accepted:
         extra += ("path deformation did not reach coarse tolerance",)
     report = solve_report(
@@ -269,51 +271,71 @@ def _require(spec, names, what):
         raise CertificateError(f"{what} requires constants {missing}")
 
 
-def bound_certificate_mp(inst: ProblemInstance, endpoint: tuple) -> BoundCertificate:
-    """Lower/upper norm bounds for saddle solutions from the hypothesis constants."""
-    spec = inst.spec
-    _require(spec, ("theta", "c1", "c2", "r1", "r2"), "mountain-pass certificate")
-    p, q = inst.p, inst.q
+def _growth_cap(inst) -> tuple:
+    """(lower-bound terms, M) of the growth cap (H2), one term per block.
+
+    With M = max_i c_i * max_i b_i^{r_i}, block i of exponent s paired with
+    the other block's exponent s' (its own for one block) gives the term
+
+        min{(2^s vol M)^(-1/(max r - s')), (2^(s-1) vol M)^(-1/(min r - s))}.
+
+    The smallest term is the mountain-pass C1 and, at p = q, the local-min
+    C3.  For one block it is the primed (2^p vol c1 b^r1)^(-1/(r1 - p)).
+    """
+    spec, blocks = inst.spec, len(inst.spaces)
+    cs, rs = ([getattr(spec, f) for f in block_fields(blocks, stem)] for stem in ("c", "r"))
+    exps = [space.ord.s for space in inst.spaces]
+    vol = total_measure(inst.graph)
+    M = max(cs) * max(b**r for (b, _), r in zip(inst.embedding.blocks, rs))
+    terms = [
+        min(
+            (1.0 / (2.0**s * vol * M)) ** (1.0 / (max(rs) - other)),
+            (1.0 / (2.0 ** (s - 1) * vol * M)) ** (1.0 / (min(rs) - s)),
+        )
+        for s, other in zip(exps, exps[::-1])
+    ]
+    return terms, M
+
+
+def bound_certificate_mp(inst: FlatProblem, endpoint: tuple) -> BoundCertificate:
+    """Lower/upper norm bounds for saddle solutions from the hypothesis constants.
+
+    ``endpoint`` holds the blocks of the negative-energy endpoint.  The lower
+    bound C1 is the smallest ``_growth_cap`` term.  With E0 = sum_i
+    ||z0_i||^{s_i} / s_i over the endpoint's blocks, each block's
+    base s theta 2^(s-1) E0 / (theta - s) is raised to 1/s for its own
+    exponent and then the other block's; C2 is the largest of these.  With
+    one block, C1 and C2 are the primed C1' and C2'.
+    """
+    spec, blocks = inst.spec, len(inst.spaces)
+    _require(spec, ("theta", *block_fields(blocks, "c", "r")), "mountain-pass certificate")
     th = spec.theta
-    mx, mn = max(spec.r1, spec.r2), min(spec.r1, spec.r2)
-    for label, value in (
-        ("max{r1,r2} - q", mx - q),
-        ("min{r1,r2} - p", mn - p),
-        ("max{r1,r2} - p", mx - p),
-        ("min{r1,r2} - q", mn - q),
-        ("theta - p", th - p),
-        ("theta - q", th - q),
-    ):
+    r_names = block_fields(blocks, "r")
+    rs = [getattr(spec, f) for f in r_names]
+    exps = [space.ord.s for space in inst.spaces]
+    r_set = "{" + ",".join(r_names) + "}"
+    named = list(zip(("p", "q"), exps))
+    gaps = []
+    for (name, s), (other_name, other) in zip(named, named[::-1]):
+        gaps += [(f"max{r_set} - {other_name}", max(rs) - other),
+                 (f"min{r_set} - {name}", min(rs) - s)]
+    gaps += [(f"theta - {name}", th - s) for name, s in named]
+    for label, value in gaps:
         if value <= 0:
             raise CertificateError(f"constraint violated: {label} must be positive")
-    (b, _), (d, _) = inst.embedding.blocks
-    vol = total_measure(inst.graph)
-    M = max(spec.c1, spec.c2) * max(b**spec.r1, d**spec.r2)
-    A1 = min(
-        (1.0 / (2.0**p * vol * M)) ** (1.0 / (mx - q)),
-        (1.0 / (2.0 ** (p - 1) * vol * M)) ** (1.0 / (mn - p)),
+    lowers, M = _growth_cap(inst)
+    E0 = sum(
+        w_norm(inst.graph, z, space) ** s / s for z, space, s in zip(endpoint, inst.spaces, exps)
     )
-    A2 = min(
-        (1.0 / (2.0**q * vol * M)) ** (1.0 / (mx - p)),
-        (1.0 / (2.0 ** (q - 1) * vol * M)) ** (1.0 / (mn - q)),
-    )
-    C1 = min(A1, A2)
-    u0, v0 = endpoint
-    E0 = (
-        w_norm(inst.graph, u0, inst.spaces[0]) ** p / p
-        + w_norm(inst.graph, v0, inst.spaces[1]) ** q / q
-    )
-    base_p = p * th * 2.0 ** (p - 1) * E0 / (th - p)
-    base_q = q * th * 2.0 ** (q - 1) * E0 / (th - q)
-    A3, A4 = base_p ** (1.0 / p), base_p ** (1.0 / q)
-    A5, A6 = base_q ** (1.0 / q), base_q ** (1.0 / p)
-    C2 = max(A3, A4, A5, A6)
+    bases = [s * th * 2.0 ** (s - 1) * E0 / (th - s) for s in exps]
+    uppers = [base ** (1.0 / s) for i, base in enumerate(bases) for s in exps[i:] + exps[:i]]
+    C1, C2 = min(lowers), max(uppers)
     return BoundCertificate(
-        kind="mountain-pass",
+        kind=inst.kind_prefix + "mountain-pass",
         lower=C1,
         upper=C2,
         constants={
-            "A1": A1, "A2": A2, "A3": A3, "A4": A4, "A5": A5, "A6": A6,
+            **{f"A{k}": a for k, a in enumerate(lowers + uppers, 1)},
             "M": M, "E0": E0, "C1": C1, "C2": C2,
         },
     )
@@ -408,13 +430,13 @@ def local_min_solve(
         warm = bb_minimize(
             inst.energy, inst.gradient, start, weights, project, tol=config.tol
         )
-        report = _warm_report(inst, warm, "local-min", config, inst.bounds_min, t0, rho)
+        report = _warm_report(inst, warm, "local-min", config, bound_certificate_min, t0, rho)
         if report is not None:
             return report
     result = bb_minimize(
         inst.energy, inst.gradient, t0 * inst.spike(), weights, project, tol=config.tol
     )
-    cert, extra = certify(inst.bounds_min, t0, rho)
+    cert, extra = certify(bound_certificate_min, inst, t0, rho)
     if inst.norm(result.x) >= rho * (1.0 - 1e-9):
         extra += ("boundary minimum - not certified critical",)
     return solve_report(
@@ -462,46 +484,47 @@ def energy_level_bounds(inst, t0: float, rho: float) -> BoundCertificate | None:
     )
 
 
-def bound_certificate_min(inst: ProblemInstance, t0: float, rho: float) -> BoundCertificate:
+def bound_certificate_min(inst: FlatProblem, t0: float, rho: float) -> BoundCertificate:
     """Norm bounds for the minimizer in the ball of radius rho (p = q).
 
-    The start is t0 (spike, spike).  If its energy is negative, the bounds
-    are ``energy_level_bounds``.  A start with nonnegative energy falls back
-    to C3 (from (H2), r1, r2 > p) and C4 (from (H1), theta > p).  Neither fits a negative-energy minimizer:
-    (H1) forces Phi >= 0 at every critical point, and (H2) makes F = O(|t|^r)
-    at the origin, against the spike floor F(x0, t, t) >= L t^p of (H4).
+    The start is t0 * spike.  If its energy is negative, the bounds are
+    ``energy_level_bounds``.  A start with nonnegative energy falls back to
+    C3, the smallest ``_growth_cap`` term (from (H2), r_i > p), and C4 (from
+    (H1), theta > p); with one block they are the primed C3' and C4'.
+    Neither fits a negative-energy minimizer: (H1) forces Phi >= 0 at every
+    critical point, and (H2) makes F = O(|t|^r) at the origin, against the
+    spike floor F(x0, t, t) >= L t^p of (H4).
     """
-    spec = inst.spec
-    p, q = inst.p, inst.q
-    if p != q:
+    spec, blocks = inst.spec, len(inst.spaces)
+    p = inst.p
+    if p != inst.q:
         raise CertificateError("local-min certificate requires p == q")
     cert = energy_level_bounds(inst, t0, rho)
     if cert is not None:
         return cert
-    spike = inst.split(inst.spike())[0]
-    _require(spec, ("c1", "c2", "r1", "r2"), "lower bound")
+    _require(spec, block_fields(blocks, "c", "r"), "lower bound")
     _require(spec, ("theta",), "upper bound")
     th = spec.theta
     if th <= p:
         raise CertificateError("constraint violated: theta - p must be positive")
-    mx, mn = max(spec.r1, spec.r2), min(spec.r1, spec.r2)
-    if mn <= p:
-        raise CertificateError("constraint violated: min{r1,r2} - p must be positive")
-    (b, _), (d, _) = inst.embedding.blocks
-    vol = total_measure(inst.graph)
-    M = max(spec.c1, spec.c2) * max(b**spec.r1, d**spec.r2)
-    C3 = min(
-        (1.0 / (2.0**p * vol * M)) ** (1.0 / (mx - p)),
-        (1.0 / (2.0 ** (p - 1) * vol * M)) ** (1.0 / (mn - p)),
-    )
-    nu = w_norm(inst.graph, spike, inst.spaces[0]) ** p
-    nv = w_norm(inst.graph, spike, inst.spaces[1]) ** p
-    C4 = (th * 2.0 ** (p - 1) * t0**p * (nu + nv) / (p * (th - p))) ** (1.0 / p)
+    r_names = block_fields(blocks, "r")
+    if min(getattr(spec, f) for f in r_names) <= p:
+        r_set = "{" + ",".join(r_names) + "}"
+        raise CertificateError(f"constraint violated: min{r_set} - p must be positive")
+    lowers, M = _growth_cap(inst)
+    C3 = min(lowers)
+    spike = inst.split(inst.spike())
+    spike_norms = sum(w_norm(inst.graph, z, space) ** p for z, space in zip(spike, inst.spaces))
+    # The two-block C4 divides by p inside the root and the primed C4' does
+    # not; which one the theorem states stays open until its text is in the
+    # repo (ROADMAP item 5), so each keeps its value.
+    divisor = p if blocks == 2 else 1.0
+    C4 = (th * 2.0 ** (p - 1) * t0**p * spike_norms / (divisor * (th - p))) ** (1.0 / p)
     notes = ()
     if C4 < C3:
         notes = ("degenerate certificate: upper bound below lower bound",)
     return BoundCertificate(
-        kind="local-min",
+        kind=inst.kind_prefix + "local-min",
         lower=C3,
         upper=C4,
         constants={"C3": C3, "C4": C4, "M": M, "t0": t0, "rho": rho},
@@ -550,7 +573,7 @@ def _check_monotonicity(p: float, grid: int = 100, span: float = 3.0) -> tuple:
 
 
 def uniqueness_certificate(
-    inst: ProblemInstance, config: SolverConfig = None
+    inst: FlatProblem, config: SolverConfig = None
 ) -> UniquenessReport:
     """Contraction-style uniqueness screen for the local minimizer.
 
@@ -580,7 +603,7 @@ def uniqueness_certificate(
         try:
             if rho is None:
                 raise rho_error
-            cert = inst.bounds_min(spike_start(inst, rho), rho)
+            cert = bound_certificate_min(inst, spike_start(inst, rho), rho)
             h5_radius = cert.upper * inst.embedding.cap
         except (SolverError, CertificateError) as err:
             h5_radius = None

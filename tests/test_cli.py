@@ -13,7 +13,7 @@ import pytest
 import grapde
 from grapde import load_schema
 from grapde.cli import load_problem, main, to_json
-from grapde.graph import graph_to_dict, path_graph
+from grapde.graph import graph_from_dict, graph_to_dict, path_graph, total_measure
 from grapde.nonlinearity import builtin
 from grapde.solvers import SolverError
 
@@ -103,6 +103,19 @@ def test_constants_report(tmp_path):
     assert result["n"] == 2 and result["volume"] == 2.0
     assert result["bounds"] is not None
     assert result["bounds"]["lower"] > 0
+
+
+def test_constants_volume_is_the_certificates_total_measure(tmp_path):
+    # the certificates are built from the fsum total measure; on the golden
+    # random-12 graph numpy's pairwise sum of mu differs from it in the last bit
+    data = golden.GRAPHS["random-12"]()
+    g = graph_from_dict(data)
+    assert float(np.sum(g.mu)) != total_measure(g)
+    graph = _write(tmp_path, "g.json", data)
+    problem = _write(tmp_path, "p.json", {"builtin": "mp-example"})
+    code, report = _run(tmp_path, ["constants", "--graph", graph, "--problem", problem])
+    assert code == 0
+    assert report["result"]["volume"] == total_measure(g)
 
 
 def test_solve_saddle_certified(tmp_path):

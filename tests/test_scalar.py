@@ -8,17 +8,20 @@ from grapde.calculus import OperatorOrder, laplacian
 from grapde.cli import to_json
 from grapde.continuation import optimal_control, sweep
 from grapde.energy import ProblemInstance, phi_grad
-from grapde.graph import path_graph
+from grapde.graph import complete_graph, path_graph, total_measure
 from grapde.nonlinearity import HypothesisSpec, Nonlinearity, SamplingConfig, lipschitz_screen
-from grapde.scalar import ScalarInstance, scalar_bounds, scalar_bounds_min
+from grapde.scalar import ScalarInstance
 from grapde.solvers import (
     CertificateError,
     SolverError,
     ball_radius,
+    bound_certificate_min,
+    bound_certificate_mp,
     local_min_solve,
     mountain_pass_solve,
     nonexistence_check,
 )
+from grapde.spaces import w_norm
 
 
 def _instance(g, F, coeffs=None, p=2.0, m=1, spec=None, w=0.0):
@@ -64,7 +67,7 @@ def test_bounds_hand_values():
     spec = HypothesisSpec(theta=4.0, c1=1.0, r1=4.0)
     inst = _instance(g, "u^4", spec=spec)
     u0 = np.array([1.0, 0.0]) / math.sqrt(2.0)
-    cert = scalar_bounds(inst, u0)
+    cert = bound_certificate_mp(inst, (u0,))
     assert cert.lower == pytest.approx(math.sqrt(1.0 / 8.0), rel=1e-12)
     assert cert.upper == pytest.approx(2.0, rel=1e-12)
 
@@ -72,11 +75,11 @@ def test_bounds_hand_values():
 def test_bounds_named_errors():
     g = path_graph(2)
     inst = _instance(g, "u^4", spec=HypothesisSpec())
-    with pytest.raises(CertificateError, match="c1, r1, theta"):
-        scalar_bounds(inst, np.array([1.0, 0.0]))
+    with pytest.raises(CertificateError, match="'theta', 'c1', 'r1'"):
+        bound_certificate_mp(inst, (np.array([1.0, 0.0]),))
     bad = _instance(g, "u^4", spec=HypothesisSpec(theta=4.0, c1=1.0, r1=2.0))
-    with pytest.raises(CertificateError, match="r1 - p"):
-        scalar_bounds(bad, np.array([1.0, 0.0]))
+    with pytest.raises(CertificateError, match=r"max\{r1\} - p"):
+        bound_certificate_mp(bad, (np.array([1.0, 0.0]),))
 
 
 def test_saddle_solve_quartic():
@@ -156,9 +159,58 @@ def test_min_bounds_hand_value():
     g = path_graph(2)
     spec = HypothesisSpec(theta=4.0, c1=1.0, r1=4.0)
     inst = _instance(g, "0", spec=spec)
-    cert = scalar_bounds_min(inst, t0=0.25, rho=1.0)
+    cert = bound_certificate_min(inst, t0=0.25, rho=1.0)
     assert cert.lower == pytest.approx(math.sqrt(1.0 / 8.0), rel=1e-12)
     assert cert.upper == pytest.approx(0.25 * 2.0 * math.sqrt(2.0), rel=1e-12)
+
+
+def _primed(inst, u0, t0):
+    """C1'-C4' of the scalar theorem, written out."""
+    spec, p = inst.spec, inst.p
+    vol = total_measure(inst.graph)
+    (b, _), = inst.embedding.blocks
+    space = inst.spaces[0]
+    c1 = (2.0**p * vol * spec.c1 * b**spec.r1) ** (-1.0 / (spec.r1 - p))
+    c2 = (spec.theta * 2.0 ** (p - 1) * w_norm(inst.graph, u0, space) ** p
+          / (spec.theta - p)) ** (1.0 / p)
+    spike = w_norm(inst.graph, inst.spike(), space)
+    c4 = (spec.theta * 2.0 ** (p - 1) * t0**p * spike**p / (spec.theta - p)) ** (1.0 / p)
+    return c1, c2, c1, c4
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("m", [1, 2])
+def test_one_block_certificates_are_the_primed_bounds(p, m):
+    # the system's certificates at one block are C1'-C4'; c1 = 3 is not a
+    # power of two, so the products may round differently in the last bit
+    rng = np.random.default_rng(7)
+    spec = HypothesisSpec(theta=5.0, c1=3.0, r1=5.0)
+    for g in (path_graph(2), complete_graph(5), random_graph(rng, n=7)):
+        inst = _instance(g, "0", p=p, m=m, spec=spec)
+        u0 = rng.standard_normal(g.n)
+        mp = bound_certificate_mp(inst, (u0,))
+        low = bound_certificate_min(inst, 0.3, 1.0)
+        got = (mp.lower, mp.upper, low.lower, low.upper)
+        for value, want in zip(got, _primed(inst, u0, 0.3)):
+            assert abs(value - want) <= 1e-15 * want
+        assert mp.kind == "scalar-mountain-pass" and low.kind == "scalar-local-min"
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+def test_mountain_pass_and_local_min_lower_bounds_agree_at_p_equal_q(p):
+    # one growth-cap lower bound: the mp C1 is the min C3, bit for bit
+    rng = np.random.default_rng(11)
+    g = random_graph(rng, n=6)
+    order = OperatorOrder(1, p)
+    nl = Nonlinearity.from_source(g, "0", {})
+    one = ScalarInstance(g, order, nl, HypothesisSpec(theta=6.0, c1=3.0, r1=5.0), "h1", 0.0)
+    two = ProblemInstance(
+        g, order, order, nl, HypothesisSpec(theta=6.0, c1=3.0, c2=1.5, r1=5.0, r2=4.5), 0.0
+    )
+    for inst in (one, two):
+        endpoint = inst.split(rng.standard_normal(g.n * len(inst.spaces)))
+        mp = bound_certificate_mp(inst, endpoint)
+        assert mp.lower == bound_certificate_min(inst, 0.1, 1.0).lower
 
 
 def test_sweep_and_control():

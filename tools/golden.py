@@ -12,11 +12,14 @@ line names the capture directory as ``<OUT>``.  ``compare``
 lists every file, exit code and stderr line that differs between two
 captures, with the differing JSON leaves, and exits 1 if anything differs.
 Each differing report also gets one ``summary`` line: the largest energy
-change of a state converged in both, relative to the largest |energy| of a
-converged state of the first report, and every change of a state's
-``converged``, its certificate's ``satisfied``, its ``flags`` and the exit
-code.  The last line is the tally: the count of differing files, the count
-of runs with such a verdict change, and the largest energy change of all.
+change of a state converged in both and flagged ``trivial`` in neither,
+relative to the largest |energy| of such a state of the first report; the
+largest relative change of a certificate's ``lower`` or ``upper`` (each
+state's certificate and a ``constants`` report's ``bounds``); and every
+change of a state's ``converged``, its certificate's ``satisfied``, its
+``flags`` and the exit code.  The last line is the tally: the count of
+differing files, the count of runs with such a verdict change, and the
+largest energy and bound changes of all.
 Capture the parent tree and the changed tree, then compare.
 
 The set: the five builtins (with ``control-objective`` as the control
@@ -221,33 +224,55 @@ def _describe(a, b):
     return lines
 
 
-def _states(node, path=""):
-    """(path, report) of every solve report (a dict with energy and converged) in a document."""
+def _dicts_with(keys, node, path=""):
+    """(path, dict) of every dict in a document that has all of ``keys``."""
     if isinstance(node, dict):
-        if "energy" in node and "converged" in node:
+        if keys <= node.keys():
             yield path, node
         for key in sorted(node):
-            yield from _states(node[key], f"{path}.{key}")
+            yield from _dicts_with(keys, node[key], f"{path}.{key}")
     elif isinstance(node, list):
         for k, item in enumerate(node):
-            yield from _states(item, f"{path}[{k}]")
+            yield from _dicts_with(keys, item, f"{path}[{k}]")
+
+
+_STATE = {"energy", "converged"}  # a solve report
+_CERTIFICATE = {"kind", "lower", "upper"}  # a state's certificate, or a constants report's bounds
+
+
+def _relative(x, y) -> float:
+    """|y - x| / |x|; 0 if equal, inf if x is 0, non-finite or not a number."""
+    if x == y:
+        return 0.0
+    if isinstance(x, float) and isinstance(y, float) and math.isfinite(x) and x != 0:
+        return abs(y - x) / abs(x)
+    return math.inf
 
 
 def _summary(a, b, exits):
-    """The largest relative energy change and the verdict changes of two reports.
+    """The largest relative energy and bound changes and the verdict changes of two reports.
 
-    Each change is relative to the largest |energy| of a converged state of
-    ``a``, not to that state's own energy, so a state whose energy is ~0
-    (the trivial solution, 1e-30) does not make a round-off change look large.
+    Each energy change is relative to the largest |energy| of a converged
+    state of ``a``, not to that state's own energy, so a state whose energy
+    is ~0 does not make a round-off change look large; a state flagged
+    ``trivial`` in either report (the zero solution, energies about 1e-18)
+    is left out of the energy change and of that scale.  The bound change
+    is the largest relative change of the ``lower`` or ``upper`` of a
+    certificate present in both reports (the certificate of each state, and
+    the ``bounds`` of a ``constants`` report).
     """
-    sa, sb = dict(_states(a)), dict(_states(b))
-    scale = max((abs(r["energy"]) for r in sa.values() if r["converged"]), default=0.0)
+    sa, sb = dict(_dicts_with(_STATE, a)), dict(_dicts_with(_STATE, b))
+
+    def nontrivial(r):
+        return r["converged"] and "trivial" not in (r.get("flags") or ())
+
+    scale = max((abs(r["energy"]) for r in sa.values() if nontrivial(r)), default=0.0)
     rel = 0.0
     changes = [f"state{path} only in {'A' if path in sa else 'B'}"
                for path in sorted(sa.keys() ^ sb.keys())]
     for path in sorted(sa.keys() & sb.keys()):
         x, y = sa[path], sb[path]
-        if x["converged"] and y["converged"]:
+        if nontrivial(x) and nontrivial(y):
             ex, ey = x["energy"], y["energy"]
             rel = max(rel, abs(ey - ex) / scale if scale else abs(ey - ex))
         for key, get in (
@@ -259,7 +284,10 @@ def _summary(a, b, exits):
                 changes.append(f"{key}{path}: {get(x)!r} -> {get(y)!r}")
     if exits[0] != exits[1]:
         changes.append(f"exit: {exits[0]} -> {exits[1]}")
-    return rel, changes, bool(sa.keys() & sb.keys())
+    ca, cb = dict(_dicts_with(_CERTIFICATE, a)), dict(_dicts_with(_CERTIFICATE, b))
+    bound = max((_relative(ca[path][end], cb[path][end])
+                 for path in ca.keys() & cb.keys() for end in ("lower", "upper")), default=0.0)
+    return rel, bound, changes, bool(sa.keys() & sb.keys())
 
 
 def compare(a, b):
@@ -271,7 +299,7 @@ def compare(a, b):
                          if not rel.startswith("inputs"))
     files.discard("manifest.json")
     differ = 0
-    files_differ, max_rel = 0, 0.0
+    files_differ, max_rel, max_bound = 0, 0.0, 0.0
     verdicts = set()  # runs with a change of converged, satisfied, flags or exit code
     with open(os.path.join(a, "manifest.json"), encoding="utf-8") as fh:
         ma = json.load(fh)
@@ -306,16 +334,17 @@ def compare(a, b):
             print("\n".join(_describe(ja, jb)[:20]))
             run = name[: -len(".json")]
             exits = (ma.get(run, {}).get("exit"), mb.get(run, {}).get("exit"))
-            rel, changes, common = _summary(ja, jb, exits)
-            max_rel = max(max_rel, rel)
+            rel, bound, changes, common = _summary(ja, jb, exits)
+            max_rel, max_bound = max(max_rel, rel), max(max_bound, bound)
             if changes:
                 verdicts.add(run)
             head = f"max energy change {rel:.1e}" if common else "no common state"
-            print("  summary: " + "; ".join([head] + changes))
+            print("  summary: " + "; ".join([head, f"max bound change {bound:.1e}"] + changes))
     same = len(files) - differ
     print(f"{len(files)} files, {differ} differences, {max(same, 0)} identical")
     print(f"tally: {files_differ} files differ, {len(verdicts)} runs change converged, "
-          f"satisfied, flags or exit code, max energy change {max_rel:.1e}")
+          f"satisfied, flags or exit code, max energy change {max_rel:.1e}, "
+          f"max bound change {max_bound:.1e}")
     return 1 if differ else 0
 
 
