@@ -21,6 +21,8 @@ from .solvers import (
     SolverConfig,
     SolverError,
     ball_radius,
+    bound_certificate_mp,
+    certify,
     local_min_solve,
     mountain_pass_solve,
     negative_endpoint,
@@ -71,6 +73,8 @@ def sweep(
     grid = inst.spec.w_grid(grid)
 
     endpoint = negative_endpoint(inst) if kind == "mp" else None
+    # one endpoint, so one certificate for every point: it does not depend on w
+    certified = certify(bound_certificate_mp, inst, endpoint) if kind == "mp" else None
     rho = ball_radius(inst) if kind == "min" else None
 
     reports = []
@@ -79,7 +83,7 @@ def sweep(
         point = inst.at(float(w))
         try:
             if kind == "mp":
-                report = mountain_pass_solve(point, config, endpoint, start)
+                report = mountain_pass_solve(point, config, endpoint, start, certified)
             else:
                 report = local_min_solve(point, config, rho, start)
         except SolverError:

@@ -25,11 +25,13 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import OperatorOrder, grad_modulus, polylap_apply, polylap_jacobian, power_coeff
-from .graph import StatePair, VertexFunction, WeightedGraph, asvalues, integral
+from .graph import StatePair, VertexFunction, WeightedGraph, asvalues, hop_ball, integral
 from .nonlinearity import HypothesisSpec, Nonlinearity, check_hypotheses, spike_vertex
 from .spaces import BlockEmbedding, SpaceSpec, block_embedding, w_norm
 
-__all__ = ["FlatProblem", "ProblemInstance", "phi", "phi_grad", "el_residual_norm", "psi"]
+__all__ = [
+    "FlatProblem", "Restriction", "ProblemInstance", "phi", "phi_grad", "el_residual_norm", "psi",
+]
 
 
 class FlatProblem:
@@ -83,6 +85,15 @@ class FlatProblem:
 
     def energy(self, x):
         return phi(self, self.split(x))
+
+    def energies(self, x, ws):
+        """The energy at x at each parameter of ws, lazily, each as ``at(w).energy(x)`` gives it.
+
+        The norm part, which does not depend on w, is computed once.
+        """
+        u, v = _unpack(self, self.split(x))
+        norms = _norm_part(self, u, v)
+        return (norms - integral(self.graph, self.nl.values("F", u, v, w)) for w in ws)
 
     def gradient(self, x) -> np.ndarray:
         return np.concatenate(phi_grad(self, self.split(x)), axis=-1)
@@ -157,6 +168,105 @@ class FlatProblem:
         )
 
 
+class Restriction:
+    """A problem on the states supported on a vertex set B: its unknowns are the blocks on B.
+
+    B is the vertices where the mask ``ball`` holds.  The problem is
+    evaluated on the subgraph of B and a halo of m hops around it (m the
+    highest operator order), with the halo pinned at 0.  Every |grad^m|
+    term of a state supported on B lives within ceil(m/2) hops of B, so at
+    such a state the energy and the norm are the full
+    problem's, the energy up to the integral of F(x, 0, 0, w) beyond the
+    halo (0 under (F1)), and so are the gradient and Jacobian entries on
+    B.  It has the surface that the saddle search reads: ``energy``,
+    ``gradient``, ``jacobian``, ``norm``, ``weights``, ``spaces`` and
+    ``morse_index``, the index of the Hessian's block on B.  ``extend``
+    and ``cut`` map its states to the full problem's and back.
+    """
+
+    def __init__(self, problem: FlatProblem, ball):
+        g = problem.graph
+        ball = np.asarray(ball, bool)
+        m = max(space.ord.m for space in problem.spaces)
+        keep = np.flatnonzero(hop_ball(g, ball, m))
+        sub = g.induced(keep)
+        self.problem = problem
+        self.spaces = problem.spaces
+        self.size = int(np.count_nonzero(ball))
+        self.sub = replace(problem, graph=sub, nl=problem.nl.induced(sub, keep))
+        blocks = range(len(problem.spaces))
+        self._padded = len(problem.spaces) * sub.n  # the size of a sub state
+        inner = np.flatnonzero(ball[keep])  # B's places among the kept vertices
+        self.free = np.concatenate([k * sub.n + inner for k in blocks])  # in a sub state
+        self.cols = np.concatenate([k * g.n + keep[inner] for k in blocks])  # in a full state
+        self.weights = problem.weights[self.cols]
+
+    def _pad(self, x) -> np.ndarray:
+        z = np.zeros(np.shape(x)[:-1] + (self._padded,))
+        z[..., self.free] = x
+        return z
+
+    def extend(self, x) -> np.ndarray:
+        """The full problem's state that is x on B and 0 elsewhere."""
+        z = np.zeros(np.shape(x)[:-1] + (self.problem.weights.size,))
+        z[..., self.cols] = x
+        return z
+
+    def cut(self, x) -> np.ndarray:
+        """The entries on B of the full problem's state x."""
+        return x[..., self.cols]
+
+    def energy(self, x):
+        return self.sub.energy(self._pad(x))
+
+    def gradient(self, x) -> np.ndarray:
+        return self.sub.gradient(self._pad(x))[..., self.free]
+
+    def jacobian(self, x) -> np.ndarray:
+        return self.sub.jacobian(self._pad(x))[..., self.free[:, None], self.free]
+
+    def norm(self, x):
+        return self.sub.norm(self._pad(x))
+
+    morse_index = FlatProblem.morse_index
+
+    def full_index(self, x) -> tuple:
+        """(Morse index, nullity) of the full problem's Hessian at the extension of x.
+
+        Rows and columns of the Jacobian that are exactly 0 (an s > 2 block
+        has no curvature where the state and its neighbours vanish) are left
+        out and counted as the nullity.  On the rest, let S be the symmetric
+        matrix of ``FlatProblem.morse_index`` and C the entries off B.
+        Haynsworth's inertia additivity gives In(S) = In(S_BB) + In(S /
+        S_BB), with the Schur complement S / S_BB = S_CC - S_CB S_BB^-1 S_BC.
+        One Cholesky factorization shows the complement positive definite,
+        and then the index is that of S_BB.  The index is None where this is
+        not shown: the factorization fails, or an eigenvalue of S_BB lies
+        within ``morse_index``'s threshold of 0.
+        """
+        full = self.problem
+        J = full.jacobian(self.extend(x))
+        zero = ~(J.any(axis=0) | J.any(axis=1))
+        on_ball = np.zeros(zero.size, bool)
+        on_ball[self.cols] = True
+        b, c = np.flatnonzero(on_ball & ~zero), np.flatnonzero(~on_ball & ~zero)
+        live = np.concatenate([b, c])
+        sw = np.sqrt(full.weights[live])
+        S = sw[:, None] * J[np.ix_(live, live)] / sw[None, :]
+        S = 0.5 * (S + S.T)
+        k = b.size
+        lam, V = np.linalg.eigh(S[:k, :k])
+        nullity = int(np.count_nonzero(zero))
+        if k and np.min(np.abs(lam)) <= 1e-8 * max(1.0, float(np.max(np.abs(lam)))):
+            return None, nullity
+        W = S[k:, :k] @ V
+        try:
+            np.linalg.cholesky(S[k:, k:] - (W / lam) @ W.T)
+        except np.linalg.LinAlgError:
+            return None, nullity
+        return int(np.count_nonzero(lam < 0)), nullity
+
+
 @dataclass(frozen=True)
 class ProblemInstance(FlatProblem):
     """All data of one parametrized system: graph, operators, coupling, w."""
@@ -189,14 +299,18 @@ def phi(inst: FlatProblem, state):
 
     A float for one state; an array of energies for a stack of states.
     """
-    g = inst.graph
     u, v = _unpack(inst, state)
-    norms = sum(
+    return _norm_part(inst, u, v) - integral(inst.graph, inst.nl.values("F", u, v, inst.w))
+
+
+def _norm_part(inst: FlatProblem, u, v):
+    """The part of the energy that does not depend on w: the sum of (1/p)||u||^p."""
+    g = inst.graph
+    return sum(
         integral(g, grad_modulus(g, b, s.ord.m) ** s.ord.s
                  + getattr(g, s.potential) * np.abs(b) ** s.ord.s) / s.ord.s
         for b, s in zip((u, v), inst.spaces)
     )
-    return norms - integral(g, inst.nl.values("F", u, v, inst.w))
 
 
 def phi_grad(inst: FlatProblem, state) -> tuple:

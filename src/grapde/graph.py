@@ -26,6 +26,7 @@ __all__ = [
     "validate",
     "integral",
     "total_measure",
+    "hop_ball",
     "load_graph",
     "save_graph",
 ]
@@ -118,6 +119,19 @@ class WeightedGraph:
                 raise GraphError(f"edge {{{a},{b}}} has a dangling endpoint")
             edge_idx.append((idx[a], idx[b], float(w)))
         return cls(ids, mu, h1, h2, tuple(edge_idx))
+
+    def induced(self, keep) -> "WeightedGraph":
+        """The subgraph on the vertices ``keep`` (ascending indices) and the edges among them."""
+        keep = np.asarray(keep)
+        position = np.full(self.n, -1)
+        position[keep] = np.arange(keep.size)
+        edges = tuple(
+            (int(position[i]), int(position[j]), w)
+            for i, j, w in self.edges
+            if position[i] >= 0 and position[j] >= 0
+        )
+        vertices = tuple(self.vertices[k] for k in keep)
+        return WeightedGraph(vertices, self.mu[keep], self.h1[keep], self.h2[keep], edges)
 
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
@@ -236,6 +250,19 @@ def integral(graph: WeightedGraph, f):
 
 def total_measure(graph: WeightedGraph) -> float:
     return math.fsum(graph.mu)
+
+
+def hop_ball(graph: WeightedGraph, members, hops: int) -> np.ndarray:
+    """Mask of the vertices within ``hops`` edges of a vertex where the mask ``members`` holds."""
+    ball = np.array(members, bool)
+    frontier = np.flatnonzero(ball)
+    for _ in range(hops):
+        near = (graph.weight_matrix[frontier] != 0).any(axis=0)
+        frontier = np.flatnonzero(near & ~ball)
+        if not frontier.size:
+            break
+        ball[frontier] = True
+    return ball
 
 
 # --- JSON graph files ---------------------------------------------------

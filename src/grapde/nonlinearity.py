@@ -91,6 +91,16 @@ class Nonlinearity:
     def from_source(cls, graph, source, coeffs=None):
         return cls(graph, ex.parse_expr(source), dict(coeffs or {}))
 
+    def induced(self, graph: WeightedGraph, keep) -> "Nonlinearity":
+        """The coupling on ``graph``, the subgraph on the vertices ``keep`` of this one's.
+
+        Each coefficient table is taken at those vertices; the compiled
+        expressions are shared.
+        """
+        out = Nonlinearity(graph, self.F, {name: t[keep] for name, t in self.coeffs.items()})
+        object.__setattr__(out, "_compiled", self._compiled)
+        return out
+
     def _expr(self, which: str) -> ex.Expr:
         if which == "F":
             return self.F

@@ -3,7 +3,9 @@
 Two families of solutions are computed: saddle points found by deforming a
 discretized path between the origin and a negative-energy state (the min-max
 characterization), and negative-energy local minimizers found by projected
-descent inside a certified ball.  Each converged state gets a certificate
+descent inside a certified ball.  A cold saddle search runs first on
+hop-balls around the endpoint's support (``energy.Restriction``), and its
+root counts only once it is checked on the whole graph.  Each converged state gets a certificate
 sandwiching its product norm between explicit constants built from the graph
 data and the hypothesis constants.
 
@@ -19,15 +21,16 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._optim import (
     bb_minimize, least_squares_retry, path_saddle, polish_root, polish_roots, weighted_norm,
 )
-from .energy import FlatProblem, phi  # noqa: F401  phi: bench/tracing.py requires this binding
-from .graph import StatePair, VertexFunction, integral, total_measure
+# phi: bench/tracing.py requires this binding
+from .energy import FlatProblem, Restriction, phi  # noqa: F401
+from .graph import StatePair, VertexFunction, hop_ball, integral, total_measure
 from .nonlinearity import SamplingConfig, block_fields, lipschitz_screen, sign_screen
 from .spaces import w_norm
 
@@ -182,7 +185,7 @@ def negative_endpoint(inst) -> tuple:
     t = 1.0
     for _ in range(_MAX_DOUBLINGS):
         x = t * direction
-        if all(inst.at(w).energy(x) < 0 for w in ws):
+        if all(e < 0 for e in inst.energies(x, ws)):
             return tuple(b.copy() for b in inst.split(x))
         t *= 2.0
     raise SolverError(
@@ -191,75 +194,166 @@ def negative_endpoint(inst) -> tuple:
     )
 
 
-def _warm_report(inst, res, kind, config, bounds, *args):
+def _warm_report(inst, res, kind, config, certified):
     """Report of a warm descent, or None if the driver must fall back to its cold search.
 
-    The descent must converge to a nontrivial state whose report is converged
+    ``certified`` is the (certificate, flags) pair of ``certify``.  The
+    descent must converge to a nontrivial state whose report is converged
     and, for a saddle, not ``type-uncertain``.
     """
     if not res.converged or inst.norm(res.x) < trivial_norm(inst, config.tol):
         return None
-    cert, flags = certify(bounds, inst, *args)
+    cert, flags = certified
     report = solve_report(
         inst, res.x, kind, res.iterations, res.fevals, config,
-        certificate=cert, extra_flags=flags + ("warm start",),
+        certificate=_copy(cert), extra_flags=flags + ("warm start",),
     )
     if report.converged and "type-uncertain" not in report.flags:
         return report
     return None
 
 
+def _copy(cert):
+    """A copy of the certificate for one report: ``solve_report`` writes its norm into it."""
+    return None if cert is None else replace(cert)
+
+
+class _Acceptance:
+    """The rule by which the saddle search takes a trial's root x on ``problem``.
+
+    x must be nontrivial, with energy at most the path's peak energy (an
+    upper bound on the mountain-pass level) and Morse index 1.  A root
+    rejected as trivial or for its index is remembered, and a later root
+    within ``_SAME_ROOT`` of one is rejected without a new index.  ``peak``
+    is the peak energy against which the last root was taken.
+    """
+
+    def __init__(self, problem, tol):
+        self.problem = problem
+        self.weights = problem.weights
+        self.floor = trivial_norm(problem, tol)
+        self.rejected = []  # roots rejected for a property of the point alone
+        self.peak = None
+
+    def __call__(self, x, peak_energy) -> bool:
+        problem = self.problem
+        if any(weighted_norm(self.weights, x - r) <= _SAME_ROOT for r in self.rejected):
+            return False
+        if problem.norm(x) < self.floor:
+            self.rejected.append(x)
+            return False
+        if problem.energy(x) > peak_energy:  # depends on the path, so not remembered
+            return False
+        if problem.morse_index(x) != 1:
+            self.rejected.append(x)
+            return False
+        self.peak = peak_energy
+        return True
+
+
+def _saddle(problem, endpoint, config) -> tuple:
+    """``path_saddle`` on ``problem`` from 0 to the flat ``endpoint``, with ``_Acceptance``.
+
+    Returns (point, sweeps, fevals, peak): ``peak`` is the peak energy
+    against which the point was accepted, None if no trial was.
+    """
+    accept = _Acceptance(problem, config.tol)
+    x, outer, fevals, accepted = path_saddle(
+        problem.energy, problem.gradient, problem.weights, endpoint, problem.jacobian, accept,
+        n_nodes=config.path_nodes, tol=config.tol,
+    )
+    log.info("%s after %d sweeps", "accepted trial" if accepted else "no trial accepted", outer)
+    return x, outer, fevals, accept.peak if accepted else None
+
+
+_BALL_HOPS = 8  # hops of the first ball around the endpoint; each next ball has twice as many
+_BALL_SHARE = 0.5  # a ball of more than this share of the vertices gives way to the full solve
+
+
+def _ball_saddle(inst, endpoint, config) -> tuple:
+    """A saddle found on a hop-ball B around the endpoint's support and checked on the whole graph.
+
+    The saddle search runs on ``Restriction(inst, B)``: its path is a path of
+    the full problem with the same energies, so its peak still bounds the
+    mountain-pass level.  The root counts once its extension by 0 has a
+    full-graph residual of at most tol and full Morse index 1
+    (``Restriction.full_index``).  Until then B doubles its hops, and the
+    root is polished on the larger ball from its extension; the polished
+    root must pass the same acceptance rule against the first peak energy.
+    Returns (full state, sweeps, fevals, |B|), or None once B would hold
+    more than ``_BALL_SHARE`` of the vertices or stops growing (its
+    component is covered), the search accepts no trial or a polish fails.
+    """
+    n = inst.graph.n
+    support = np.any(np.reshape(endpoint, (-1, n)) != 0, axis=0)
+    radius, size, x = _BALL_HOPS, 0, None
+    while True:
+        mask = hop_ball(inst.graph, support, radius)
+        if not size < np.count_nonzero(mask) <= _BALL_SHARE * n:  # no larger ball, or too large
+            return None
+        ball = Restriction(inst, mask)
+        size = ball.size
+        if x is None:
+            y, outer, fevals, peak = _saddle(ball, ball.cut(endpoint), config)
+            if peak is None:
+                return None
+        else:
+            res = polish_root(ball.gradient, ball.cut(x), ball.weights, ball.jacobian, config.tol)
+            fevals += res.fevals
+            if not (res.converged and _Acceptance(ball, config.tol)(res.x, peak)):
+                return None
+            y = res.x
+        x = ball.extend(y)
+        residual = inst.residual(x)
+        index = ball.full_index(y)[0] if residual <= config.tol else None
+        log.info("ball of %d hops, %d vertices: residual %.3g, index %s",
+                 radius, size, residual, index)
+        if index == 1:
+            return x, outer, fevals, size
+        radius *= 2
+
+
 def mountain_pass_solve(
-    inst, config: SolverConfig = None, endpoint: tuple = None, start=None
+    inst, config: SolverConfig = None, endpoint: tuple = None, start=None, certified=None
 ) -> SolveReport:
     """Saddle search: path deformation with Newton trials from the path's peak.
 
     The path deformation ends as soon as a Newton trial from its peak reaches
-    a critical point that is a mountain-pass point by evidence: nontrivial,
-    with energy at most the path's peak energy (an upper bound on the
-    mountain-pass level) and Morse index 1.  A root rejected as trivial or
-    for its index is remembered, and a later trial root within
-    ``_SAME_ROOT`` of one is rejected without a new index.  A cold solve
-    reports the accepted root, or else the best-residual peak, not converged
-    and flagged; ``iterations`` counts the path sweeps.  With a flat
-    state ``start`` (the previous point of a sweep), the polish from
+    a critical point that is a mountain-pass point by evidence
+    (``_Acceptance``): nontrivial, with energy at most the path's peak
+    energy and Morse index 1.  A cold solve first searches on hop-balls
+    around the endpoint (``_ball_saddle``), whose report is flagged with the
+    ball's size, and otherwise on the whole graph.  It reports the accepted
+    root, or else the best-residual peak of the whole graph's search, not
+    converged and flagged; ``iterations`` counts the path sweeps.  With a
+    flat state ``start`` (the previous point of a sweep), the polish from
     ``start`` is tried first and the path search runs only if it fails.
+    ``certified`` is ``certify(bound_certificate_mp, inst, endpoint)``,
+    which a sweep builds once for all its points.
     """
     config = config or SolverConfig()
     if endpoint is None:
         endpoint = negative_endpoint(inst)
-    weights = inst.weights
+    certified = certified or certify(bound_certificate_mp, inst, endpoint)
     if start is not None:
-        warm = polish_root(inst.gradient, start, weights, inst.jacobian, tol=config.tol)
-        report = _warm_report(inst, warm, "mountain-pass", config, bound_certificate_mp, endpoint)
+        warm = polish_root(inst.gradient, start, inst.weights, inst.jacobian, tol=config.tol)
+        report = _warm_report(inst, warm, "mountain-pass", config, certified)
         if report is not None:
             return report
-    floor = trivial_norm(inst, config.tol)
-    rejected = []  # roots rejected for a property of the point alone
-
-    def accept(x, peak_energy):
-        if any(weighted_norm(weights, x - r) <= _SAME_ROOT for r in rejected):
-            return False
-        if inst.norm(x) < floor:
-            rejected.append(x)
-            return False
-        if inst.energy(x) > peak_energy:  # depends on the path, so not remembered
-            return False
-        if inst.morse_index(x) != 1:
-            rejected.append(x)
-            return False
-        return True
-
-    x, outer, fevals, accepted = path_saddle(
-        inst.energy, inst.gradient, weights, np.concatenate(endpoint), inst.jacobian, accept,
-        n_nodes=config.path_nodes, tol=config.tol,
-    )
-    log.info("%s after %d sweeps", "accepted trial" if accepted else "no trial accepted", outer)
-    cert, extra = certify(bound_certificate_mp, inst, endpoint)
-    if not accepted:
-        extra += ("path deformation did not reach coarse tolerance",)
+    cert, extra = certified
+    flat = np.concatenate(endpoint)
+    found = _ball_saddle(inst, flat, config)
+    if found is None:
+        x, outer, fevals, peak = _saddle(inst, flat, config)
+        accepted = peak is not None
+        if not accepted:
+            extra += ("path deformation did not reach coarse tolerance",)
+    else:
+        x, outer, fevals, size = found
+        accepted = True
+        extra += (f"localized: {size} of {inst.graph.n} vertices",)
     report = solve_report(
-        inst, x, "mountain-pass", outer, fevals, config, certificate=cert, extra_flags=extra
+        inst, x, "mountain-pass", outer, fevals, config, certificate=_copy(cert), extra_flags=extra
     )
     report.converged = report.converged and accepted  # a peak is not a root that accept took
     return report
@@ -426,17 +520,18 @@ def local_min_solve(
     t0 = spike_start(inst, rho)
     weights = inst.weights
     project = ball_projection(inst, rho)
+    certified = certify(bound_certificate_min, inst, t0, rho)
     if start is not None:
         warm = bb_minimize(
             inst.energy, inst.gradient, start, weights, project, tol=config.tol
         )
-        report = _warm_report(inst, warm, "local-min", config, bound_certificate_min, t0, rho)
+        report = _warm_report(inst, warm, "local-min", config, certified)
         if report is not None:
             return report
     result = bb_minimize(
         inst.energy, inst.gradient, t0 * inst.spike(), weights, project, tol=config.tol
     )
-    cert, extra = certify(bound_certificate_min, inst, t0, rho)
+    cert, extra = certified
     if inst.norm(result.x) >= rho * (1.0 - 1e-9):
         extra += ("boundary minimum - not certified critical",)
     return solve_report(
@@ -446,7 +541,7 @@ def local_min_solve(
         result.iterations,
         result.fevals,
         config,
-        certificate=cert,
+        certificate=_copy(cert),
         extra_flags=extra,
     )
 

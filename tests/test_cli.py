@@ -277,15 +277,14 @@ def test_demo_control_with_an_uncertified_point_exits_2(tmp_path, monkeypatch):
     # demo, which runs the same pipeline
     from grapde import solvers
 
-    real = solvers.bound_certificate_mp
+    real = solvers.solve_report
 
-    def raised_at_minus_1(inst, endpoint):
-        cert = real(inst, endpoint)
+    def raised_at_minus_1(inst, *args, certificate=None, **kwargs):
         if inst.w == -1.0:
-            cert.lower = cert.upper
-        return cert
+            certificate.lower = certificate.upper
+        return real(inst, *args, certificate=certificate, **kwargs)
 
-    monkeypatch.setattr(solvers, "bound_certificate_mp", raised_at_minus_1)
+    monkeypatch.setattr(solvers, "solve_report", raised_at_minus_1)
     graph = _write(tmp_path, "g.json", graph_to_dict(path_graph(2)))
     code, report = _run(
         tmp_path, ["demo", "control-objective", "--graph", graph, "--grid", "5"]

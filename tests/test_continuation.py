@@ -231,3 +231,16 @@ def test_min_sweep_computes_the_ball_radius_once(monkeypatch):
     branch = sweep(_quadratic_instance(), grid=3, kind="min")
     assert branch.reports[0] is not None and "warm start" not in branch.reports[0].flags
     assert len(calls) == 1
+
+
+def test_mp_sweep_builds_the_certificate_once(monkeypatch):
+    # the certificate depends on the spec, the graph and the shared endpoint,
+    # not on w; each report holds its own copy, with its own norm
+    calls = _counting(monkeypatch, solvers, "bound_certificate_mp")
+    monkeypatch.setattr(continuation, "bound_certificate_mp", solvers.bound_certificate_mp)
+    branch = sweep(_saddle_instance(), grid=5, kind="mp")
+    assert len(calls) == 1
+    certs = [r.certificate for r in branch.reports]
+    assert len({id(c) for c in certs}) == 5
+    assert all(c.constants == certs[0].constants and c.satisfied for c in certs)
+    assert len({c.norm for c in certs}) == 5

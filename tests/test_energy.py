@@ -6,8 +6,8 @@ import scipy.linalg
 
 from _helpers import random_function, random_graph
 from grapde.calculus import OperatorOrder, laplacian
-from grapde.energy import ProblemInstance, el_residual_norm, phi, phi_grad, psi
-from grapde.graph import StatePair, VertexFunction, integral, path_graph
+from grapde.energy import ProblemInstance, Restriction, el_residual_norm, phi, phi_grad, psi
+from grapde.graph import StatePair, VertexFunction, WeightedGraph, hop_ball, integral, path_graph
 from grapde.nonlinearity import BUILTIN_NAMES, HypothesisSpec, Nonlinearity, builtin
 from grapde.scalar import ScalarInstance
 from grapde.spaces import SpaceSpec, w_norm
@@ -236,3 +236,104 @@ def test_stacked_states_match_single_states(m, s):
         alone = np.stack([inst.jacobian(x) for x in stack])
         assert inst.jacobian(stack[:, None])[:, 0].tobytes() == alone.tobytes()
 
+
+
+# --- restriction to a vertex set ------------------------------------------
+
+def _grid(rows, cols):
+    ids = [f"g{k}" for k in range(rows * cols)]
+    edges = [(ids[k], ids[k + 1], 1.0) for k in range(rows * cols) if (k + 1) % cols]
+    edges += [(ids[k], ids[k + cols], 1.0) for k in range(rows * cols - cols)]
+    return WeightedGraph.build([(v, 1.0, 1.0, 1.0) for v in ids], edges)
+
+
+def _graph(kind, rng):
+    """A graph of the kind and a ball on it that leaves room for a 3-hop halo and more."""
+    if kind == "path":
+        g, center, hops = path_graph(16), 6, 2
+    elif kind == "grid":
+        g, center, hops = _grid(6, 6), 14, 1
+    else:
+        g, center, hops = random_graph(rng, 60), 59, 1
+    members = np.zeros(g.n, bool)
+    members[center] = True
+    return g, hop_ball(g, members, hops)
+
+
+def _coupled(g, rng, blocks, m, s, w=0.3):
+    """A problem whose F and F_uv vanish at u = v = 0, with a coefficient table per vertex."""
+    coeffs = {"gamma": rng.uniform(0.5, 2.0, g.n)}
+    if blocks == 2:
+        F = "gamma*(u^2+v^2)^2 + w*u^2*v^2 - 0.5*w*v^2"
+        return _instance(g, F, coeffs, p=s, q=5.0 - s, m1=m, m2=4 - m, w=w)
+    nl = Nonlinearity.from_source(g, "gamma*u^4 - w*u^2", coeffs)
+    return ScalarInstance(g, OperatorOrder(m, s), nl, HypothesisSpec(), "h2", w)
+
+
+@pytest.mark.parametrize("kind", ("path", "grid", "random"))
+@pytest.mark.parametrize("m,s", list(itertools.product((1, 2, 3), (2.0, 3.0))))
+@pytest.mark.parametrize("blocks", (1, 2))
+def test_restriction_is_the_full_problem_at_extended_states(kind, m, s, blocks):
+    # the halo pinned at 0 makes the restricted energy, norm, gradient and
+    # Jacobian those of the full problem at the state extended by 0; the
+    # second block takes the order 4 - m, so two blocks mix orders 1 and 3
+    rng = np.random.default_rng(7 * m + int(s) + 50 * blocks)
+    g, ball = _graph(kind, rng)
+    inst = _coupled(g, rng, blocks, m, s)
+    R = Restriction(inst, ball)
+    assert R.size == np.count_nonzero(ball) < R.sub.graph.n < g.n
+    x = 0.5 * rng.standard_normal(R.weights.size)
+    X = R.extend(x)
+    assert np.count_nonzero(X) == x.size and np.array_equal(R.cut(X), x)
+    assert R.energy(x) == pytest.approx(inst.energy(X), rel=1e-12, abs=1e-14)
+    assert R.norm(x) == pytest.approx(inst.norm(X), rel=1e-12)
+    assert np.allclose(R.gradient(x), R.cut(inst.gradient(X)), rtol=1e-12, atol=1e-12)
+    J = inst.jacobian(X)[np.ix_(R.cols, R.cols)]
+    assert np.allclose(R.jacobian(x), J, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(R.weights, R.cut(inst.weights))
+    # and a stack of states gives the stack of the single results
+    stack = np.stack([x, 0.5 * x])
+    assert np.allclose(R.jacobian(stack)[1], R.jacobian(0.5 * x), rtol=1e-12, atol=1e-12)
+    assert R.energy(stack)[1] == pytest.approx(R.energy(0.5 * x), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ("path", "grid", "random"))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_restricted_jacobian_matches_central_differences(kind, m):
+    rng = np.random.default_rng(70 + m)
+    g, ball = _graph(kind, rng)
+    R = Restriction(_coupled(g, rng, 2, m, 3.0), ball)
+    x = 0.5 * rng.standard_normal(R.weights.size)
+    h = 1e-5
+    fd = np.stack([
+        (R.gradient(x + h * e) - R.gradient(x - h * e)) / (2 * h) for e in np.eye(x.size)
+    ], axis=-1)
+    assert np.linalg.norm(R.jacobian(x) - fd) / np.linalg.norm(fd) < 1e-7
+
+
+@pytest.mark.parametrize("kind", ("path", "grid", "random"))
+@pytest.mark.parametrize("blocks", (1, 2))
+def test_haynsworth_index_is_the_eigvalsh_index(kind, blocks):
+    # on states supported on the ball, with an s = 3 block that has exactly
+    # zero rows away from it: where the Schur complement is shown positive
+    # definite, the index of the ball's block is the whole Hessian's, and the
+    # zero rows are its null space
+    rng = np.random.default_rng(90 + blocks)
+    g, ball = _graph(kind, rng)
+    inst = _coupled(g, rng, blocks, 1, 3.0)
+    R = Restriction(inst, ball)
+    shown = []
+    for scale in np.geomspace(0.05, 3.0, 10):
+        x = scale * rng.standard_normal(R.weights.size)
+        X = R.extend(x)
+        index, nullity = R.full_index(x)
+        sw = np.sqrt(inst.weights)
+        S = sw[:, None] * inst.jacobian(X) / sw[None, :]
+        lam = np.abs(np.linalg.eigvalsh(0.5 * (S + S.T)))
+        assert nullity == np.count_nonzero(lam <= 1e-12 * lam.max())
+        if index is None:  # Cauchy interlacing: the ball alone cannot overcount
+            assert inst.morse_index(X) >= R.morse_index(x)
+        else:
+            assert index == inst.morse_index(X) == R.morse_index(x)
+        shown.append(index is not None)
+    assert any(shown)

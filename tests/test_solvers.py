@@ -11,8 +11,8 @@ from grapde import _optim, solvers
 from grapde._optim import polish_root
 from grapde.calculus import OperatorOrder
 from grapde.cli import _exit_code, to_json
-from grapde.energy import ProblemInstance, phi
-from grapde.graph import complete_graph, graph_from_dict, integral, path_graph
+from grapde.energy import ProblemInstance, Restriction, phi
+from grapde.graph import WeightedGraph, complete_graph, graph_from_dict, integral, path_graph
 from grapde.nonlinearity import HypothesisSpec, Nonlinearity, SamplingConfig, builtin
 from grapde.solvers import (
     CertificateError,
@@ -30,6 +30,7 @@ from grapde.solvers import (
     trivial_norm,
     uniqueness_certificate,
 )
+from grapde.scalar import ScalarInstance
 from grapde.spaces import w_norm
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
@@ -203,6 +204,10 @@ def _mp_example(graph, w=0.0):
     return ProblemInstance(graph, prob.ord1, prob.ord2, prob.nl, prob.spec, w)
 
 
+def _random_graph(n):
+    return graph_from_dict(inputs.random_sparse(n, np.random.default_rng(1)))
+
+
 def _random_12(seed):
     return graph_from_dict(inputs.random_sparse(12, np.random.default_rng(seed)))
 
@@ -277,6 +282,36 @@ def test_negative_endpoint_impossible_for_zero_coupling():
     inst = _instance(path_graph(2), "0")
     with pytest.raises(SolverError, match="negative-energy endpoint"):
         negative_endpoint(inst)
+
+
+def _endpoint_per_w(inst):
+    """``negative_endpoint`` as it was written: the whole energy at every w, one w at a time."""
+    ws = inst.spec.w_grid(solvers._W_GRID)
+    t = 1.0
+    for _ in range(solvers._MAX_DOUBLINGS):
+        x = t * inst.spike()
+        if all(inst.at(w).energy(x) < 0 for w in ws):
+            return x
+        t *= 2.0
+
+
+@pytest.mark.parametrize(
+    "graph", (path_graph(2), complete_graph(5), _random_graph(12)), ids=("path-2", "K5", "random")
+)
+def test_negative_endpoint_is_the_per_parameter_loop_bit_for_bit(graph):
+    # the norm part of the energy is taken once per doubling and only the
+    # integral of F per w; every energy and the endpoint stay bit for bit
+    scalar = ScalarInstance(
+        graph, OperatorOrder(1, 2.0), Nonlinearity.from_source(graph, "u^4*(1+w^2)"),
+        HypothesisSpec(theta=4.0, c1=2.0, r1=4.0),
+    )
+    for inst in (_mp_example(graph), scalar):
+        ws = inst.spec.w_grid(solvers._W_GRID)
+        expected = _endpoint_per_w(inst)
+        assert np.concatenate(negative_endpoint(inst)).tobytes() == expected.tobytes()
+        for x in (0.5 * expected, expected):
+            lazy = np.array(list(inst.energies(x, ws)))
+            assert lazy.tobytes() == np.array([inst.at(w).energy(x) for w in ws]).tobytes()
 
 
 # --- mountain-pass certificate ------------------------------------------
@@ -469,6 +504,103 @@ def test_saddle_trials_skip_the_index_of_a_rejected_root(monkeypatch):
     calls.clear()
     assert to_json(mountain_pass_solve(inst)) == report
     assert len(calls) == 5
+
+
+# --- localized mountain-pass solve -------------------------------------
+
+def _full_solve(inst, monkeypatch):
+    """The cold solve on the whole graph: no ball is small enough to be tried."""
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_BALL_SHARE", 0.0)
+        return mountain_pass_solve(inst)
+
+
+def test_localized_solve_flags_its_ball():
+    # path-100 at w = 0: the spike vertex is v0, the 8-hop ball's root fails
+    # the whole-graph residual check, and the 16-hop ball's polish passes both
+    report = mountain_pass_solve(_mp_example(path_graph(100)))
+    assert report.converged
+    assert report.flags == ("localized: 17 of 100 vertices",)
+
+
+def test_localized_solve_is_the_full_solve_on_path_256(monkeypatch):
+    inst = _mp_example(path_graph(256), 0.3)
+    report = mountain_pass_solve(inst)
+    full = _full_solve(inst, monkeypatch)
+    assert report.flags == ("localized: 17 of 256 vertices",) and full.flags == ()
+    x = report.state.flat()
+    assert report.converged and inst.residual(x) <= SolverConfig().tol
+    assert inst.morse_index(x) == 1
+    assert report.energy == pytest.approx(full.energy, rel=1e-10)
+    assert report.certificate.constants == full.certificate.constants
+    assert report.certificate.satisfied
+
+
+def test_ball_solve_on_path_1024_passes_the_whole_graph_checks():
+    # only the ball solve: the full one takes seconds here
+    inst = _mp_example(path_graph(1024), 0.3)
+    report = mountain_pass_solve(inst)
+    assert report.converged and report.flags == ("localized: 17 of 1024 vertices",)
+    x = report.state.flat()
+    assert inst.residual(x) <= SolverConfig().tol
+    support = np.any(x.reshape(2, -1) != 0, axis=0)
+    assert np.count_nonzero(support) <= 17
+    assert Restriction(inst, support).full_index(x[np.tile(support, 2)]) == (1, 1024 - 19)
+    # the same ball on the 256-path holds the same saddle
+    small = mountain_pass_solve(_mp_example(path_graph(256), 0.3))
+    assert report.energy == pytest.approx(small.energy, rel=1e-12)
+
+
+def test_solve_without_a_passing_ball_is_the_full_solve(monkeypatch, caplog):
+    # path-20: the 8-hop ball's root fails the residual check and the 16-hop
+    # ball holds more than half the vertices, so the full solve runs, and its
+    # report is the full solve's, field for field
+    inst = _mp_example(path_graph(20))
+    caplog.set_level(logging.INFO, logger="grapde")
+    report = to_json(mountain_pass_solve(inst))
+    assert any(r.getMessage().startswith("ball of 8 hops, 9 vertices") for r in caplog.records)
+    assert report == to_json(_full_solve(inst, monkeypatch))
+    assert report["converged"] and report["flags"] == []
+
+
+def test_a_ball_whose_search_accepts_no_trial_gives_way_to_the_full_solve(monkeypatch):
+    inst = _mp_example(path_graph(40))
+    real = solvers.path_saddle
+    sizes = []
+
+    def failing_on_balls(f, grad, weights, *args, **kwargs):
+        sizes.append(weights.size)
+        if weights.size < inst.weights.size:
+            return weights, 3, 0, False
+        return real(f, grad, weights, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "path_saddle", failing_on_balls)
+    report = to_json(mountain_pass_solve(inst))
+    assert sizes == [18, 80]  # the 8-hop ball's 9 vertices, then the whole graph
+    monkeypatch.setattr(solvers, "path_saddle", real)
+    assert report == to_json(_full_solve(inst, monkeypatch))
+
+
+def test_a_ball_that_covers_its_component_stops_growing(monkeypatch):
+    # the spike's component, a 10-path, lies beside a 30-path: once the ball
+    # covers it, doubling the hops adds no vertex, and the full solve runs
+    short, long = path_graph(10), path_graph(30)
+    graph = WeightedGraph.build(
+        [(f"a{k}", 1.0, 1.0, 1.0) for k in range(10)]
+        + [(f"b{k}", 1.0, 1.0, 1.0) for k in range(30)],
+        [(f"a{i}", f"a{j}", w) for i, j, w in short.edges]
+        + [(f"b{i}", f"b{j}", w) for i, j, w in long.edges],
+    )
+    sizes = []
+    real = Restriction.full_index
+
+    def never_one(self, x):  # a check that no ball passes
+        sizes.append(self.size)
+        return 2, real(self, x)[1]
+
+    monkeypatch.setattr(Restriction, "full_index", never_one)
+    report = mountain_pass_solve(_mp_example(graph))
+    assert sizes == [10] and report.converged and report.flags == ()
 
 
 def test_path_saddle_succeeds_only_on_an_accepted_trial():

@@ -10,7 +10,8 @@ each malformed-input probe, and writes each JSON report, each CSV and a
 ``manifest.json`` of exit codes and stderr lines to ``OUT``, where a stderr
 line names the capture directory as ``<OUT>``.  ``compare``
 lists every file, exit code and stderr line that differs between two
-captures, with the differing JSON leaves, and exits 1 if anything differs.
+captures, with the first 20 differing JSON leaves of each report and the
+count of the others, and exits 1 if anything differs.
 Each differing report also gets one ``summary`` line: the largest energy
 change of a state converged in both and flagged ``trivial`` in neither,
 relative to the largest |energy| of such a state of the first report; the
@@ -290,6 +291,9 @@ def _summary(a, b, exits):
     return rel, bound, changes, bool(sa.keys() & sb.keys())
 
 
+_SHOWN_LEAVES = 20  # differing leaves printed per report; the rest are counted
+
+
 def compare(a, b):
     files = set()
     for root in (a, b):
@@ -331,7 +335,10 @@ def compare(a, b):
         print(f"differs: {name}")
         if name.endswith(".json"):
             ja, jb = json.loads(da), json.loads(db)
-            print("\n".join(_describe(ja, jb)[:20]))
+            leaves = _describe(ja, jb)
+            print("\n".join(leaves[:_SHOWN_LEAVES]))
+            if len(leaves) > _SHOWN_LEAVES:
+                print(f"    ... and {len(leaves) - _SHOWN_LEAVES} more differing leaves")
             run = name[: -len(".json")]
             exits = (ma.get(run, {}).get("exit"), mb.get(run, {}).get("exit"))
             rel, bound, changes, common = _summary(ja, jb, exits)
