@@ -436,6 +436,15 @@ def _missing_message(name: str) -> str:
 # floats after a few calls, and the specialized add returns the other NaN, so
 # the sign of a NaN result would depend on how often the line had run before
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_UFUNCS = {
+    "abs": np.abs, "sign": np.sign, "sqrt": np.sqrt, "sin": np.sin,
+    "cos": np.cos, "exp": np.exp, "log": np.log, "atan": np.arctan,
+}
+# argument test against 0 that makes the call a domain error, and its message
+_CALL_GUARDS = {
+    "sqrt": (np.less, "sqrt of a negative value"),
+    "log": (np.less_equal, "log of a non-positive value"),
+}
 
 
 def evaluate(e: Expr, env: dict):
@@ -443,6 +452,9 @@ def evaluate(e: Expr, env: dict):
 
     ``env`` maps 'u', 'v', 'w' and coefficient names to values.  Domain
     violations raise EvalDomainError naming the offending subexpression.
+    Each guard tests element by element, a power where its result is NaN at
+    a base that is not NaN, so a stack of samples raises exactly where one
+    of its samples alone would.
     """
     if isinstance(e, Num):
         return e.value
@@ -468,45 +480,20 @@ def evaluate(e: Expr, env: dict):
             raise EvalDomainError(_domain_message("zero to a negative power", e))
         with np.errstate(invalid="ignore"):
             out = np.power(a, b)
-        if np.any(np.isnan(out)) and not np.any(np.isnan(a)):
+        if np.any(np.isnan(out)) and np.any(np.isnan(out) > np.isnan(a)):
             raise EvalDomainError(_domain_message("invalid power", e))
         return out
-    if isinstance(e, Call):
+    if isinstance(e, Call) and e.fn in _UFUNCS:
         a = evaluate(e.arg, env)
-        if e.fn == "abs":
-            return np.abs(a)
-        if e.fn == "sign":
-            return np.sign(a)
-        if e.fn == "sqrt":
-            if np.any(np.asarray(a) < 0):
-                raise EvalDomainError(_domain_message("sqrt of a negative value", e))
-            return np.sqrt(a)
-        if e.fn == "sin":
-            return np.sin(a)
-        if e.fn == "cos":
-            return np.cos(a)
-        if e.fn == "exp":
-            return np.exp(a)
-        if e.fn == "log":
-            if np.any(np.asarray(a) <= 0):
-                raise EvalDomainError(_domain_message("log of a non-positive value", e))
-            return np.log(a)
-        if e.fn == "atan":
-            return np.arctan(a)
+        if e.fn in _CALL_GUARDS:
+            test, what = _CALL_GUARDS[e.fn]
+            if np.any(test(a, 0)):
+                raise EvalDomainError(_domain_message(what, e))
+        return _UFUNCS[e.fn](a)
     raise TypeError(f"not an expression: {e!r}")
 
 
 # --- compilation --------------------------------------------------------
-
-_UFUNCS = {
-    "abs": "np.abs", "sign": "np.sign", "sqrt": "np.sqrt", "sin": "np.sin",
-    "cos": "np.cos", "exp": "np.exp", "log": "np.log", "atan": "np.arctan",
-}
-# argument test that makes the call a domain error, and its message
-_CALL_GUARDS = {
-    "sqrt": ("< 0", "sqrt of a negative value"),
-    "log": ("<= 0", "log of a non-positive value"),
-}
 
 
 class _Compiler:
@@ -598,7 +585,8 @@ class _Compiler:
                 f"    {out} = np.power({a}, {b})",
             ]
             self.raise_if(
-                f"np.count_nonzero(np.isnan({out})) and not np.count_nonzero(np.isnan({a}))",
+                f"np.count_nonzero(np.isnan({out}))"
+                f" and np.count_nonzero(np.isnan({out}) > np.isnan({a}))",
                 _domain_message("invalid power", e),
             )
             self.release(a, b)
@@ -609,9 +597,9 @@ class _Compiler:
             if e.fn in _CALL_GUARDS:
                 test, what = _CALL_GUARDS[e.fn]
                 self.raise_if(
-                    f"np.count_nonzero(np.asarray({a}) {test})", _domain_message(what, e)
+                    f"np.count_nonzero(np.{test.__name__}({a}, 0))", _domain_message(what, e)
                 )
-            return self.temp(f"{_UFUNCS[e.fn]}({a})", a)
+            return self.temp(f"np.{_UFUNCS[e.fn].__name__}({a})", a)
         raise TypeError(f"not an expression: {e!r}")
 
 
@@ -619,11 +607,13 @@ def compile_expr(e: Expr):
     """Compile ``e`` once into a function ``env -> value``.
 
     The function applies the same numpy operations as ``evaluate(e, env)``
-    in the same order, so its results are bit-identical, and it raises the
-    same EvalDomainError messages.  Three guards that cannot fire are left
-    out: division by a nonzero literal, the zero-base check of a power with
-    a nonnegative literal exponent, and the invalid-power check of a power
-    with an integer literal exponent.
+    in the same order, so its results are bit-identical, and its guards test
+    the same elements, so it raises the same EvalDomainError messages: the
+    invalid-power guard fires where a NaN result sits at a base that is not
+    NaN.  Three guards that cannot fire are left out: division by a nonzero
+    literal, the zero-base check of a power with a nonnegative literal
+    exponent, and the invalid-power check of a power with an integer literal
+    exponent.
     """
     c = _Compiler()
     result = c.emit(e)

@@ -315,31 +315,42 @@ def _blocks(radii, ws, rung_bytes: int) -> list:
     return [(radii[i : i + 1], ws[j : j + per]) for i in range(len(radii)) for j in runs]
 
 
-def _rung_records(table, radii, ws, rung_bytes: int, stop=None) -> list:
-    """The records of the (radius, w) rungs, radius-major, up to the first where stop holds.
+def _rung_records(table, radii, ws, rung_bytes: int):
+    """The records of the (radius, w) rungs, radius-major, yielded batch by batch.
 
-    ``table(rs, ws)`` evaluates the rungs rs x ws at once; it returns their
-    records in rung order and whether its values are free of NaN.  A
-    condition without radii passes ``radii=(None,)``.  A batch that raises
-    ``EvalDomainError`` or holds a NaN is evaluated again one rung at a time,
-    so the records are the rung-by-rung ones: the error raised is the first
-    that the rung order meets, and an invalid power at one rung cannot hide
-    behind a NaN base at another (its guard skips a base that holds a NaN).
+    ``table(rs, ws)`` evaluates the rungs rs x ws at once and returns their
+    records in rung order.  A condition without radii passes ``radii=(None,)``.
+    The guards of ``expressions`` test element by element, so a batch raises
+    ``EvalDomainError`` exactly where one of its rungs would; such a batch is
+    evaluated again one rung at a time, so the error raised is the first that
+    the rung order meets.  A reader that stops early evaluates no later batch.
     """
-    records = []
     for rs, bws in _blocks(radii, ws, rung_bytes):
         try:
-            batch, clean = table(rs, bws)
+            batch = table(rs, bws)
         except ex.EvalDomainError:
-            clean = False
-        if not clean:
-            rungs = ((r, bws[j : j + 1]) for r in rs for j in range(len(bws)))
-            batch = (rec for r, one_w in rungs for rec in table((r,), one_w)[0])
-        for rec in batch:
-            records.append(rec)
-            if stop is not None and stop(rec):
-                return records
-    return records
+            batch = (rec for r in rs for w in np.split(bws, len(bws)) for rec in table((r,), w))
+        yield from batch
+
+
+def _verdict(records, witness, nan_detail: str) -> tuple:
+    """(verdict, witness, detail) of rung records (radius, w, fail, at, nan, nan_at, ...).
+
+    The records are read in screening order.  The first rung with a failing
+    sample decides "fail", with witness(radius, w, at), ``at`` being its
+    failing sample of largest score; reading stops there.  Else the first
+    rung with a NaN sample makes the condition inconclusive, with
+    witness(radius, w, nan_at) and ``nan_detail``.  Else it passes, sampled.
+    """
+    first_nan = None
+    for radius, w, fail, at, nan, nan_at, *_ in records:
+        if fail:
+            return "fail", witness(radius, w, at), ""
+        if nan and first_nan is None:
+            first_nan = radius, w, nan_at
+    if first_nan is None:
+        return "pass (sampled)", None, ""
+    return "inconclusive", witness(*first_nan), nan_detail
 
 
 def _ratio_ladder(graph, radii, sphere, ws, numerator, powers, largest: bool) -> list:
@@ -358,10 +369,10 @@ def _ratio_ladder(graph, radii, sphere, ws, numerator, powers, largest: bool) ->
         vals = _rung_major(numerator(coords, bws[:, None]) / denom)
         # argmin and argmax point at the first NaN of a rung that holds one
         tops, ats = (vals.max(-1), vals.argmax(-1)) if largest else (vals.min(-1), vals.argmin(-1))
-        return _records(rs, bws, tops, ats), not np.isnan(tops).any()
+        return _records(rs, bws, tops, ats)
 
     sign = 1.0 if largest else -1.0
-    records = _rung_records(table, radii, ws, 8 * graph.n * sphere((1.0,))[0].size)
+    records = list(_rung_records(table, radii, ws, 8 * graph.n * sphere((1.0,))[0].size))
     rungs = []
     for start in range(0, len(records), len(ws)):
         radius = records[start][0]
@@ -406,8 +417,8 @@ def check_hypotheses(
     names it.  Point witnesses are (vertex, t, s, w), or (vertex, t, w).
     (H5) is screened on the ball of radius 1 (see ``lipschitz_screen``).
     Each condition but the sign screen evaluates a selector once for all
-    its radii, ws and points, with the verdicts of the rung-by-rung order
-    (``_rung_records``).
+    its radii, ws and points (``_rung_records``); (H1)-(H5) and the sign
+    screen read their rungs by the one rule of ``_verdict``.
     """
     if spaces is None:
         spaces = _default_spaces(p, q, ord1, ord2)
@@ -423,7 +434,7 @@ def check_hypotheses(
     def f1():  # value at the origin
         def table(_, bws):
             vals = np.abs(nl.grid_values("F", 0.0, 0.0, bws))  # vertex x w
-            return list(zip(bws, vals.T)), not np.isnan(vals).any()
+            return list(zip(bws, vals.T))
 
         vals = np.array([row for _, row in _rung_records(table, (None,), ws, 8 * graph.n)])
         nan = np.isnan(vals)
@@ -474,37 +485,29 @@ def check_hypotheses(
         return _SAMPLED[ok], None, f"min excess ratio per radius {list(zip(_LARGE_RADII, mins))}"
 
     def box_scan(violation) -> tuple:
-        """Fail at the first moderate radius and w where violation() masks a point.
+        """``_verdict`` of violation() over the moderate radii and the ws.
 
         violation(coords, w, radii) is (mask, lhs, rhs) on the spheres of the
-        radii at the parameters w, in the shape of ``grid_values``; the
-        witness is the point of largest lhs - rhs.  Without a failing point,
-        a NaN lhs or rhs makes the condition inconclusive, its first NaN
-        point the witness.
+        radii at the parameters w, in the shape of ``grid_values``; the score
+        of a sample is lhs - rhs, and a NaN lhs or rhs is a NaN sample (an
+        inf - inf score is not).
         """
 
         def table(rs, bws):
             bad, lhs, rhs = violation(sphere(rs), bws[:, None], rs)
-            excess = _rung_major(lhs - rhs)
-            clean = not np.isnan(excess).any()
-            # a NaN lhs or rhs is a NaN sample; an inf - inf excess is not
-            nan = (np.zeros_like(excess[..., :1], bool) if clean
-                   else _rung_major(np.isnan(lhs) | np.isnan(rhs)))
-            records = _records(rs, bws, bad.any(axis=(0, -1)), excess.argmax(-1),
-                               nan.any(-1), nan.argmax(-1))
-            return records, clean
+            fail = bad.any(axis=(0, -1))
+            at = nan = nan_at = np.zeros(fail.shape, int)
+            # ``_verdict`` stops at a failing rung, so a batch that holds one needs no NaN
+            if fail.any():
+                at = _rung_major(np.where(bad, lhs - rhs, -np.inf)).argmax(-1)
+            elif np.isnan(lhs).any() or np.isnan(rhs).any():
+                mask = _rung_major(np.isnan(lhs) | np.isnan(rhs))
+                nan, nan_at = mask.any(-1), mask.argmax(-1)
+            return _records(rs, bws, fail, at, nan, nan_at)
 
-        nan_witness = None
-        for radius, w, bad, k, nan, at in _rung_records(
-            table, _MODERATE_RADII, ws, sphere_bytes, stop=lambda rec: rec[2]
-        ):
-            if bad:
-                return "fail", _point_witness(graph, k, sphere((radius,)), w), ""
-            if nan and nan_witness is None:
-                nan_witness = _point_witness(graph, at, sphere((radius,)), w)
-        if nan_witness is not None:
-            return "inconclusive", nan_witness, "a sample is NaN at the witness"
-        return "pass (sampled)", None, ""
+        records = _rung_records(table, _MODERATE_RADII, ws, sphere_bytes)
+        return _verdict(records, lambda radius, w, at: _point_witness(
+            graph, at, sphere((radius,)), w), "a sample is NaN at the witness")
 
     def h1(theta):  # theta F <= radial pairing away from the origin
         def violation(coords, w, radii):
@@ -559,32 +562,20 @@ def check_hypotheses(
                 f"mu(x0) L(x0) = {graph.mu[i0] * Lvals[i0]:.6g} "
                 f"<= ({terms})/p = {threshold:.6g}"
             )
-        verdict, witness = "pass (sampled)", None
         amps = delta * (np.arange(1, _DELTA_SAMPLES + 1) / (_DELTA_SAMPLES + 1))
         floor = Lvals[i0] * amps**p - 1e-12
 
-        def table(_, bws):
-            vals = coupling((amps,) * k, bws[:, None])  # vertex x w x amplitude
+        def table(rs, bws):
+            vals = coupling((amps,) * k, bws[:, None])[:, None]  # vertex x 1 x w x amplitude
             below, nan = vals < floor, np.isnan(vals[i0])
-            records = zip(bws, below[i0].any(-1), below[i0].argmax(-1), below.any(axis=(0, 2)),
-                          nan.any(-1), nan.argmax(-1))
-            return list(records), not np.isnan(vals).any()
+            return _records(rs, bws, below[i0].any(-1), below[i0].argmax(-1), nan.any(-1),
+                            nan.argmax(-1), below.any(axis=(0, -1)))
 
+        records = list(_rung_records(table, (None,), ws, 8 * graph.n * len(amps)))
         # the scalar analogue quantifies over every vertex; report both
-        all_x_ok, nan_witness = True, None
-        for w, at_x0, first, anywhere, nan, at in _rung_records(
-            table, (None,), ws, 8 * graph.n * len(amps)
-        ):
-            if at_x0:
-                verdict, witness = "fail", (x0, amps[first], w)
-            if nan and nan_witness is None:
-                nan_witness = (x0, amps[at], w)
-            all_x_ok = all_x_ok and not anywhere
-        if not all_x_ok:
+        if any(rec[-1] for rec in records):
             notes.append("spike lower bound holds at x0 only; the all-vertices variant fails")
-        if verdict != "fail" and nan_witness is not None:
-            return "inconclusive", nan_witness, "F is NaN at the witness"
-        return verdict, witness, ""
+        return _verdict(records, lambda _, w, at: (x0, amps[at], w), "F is NaN at the witness")
 
     results = {
         "F1": _screen(spec, (), f1),
@@ -613,7 +604,8 @@ def lipschitz_screen(
 
     The pairs are the draws from [-R, R]^(2k) (R = ``radius``, 1 if None)
     with both points in the ball of radius R, all screened at once.  The
-    witness is the first failing pair and w: (t1, s1, t2, s2, w) or (t1, t2, w).
+    witness (t1, s1, t2, s2, w), or (t1, t2, w), is the first failing w and
+    its first failing pair (``_verdict``).
     """
     blocks = len(spaces)
     est = ""
@@ -633,7 +625,7 @@ def lipschitz_screen(
         ]
         ends = [np.stack(pair) for pair in zip(first, second)]  # per block: (a, b) x pair
 
-        def table(_, bws):
+        def table(rs, bws):
             failing = np.zeros((len(bws), len(pts)), bool)  # w x pair
             nan = np.zeros_like(failing)
             for which, cap in zip(Nonlinearity.PARTIALS, caps):
@@ -642,19 +634,12 @@ def lipschitz_screen(
                 jump = np.abs(vals[:, :, 1] - vals[:, :, 0])
                 nan |= np.any(np.isnan(jump), axis=0)
                 failing |= np.any(jump > cap, axis=0)
-            return list(zip(bws, failing, nan)), not nan.any()
+            rows = (failing.any(-1), failing.argmax(-1), nan.any(-1), nan.argmax(-1))
+            return _records(rs, bws, *(row[None] for row in rows))
 
-        ws = spec.w_grid(_W_SAMPLES)
-        rung_bytes = 8 * graph.n * 2 * len(pts)
-        records = _rung_records(table, (None,), ws, rung_bytes)
-        detail = f"radius {radius:.3g}{est}"
-        # the first failing pair first, at its first w; else the first NaN pair
-        for col, verdict in ((1, "fail"), (2, "inconclusive")):
-            hits = np.argwhere(np.array([rec[col] for rec in records]).T)
-            if len(hits):
-                pair, j = hits[0]
-                return verdict, (*pts[pair], ws[j]), detail
-        return "pass (sampled)", None, detail
+        records = _rung_records(table, (None,), spec.w_grid(_W_SAMPLES), 8 * graph.n * 2 * len(pts))
+        verdict, witness, _ = _verdict(records, lambda _, w, at: (*pts[at], w), "")
+        return verdict, witness, f"radius {radius:.3g}{est}"
 
     return _screen(spec, block_fields(blocks, "d"), body)
 
@@ -666,33 +651,30 @@ def sign_screen(
 
     The sample points are the nonzero points of the grid on the box
     [-R, R]^blocks (R = 10); one block screens F_u t
-    with v = 0.  At the first failing w the witness is the largest pairing
-    that is not NaN: (vertex, t, s, w), or (vertex, t, w) for one block.
-    Without a failing point, a NaN pairing makes the screen inconclusive,
-    its first NaN point the witness.
+    with v = 0.  The ws are evaluated one at a time and read by ``_verdict``,
+    so the screen stops at the first failing w; its witness is the largest
+    pairing that is not NaN: (vertex, t, s, w), or (vertex, t, w) for one
+    block.
     """
     axis = np.linspace(-_BOX_RADIUS, _BOX_RADIUS, _BOX_GRID)
     coords = [c.ravel() for c in np.meshgrid(*(axis,) * blocks, indexing="ij")]
     nontrivial = np.any([c != 0 for c in coords], axis=0)
     coords = [c[nontrivial] for c in coords]
 
-    def body():
-        nan_witness = None
+    def rungs():
+        # vals lives until the next w's replaces it (arrays over 128 KiB are mapped anew)
         for w in spec.w_grid(_W_SAMPLES):
             vals = _radial(nl, coords, w)
-            top = vals.max()  # NaN if any pairing is NaN
+            top, nan_at = vals.max(), None  # top is NaN if any pairing is NaN
             if math.isnan(top):
                 nan = np.isnan(vals)
-                nan_witness = nan_witness or _point_witness(graph, np.argmax(nan), coords, w)
-                vals[nan] = -np.inf
+                nan_at, vals[nan] = np.argmax(nan), -np.inf
                 top = vals.max()
-            if top >= 0:
-                return "fail", _point_witness(graph, np.argmax(vals), coords, w), ""
-        if nan_witness is not None:
-            return "inconclusive", nan_witness, "the pairing is NaN at the witness"
-        return "pass (sampled)", None, ""
+            yield None, w, top >= 0, top >= 0 and np.argmax(vals), nan_at is not None, nan_at
 
-    return _screen(spec, (), body)
+    return _screen(spec, (), lambda: _verdict(
+        rungs(), lambda _, w, at: _point_witness(graph, at, coords, w),
+        "the pairing is NaN at the witness"))
 
 
 # --- builtin problems ---------------------------------------------------

@@ -143,9 +143,9 @@ def solve_report(inst, x, kind, iterations, fevals, config, certificate=None, ex
         flags.append("type-uncertain")
     if kind == "local-min" and energy >= 0 and res <= config.tol:
         flags.append("nonnegative energy at convergence")
-    if certificate is not None:
-        certificate.norm = norm
-        certificate.satisfied = bool(certificate.lower <= norm <= certificate.upper)
+    if certificate is not None:  # the report's own copy: a sweep shares one certificate
+        satisfied = bool(certificate.lower <= norm <= certificate.upper)
+        certificate = replace(certificate, norm=norm, satisfied=satisfied)
     return SolveReport(
         state=inst.state(x),
         energy=energy,
@@ -206,16 +206,11 @@ def _warm_report(inst, res, kind, config, certified):
     cert, flags = certified
     report = solve_report(
         inst, res.x, kind, res.iterations, res.fevals, config,
-        certificate=_copy(cert), extra_flags=flags + ("warm start",),
+        certificate=cert, extra_flags=flags + ("warm start",),
     )
     if report.converged and "type-uncertain" not in report.flags:
         return report
     return None
-
-
-def _copy(cert):
-    """A copy of the certificate for one report: ``solve_report`` writes its norm into it."""
-    return None if cert is None else replace(cert)
 
 
 class _Acceptance:
@@ -353,7 +348,7 @@ def mountain_pass_solve(
         accepted = True
         extra += (f"localized: {size} of {inst.graph.n} vertices",)
     report = solve_report(
-        inst, x, "mountain-pass", outer, fevals, config, certificate=_copy(cert), extra_flags=extra
+        inst, x, "mountain-pass", outer, fevals, config, certificate=cert, extra_flags=extra
     )
     report.converged = report.converged and accepted  # a peak is not a root that accept took
     return report
@@ -452,6 +447,19 @@ def _box_points(inst, radius: float, unit_box: tuple) -> list:
     return [b * radius * unit for (b, _), unit in zip(inst.embedding.blocks, unit_box)]
 
 
+def _below(values, bound, radius: float, w: float, error) -> bool:
+    """Whether every sample of a certificate's box scan is below ``bound``.
+
+    A sample at or above it decides False; else a NaN sample raises
+    ``error`` naming the radius of the box and w.
+    """
+    if np.all(values < bound):
+        return True
+    if np.any(values >= bound):
+        return False
+    raise error(f"F is NaN at a sample of the box of radius {radius:g} at w = {w:g}")
+
+
 def ball_radius(inst) -> float:
     """Largest ladder radius on whose sphere the energy is certified positive.
 
@@ -466,7 +474,8 @@ def ball_radius(inst) -> float:
     The first radius rho = 2^-j at which this bound is positive is
     returned.  A start inside the ball with negative energy then has an
     interior minimizer with negative energy.  E is sampled, so the radius is
-    an estimate, not exact.
+    an estimate, not exact; a radius where no sample exceeds the budget but
+    one is NaN stops the scan with a ``SolverError`` that names it.
     """
     p = inst.p
     if p != inst.q:
@@ -476,14 +485,20 @@ def ball_radius(inst) -> float:
     D = 0.9 * inst.embedding.cap
     ws = inst.spec.w_grid(_W_GRID)
     unit_box = _unit_box(blocks, _BOX_GRID)
-    for j in range(_LADDER):
-        rho = 0.5**j
-        points = _box_points(inst, rho, unit_box)
-        cap = D * sum(np.abs(t) ** p for t in points) * (1.0 + 1e-9)
-        budget = 0.1 * blocks ** (1.0 - p) * rho**p / (p * vol)
-        if all(np.max(inst.nl.block_values("F", points, w) - cap) < budget for w in ws):
-            return rho
-    raise SolverError("(F2) margin not certifiable: no ladder radius qualifies")
+
+    def error(reason):
+        return SolverError(f"(F2) margin not certifiable: {reason}")
+
+    with np.errstate(over="ignore", invalid="ignore"):  # judged by _below
+        for j in range(_LADDER):
+            rho = 0.5**j
+            points = _box_points(inst, rho, unit_box)
+            cap = D * sum(np.abs(t) ** p for t in points) * (1.0 + 1e-9)
+            budget = 0.1 * blocks ** (1.0 - p) * rho**p / (p * vol)
+            if all(_below(inst.nl.block_values("F", points, w) - cap, budget, rho, w, error)
+                   for w in ws):
+                return rho
+    raise error("no ladder radius qualifies")
 
 
 def ball_projection(inst, rho: float):
@@ -541,7 +556,7 @@ def local_min_solve(
         result.iterations,
         result.fevals,
         config,
-        certificate=_copy(cert),
+        certificate=cert,
         extra_flags=extra,
     )
 
@@ -554,7 +569,8 @@ def energy_level_bounds(inst, t0: float, rho: float) -> BoundCertificate | None:
     Phi(z*) <= -eta gives int F(z*) >= eta, so ||z*|| exceeds every radius r
     with vol * max F < eta on the box |t| <= b r, |s| <= d r (sampled, down
     the ladder rho 2^-k; 0 if none qualifies).  Returns None if the start
-    has nonnegative energy.
+    has nonnegative energy.  A radius where no sample reaches eta but one is
+    NaN raises a ``CertificateError`` that names it.
     """
     eta = -inst.energy(t0 * inst.spike())
     if eta <= 0:
@@ -562,11 +578,13 @@ def energy_level_bounds(inst, t0: float, rho: float) -> BoundCertificate | None:
     vol = total_measure(inst.graph)
     unit_box = _unit_box(len(inst.spaces), _BOX_GRID)
     lower = 0.0
-    for k in range(_LADDER):
-        r = rho * 0.5**k
-        if vol * np.max(inst.nl.block_values("F", _box_points(inst, r, unit_box), inst.w)) < eta:
-            lower = r
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # judged by _below
+        for k in range(_LADDER):
+            r = rho * 0.5**k
+            values = vol * inst.nl.block_values("F", _box_points(inst, r, unit_box), inst.w)
+            if _below(values, eta, r, inst.w, CertificateError):
+                lower = r
+                break
     notes = ("energy-level bounds: the start has negative energy",)
     if lower == 0.0:
         notes += ("vacuous lower bound: no ladder radius qualifies",)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -131,6 +132,20 @@ def test_solve_min_not_certifiable(tmp_path):
     code, report = _run(tmp_path, ["solve", "--problem", problem, "--kind", "min"])
     assert code == 2
     assert "not certifiable" in report["result"]["error"]
+
+
+def test_solve_min_names_a_nan_sample_of_the_ball_radius_scan(tmp_path):
+    # exp(1000 w) overflows for w > 0.71, so F is inf - inf = NaN at the top
+    # ws of every box; without that term the ball radius is 1
+    problem = _write(tmp_path, "p.json", {
+        "F": "0.05*(u+v) + (exp(1000*w) - exp(1000*w))",
+        "hypotheses": {"delta": 0.04, "x0": "v0"},
+    })
+    code, report = _run(tmp_path, ["solve", "--problem", problem, "--kind", "min"])
+    assert code == 2
+    assert report["result"]["error"] == (
+        "(F2) margin not certifiable: F is NaN at a sample of the box of radius 1 at w = 0.8"
+    )
 
 
 def test_nonexist_certified(tmp_path):
@@ -280,8 +295,9 @@ def test_demo_control_with_an_uncertified_point_exits_2(tmp_path, monkeypatch):
     real = solvers.solve_report
 
     def raised_at_minus_1(inst, *args, certificate=None, **kwargs):
+        # the sweep hands every point the one certificate it built: change a copy
         if inst.w == -1.0:
-            certificate.lower = certificate.upper
+            certificate = dataclasses.replace(certificate, lower=certificate.upper)
         return real(inst, *args, certificate=certificate, **kwargs)
 
     monkeypatch.setattr(solvers, "solve_report", raised_at_minus_1)

@@ -267,6 +267,18 @@ def test_compiled_domain_messages():
         compile_expr(parse_expr("u*gamma"))({"u": 1.0})
 
 
+def test_invalid_power_is_guarded_element_by_element():
+    # a NaN base elsewhere does not excuse the NaN of (-1)^0.5
+    e = parse_expr("u^0.5")
+    env = {"u": np.array([np.nan, -1.0])}
+    for fn in (evaluate, lambda e, env: compile_expr(e)(env)):
+        with pytest.raises(EvalDomainError, match=r"^invalid power in 'u\^0\.5'$"):
+            fn(e, env)
+    # a NaN base alone is a NaN value
+    for fn in (evaluate, lambda e, env: compile_expr(e)(env)):
+        assert np.array_equal(fn(e, {"u": np.array([np.nan, 4.0])}), [np.nan, 2.0], equal_nan=True)
+
+
 @pytest.mark.parametrize("source", ["u^(0 - 1)", "u^(0 - 0.5)", "0^(0 - 1)"])
 def test_zero_to_a_negative_power_is_a_domain_error(source):
     e = parse_expr(source)

@@ -313,6 +313,50 @@ def test_h4_nan_spike_values_are_no_evidence():
     assert check_hypotheses(clean, spec, g, 4.0, 4.0).conditions["H4"].verdict == "pass (sampled)"
 
 
+def test_h1_witness_is_a_failing_sample_beside_nan_samples():
+    # F = r^3 - r^2 + (exp(u^4) - exp(u^4)) with r^2 = u^2 + v^2: NaN where
+    # exp(u^4) overflows, and 4F > radial pairing 3r^3 - 2r^2 once r > 2;
+    # radius 10 holds both, and the witness must be one of its failing points
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, "(u^2+v^2)^1.5 - (u^2+v^2) + (exp(u^4) - exp(u^4))", {})
+    h1 = check_hypotheses(nl, HypothesisSpec(theta=4.0), g, 2.0, 2.0).conditions["H1"]
+    assert h1.verdict == "fail"
+    vertex, t, s, w = h1.witness
+    assert w == -1.0 and math.hypot(t, s) == pytest.approx(10.0)
+    theta_f = 4.0 * nl.eval("F", vertex, t, s, w)
+    pairing = nl.eval("Fu", vertex, t, s, w) * t + nl.eval("Fv", vertex, t, s, w) * s
+    assert theta_f == pytest.approx(3600.0) and pairing == pytest.approx(2800.0)
+
+
+def test_h4_witness_is_the_first_failing_w():
+    # F = 4 a^4 (1 + w) at the spike (a, a) falls below L a^4 = 2 a^4 for
+    # w < -1/2: at w = -1 and w = -5/7 of the grid; the first one is the witness
+    g = path_graph(2)
+    nl = Nonlinearity.from_source(g, "(u^2+v^2)^2*(1+w)", {})
+    spec = HypothesisSpec(L=np.full(g.n, 2.0), x0="v0", delta=0.5)
+    h4 = check_hypotheses(nl, spec, g, 4.0, 4.0).conditions["H4"]
+    assert h4.verdict == "fail"
+    assert h4.witness == ("v0", pytest.approx(0.5 / 17), -1.0)
+
+
+def test_sign_screen_stops_at_the_first_failing_w(monkeypatch):
+    # the pairing 4F of mp-example is >= 0 everywhere: the first w fails, and
+    # the screen evaluates F_u and F_v there only
+    g = path_graph(2)
+    prob = builtin("mp-example", g)
+    calls = []
+    real = Nonlinearity.block_values
+
+    def counting(self, which, coords, w_val):
+        calls.append((which, w_val))
+        return real(self, which, coords, w_val)
+
+    monkeypatch.setattr(Nonlinearity, "block_values", counting)
+    screen = sign_screen(prob.nl, prob.spec, g, 2)
+    assert screen.verdict == "fail" and screen.witness[-1] == -1.0
+    assert calls == [("Fu", -1.0), ("Fv", -1.0)]
+
+
 def test_hypothesis_spec_interval_validated():
     with pytest.raises(ValueError):
         HypothesisSpec(J=(1.0, 0.0))

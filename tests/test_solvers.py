@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -686,6 +687,20 @@ def test_min_certificate_energy_level_hand_value():
     assert cert.upper == 1.0
     assert cert.lower == 2.0**-8
     assert cert.constants["start_energy"] == pytest.approx(-0.0012)
+
+
+def test_energy_level_bounds_name_a_nan_sample():
+    # exp(-10^6 u) overflows for u < -7.1e-4, where F is inf - inf = NaN; the
+    # box of radius 2^-8 reaches u = -2^-8, and there its finite samples stay
+    # under eta (0.2 r < 0.0012, as in the hand value above)
+    g = path_graph(2)
+    F = "0.05*(u+v) + (exp(-1000000*u) - exp(-1000000*u))"
+    inst = _instance(g, F, spec=HypothesisSpec(x0=g.vertices[0]))
+    message = "F is NaN at a sample of the box of radius 0.00390625 at w = 0"
+    with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+        solvers.energy_level_bounds(inst, 0.02, 1.0)
+    cert, flags = solvers.certify(bound_certificate_min, inst, 0.02, 1.0)
+    assert cert is None and flags == (f"certificate unavailable: {message}",)
 
 
 def test_local_min_solve_quadratic_descends_to_origin():
