@@ -178,16 +178,24 @@ def negative_endpoint(inst) -> tuple:
 
     The scaling is doubled until the energy is negative at every grid
     parameter, so the resulting upper bound constant does not depend on w.
+    A NaN energy at a grid parameter raises a ``SolverError`` naming the scaling and w.
     Returns the blocks: (u, v), or (u,) for a scalar problem.
     """
     direction = inst.spike()
     ws = inst.spec.w_grid(_W_GRID)
     t = 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        x = t * direction
-        if all(e < 0 for e in inst.energies(x, ws)):
-            return tuple(b.copy() for b in inst.split(x))
-        t *= 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN energy is named below
+        for _ in range(_MAX_DOUBLINGS):
+            x = t * direction
+            for w, e in zip(ws, inst.energies(x, ws)):
+                if not e < 0:
+                    if math.isnan(e):
+                        raise SolverError(f"cannot certify (F3) numerically: the energy of {t:g}"
+                                          f" times the spike is NaN at w = {w:g}")
+                    break
+            else:
+                return tuple(b.copy() for b in inst.split(x))
+            t *= 2.0
     raise SolverError(
         "cannot certify (F3) numerically: no negative-energy endpoint after "
         f"{_MAX_DOUBLINGS} doublings"
@@ -436,28 +444,35 @@ _LADDER = 40  # radii r 2^-j tried by the ball radius and the energy-level bound
 _BOX_GRID = 21  # grid points per block of the sampled box
 
 
-def _unit_box(blocks: int, grid: int) -> tuple:
-    """The cube [-1, 1]^blocks sampled on a grid, one coordinate array per block."""
-    axis = np.linspace(-1.0, 1.0, grid)
-    return tuple(np.meshgrid(*(axis,) * blocks, indexing="ij"))
-
-
-def _box_points(inst, radius: float, unit_box: tuple) -> list:
-    """The box |t| <= b r, |s| <= d r: the unit box scaled by each block's embedding factor."""
-    return [b * radius * unit for (b, _), unit in zip(inst.embedding.blocks, unit_box)]
-
-
 def _below(values, bound, radius: float, w: float, error) -> bool:
     """Whether every sample of a certificate's box scan is below ``bound``.
 
     A sample at or above it decides False; else a NaN sample raises
     ``error`` naming the radius of the box and w.
     """
-    if np.all(values < bound):
-        return True
     if np.any(values >= bound):
         return False
+    if np.all(values < bound):
+        return True
     raise error(f"F is NaN at a sample of the box of radius {radius:g} at w = {w:g}")
+
+
+def _first_radius(inst, top: float, ws, bound, error):
+    """The first ladder radius r = top 2^-j whose sampled box passes at every w of ``ws``, or None.
+
+    The box of radius r is |t| <= b r, |s| <= d r (s absent for one block) on
+    ``_BOX_GRID`` points per block.  ``bound(r, points)`` gives (excess, limit)
+    once per radius, and the box passes at w if ``_below(excess(F), limit)``.
+    """
+    unit_box = np.meshgrid(*(np.linspace(-1.0, 1.0, _BOX_GRID),) * len(inst.spaces), indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):  # judged by _below
+        for r in (top * 0.5**j for j in range(_LADDER)):
+            points = [b * r * unit for (b, _), unit in zip(inst.embedding.blocks, unit_box)]
+            excess, limit = bound(r, points)
+            if all(_below(excess(inst.nl.block_values("F", points, w)), limit, r, w, error)
+                   for w in ws):
+                return r
+    return None
 
 
 def ball_radius(inst) -> float:
@@ -483,22 +498,18 @@ def ball_radius(inst) -> float:
     blocks = len(inst.spaces)
     vol = total_measure(inst.graph)
     D = 0.9 * inst.embedding.cap
-    ws = inst.spec.w_grid(_W_GRID)
-    unit_box = _unit_box(blocks, _BOX_GRID)
 
     def error(reason):
         return SolverError(f"(F2) margin not certifiable: {reason}")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # judged by _below
-        for j in range(_LADDER):
-            rho = 0.5**j
-            points = _box_points(inst, rho, unit_box)
-            cap = D * sum(np.abs(t) ** p for t in points) * (1.0 + 1e-9)
-            budget = 0.1 * blocks ** (1.0 - p) * rho**p / (p * vol)
-            if all(_below(inst.nl.block_values("F", points, w) - cap, budget, rho, w, error)
-                   for w in ws):
-                return rho
-    raise error("no ladder radius qualifies")
+    def bound(rho, points):
+        cap = D * sum(np.abs(t) ** p for t in points) * (1.0 + 1e-9)
+        return (lambda F: F - cap), 0.1 * blocks ** (1.0 - p) * rho**p / (p * vol)
+
+    rho = _first_radius(inst, 1.0, inst.spec.w_grid(_W_GRID), bound, error)
+    if rho is None:
+        raise error("no ladder radius qualifies")
+    return rho
 
 
 def ball_projection(inst, rho: float):
@@ -549,16 +560,8 @@ def local_min_solve(
     cert, extra = certified
     if inst.norm(result.x) >= rho * (1.0 - 1e-9):
         extra += ("boundary minimum - not certified critical",)
-    return solve_report(
-        inst,
-        result.x,
-        "local-min",
-        result.iterations,
-        result.fevals,
-        config,
-        certificate=cert,
-        extra_flags=extra,
-    )
+    return solve_report(inst, result.x, "local-min", result.iterations, result.fevals, config,
+                        certificate=cert, extra_flags=extra)
 
 
 def energy_level_bounds(inst, t0: float, rho: float) -> BoundCertificate | None:
@@ -569,22 +572,18 @@ def energy_level_bounds(inst, t0: float, rho: float) -> BoundCertificate | None:
     Phi(z*) <= -eta gives int F(z*) >= eta, so ||z*|| exceeds every radius r
     with vol * max F < eta on the box |t| <= b r, |s| <= d r (sampled, down
     the ladder rho 2^-k; 0 if none qualifies).  Returns None if the start
-    has nonnegative energy.  A radius where no sample reaches eta but one is
-    NaN raises a ``CertificateError`` that names it.
+    has nonnegative energy.  A NaN start energy, or a radius where no sample
+    reaches eta but one is NaN, raises a ``CertificateError`` that names it.
     """
-    eta = -inst.energy(t0 * inst.spike())
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN is named below
+        eta = -inst.energy(t0 * inst.spike())
     if eta <= 0:
         return None
+    if math.isnan(eta):
+        raise CertificateError(f"the start energy is NaN at w = {inst.w:g}")
     vol = total_measure(inst.graph)
-    unit_box = _unit_box(len(inst.spaces), _BOX_GRID)
-    lower = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # judged by _below
-        for k in range(_LADDER):
-            r = rho * 0.5**k
-            values = vol * inst.nl.block_values("F", _box_points(inst, r, unit_box), inst.w)
-            if _below(values, eta, r, inst.w, CertificateError):
-                lower = r
-                break
+    lower = _first_radius(inst, rho, [inst.w], lambda r, points: ((lambda F: vol * F), eta),
+                          CertificateError) or 0.0
     notes = ("energy-level bounds: the start has negative energy",)
     if lower == 0.0:
         notes += ("vacuous lower bound: no ladder radius qualifies",)

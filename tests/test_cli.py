@@ -148,6 +148,19 @@ def test_solve_min_names_a_nan_sample_of_the_ball_radius_scan(tmp_path):
     )
 
 
+def test_solve_mp_names_a_nan_energy_of_the_endpoint_doubling(tmp_path):
+    # at t = 1 the energy is negative for every w up to 0.7 and NaN from
+    # w = 0.8 on, where exp(1000 w) overflows; tier-1 makes a RuntimeWarning
+    # an error, and the doubling used to run out with one per try
+    problem = _write(tmp_path, "p.json", {
+        "F": "(u^2+v^2)^2*(1+w^2) + (exp(1000*w) - exp(1000*w))", "p": 3, "q": 2,
+    })
+    code, report = _run(tmp_path, ["solve", "--problem", problem, "--kind", "mp"])
+    assert code == 2
+    assert report["result"]["error"] == (
+        "cannot certify (F3) numerically: the energy of 1 times the spike is NaN at w = 0.8"
+    )
+
 def test_nonexist_certified(tmp_path):
     problem = _write(tmp_path, "p.json", {"builtin": "nonexist-example"})
     code, report = _run(

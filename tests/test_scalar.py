@@ -131,6 +131,14 @@ def test_ball_radius_zero_and_supercritical():
         ball_radius(_instance(g, "u^2"))
 
 
+@pytest.mark.parametrize("graph, rho", [(path_graph(2), 0.25), (complete_graph(5), 0.125)],
+                         ids=("path-2", "K5"))
+def test_ball_radius_walks_down_the_ladder(graph, rho):
+    # the quartic outgrows the quadratic cap on the larger boxes; at rho every
+    # sample at all 21 ws of the grid stays under the budget
+    spec = HypothesisSpec(delta=0.04, x0=graph.vertices[0])
+    assert ball_radius(_instance(graph, "u^4*(1+w^2)", spec=spec)) == rho
+
 def test_min_solve_small_quadratic():
     g = path_graph(2)
     spec = HypothesisSpec(theta=4.0, c1=1.0, r1=4.0, delta=1.0)

@@ -703,6 +703,14 @@ def test_energy_level_bounds_name_a_nan_sample():
     assert cert is None and flags == (f"certificate unavailable: {message}",)
 
 
+def test_energy_level_bounds_name_a_nan_start_energy():
+    # at w = 1 exp(1000 w) overflows, so the start energy is inf - inf = NaN
+    g = path_graph(2)
+    F = "0.05*(u+v) + (exp(1000*w) - exp(1000*w))"
+    inst = _instance(g, F, spec=HypothesisSpec(x0=g.vertices[0]), w=1.0)
+    cert, flags = solvers.certify(bound_certificate_min, inst, 0.02, 1.0)
+    assert cert is None and flags == ("certificate unavailable: the start energy is NaN at w = 1",)
+
 def test_local_min_solve_quadratic_descends_to_origin():
     g = path_graph(2)
     spec = HypothesisSpec(theta=4.0, c1=1.0, c2=1.0, r1=4.0, r2=4.0, delta=1.0)
