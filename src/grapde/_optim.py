@@ -33,6 +33,7 @@ _MAX_NEWTON = 100  # Newton steps of each polish
 _TRIAL_NEWTON = 15  # Newton steps of each trial from the path peak
 _MIN_STEP = 1e-10  # smallest damping factor of a Newton step
 _TRIAL_MIN_STEP = 1e-3  # smallest damping factor of a trial step
+_POLISH_BATCH_BYTES = 1 << 24  # the stacked Jacobians of one batch of polish_roots
 
 
 @dataclass
@@ -282,12 +283,14 @@ def polish_roots(grad, X0, weights, jac, tol=1e-8) -> list:
     """Drive the gradient to zero from each row of X0: damped Newton (``_newton``) on ``jac``.
 
     ``grad`` and ``jac`` take one state, or a stack of states along leading
-    axes, as ``FlatProblem.gradient`` and ``jacobian`` do.  At most
-    ``_MAX_NEWTON`` steps per start; one OptResult per start, whose
-    ``iterations`` counts its Newton steps and ``fevals`` its gradient
-    evaluations.
+    axes, as ``FlatProblem.gradient`` and ``jacobian`` do; the starts run in
+    batches whose stacked Jacobians stay under ``_POLISH_BATCH_BYTES``.  At
+    most ``_MAX_NEWTON`` steps per start; one OptResult per start, whose
+    ``iterations`` counts its Newton steps and ``fevals`` its gradient calls.
     """
-    return _newton(grad, jac, X0, weights, tol, _MAX_NEWTON)
+    batch = max(1, _POLISH_BATCH_BYTES // (8 * weights.size**2))  # starts per batch
+    return [res for b in range(0, len(X0), batch)
+            for res in _newton(grad, jac, X0[b : b + batch], weights, tol, _MAX_NEWTON)]
 
 
 def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:

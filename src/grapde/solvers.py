@@ -206,17 +206,17 @@ def _warm_report(inst, res, kind, config, certified):
     """Report of a warm descent, or None if the driver must fall back to its cold search.
 
     ``certified`` is the (certificate, flags) pair of ``certify``.  The
-    descent must converge to a nontrivial state whose report is converged
-    and, for a saddle, not ``type-uncertain``.
+    descent must converge, and its report must be converged and flagged
+    neither ``trivial`` nor, for a saddle, ``type-uncertain``.
     """
-    if not res.converged or inst.norm(res.x) < trivial_norm(inst, config.tol):
+    if not res.converged:
         return None
     cert, flags = certified
     report = solve_report(
         inst, res.x, kind, res.iterations, res.fevals, config,
         certificate=cert, extra_flags=flags + ("warm start",),
     )
-    if report.converged and "type-uncertain" not in report.flags:
+    if report.converged and not {"trivial", "type-uncertain"} & set(report.flags):
         return report
     return None
 
@@ -647,7 +647,6 @@ def bound_certificate_min(inst: FlatProblem, t0: float, rho: float) -> BoundCert
 # --- uniqueness ---------------------------------------------------------
 
 _UNIQUE_STARTS = 50  # random starts in the ball that must reach one minimizer
-_POLISH_BATCH_BYTES = 1 << 24  # the stacked Jacobians of one batch of multistart polishes
 
 
 @dataclass
@@ -655,8 +654,6 @@ class UniquenessReport:
     certified: bool
     margin: float
     C_p: float
-    monotonicity_ok: bool
-    monotonicity_min_slack: float
     h5_verdict: str
     multistart_spread: float
     notes: tuple = ()
@@ -669,35 +666,19 @@ def monotonicity_constant(p: float) -> float:
     return 2.0 ** (2.0 - p)
 
 
-def _check_monotonicity(p: float, grid: int = 100, span: float = 3.0) -> tuple:
-    cp = monotonicity_constant(p)
-    xs = np.linspace(-span, span, grid)
-    min_slack = math.inf
-    ok = True
-    for x in xs:
-        lhs = (np.abs(x) ** (p - 2) * x - np.abs(xs) ** (p - 2) * xs) * (x - xs)
-        rhs = cp * np.abs(x - xs) ** p
-        slack = float(np.min(lhs - rhs))
-        min_slack = min(min_slack, slack)
-        if slack < -1e-10:
-            ok = False
-    return ok, min_slack
-
-
 def uniqueness_certificate(
     inst: FlatProblem, config: SolverConfig = None
 ) -> UniquenessReport:
     """Contraction-style uniqueness screen for the local minimizer.
 
-    Besides the margin, monotonicity and (H5), at least 2 multistart
-    minimizers must converge inside the ball and agree.
+    It needs a positive margin (its C_p = 2^(2-p) is a lemma for p >= 2, not re-sampled),
+    a passing (H5), and at least 2 converged interior multistart minimizers that agree.
     """
     config = config or SolverConfig()
     p, q = inst.p, inst.q
     if p != q:
         raise SolverError("uniqueness certificate requires p == q")
     cp = monotonicity_constant(p)
-    monotonicity_ok, monotonicity_slack = _check_monotonicity(p)
     notes = []
     try:
         rho, rho_error = ball_radius(inst), None
@@ -741,8 +722,7 @@ def uniqueness_certificate(
     spread = max((inst.norm(a - b) for a, b in itertools.combinations(solutions, 2)), default=0.0)
 
     certified = (
-        monotonicity_ok
-        and margin > 0
+        margin > 0
         and h5_verdict in ("pass", "pass (sampled)")
         and spread < 1e-6
     )
@@ -753,8 +733,6 @@ def uniqueness_certificate(
         certified=certified,
         margin=margin,
         C_p=cp,
-        monotonicity_ok=monotonicity_ok,
-        monotonicity_min_slack=monotonicity_slack,
         h5_verdict=h5_verdict,
         multistart_spread=spread,
         notes=tuple(notes),
@@ -786,10 +764,9 @@ def nonexistence_check(
     evaluated in one call.  Optionally confirms by driving the gradient to
     zero from random starts and recording the largest norm reached (None,
     with a note, if no start converged).  The starts are drawn at once and
-    polished in lockstep by ``polish_roots``, in batches whose stacked
-    Jacobians stay under ``_POLISH_BATCH_BYTES``; each ends as its polish
-    alone would.  Then, start by start, a Newton polish that stops short of
-    tol from a finite start is retried by ``least_squares_retry``, which
+    polished in lockstep by ``polish_roots``; each ends as its polish alone
+    would.  Then, start by start, a Newton polish that stops short of tol
+    from a finite start is retried by ``least_squares_retry``, which
     converges from some starts of this multistart where Newton does not (no
     solve needs it).  A state below ``trivial_norm`` counts as the trivial
     solution, norm 0; the norms of the converged states come from one call.
@@ -816,13 +793,8 @@ def nonexistence_check(
         notes.append(f"{nan_pairings} mechanism pairings are NaN")
 
     X0 = rng.uniform(-2.0, 2.0, size=(multistart, weights.size))
-    batch = max(1, _POLISH_BATCH_BYTES // (8 * weights.size**2))  # starts per batch
-    polished = []
-    for b in range(0, multistart, batch):
-        polished += polish_roots(inst.gradient, X0[b : b + batch], weights, inst.jacobian,
-                                 config.tol)
     roots = []
-    for x0, res in zip(X0, polished):
+    for x0, res in zip(X0, polish_roots(inst.gradient, X0, weights, inst.jacobian, config.tol)):
         if not res.converged and res.message != "non-finite residual":
             res = least_squares_retry(
                 inst.gradient, x0, weights, inst.jacobian, res, tol=config.tol

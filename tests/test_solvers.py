@@ -174,7 +174,7 @@ def test_multistart_batches_give_the_same_report(monkeypatch):
     whole = to_json(nonexistence_check(inst, multistart=5))
     n = inst.weights.size
     for per_batch in (1, 2):
-        monkeypatch.setattr(solvers, "_POLISH_BATCH_BYTES", per_batch * 8 * n * n)
+        monkeypatch.setattr(_optim, "_POLISH_BATCH_BYTES", per_batch * 8 * n * n)
         assert to_json(nonexistence_check(inst, multistart=5)) == whole
 
 
@@ -766,10 +766,20 @@ def test_uniqueness_certified_for_small_quadratic():
     )
     inst = _instance(g, "0.01*(u^2+v^2)", spec=spec)
     report = uniqueness_certificate(inst)
-    assert report.monotonicity_ok
     assert report.margin == pytest.approx(0.5 - 0.04)
     assert report.multistart_spread < 1e-6
     assert report.certified
+
+
+def test_uniqueness_report_does_not_resample_the_monotonicity_lemma():
+    # C_p = 2^(2-p) is a lemma for p >= 2 (criterion_10): at p = 12 a grid
+    # check of it reads rounding noise beyond 1e-10 as a failure, so the
+    # report carries no sampled flag of it
+    g = path_graph(2)
+    spec = HypothesisSpec(d1=1e-9, d2=1e-9, delta=1.0, x0=g.vertices[0], L=np.full(g.n, 1.0))
+    report = to_json(uniqueness_certificate(_instance(g, "1e-7*(u+v)", p=12.0, q=12.0, spec=spec)))
+    assert "monotonicity_ok" not in report and "monotonicity_min_slack" not in report
+    assert report["C_p"] == 2.0 ** -10
 
 
 def test_builtin_quadratic_example_not_certified():

@@ -18,9 +18,11 @@ relative to the largest |energy| of such a state of the first report; the
 largest relative change of a certificate's ``lower`` or ``upper`` (each
 state's certificate and a ``constants`` report's ``bounds``); and every
 change of a state's ``converged``, its certificate's ``satisfied``, its
-``flags`` and the exit code.  The last line is the tally: the count of
-differing files, the count of runs with such a verdict change, and the
-largest energy and bound changes of all.
+``flags`` and the exit code.  After the files come one ``path`` line per
+differing leaf path, with list indices written ``[]`` and the vertices of a
+``u``/``v`` state map ``*``, and the count of reports it differs in.  The
+last line is the tally: the count of differing files, the count of runs
+with such a verdict change, and the largest energy and bound changes of all.
 Capture the parent tree and the changed tree, then compare.
 
 The set: the five builtins (with ``control-objective`` as the control
@@ -47,6 +49,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -199,21 +202,25 @@ def capture(src, out):
         json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
-def _leaves(node, path=""):
+def _leaves(node, path="", pattern=""):
+    """((path, pattern), value) of each leaf; the pattern is the path with list
+    indices as ``[]`` and the vertex keys of a ``u``/``v`` state map as ``*``."""
     if isinstance(node, dict):
+        vertices = pattern.endswith((".u", ".v"))
         for key in sorted(node):
-            yield from _leaves(node[key], f"{path}.{key}")
+            yield from _leaves(node[key], f"{path}.{key}", f"{pattern}.{'*' if vertices else key}")
     elif isinstance(node, list):
         for k, item in enumerate(node):
-            yield from _leaves(item, f"{path}[{k}]")
+            yield from _leaves(item, f"{path}[{k}]", f"{pattern}[]")
     else:
-        yield path, node
+        yield (path, pattern), node
 
 
 def _describe(a, b):
-    """Differing leaves of two JSON documents, with the relative size of numeric ones."""
+    """Differing leaves of two JSON documents, with the relative size of numeric ones,
+    and the set of their path patterns."""
     la, lb = dict(_leaves(a)), dict(_leaves(b))
-    lines = []
+    lines, patterns = [], set()
     for key in sorted(set(la) | set(lb)):
         x, y = la.get(key, "<absent>"), lb.get(key, "<absent>")
         if x == y:
@@ -221,8 +228,9 @@ def _describe(a, b):
         rel = ""
         if isinstance(x, float) and isinstance(y, float) and math.isfinite(x) and x != 0:
             rel = f"  (rel {abs(y - x) / abs(x):.1e})"
-        lines.append(f"    {key}: {x!r} -> {y!r}{rel}")
-    return lines
+        lines.append(f"    {key[0]}: {x!r} -> {y!r}{rel}")
+        patterns.add(key[1])
+    return lines, patterns
 
 
 def _dicts_with(keys, node, path=""):
@@ -305,6 +313,7 @@ def compare(a, b):
     differ = 0
     files_differ, max_rel, max_bound = 0, 0.0, 0.0
     verdicts = set()  # runs with a change of converged, satisfied, flags or exit code
+    paths = Counter()  # path pattern -> reports with a differing leaf there
     with open(os.path.join(a, "manifest.json"), encoding="utf-8") as fh:
         ma = json.load(fh)
     with open(os.path.join(b, "manifest.json"), encoding="utf-8") as fh:
@@ -335,7 +344,8 @@ def compare(a, b):
         print(f"differs: {name}")
         if name.endswith(".json"):
             ja, jb = json.loads(da), json.loads(db)
-            leaves = _describe(ja, jb)
+            leaves, patterns = _describe(ja, jb)
+            paths.update(patterns)
             print("\n".join(leaves[:_SHOWN_LEAVES]))
             if len(leaves) > _SHOWN_LEAVES:
                 print(f"    ... and {len(leaves) - _SHOWN_LEAVES} more differing leaves")
@@ -347,6 +357,8 @@ def compare(a, b):
                 verdicts.add(run)
             head = f"max energy change {rel:.1e}" if common else "no common state"
             print("  summary: " + "; ".join([head, f"max bound change {bound:.1e}"] + changes))
+    for pattern, count in sorted(paths.items(), key=lambda item: (-item[1], item[0])):
+        print(f"path {pattern}: differs in {count} reports")
     same = len(files) - differ
     print(f"{len(files)} files, {differ} differences, {max(same, 0)} identical")
     print(f"tally: {files_differ} files differ, {len(verdicts)} runs change converged, "
