@@ -13,6 +13,7 @@ import datetime
 import functools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -125,20 +126,22 @@ def to_json(obj):
 
     A StatePair becomes its vertex maps, "u" and (for two blocks) "v"; a
     dataclass becomes its fields by name, with a StatePair field merged into
-    it; dicts, sequences and arrays are converted item by item, and numpy
-    scalars become Python numbers.  Plain values, the most common, are
-    tested first.
+    it; dicts, sequences and arrays are converted item by item, numpy scalars
+    become Python numbers, and a non-finite float None (JSON, RFC 8259, has
+    no Infinity or NaN).  Plain values, the most common, are tested first.
     """
-    if obj is None or type(obj) in (str, float, int, bool):
+    if type(obj) is float:
+        return obj if math.isfinite(obj) else None
+    if obj is None or type(obj) in (str, int, bool):
         return obj
     if isinstance(obj, StatePair):
-        return {name: f.to_map() for name, f in zip("uv", obj.blocks)}
+        return {name: to_json(f.to_map()) for name, f in zip("uv", obj.blocks)}
     if isinstance(obj, dict):
         return {key: to_json(value) for key, value in obj.items()}
     if isinstance(obj, (tuple, list, np.ndarray)):
         return [to_json(item) for item in obj]
     if isinstance(obj, np.generic):
-        return obj.item()
+        return to_json(obj.item())
     if dataclasses.is_dataclass(obj):
         out = {}
         for field in dataclasses.fields(obj):
@@ -165,7 +168,7 @@ def _emit(args, result, exit_code):
     }
     if not args.deterministic:
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -196,11 +199,11 @@ def cmd_constants(inst, objective, config):
         result.update(zip(names, constants))
     try:
         endpoint = negative_endpoint(inst)
-        result["bounds"] = to_json(bound_certificate_mp(inst, endpoint))
+        result["bounds"] = bound_certificate_mp(inst, endpoint)
     except (SolverError, CertificateError) as err:
         result["bounds"] = None
         result["bounds_error"] = str(err)
-    return result, 0
+    return to_json(result), 0
 
 
 def cmd_check(inst, objective, config):

@@ -18,7 +18,6 @@ constants are its one-block case.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -646,7 +645,7 @@ def bound_certificate_min(inst: FlatProblem, t0: float, rho: float) -> BoundCert
 
 # --- uniqueness ---------------------------------------------------------
 
-_UNIQUE_STARTS = 50  # random starts in the ball that must reach one minimizer
+_UNIQUE_STARTS = 50  # random starts in the ball whose Newton roots must coincide
 
 
 @dataclass
@@ -671,8 +670,9 @@ def uniqueness_certificate(
 ) -> UniquenessReport:
     """Contraction-style uniqueness screen for the local minimizer.
 
-    It needs a positive margin (its C_p = 2^(2-p) is a lemma for p >= 2, not re-sampled),
-    a passing (H5), and at least 2 converged interior multistart minimizers that agree.
+    It needs a positive margin (C_p = 2^(2-p) is a lemma for p >= 2, not re-sampled), a passing
+    (H5), and 2 or more converged interior Newton roots (``polish_roots``) that agree: by the
+    contraction any two critical points in the ball coincide, which a descent cannot test.
     """
     config = config or SolverConfig()
     p, q = inst.p, inst.q
@@ -706,29 +706,29 @@ def uniqueness_certificate(
             h5_radius,
         ).verdict
 
-    # multistart agreement: all interior converged minimizers must coincide
-    solutions = []
+    # multistart agreement: all converged interior roots must coincide
+    roots = []
     if rho is None:
         notes.append(f"multistart skipped: {rho_error}")
     else:
-        weights = inst.weights
         project = ball_projection(inst, rho)
         rng = np.random.default_rng(config.seed)
-        for _ in range(_UNIQUE_STARTS):
-            x0 = project(rng.uniform(-rho, rho, size=weights.size))
-            res = bb_minimize(inst.energy, inst.gradient, x0, weights, project, tol=config.tol)
+        X0 = [project(x) for x in rng.uniform(-rho, rho, size=(_UNIQUE_STARTS, inst.weights.size))]
+        for res in polish_roots(inst.gradient, X0, inst.weights, inst.jacobian, config.tol):
             if res.converged and inst.norm(res.x) < rho * (1.0 - 1e-9):
-                solutions.append(res.x)
-    spread = max((inst.norm(a - b) for a, b in itertools.combinations(solutions, 2)), default=0.0)
+                roots.append(res.x)
+    # each root against the roots after it: one stacked norm call per root
+    pairs = (inst.norm(x - np.array(roots[i + 1 :])) for i, x in enumerate(roots[:-1]))
+    spread = max((float(np.max(d)) for d in pairs), default=0.0)
 
     certified = (
         margin > 0
         and h5_verdict in ("pass", "pass (sampled)")
         and spread < 1e-6
     )
-    if certified and len(solutions) < 2:  # a spread of one minimizer, or none, is 0
+    if certified and len(roots) < 2:  # a spread of one root, or none, is 0
         certified = False
-        notes.append(f"{len(solutions)} interior minimizers converged; agreement needs 2")
+        notes.append(f"{len(roots)} interior minimizers converged; agreement needs 2")
     return UniquenessReport(
         certified=certified,
         margin=margin,

@@ -16,6 +16,7 @@ from grapde import load_schema
 from grapde.cli import load_problem, main, to_json
 from grapde.graph import graph_from_dict, graph_to_dict, path_graph, total_measure
 from grapde.nonlinearity import builtin
+from grapde.schema import load_json
 from grapde.solvers import SolverError
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
@@ -556,6 +557,17 @@ def test_numpy_values_become_json_numbers_and_lists():
     }
     assert [type(out[k]) for k in ("float", "int", "bool")] == [float, int, bool]
     assert type(out["array"][0][0]) is float and type(out["pairs"][0][0]) is float
+
+
+def test_non_finite_floats_become_null_so_the_report_is_json(tmp_path):
+    # a one-point sweep has no neighbour to check its limit against: the distance is inf
+    problem = _write(tmp_path, "p.json", {"builtin": "mp-example"})
+    out = tmp_path / "sweep.json"
+    main(["sweep", "--problem", problem, "--grid", "1", "--out", str(out)])
+    report = load_json(str(out))  # rejects Infinity and NaN, which are not JSON
+    assert report["result"]["continuity"]["limit_check_distance"] is None
+    for kind in (float, np.float64, np.float32):
+        assert to_json([kind(math.inf), kind(-math.inf), kind(math.nan)]) == [None] * 3
 
 
 # --- input errors: one "error:" line, exit 1 ---------------------------------

@@ -812,19 +812,38 @@ def _criterion_05_instance():
 @pytest.mark.parametrize("converging", (0, 1))
 def test_uniqueness_needs_two_converged_minimizers(monkeypatch, converging):
     # a spread over fewer than two interior minimizers is 0 and shows nothing
-    calls = []
+    def polish(*args, **kwargs):
+        results = _optim.polish_roots(*args, **kwargs)
+        return [dataclasses.replace(res, converged=res.converged and k < converging)
+                for k, res in enumerate(results)]
 
-    def bb(*args, **kwargs):
-        res = _optim.bb_minimize(*args, **kwargs)
-        calls.append(res)
-        return dataclasses.replace(res, converged=res.converged and len(calls) <= converging)
-
-    monkeypatch.setattr(solvers, "bb_minimize", bb)
+    monkeypatch.setattr(solvers, "polish_roots", polish)
     report = uniqueness_certificate(_criterion_05_instance())
     assert report.margin > 0 and report.h5_verdict == "pass (sampled)"
     assert report.multistart_spread == 0.0
     assert not report.certified
     assert report.notes[-1] == f"{converging} interior minimizers converged; agreement needs 2"
+
+
+def test_uniqueness_polishes_its_starts_to_roots_in_one_newton_call(monkeypatch):
+    # the contraction makes any two critical points in the ball coincide, so the
+    # multistart polishes its starts to roots; a descent would find minima only
+    polishes, descents = [], []
+
+    def polish(grad, X0, *args, **kwargs):
+        polishes.append(len(X0))
+        return _optim.polish_roots(grad, X0, *args, **kwargs)
+
+    def descent(*args, **kwargs):
+        descents.append(args)
+        return _optim.bb_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "polish_roots", polish)
+    monkeypatch.setattr(solvers, "bb_minimize", descent)
+    report = uniqueness_certificate(_criterion_05_instance())
+    assert polishes == [50]
+    assert descents == []
+    assert report.certified and report.multistart_spread < 1e-6
 
 
 def test_uniqueness_without_a_ball_radius_is_not_certified(monkeypatch):
