@@ -9,21 +9,22 @@ so their objective, gradient and Jacobian take a stack of states along
 leading axes.  One damped Newton loop (``_newton``) serves the stacked
 polish (``polish_roots``), its one-start case (``polish_root``) and the
 saddle search's trials; it runs its starts in lockstep, and each start ends
-exactly as it would alone.  All routines are deterministic for fixed
-inputs.  Only ``least_squares_retry`` uses scipy, and imports it when first
-called.
+exactly as it would alone.  One Levenberg-Marquardt loop (``_lm``), run the
+same way, is the damped least-squares polish (``least_squares_polish``) that
+``solvers.nonexistence_check`` falls back on where Newton stops short.  All
+routines are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "OptResult", "weighted_norm", "bb_minimize", "path_saddle", "polish_root", "polish_roots",
-    "least_squares_retry",
+    "least_squares_polish",
 ]
 
 _ARMIJO_C = 1e-4  # sufficient decrease of every backtracking line search
@@ -33,7 +34,11 @@ _MAX_NEWTON = 100  # Newton steps of each polish
 _TRIAL_NEWTON = 15  # Newton steps of each trial from the path peak
 _MIN_STEP = 1e-10  # smallest damping factor of a Newton step
 _TRIAL_MIN_STEP = 1e-3  # smallest damping factor of a trial step
-_POLISH_BATCH_BYTES = 1 << 24  # the stacked Jacobians of one batch of polish_roots
+_POLISH_BATCH_BYTES = 1 << 24  # the stacked Jacobians of one batch of a stacked polish
+_MAX_LM = 2000  # steps of each least-squares polish, taken or refused
+_LM_DAMPING = 1e-3  # the damping of each least-squares polish's first step
+_LM_MAX_DAMPING = 1e16  # the damping at which a least-squares polish gives up
+_LM_DIAG_FLOOR = 1e-12  # floor of the damping diagonal, relative to its largest entry
 
 
 @dataclass
@@ -279,6 +284,15 @@ def _newton(grad, jac, X0, weights, tol, max_steps, min_step=_MIN_STEP) -> list:
     ]
 
 
+def _in_batches(polish, X0, weights) -> list:
+    """``polish`` of the rows of X0, one batch at a time.
+
+    A batch's stacked Jacobians stay under ``_POLISH_BATCH_BYTES``.
+    """
+    batch = max(1, _POLISH_BATCH_BYTES // (8 * weights.size**2))  # starts per batch
+    return [res for b in range(0, len(X0), batch) for res in polish(X0[b : b + batch])]
+
+
 def polish_roots(grad, X0, weights, jac, tol=1e-8) -> list:
     """Drive the gradient to zero from each row of X0: damped Newton (``_newton``) on ``jac``.
 
@@ -288,9 +302,7 @@ def polish_roots(grad, X0, weights, jac, tol=1e-8) -> list:
     most ``_MAX_NEWTON`` steps per start; one OptResult per start, whose
     ``iterations`` counts its Newton steps and ``fevals`` its gradient calls.
     """
-    batch = max(1, _POLISH_BATCH_BYTES // (8 * weights.size**2))  # starts per batch
-    return [res for b in range(0, len(X0), batch)
-            for res in _newton(grad, jac, X0[b : b + batch], weights, tol, _MAX_NEWTON)]
+    return _in_batches(lambda X: _newton(grad, jac, X, weights, tol, _MAX_NEWTON), X0, weights)
 
 
 def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
@@ -298,33 +310,97 @@ def polish_root(grad, x0, weights, jac, tol=1e-8) -> OptResult:
     return polish_roots(grad, [x0], weights, jac, tol)[0]
 
 
-def least_squares_retry(grad, x0, weights, jac, newton: OptResult, tol=1e-8) -> OptResult:
-    """The better of ``newton``, a polish from x0 that stopped short of tol, and least squares.
+def _lm(grad, jac, X0, weights, tol) -> list:
+    """Levenberg-Marquardt on the weighted residual sqrt(weights) g from each start of X0.
 
-    ``scipy.optimize.least_squares`` with the same Jacobian runs from x0 on
-    the weighted residual, and the smaller residual wins; its result has the
-    message "least squares", ``iterations`` adds its Jacobians to the Newton
-    steps and ``fevals`` its gradient calls.
+    With W = diag(weights) and J the Jacobian at x, each step solves
+    (J^T W J + lam D) p = -J^T W g, D the diagonal of J^T W J floored at
+    ``_LM_DIAG_FLOOR`` of its largest entry (the min-norm least-squares
+    step where that matrix is singular).  Each start keeps its own damping
+    lam, from ``_LM_DAMPING``, and updates it by Nielsen's rule on the ratio
+    of the actual to the predicted fall of |g|^2: a step that lowers the
+    residual is taken and lam shrinks by up to 3, any other (a non-finite
+    residual included) is refused and lam grows by a factor that doubles
+    with each refusal in a row.  The starts run in lockstep, with one
+    ``jac`` call for the starts that moved, one batched solve and one
+    ``grad`` call per step, and every per-start quantity is computed row by
+    row, so each start ends exactly as it would alone (``_each``).  A start
+    ends "converged", "max iterations" after ``_MAX_LM`` steps, "damping
+    limit" once lam reaches ``_LM_MAX_DAMPING``, or with "non-finite
+    residual" or "non-finite Jacobian" as in ``_newton``.  Returns one
+    OptResult per start; ``iterations`` counts its steps, taken or refused.
     """
-    from scipy import optimize  # the only scipy use; importing it costs most of a cold start
+    X = np.array(X0, dtype=float)
+    k, n = X.shape
+    steps = np.zeros(k, int)
+    lam, grow = np.full(k, _LM_DAMPING), np.full(k, 2.0)
+    A, b, D = np.zeros((k, n, n)), np.zeros((k, n)), np.zeros((k, n))  # J^T W J, J^T W g, D
+    stale = np.ones(k, bool)  # no Jacobian taken at X[i] yet
+    diagonal = np.arange(n)
 
-    sw = np.sqrt(weights)
-    fevals = newton.fevals
-
-    def counted(x):
-        nonlocal fevals
-        fevals += 1
-        return grad(x)
+    def norms(G):  # the weighted residual of each row
+        return np.sqrt(np.sum(G * G * weights, axis=-1))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        ls = optimize.least_squares(
-            lambda x: sw * counted(x),
-            x0,
-            jac=lambda x: sw[:, None] * jac(x),
-            xtol=1e-15, ftol=1e-15, gtol=1e-15,
-        )
-        res_ls = weighted_norm(weights, counted(ls.x))
-    if res_ls < newton.residual:
-        steps = newton.iterations + int(ls.njev)
-        return OptResult(ls.x, res_ls, steps, fevals, res_ls <= tol, "least squares")
-    return replace(newton, fevals=fevals)
+        G = _each(grad, X)
+        res = norms(G)
+        running = np.isfinite(res)
+        res[~running] = math.inf
+        messages = ["" if ok else "non-finite residual" for ok in running]
+        while True:
+            for message, stops in (
+                ("converged", res <= tol),
+                ("max iterations", steps == _MAX_LM),
+                ("damping limit", lam >= _LM_MAX_DAMPING),
+            ):
+                for i in np.flatnonzero(running & stops):
+                    messages[i] = message
+                running &= ~stops
+            moved = np.flatnonzero(running & stale)
+            if moved.size:
+                J = _each(jac, X[moved])
+                finite = np.isfinite(J).all(axis=(1, 2))
+                for i in moved[~finite]:
+                    messages[i] = "non-finite Jacobian"
+                running[moved[~finite]] = False
+                moved, J = moved[finite], J[finite]
+                JtW = np.swapaxes(J, 1, 2) * weights
+                A[moved] = JtW @ J
+                b[moved] = (JtW @ G[moved, :, None])[..., 0]
+                d = np.diagonal(A[moved], axis1=1, axis2=2)
+                D[moved] = np.maximum(d, _LM_DIAG_FLOOR * np.max(d, axis=1, keepdims=True))
+                stale[moved] = False
+            live = np.flatnonzero(running)
+            if not live.size:
+                break
+            M = A[live]
+            M[:, diagonal, diagonal] += lam[live, None] * D[live]
+            P = _newton_steps(M, b[live])  # row r: start live[r]
+            cand = X[live] + P
+            Gc = _each(grad, cand)
+            rc = norms(Gc)
+            steps[live] += 1
+            # the fall of |g|^2 that the linear model predicts; rho: the actual fall over it
+            predicted = np.sum(P * (lam[live, None] * D[live] * P - b[live]), axis=1)
+            fall = res[live] ** 2 - rc**2
+            rho = np.divide(fall, predicted, out=np.full(live.size, -1.0), where=predicted > 0)
+            taken = rho > 0  # False for a NaN residual
+            took, refused = live[taken], live[~taken]
+            X[took], G[took], res[took], stale[took] = cand[taken], Gc[taken], rc[taken], True
+            lam[took] *= np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho[taken] - 1.0) ** 3)
+            grow[took] = 2.0
+            lam[refused] *= grow[refused]
+            grow[refused] *= 2.0
+    return [  # one gradient call per step, and one at the start
+        OptResult(x, float(r), int(n), int(n) + 1, bool(r <= tol), message)
+        for x, r, n, message in zip(X, res, steps, messages)
+    ]
+
+
+def least_squares_polish(grad, X0, weights, jac, tol=1e-8) -> list:
+    """Drive the weighted residual to zero from each row of X0 by Levenberg-Marquardt (``_lm``).
+
+    ``grad`` and ``jac`` are as for ``polish_roots``, and the starts run in
+    the same batches; one OptResult per start, none for an empty X0.
+    """
+    return _in_batches(lambda X: _lm(grad, jac, X, weights, tol), X0, weights)

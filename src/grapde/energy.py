@@ -34,6 +34,25 @@ __all__ = [
 ]
 
 
+_EIGENVALUE_FLOOR = 1e-8  # an eigenvalue within this of 0, relative to max(1, |lambda|_max), is 0
+
+
+def _symmetrized(J: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The symmetric part of D^(1/2) J D^(-1/2), D = diag(weights), J a Jacobian of the gradient.
+
+    D J is the energy's Hessian, so D^(1/2) J D^(-1/2) is symmetric and, by
+    Sylvester's law, has the Hessian's inertia.
+    """
+    sw = np.sqrt(weights)
+    S = sw[:, None] * J / sw[None, :]
+    return 0.5 * (S + S.T)
+
+
+def _zero_eigenvalue(lam: np.ndarray) -> float:
+    """The magnitude up to which an eigenvalue of the spectrum lam counts as 0."""
+    return _EIGENVALUE_FLOOR * max(1.0, float(np.max(np.abs(lam))))
+
+
 class FlatProblem:
     """The one problem type: unknown blocks over one flat vector.
 
@@ -131,15 +150,10 @@ class FlatProblem:
     def morse_index(self, x) -> int:
         """Count of negative eigenvalues of the energy's Hessian at x.
 
-        diag(mu) J is the Hessian, so with D = diag(weights) the matrix
-        D^(1/2) J D^(-1/2) is symmetric and, by Sylvester's law, has the
-        Hessian's inertia.  Eigenvalues below -1e-8 max(1, |lambda|_max)
-        count as negative.
+        They are those of ``_symmetrized`` below minus ``_zero_eigenvalue``.
         """
-        sw = np.sqrt(self.weights)
-        S = sw[:, None] * self.jacobian(x) / sw[None, :]
-        lam = np.linalg.eigvalsh(0.5 * (S + S.T))
-        return int(np.sum(lam < -1e-8 * max(1.0, float(np.max(np.abs(lam))))))
+        lam = np.linalg.eigvalsh(_symmetrized(self.jacobian(x), self.weights))
+        return int(np.sum(lam < -_zero_eigenvalue(lam)))
 
     def coupling_grad(self, x) -> np.ndarray:
         """Flat (F_u, F_v) at the state x, or at each state of a stack; F_u alone for one block."""
@@ -241,8 +255,8 @@ class Restriction:
         S_BB), with the Schur complement S / S_BB = S_CC - S_CB S_BB^-1 S_BC.
         One Cholesky factorization shows the complement positive definite,
         and then the index is that of S_BB.  The index is None where this is
-        not shown: the factorization fails, or an eigenvalue of S_BB lies
-        within ``morse_index``'s threshold of 0.
+        not shown: the factorization fails, or an eigenvalue of S_BB counts
+        as 0 (``_zero_eigenvalue``).
         """
         full = self.problem
         J = full.jacobian(self.extend(x))
@@ -251,13 +265,11 @@ class Restriction:
         on_ball[self.cols] = True
         b, c = np.flatnonzero(on_ball & ~zero), np.flatnonzero(~on_ball & ~zero)
         live = np.concatenate([b, c])
-        sw = np.sqrt(full.weights[live])
-        S = sw[:, None] * J[np.ix_(live, live)] / sw[None, :]
-        S = 0.5 * (S + S.T)
+        S = _symmetrized(J[np.ix_(live, live)], full.weights[live])
         k = b.size
         lam, V = np.linalg.eigh(S[:k, :k])
         nullity = int(np.count_nonzero(zero))
-        if k and np.min(np.abs(lam)) <= 1e-8 * max(1.0, float(np.max(np.abs(lam)))):
+        if k and np.min(np.abs(lam)) <= _zero_eigenvalue(lam):
             return None, nullity
         W = S[k:, :k] @ V
         try:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._optim import (
-    bb_minimize, least_squares_retry, path_saddle, polish_root, polish_roots, weighted_norm,
+    bb_minimize, least_squares_polish, path_saddle, polish_root, polish_roots, weighted_norm,
 )
 # phi: bench/tracing.py requires this binding
 from .energy import FlatProblem, Restriction, phi  # noqa: F401
@@ -765,10 +765,12 @@ def nonexistence_check(
     zero from random starts and recording the largest norm reached (None,
     with a note, if no start converged).  The starts are drawn at once and
     polished in lockstep by ``polish_roots``; each ends as its polish alone
-    would.  Then, start by start, a Newton polish that stops short of tol
-    from a finite start is retried by ``least_squares_retry``, which
+    would.  Each start from which Newton stops short of tol with a finite
+    residual then goes, with Newton's stopping point from it, into one stack
+    for the Levenberg-Marquardt fallback ``least_squares_polish``, which
     converges from some starts of this multistart where Newton does not (no
-    solve needs it).  A state below ``trivial_norm`` counts as the trivial
+    solve needs it); of the three results of such a start, the smallest
+    residual wins.  A state below ``trivial_norm`` counts as the trivial
     solution, norm 0; the norms of the converged states come from one call.
     A converged state at or above it is a nontrivial critical point, which
     refutes the certificate.
@@ -793,14 +795,14 @@ def nonexistence_check(
         notes.append(f"{nan_pairings} mechanism pairings are NaN")
 
     X0 = rng.uniform(-2.0, 2.0, size=(multistart, weights.size))
-    roots = []
-    for x0, res in zip(X0, polish_roots(inst.gradient, X0, weights, inst.jacobian, config.tol)):
-        if not res.converged and res.message != "non-finite residual":
-            res = least_squares_retry(
-                inst.gradient, x0, weights, inst.jacobian, res, tol=config.tol
-            )
-        if res.converged:
-            roots.append(res.x)
+    results = polish_roots(inst.gradient, X0, weights, inst.jacobian, config.tol)
+    short = [i for i, res in enumerate(results)
+             if not res.converged and res.message != "non-finite residual"]
+    starts = np.vstack([X0[short], *(results[i].x for i in short)])
+    fallback = least_squares_polish(inst.gradient, starts, weights, inst.jacobian, config.tol)
+    for i, from_start, from_newton in zip(short, fallback, fallback[len(short) :]):
+        results[i] = min(results[i], from_start, from_newton, key=lambda res: res.residual)
+    roots = [res.x for res in results if res.converged]
     failed = multistart - len(roots)
     if failed:
         notes.append(f"{failed} of {multistart} multistart polishes failed to converge")

@@ -14,7 +14,9 @@ import pytest
 import grapde
 from grapde import load_schema
 from grapde.cli import load_problem, main, to_json
-from grapde.graph import graph_from_dict, graph_to_dict, path_graph, total_measure
+from grapde.graph import (
+    complete_graph, graph_from_dict, graph_to_dict, path_graph, total_measure,
+)
 from grapde.nonlinearity import builtin
 from grapde.schema import load_json
 from grapde.solvers import SolverError
@@ -475,6 +477,24 @@ def test_importing_the_cli_does_not_load_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_nonexist_multistart_fallback_does_not_load_scipy(tmp_path):
+    # on K5 mp-example Newton stops short from two of the three starts, so the
+    # least-squares fallback runs
+    src = os.path.dirname(os.path.dirname(grapde.__file__))
+    graph = _write(tmp_path, "k5.json", graph_to_dict(complete_graph(5)))
+    problem = _write(tmp_path, "p.json", {"builtin": "mp-example"})
+    argv = ["nonexist", "--graph", graph, "--problem", problem, "--seed", "0",
+            "--multistart", "3", "--out", str(tmp_path / "report.json")]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from grapde.cli import main; "
+        f"main({argv!r}); print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    report = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert not any("failed to converge" in note for note in report["notes"])
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])

@@ -146,6 +146,40 @@ def test_stacked_polish_matches_one_polish_per_start(case):
         )
 
 
+@pytest.mark.parametrize("case, messages", [
+    ("K5", ["converged", "converged", "converged", "non-finite residual"]),
+    ("path-6", ["converged", "damping limit", "converged"]),
+])
+def test_stacked_least_squares_polish_matches_one_polish_per_start(case, messages):
+    inst, X0, _ = _newton_stack(case)
+    stacked = _optim.least_squares_polish(inst.gradient, X0, inst.weights, inst.jacobian)
+    assert [r.message for r in stacked] == messages
+    for x0, a in zip(X0, stacked):
+        b = _optim.least_squares_polish(inst.gradient, x0[None], inst.weights, inst.jacobian)[0]
+        assert a.x.tobytes() == b.x.tobytes()
+        assert (a.residual, a.iterations, a.fevals, a.converged, a.message) == (
+            b.residual, b.iterations, b.fevals, b.converged, b.message
+        )
+
+
+def test_least_squares_polish_of_no_start_evaluates_nothing():
+    def unreachable(x):
+        raise AssertionError("evaluated")
+
+    weights = np.ones(4)
+    assert _optim.least_squares_polish(unreachable, np.zeros((0, 4)), weights, unreachable) == []
+
+
+def test_least_squares_polish_without_a_root_ends_on_a_named_stop():
+    # exp(t) > t rules out every critical point (see the nonexistence tests):
+    # the damping grows until the polish gives up
+    inst = _instance(path_graph(2), "exp(u)+exp(v)")
+    X0 = np.random.default_rng(0).uniform(-2.0, 2.0, (3, inst.weights.size))
+    for res in _optim.least_squares_polish(inst.gradient, X0, inst.weights, inst.jacobian):
+        assert not res.converged and res.message == "damping limit"
+        assert res.residual > 1.0 and 0 < res.iterations < _optim._MAX_LM
+
+
 def test_non_finite_jacobian_stops_its_start_alone():
     # a stub Jacobian that is NaN at the second start, whose gradient is
     # finite: that start ends where it began, the others as they end alone
@@ -169,7 +203,7 @@ def test_non_finite_jacobian_stops_its_start_alone():
 
 
 def test_multistart_batches_give_the_same_report(monkeypatch):
-    # K5 mp-example: converged starts and starts retried by least squares
+    # K5 mp-example: converged starts and starts the least-squares fallback polishes
     inst, _ = _k5_nonexistence_start()
     whole = to_json(nonexistence_check(inst, multistart=5))
     n = inst.weights.size
@@ -938,12 +972,41 @@ def test_nonexistence_multistart_counts_trivial_states_as_zero():
 
 
 def test_nonexistence_multistart_retries_by_least_squares():
-    # Newton alone stops short from two of the three starts on K5; least
-    # squares from the same starts converges
+    # Newton alone stops short from two of the three starts on K5; the
+    # Levenberg-Marquardt fallback (least_squares_polish) converges
     inst, _ = _k5_nonexistence_start()
     report = nonexistence_check(inst, multistart=3)
     assert not any("failed to converge" in note for note in report.notes)
     assert report.multistart_max_norm > 1.0
+
+
+@pytest.mark.parametrize("builtin_name, stack", [("mp-example", 4), ("nonexist-example", 0)])
+def test_nonexistence_polishes_its_short_starts_in_one_least_squares_call(
+    monkeypatch, builtin_name, stack
+):
+    # the one stack holds each start that Newton leaves short, then Newton's
+    # stopping point from it: two of the three starts on K5, none on path-2
+    polishes, fallbacks = [], []
+
+    def polish(*args, **kwargs):
+        results = _optim.polish_roots(*args, **kwargs)
+        polishes.append(list(results))
+        return results
+
+    def fallback(grad, X0, *args, **kwargs):
+        fallbacks.append(X0)
+        return _optim.least_squares_polish(grad, X0, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "polish_roots", polish)
+    monkeypatch.setattr(solvers, "least_squares_polish", fallback)
+    g = complete_graph(5) if builtin_name == "mp-example" else path_graph(2)
+    prob = builtin(builtin_name, g)
+    inst = ProblemInstance(g, prob.ord1, prob.ord2, prob.nl, prob.spec, 0.0)
+    nonexistence_check(inst, multistart=3)
+    assert [len(X0) for X0 in fallbacks] == [stack]
+    short = [res.x for res in polishes[0] if not res.converged]
+    assert len(short) == stack // 2
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(fallbacks[0][stack // 2 :], short))
 
 
 def test_nonexistence_multistart_failures_are_one_note():
