@@ -9,6 +9,7 @@ are limits can only ever report "pass (sampled)".
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -26,12 +27,15 @@ __all__ = [
     "ConditionResult",
     "HypothesisReport",
     "block_fields",
+    "distinct_vertices",
     "check_hypotheses",
     "lipschitz_screen",
     "sign_screen",
     "builtin",
     "BUILTIN_NAMES",
 ]
+
+log = logging.getLogger("grapde")
 
 BUILTIN_NAMES = (
     "mp-example",
@@ -235,6 +239,37 @@ def block_fields(blocks: int, *stems: str) -> list:
     return [f"{stem}{i}" for stem in stems for i in range(1, blocks + 1)]
 
 
+def distinct_vertices(nl: Nonlinearity, *tables) -> tuple:
+    """(keep, group, sub): one vertex per distinct row of coefficients, for the samplers.
+
+    Vertices whose rows of ``nl``'s coefficient tables and of the per-vertex
+    arrays ``tables`` match byte for byte (so -0.0 and 0.0 stay apart) form
+    a group.  ``keep`` holds the first vertex of each group, in stored
+    order; ``group[i]`` is the place in ``keep`` of vertex i's group; and
+    ``sub`` is ``nl`` induced on ``keep`` (``nl`` itself where every row is
+    distinct).  F depends on a vertex only through its row, so a sampler
+    that evaluates ``sub`` finds the same first maximum, failure or NaN in
+    (vertex x point) order: it always falls on the first vertex of a group,
+    which ``sub.graph`` names.
+    """
+    n = nl.graph.n
+    columns = [np.ascontiguousarray(t).reshape(n, 1).view(np.uint8)
+               for t in (*nl.coeffs.values(), *tables)]
+    rows = np.hstack([np.empty((n, 0), np.uint8), *columns]).tobytes()  # b"" rows: no table
+    width = len(rows) // n
+    keep, place, group = [], {}, []  # place: a row's bytes -> its group's place in keep
+    for i in range(n):
+        row = rows[i * width : (i + 1) * width]
+        if row not in place:
+            place[row] = len(keep)
+            keep.append(i)
+        group.append(place[row])
+    keep, group = np.array(keep), np.array(group)
+    if keep.size == n:
+        return keep, group, nl
+    return keep, group, nl.induced(nl.graph.induced(keep), keep)
+
+
 def _screen(spec: HypothesisSpec, fields, body) -> ConditionResult:
     """A condition from body(*the values of ``fields``) -> (verdict, witness, detail).
 
@@ -290,8 +325,7 @@ def _rung_major(values) -> np.ndarray:
     """(vertex, radius, w, point) values as contiguous rows (radius, w, vertex x point).
 
     A row holds one rung's (vertex, point) values in their own order, so
-    its max, min and argmax equal those of the rung alone, signed zeros
-    included.
+    its argmax and argmin equal those of the rung alone.
     """
     radii, ws = values.shape[1:3]
     return np.ascontiguousarray(np.moveaxis(values, 0, 2)).reshape(radii, ws, -1)
@@ -359,8 +393,10 @@ def _ratio_ladder(graph, radii, sphere, ws, numerator, powers, largest: bool) ->
     The maximum (``largest``) or minimum over vertices, sphere and ws, where
     a w with a NaN ratio does not count; the witness is its point.  A radius
     where every w has a NaN ratio has the extreme NaN, and its first NaN
-    point is the witness.  The radii and ws are evaluated together, in the
-    batches of ``_rung_records``.
+    point is the witness.  The extreme of a w is its first extreme sample in
+    (vertex x point) order, so a tie of 0.0 and -0.0 reads the same at any
+    count of vertices (``distinct_vertices``).  The radii and ws are
+    evaluated together, in the batches of ``_rung_records``.
     """
 
     def table(rs, bws):
@@ -368,7 +404,8 @@ def _ratio_ladder(graph, radii, sphere, ws, numerator, powers, largest: bool) ->
         denom = sum(np.abs(c) ** e for c, e in zip(coords, powers))
         vals = _rung_major(numerator(coords, bws[:, None]) / denom)
         # argmin and argmax point at the first NaN of a rung that holds one
-        tops, ats = (vals.max(-1), vals.argmax(-1)) if largest else (vals.min(-1), vals.argmin(-1))
+        ats = vals.argmax(-1) if largest else vals.argmin(-1)
+        tops = np.take_along_axis(vals, ats[..., None], -1)[..., 0]
         return _records(rs, bws, tops, ats)
 
     sign = 1.0 if largest else -1.0
@@ -418,7 +455,10 @@ def check_hypotheses(
     (H5) is screened on the ball of radius 1 (see ``lipschitz_screen``).
     Each condition but the sign screen evaluates a selector once for all
     its radii, ws and points (``_rung_records``); (H1)-(H5) and the sign
-    screen read their rungs by the one rule of ``_verdict``.
+    screen read their rungs by the one rule of ``_verdict``.  Every
+    condition samples one vertex per distinct row of the coefficient tables
+    and c_fn (``distinct_vertices``); the (F2) bound, the (H4) threshold
+    and mu(x0) are the whole graph's.
     """
     if spaces is None:
         spaces = _default_spaces(p, q, ord1, ord2)
@@ -426,30 +466,34 @@ def check_hypotheses(
     exps = [space.ord.s for space in spaces]
     ws = spec.w_grid(_W_SAMPLES)
     notes = []
+    # c(x) of (H3) is one more coefficient in a vertex's row
+    keep, group, sub = distinct_vertices(nl, *(() if spec.c_fn is None else (spec.c_fn,)))
+    reps = sub.graph  # the vertices sampled
+    log.info("screening %d of %d vertices (distinct coefficient rows)", reps.n, graph.n)
 
     sphere = functools.partial(_sphere, blocks=k, samples=_ANGULAR_SAMPLES)
-    sphere_bytes = 8 * graph.n * sphere((1.0,))[0].size  # of one (radius, w) rung's array
-    coupling = functools.partial(nl.block_values, "F")  # F at every vertex and point
+    sphere_bytes = 8 * reps.n * sphere((1.0,))[0].size  # of one (radius, w) rung's array
+    coupling = functools.partial(sub.block_values, "F")  # F at every sampled vertex and point
 
     def f1():  # value at the origin
         def table(_, bws):
-            vals = np.abs(nl.grid_values("F", 0.0, 0.0, bws))  # vertex x w
+            vals = np.abs(sub.grid_values("F", 0.0, 0.0, bws))  # vertex x w
             return list(zip(bws, vals.T))
 
-        vals = np.array([row for _, row in _rung_records(table, (None,), ws, 8 * graph.n)])
+        vals = np.array([row for _, row in _rung_records(table, (None,), ws, 8 * reps.n)])
         nan = np.isnan(vals)
         j, i = np.unravel_index(int(np.argmax(np.where(nan, -np.inf, vals))), vals.shape)
-        worst, witness = float(vals[j, i]), (graph.vertices[i], ws[j])
+        worst, witness = float(vals[j, i]), (reps.vertices[i], ws[j])
         if worst > 1e-14:
             return "fail", witness, f"|F(x,0,0,w)| = {worst:.2e}"
         if nan.any():
             j, i = np.unravel_index(int(np.argmax(nan)), vals.shape)
-            return "inconclusive", (graph.vertices[i], ws[j]), "F(x,0,0,w) is NaN at the witness"
+            return "inconclusive", (reps.vertices[i], ws[j]), "F(x,0,0,w) is NaN at the witness"
         return "pass", None, f"max |F(x,0,0,w)| = {worst:.2e}"
 
     def f2():  # small-amplitude growth cap, estimated on a shrinking radius ladder
         bound = block_embedding(graph, spaces).cap
-        rungs = _ratio_ladder(graph, _SMALL_RADII, sphere, ws, coupling, exps, largest=True)
+        rungs = _ratio_ladder(reps, _SMALL_RADII, sphere, ws, coupling, exps, largest=True)
         if nan := _nan_rung(rungs):
             return nan
         ladder = [(radius, value) for radius, value, _ in rungs]
@@ -459,7 +503,7 @@ def check_hypotheses(
         return _SAMPLED[ok], None if ok else witness, detail
 
     def f3():  # superlinear growth at infinity
-        rungs = _ratio_ladder(graph, _LARGE_RADII, sphere, ws, coupling, exps, largest=False)
+        rungs = _ratio_ladder(reps, _LARGE_RADII, sphere, ws, coupling, exps, largest=False)
         if nan := _nan_rung(rungs):
             return nan
         mins = [value for _, value, _ in rungs]
@@ -475,9 +519,9 @@ def check_hypotheses(
         mx = max(exps)
 
         def excess(coords, w):
-            return _radial(nl, coords, w) - mx * coupling(coords, w)
+            return _radial(sub, coords, w) - mx * coupling(coords, w)
 
-        rungs = _ratio_ladder(graph, _LARGE_RADII, sphere, ws, excess, gammas, largest=False)
+        rungs = _ratio_ladder(reps, _LARGE_RADII, sphere, ws, excess, gammas, largest=False)
         if nan := _nan_rung(rungs):
             return nan
         mins = [value for _, value, _ in rungs]
@@ -507,12 +551,12 @@ def check_hypotheses(
 
         records = _rung_records(table, _MODERATE_RADII, ws, sphere_bytes)
         return _verdict(records, lambda radius, w, at: _point_witness(
-            graph, at, sphere((radius,)), w), "a sample is NaN at the witness")
+            reps, at, sphere((radius,)), w), "a sample is NaN at the witness")
 
     def h1(theta):  # theta F <= radial pairing away from the origin
         def violation(coords, w, radii):
             fvals = theta * coupling(coords, w)
-            radial = _radial(nl, coords, w)
+            radial = _radial(sub, coords, w)
             return fvals > radial + 1e-9 * (1.0 + np.abs(radial)), fvals, radial
 
         return box_scan(violation)
@@ -521,7 +565,7 @@ def check_hypotheses(
         cs, rs = consts[:k], consts[k:]
 
         def violation(coords, w, radii):
-            radial = _radial(nl, coords, w)
+            radial = _radial(sub, coords, w)
             cap = sum(c * np.abs(t) ** r for c, t, r in zip(cs, coords, rs))
             return radial > cap + 1e-9 * (1.0 + cap), radial, cap
 
@@ -531,6 +575,7 @@ def check_hypotheses(
         c_fn = np.asarray(c_fn)
         if np.any(c_fn <= 0):
             return "fail", None, "c(x) must be positive"
+        c_fn = c_fn[keep]
         floors = []
 
         def violation(coords, w, radii):
@@ -564,14 +609,15 @@ def check_hypotheses(
             )
         amps = delta * (np.arange(1, _DELTA_SAMPLES + 1) / (_DELTA_SAMPLES + 1))
         floor = Lvals[i0] * amps**p - 1e-12
+        r0 = group[i0]  # the sampled vertex of x0's group
 
         def table(rs, bws):
             vals = coupling((amps,) * k, bws[:, None])[:, None]  # vertex x 1 x w x amplitude
-            below, nan = vals < floor, np.isnan(vals[i0])
-            return _records(rs, bws, below[i0].any(-1), below[i0].argmax(-1), nan.any(-1),
+            below, nan = vals < floor, np.isnan(vals[r0])
+            return _records(rs, bws, below[r0].any(-1), below[r0].argmax(-1), nan.any(-1),
                             nan.argmax(-1), below.any(axis=(0, -1)))
 
-        records = list(_rung_records(table, (None,), ws, 8 * graph.n * len(amps)))
+        records = list(_rung_records(table, (None,), ws, 8 * reps.n * len(amps)))
         # the scalar analogue quantifies over every vertex; report both
         if any(rec[-1] for rec in records):
             notes.append("spike lower bound holds at x0 only; the all-vertices variant fails")
@@ -586,8 +632,8 @@ def check_hypotheses(
         "H2": _screen(spec, block_fields(k, "c", "r"), h2),
         "H3": _screen(spec, ("a_floor", "c_fn"), h3),
         "H4": _screen(spec, ("L", "x0", "delta"), h4),
-        "H5": lipschitz_screen(nl, spec, graph, spaces, sampling or SamplingConfig()),
-        "NONEXIST": sign_screen(nl, spec, graph, k),
+        "H5": lipschitz_screen(sub, spec, spaces, sampling or SamplingConfig()),
+        "NONEXIST": sign_screen(sub, spec, k),
     }
     return HypothesisReport(conditions=results, notes=notes)
 
@@ -595,7 +641,6 @@ def check_hypotheses(
 def lipschitz_screen(
     nl: Nonlinearity,
     spec: HypothesisSpec,
-    graph: WeightedGraph,
     spaces: tuple,
     sampling: SamplingConfig,
     radius: float = None,
@@ -603,7 +648,8 @@ def lipschitz_screen(
     """Screen (H5): |F_{u_i}(b) - F_{u_i}(a)| <= d_i |b_i - a_i|^(s_i - 1) on a ball.
 
     The pairs are the draws from [-R, R]^(2k) (R = ``radius``, 1 if None)
-    with both points in the ball of radius R, all screened at once.  The
+    with both points in the ball of radius R, all screened at once, at one
+    vertex per distinct row of coefficients (``distinct_vertices``).  The
     witness (t1, s1, t2, s2, w), or (t1, t2, w), is the first failing w and
     its first failing pair (``_verdict``).
     """
@@ -614,6 +660,7 @@ def lipschitz_screen(
         est = " (ball radius defaulted to 1, no certificate available)"
 
     def body(*ds):
+        _, _, sub = distinct_vertices(nl)
         rng = np.random.default_rng(sampling.seed)
         pts = rng.uniform(-radius, radius, size=(_PAIR_SAMPLES, 2 * blocks))
         norms = np.linalg.norm(pts.reshape(len(pts), 2, blocks), axis=2)  # of the two points
@@ -630,32 +677,33 @@ def lipschitz_screen(
             nan = np.zeros_like(failing)
             for which, cap in zip(Nonlinearity.PARTIALS, caps):
                 # vertex x w x (a, b) x pair
-                vals = nl.block_values(which, ends, bws[:, None, None])
+                vals = sub.block_values(which, ends, bws[:, None, None])
                 jump = np.abs(vals[:, :, 1] - vals[:, :, 0])
                 nan |= np.any(np.isnan(jump), axis=0)
                 failing |= np.any(jump > cap, axis=0)
             rows = (failing.any(-1), failing.argmax(-1), nan.any(-1), nan.argmax(-1))
             return _records(rs, bws, *(row[None] for row in rows))
 
-        records = _rung_records(table, (None,), spec.w_grid(_W_SAMPLES), 8 * graph.n * 2 * len(pts))
+        rung_bytes = 8 * sub.graph.n * 2 * len(pts)
+        records = _rung_records(table, (None,), spec.w_grid(_W_SAMPLES), rung_bytes)
         verdict, witness, _ = _verdict(records, lambda _, w, at: (*pts[at], w), "")
         return verdict, witness, f"radius {radius:.3g}{est}"
 
     return _screen(spec, block_fields(blocks, "d"), body)
 
 
-def sign_screen(
-    nl: Nonlinearity, spec: HypothesisSpec, graph: WeightedGraph, blocks: int
-) -> ConditionResult:
+def sign_screen(nl: Nonlinearity, spec: HypothesisSpec, blocks: int) -> ConditionResult:
     """Screen the nonexistence sign condition F_u t + F_v s < 0 off the origin.
 
     The sample points are the nonzero points of the grid on the box
     [-R, R]^blocks (R = 10); one block screens F_u t
-    with v = 0.  The ws are evaluated one at a time and read by ``_verdict``,
-    so the screen stops at the first failing w; its witness is the largest
-    pairing that is not NaN: (vertex, t, s, w), or (vertex, t, w) for one
-    block.
+    with v = 0, at one vertex per distinct row of coefficients
+    (``distinct_vertices``).  The ws are evaluated one at a time and read
+    by ``_verdict``, so the screen stops at the first failing w; its witness
+    is the largest pairing that is not NaN: (vertex, t, s, w), or
+    (vertex, t, w) for one block, the vertex the first of its group.
     """
+    _, _, nl = distinct_vertices(nl)
     axis = np.linspace(-_BOX_RADIUS, _BOX_RADIUS, _BOX_GRID)
     coords = [c.ravel() for c in np.meshgrid(*(axis,) * blocks, indexing="ij")]
     nontrivial = np.any([c != 0 for c in coords], axis=0)
@@ -673,7 +721,7 @@ def sign_screen(
             yield None, w, top >= 0, top >= 0 and np.argmax(vals), nan_at is not None, nan_at
 
     return _screen(spec, (), lambda: _verdict(
-        rungs(), lambda _, w, at: _point_witness(graph, at, coords, w),
+        rungs(), lambda _, w, at: _point_witness(nl.graph, at, coords, w),
         "the pairing is NaN at the witness"))
 
 

@@ -30,7 +30,9 @@ from ._optim import (
 # phi: bench/tracing.py requires this binding
 from .energy import FlatProblem, Restriction, phi  # noqa: F401
 from .graph import StatePair, VertexFunction, hop_ball, integral, total_measure
-from .nonlinearity import SamplingConfig, block_fields, lipschitz_screen, sign_screen
+from .nonlinearity import (
+    SamplingConfig, block_fields, distinct_vertices, lipschitz_screen, sign_screen,
+)
 from .spaces import w_norm
 
 log = logging.getLogger("grapde")
@@ -461,14 +463,17 @@ def _first_radius(inst, top: float, ws, bound, error):
 
     The box of radius r is |t| <= b r, |s| <= d r (s absent for one block) on
     ``_BOX_GRID`` points per block.  ``bound(r, points)`` gives (excess, limit)
-    once per radius, and the box passes at w if ``_below(excess(F), limit)``.
+    once per radius, and the box passes at w if ``_below(excess(F), limit)``,
+    F sampled at one vertex per distinct row of coefficients
+    (``distinct_vertices``).
     """
+    _, _, nl = distinct_vertices(inst.nl)
     unit_box = np.meshgrid(*(np.linspace(-1.0, 1.0, _BOX_GRID),) * len(inst.spaces), indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):  # judged by _below
         for r in (top * 0.5**j for j in range(_LADDER)):
             points = [b * r * unit for (b, _), unit in zip(inst.embedding.blocks, unit_box)]
             excess, limit = bound(r, points)
-            if all(_below(excess(inst.nl.block_values("F", points, w)), limit, r, w, error)
+            if all(_below(excess(nl.block_values("F", points, w)), limit, r, w, error)
                    for w in ws):
                 return r
     return None
@@ -702,8 +707,7 @@ def uniqueness_certificate(
             h5_radius = None
             notes.append(f"ball radius for Lipschitz screen unavailable: {err}")
         h5_verdict = lipschitz_screen(
-            inst.nl, inst.spec, inst.graph, inst.spaces, SamplingConfig(seed=config.seed),
-            h5_radius,
+            inst.nl, inst.spec, inst.spaces, SamplingConfig(seed=config.seed), h5_radius,
         ).verdict
 
     # multistart agreement: all converged interior roots must coincide
@@ -778,7 +782,7 @@ def nonexistence_check(
     if multistart < 0:
         raise ValueError(f"multistart must be >= 0, got {multistart}")
     config = config or SolverConfig()
-    screen = sign_screen(inst.nl, inst.spec, inst.graph, len(inst.spaces))
+    screen = sign_screen(inst.nl, inst.spec, len(inst.spaces))
     verdict, witness = screen.verdict, screen.witness
     notes = [f"sign screen inconclusive: {screen.detail}"] if verdict == "inconclusive" else []
 

@@ -1,10 +1,13 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from grapde import nonlinearity
+from grapde import nonlinearity, solvers
 from grapde.calculus import OperatorOrder
+from grapde.energy import ProblemInstance
+from grapde.expressions import EvalDomainError
 from grapde.graph import complete_graph, path_graph
 from grapde.nonlinearity import (
     BUILTIN_NAMES,
@@ -14,9 +17,11 @@ from grapde.nonlinearity import (
     SamplingConfig,
     builtin,
     check_hypotheses,
+    distinct_vertices,
     lipschitz_screen,
     sign_screen,
 )
+from grapde.solvers import CertificateError, SolverError
 from grapde.spaces import SpaceSpec
 
 
@@ -242,7 +247,7 @@ def test_quadratic_example_h5_passes():
     g = path_graph(2)
     prob = builtin("unique-example", g)
     spaces = (SpaceSpec(prob.ord1, "h1"), SpaceSpec(prob.ord2, "h2"))
-    h5 = lipschitz_screen(prob.nl, prob.spec, g, spaces, SamplingConfig(), radius=0.5)
+    h5 = lipschitz_screen(prob.nl, prob.spec, spaces, SamplingConfig(), radius=0.5)
     assert h5.verdict == "pass (sampled)"
 
 
@@ -252,7 +257,7 @@ def test_sign_screen_failure_witness_skips_nan_pairings():
     # (|t| > 5.2): the witness is the largest finite pairing, not a NaN
     g = path_graph(2)
     nl = Nonlinearity.from_source(g, "u^2 + exp(u^4) - exp(u^4)", {})
-    screen = sign_screen(nl, HypothesisSpec(), g, 1)
+    screen = sign_screen(nl, HypothesisSpec(), 1)
     assert screen.verdict == "fail"
     vertex, t, w = screen.witness
     assert (vertex, w) == ("v0", -1.0) and t == pytest.approx(-10.0 + 24 * 20.0 / 63)
@@ -295,7 +300,7 @@ def test_h5_nan_jumps_are_no_evidence():
     g = path_graph(2)
     nl = Nonlinearity.from_source(g, f"u^2*{_NAN_AT_TOP_W} + v^4", {})
     spaces = (SpaceSpec(OperatorOrder(1, 2.0), "h1"), SpaceSpec(OperatorOrder(1, 2.0), "h2"))
-    h5 = lipschitz_screen(nl, HypothesisSpec(d1=100.0, d2=100.0), g, spaces, SamplingConfig())
+    h5 = lipschitz_screen(nl, HypothesisSpec(d1=100.0, d2=100.0), spaces, SamplingConfig())
     assert h5.verdict == "inconclusive"
     assert h5.witness[-1] == pytest.approx(_W_TOP)
 
@@ -352,7 +357,7 @@ def test_sign_screen_stops_at_the_first_failing_w(monkeypatch):
         return real(self, which, coords, w_val)
 
     monkeypatch.setattr(Nonlinearity, "block_values", counting)
-    screen = sign_screen(prob.nl, prob.spec, g, 2)
+    screen = sign_screen(prob.nl, prob.spec, 2)
     assert screen.verdict == "fail" and screen.witness[-1] == -1.0
     assert calls == [("Fu", -1.0), ("Fv", -1.0)]
 
@@ -362,3 +367,113 @@ def test_hypothesis_spec_interval_validated():
         HypothesisSpec(J=(1.0, 0.0))
     with pytest.raises(ValueError):
         HypothesisSpec(J=(0.0, math.inf))
+
+
+# --- one sampled vertex per distinct row of coefficients -----------------
+
+def test_distinct_vertices_group_rows_byte_for_byte():
+    g = path_graph(6)
+    nl = Nonlinearity.from_source(g, "gamma*z*u", {"gamma": [2.0, 1.0, 2.0, 1.0, 2.0, 2.0],
+                                                  "z": [1.0, 1.0, 1.0, 1.0, 0.0, -0.0]})
+    keep, group, sub = distinct_vertices(nl)
+    assert keep.tolist() == [0, 1, 4, 5]  # 0.0 and -0.0 stay apart
+    assert group.tolist() == [0, 1, 0, 1, 2, 3]
+    assert sub.graph.vertices == ("v0", "v1", "v4", "v5")
+    assert sub.coeffs["gamma"].tolist() == [2.0, 1.0, 2.0, 2.0]
+    # an extra per-vertex array splits a group; every row distinct gives nl itself
+    assert distinct_vertices(nl, [1, 1, 2, 1, 1, 1])[0].tolist() == [0, 1, 2, 4, 5]
+    keep, group, same = distinct_vertices(nl, np.arange(6.0))
+    assert same is nl and keep.tolist() == group.tolist() == list(range(6))
+    # a coupling without coefficient tables is one group
+    keep, group, sub = distinct_vertices(Nonlinearity.from_source(g, "u^2", {}))
+    assert keep.tolist() == [0] and group.tolist() == [0] * 6 and sub.graph.n == 1
+
+
+def _every_vertex(nl, *tables):
+    """``distinct_vertices`` with every vertex a group of its own."""
+    every = np.arange(nl.graph.n)
+    return every, every, nl
+
+
+def _outcome(call) -> str:
+    try:
+        return repr(call())
+    except (SolverError, CertificateError, EvalDomainError) as err:
+        return repr(err)
+
+
+@pytest.mark.parametrize("F, coeffs, c_fn, x0", [
+    # interleaved groups; x0 = v3 is in v1's group, where (H4) passes and fails in v0's
+    ("(u^2+v^2)^2*(1+w^2)/gamma", {"gamma": [2.0, 1.0] * 4}, [1.0] * 8, "v3"),
+    # a tie of 0.0 and -0.0 between groups: the ladders read its first sample
+    ("z*(u^2+v^2)^2", {"z": [0.0, -0.0, -0.0, 0.0] * 2}, [1.0] * 8, "v2"),
+    # c(x) splits the one group: (H3) fails first at v3
+    ("(u^2+v^2)^2", {}, [1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0], "v5"),
+    # sqrt(gamma - u) is undefined from radius 1000 on in v0's group, 10^4 in v1's
+    ("u^2+v^2+sqrt(gamma-u)", {"gamma": [100.0, 1000.0] * 4}, [1.0] * 8, "v3"),
+    # NaN where exp(1000 w gamma) overflows: in v1's group only
+    ("(u^2+v^2)^2 + (exp(1000*w*gamma) - exp(1000*w*gamma))", {"gamma": [0.1, 1.0] * 4},
+     [1.0] * 8, "v2"),
+], ids=["interleaved", "signed-zeros", "c_fn-split", "domain-error", "nan"])
+def test_samplers_on_distinct_rows_report_as_on_every_vertex(monkeypatch, F, coeffs, c_fn, x0):
+    g = path_graph(8)
+    nl = Nonlinearity.from_source(g, F, coeffs)
+    spec = HypothesisSpec(
+        theta=5.0, c1=1.0, c2=1.0, r1=3.0, r2=3.0, gamma1=2.0, gamma2=2.0, delta=0.5,
+        d1=1.0, d2=1.0, a_floor=lambda r: r**4, c_fn=np.array(c_fn), L=np.full(8, 3.0), x0=x0,
+    )
+    inst = ProblemInstance(g, OperatorOrder(1, 4.0), OperatorOrder(1, 4.0), nl, spec, 0.0)
+    calls = {
+        "check": lambda: check_hypotheses(nl, spec, g, 4.0, 4.0),
+        "H5": lambda: lipschitz_screen(nl, spec, inst.spaces, SamplingConfig(), radius=2.0),
+        "sign": lambda: sign_screen(nl, spec, 2),
+        "ball": lambda: solvers.ball_radius(inst),
+        "levels": lambda: solvers.energy_level_bounds(inst, 0.5, 1.0),
+    }
+    grouped = {name: _outcome(call) for name, call in calls.items()}
+    monkeypatch.setattr(nonlinearity, "distinct_vertices", _every_vertex)
+    monkeypatch.setattr(solvers, "distinct_vertices", _every_vertex)
+    assert {name: _outcome(call) for name, call in calls.items()} == grouped
+
+
+def test_h4_samples_the_group_of_x0():
+    # F at the spike (a, a) is 2 a^4 (1 + w^2) in v0's group and 4 a^4 (1 + w^2)
+    # in v1's, against the floor L a^4 = 3 a^4: it fails from w = -3/7 in v0's only
+    g = path_graph(8)
+    nl = Nonlinearity.from_source(g, "(u^2+v^2)^2*(1+w^2)/gamma", {"gamma": [2.0, 1.0] * 4})
+
+    def h4(x0):
+        spec = HypothesisSpec(L=np.full(g.n, 3.0), x0=x0, delta=0.5)
+        return check_hypotheses(nl, spec, g, 4.0, 4.0).conditions["H4"]
+
+    fail = h4("v2")
+    assert fail.verdict == "fail" and fail.witness == ("v2", 0.5 / 17, pytest.approx(-3 / 7))
+    assert h4("v3").verdict == "pass (sampled)"
+
+
+@pytest.mark.parametrize("name, rows", [("mp-example", 1), ("nonexist-example", 256)])
+def test_screen_and_ball_scan_evaluate_one_row_per_distinct_vertex(monkeypatch, caplog, name, rows):
+    g = path_graph(256)
+    prob = builtin(name, g)
+    seen = []
+    compiled = Nonlinearity._fn
+
+    def counting(self, which):
+        fn = compiled(self, which)
+
+        def call(env):
+            seen.append({len(env[table]) for table in self.coeffs})
+            return fn(env)
+
+        return call
+
+    monkeypatch.setattr(Nonlinearity, "_fn", counting)
+    caplog.set_level(logging.INFO, logger="grapde")
+    check_hypotheses(prob.nl, prob.spec, g, prob.p, prob.q, ord1=prob.ord1, ord2=prob.ord2)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"screening {rows} of 256 vertices (distinct coefficient rows)"
+    ]
+    # the ball scan needs p == q: mp-example's coupling at p = q = 3
+    order = OperatorOrder(1, prob.p)
+    solvers.ball_radius(ProblemInstance(g, order, order, prob.nl, prob.spec, 0.0))
+    assert len(seen) > 10 and all(s == {rows} for s in seen)

@@ -287,7 +287,7 @@ def test_check_reads_the_one_block_constants():
     g = path_graph(2)
     spec = HypothesisSpec(c1=8.0, r1=4.0, gamma1=3.0, d1=1.0)
     inst = _instance(g, "u^4*(1+w^2)", spec=spec)
-    h5 = lipschitz_screen(inst.nl, spec, g, inst.spaces, SamplingConfig(), radius=0.1)
+    h5 = lipschitz_screen(inst.nl, spec, inst.spaces, SamplingConfig(), radius=0.1)
     conditions = dict(inst.check(SamplingConfig()).conditions, H5=h5)
     for name in ("H2", "F4", "H5"):
         c = conditions[name]
@@ -329,7 +329,7 @@ def test_one_block_witnesses_are_vertex_t_w():
 def test_lipschitz_screen_one_block_witness_is_a_pair():
     g = path_graph(2)
     inst = _instance(g, "u^4", spec=HypothesisSpec(d1=1e-3))
-    h5 = lipschitz_screen(inst.nl, inst.spec, g, inst.spaces, SamplingConfig(), radius=1.0)
+    h5 = lipschitz_screen(inst.nl, inst.spec, inst.spaces, SamplingConfig(), radius=1.0)
     assert h5.verdict == "fail"
     t1, t2, w = h5.witness
     assert max(abs(t1), abs(t2)) <= 1.0 and -1.0 <= w <= 1.0
